@@ -21,7 +21,7 @@ from .generalized import (
     integrate_second_kind,
     match_trajectories,
 )
-from .integrate import Trajectory, acceleration, integrate_first_kind
+from .integrate import Trajectory, integrate_first_kind
 from .reactions import Reparametrization, invariance_report, reaction, virtual_work
 from .scenarios import Scenario
 from .smooth import State
@@ -131,7 +131,7 @@ def reparametrization_families(n: int, rng: np.random.Generator):
 
 
 def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
-    cs, sys = sc.constraints, sc.system
+    cs = sc.constraints
     if cs is None or cs.is_empty:
         return [
             ReportEntry(
@@ -145,11 +145,10 @@ def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[Rep
     worst = 0.0
     for smp in traj.samples:
         s = smp.state
-        a = acceleration(sys, cs, s)
         rate = (
             cs.phi.d_t(s.t, s.x, s.v)
             + cs.phi.d_x(s.t, s.x, s.v) @ s.v
-            + cs.phi.d_v(s.t, s.x, s.v) @ a
+            + cs.phi.d_v(s.t, s.x, s.v) @ smp.xdd
         )
         worst = max(worst, float(np.abs(rate).max(initial=0.0)))
     entries.append(_entry("first-integral-rate", worst, thresholds["first-integral-rate"]))
@@ -284,20 +283,15 @@ def check_scenario(
 
     traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
 
-    tasks: List[Callable[[], List[ReportEntry]]] = []
-    wanted = sc.checks
-    if "first-integral" in wanted:
-        tasks.append(lambda: check_first_integral(sc, traj, th))
-    if "virtual-work" in wanted:
-        tasks.append(lambda: check_virtual_work(sc, th))
-    if "gde-residual" in wanted:
-        tasks.append(lambda: check_gde(sc, traj, th))
-    if "reparametrization" in wanted:
-        tasks.append(lambda: check_reparametrization(sc, th))
-    if "covariance" in wanted:
-        tasks.append(lambda: check_covariance(sc, th))
-    if "energy" in wanted:
-        tasks.append(lambda: check_energy(sc, traj, th))
+    runners: Dict[str, Callable[[], List[ReportEntry]]] = {
+        "first-integral": lambda: check_first_integral(sc, traj, th),
+        "virtual-work": lambda: check_virtual_work(sc, th),
+        "gde-residual": lambda: check_gde(sc, traj, th),
+        "reparametrization": lambda: check_reparametrization(sc, th),
+        "covariance": lambda: check_covariance(sc, th),
+        "energy": lambda: check_energy(sc, traj, th),
+    }
+    tasks = [fn for name, fn in runners.items() if name in sc.checks]
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:

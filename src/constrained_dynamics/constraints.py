@@ -202,22 +202,26 @@ def _fix_signs(Q: Array) -> Array:
     return Q
 
 
+def _kernel_basis(B: Array, n: int, t: float) -> Array:
+    """Columns spanning ker B from one full SVD, after the regularity test
+    sigma_min(B) > RANK_TOL_FACTOR * max(1, sigma_max(B))."""
+    _, sv, Vt = np.linalg.svd(B, full_matrices=True)
+    smin = float(sv[-1]) if sv.size else 0.0
+    if smin <= RANK_TOL_FACTOR * max(1.0, sv[0] if sv.size else 0.0):
+        raise RegularityError(
+            f"constraint Jacobian rank-deficient at t={t} (sigma_min={smin:.3e})",
+            sigma_min=smin,
+            t=t,
+        )
+    return Vt[n:, :].T
+
+
 def virtual_basis(cs: ConstraintSet, s: State) -> VirtualBasis:
     """Kernel basis of phi_v via SVD; m - n orthonormal columns."""
-    m = cs.dim
     if cs.is_empty:
-        return VirtualBasis(Xi=np.eye(m), state=s)
-    verdict = check_regularity(cs, s)
-    if not verdict:
-        raise RegularityError(
-            f"constraint Jacobian rank-deficient at t={s.t} (sigma_min={verdict.sigma_min:.3e})",
-            sigma_min=verdict.sigma_min,
-            t=s.t,
-        )
+        return VirtualBasis(Xi=np.eye(cs.dim), state=s)
     B = cs.phi.d_v(s.t, s.x, s.v)
-    _, _, Vt = np.linalg.svd(B, full_matrices=True)
-    Xi = _fix_signs(Vt[cs.n :, :].T)
-    return VirtualBasis(Xi=Xi, state=s)
+    return VirtualBasis(Xi=_fix_signs(_kernel_basis(B, cs.n, s.t)), state=s)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .integrate import IntegratorConfig, Trajectory
-from .smooth import Array, State, _fd_step
+from .smooth import Array, State, _fd_step, central_differences
 from .system import ForceField, MassMatrix, MechanicalSystem, check_spd
 
 
@@ -86,14 +86,7 @@ class Embedding:
     def d_yy(self, t, y):
         if self.u_yy is not None:
             return np.asarray(self.u_yy(t, y), float).reshape(self.dim, self.r, self.r)
-        slabs = []
-        for k in range(self.r):
-            h = _fd_step(y[k])
-            yh, yl = y.copy(), y.copy()
-            yh[k] += h
-            yl[k] -= h
-            slabs.append((self.d_y(t, yh) - self.d_y(t, yl)) / (2 * h))
-        return np.stack(slabs, axis=2)
+        return central_differences(lambda yy: self.d_y(t, yy), y)
 
     def in_domain(self, y: Array) -> bool:
         if self.domain_lo is not None and np.any(y < self.domain_lo):
@@ -318,6 +311,9 @@ def integrate_second_kind(
     ``Q=None`` derives the generalized forces from the system's force field.
     Aborts with :class:`ChartError` when the solution leaves the chart
     domain or the metric degenerates.
+
+    Evaluations per step: 4 calls of :func:`second_kind_acceleration`; the
+    acceleration recorded with each sample is the next step's first stage.
     """
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")
@@ -335,13 +331,14 @@ def integrate_second_kind(
     def record(t, y, w):
         a = accel(t, y, w)
         traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=a, Q=Q(t, y, w)))
+        return a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()
-    record(t, y, w)
+    a = record(t, y, w)
     dt = cfg.dt
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h = min(dt, t_end - t)
-        k1y, k1w = w, accel(t, y, w)
+        k1y, k1w = w, a
         y2, w2 = y + 0.5 * h * k1y, w + 0.5 * h * k1w
         k2y, k2w = w2, accel(t + 0.5 * h, y2, w2)
         y3, w3 = y + 0.5 * h * k2y, w + 0.5 * h * k2w
@@ -351,7 +348,7 @@ def integrate_second_kind(
         y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
         t = t + h
-        record(t, y, w)
+        a = record(t, y, w)
     return traj
 
 

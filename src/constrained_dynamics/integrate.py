@@ -11,17 +11,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import (
-    ConstraintSet,
-    RegularityError,
-    check_regularity,
-    virtual_basis,
-)
+from .constraints import ConstraintSet, _kernel_basis, virtual_basis
 from .reactions import (
     ReactionResult,
     Realization,
-    _chol_solve,
-    reaction,
+    _solve_multipliers,
     reaction_with_realization,
 )
 from .smooth import Array, State
@@ -67,6 +61,7 @@ class TrajectorySample:
     state: State
     reaction: ReactionResult
     diagnostics: Diagnostics
+    xdd: Array  # the acceleration that drives the run at this state
 
 
 @dataclass
@@ -128,17 +123,10 @@ class Trajectory:
 
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v) -> Array:
     # hot path: no State construction, no ReactionResult packaging
-    f = sys.force(t, x, v)
-    Ginv = sys.mass.inverse
     if cs is None or cs.is_empty:
-        return Ginv @ f
-    phi = cs.phi
-    B = phi.d_v(t, x, v)
-    W = B @ Ginv
-    gram = W @ B.T
-    rhs = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v + W @ f
-    lam = -_chol_solve(gram, rhs, t)
-    return Ginv @ (f + lam @ B)
+        return sys.mass.inverse @ sys.force(t, x, v)
+    f, B, lam, _ = _solve_multipliers(sys, cs, t, x, v)
+    return sys.mass.inverse @ (f + lam @ B)
 
 
 def acceleration(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -198,45 +186,40 @@ def project_to_manifold(
     return State(t=t, x=x, v=v)
 
 
-def _sample(sys, cs, s: State, xdd: Array) -> TrajectorySample:
-    """Full per-step diagnostics; shares one SVD between the regularity
-    check, the reaction solve and the virtual-basis residual."""
+def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> TrajectorySample:
+    """Full per-step diagnostics from one multiplier solve and one SVD.
+
+    ``xdd`` is the acceleration driving the run; when omitted it is the
+    ideal G^-1 (f^T + N^T), taken from the same solve.
+    """
     t, x, v = s.t, s.x, s.v
-    f = sys.force(t, x, v)
     T, V = energy(sys, s)
     E = T + (V or 0.0)
+    Ginv = sys.mass.inverse
     if cs is None or cs.is_empty:
+        f = sys.force(t, x, v)
+        if xdd is None:
+            xdd = Ginv @ f
         rx = ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(s.dim), gram=np.zeros((0, 0)), state=s
         )
         gde = float(np.abs(xdd @ sys.mass.G - f).max())
         diag = Diagnostics(g_norm=None, phi_norm=0.0, gde_residual=gde, energy=E)
-        return TrajectorySample(state=s, reaction=rx, diagnostics=diag)
+        return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
 
-    phi = cs.phi
-    B = phi.d_v(t, x, v)
-    _, sv, Vt = np.linalg.svd(B, full_matrices=True)
-    smin = float(sv[-1]) if sv.size else 0.0
-    if smin <= 1e-8 * max(1.0, sv[0] if sv.size else 0.0):
-        raise RegularityError(
-            f"regularity lost at t={t}: sigma_min={smin:.3e}", sigma_min=smin, t=t
-        )
-    Ginv = sys.mass.inverse
-    W = B @ Ginv
-    gram = W @ B.T
-    rhs = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v + W @ f
-    lam = -_chol_solve(gram, rhs, t)
+    f, B, lam, gram = _solve_multipliers(sys, cs, t, x, v)
+    if xdd is None:
+        xdd = Ginv @ (f + lam @ B)
+    Xi = _kernel_basis(B, cs.n, t)
     rx = ReactionResult(Lambda=lam, N=lam @ B, gram=gram, state=s)
-
-    phi_norm = float(np.abs(phi(t, x, v)).max(initial=0.0))
+    phi_norm = float(np.abs(cs.phi(t, x, v)).max(initial=0.0))
     g_norm = None
     if cs.is_holonomic:
         g_norm = float(np.abs(cs.generator(t, x)).max(initial=0.0))
-    Xi = Vt[cs.n :, :].T
     row = xdd @ sys.mass.G - f
     gde = float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
     diag = Diagnostics(g_norm=g_norm, phi_norm=phi_norm, gde_residual=gde, energy=E)
-    return TrajectorySample(state=s, reaction=rx, diagnostics=diag)
+    return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
 
 
 def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
@@ -281,9 +264,14 @@ def integrate_first_kind(
     ``accel``, when given, replaces the ideal-reaction right-hand side
     (used for non-ideal realizations); diagnostics are still recorded
     against the declared constraint set.
+
+    Evaluations per step: RK4 makes 4 right-hand-side evaluations per
+    step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
+    more, and its acceleration is the next step's first stage.
     """
     _check_initial(cs, init)
-    if accel is None:
+    ideal = accel is None
+    if ideal:
         def accel(t, x, v):  # noqa: ANN001
             return _accel_raw(sys, cs, t, x, v)
 
@@ -291,8 +279,9 @@ def integrate_first_kind(
 
     def record(t, x, v):
         s = State(t, x, v)
-        traj.samples.append(_sample(sys, cs, s, accel(t, x, v)))
-        return s
+        smp = _sample(sys, cs, s, None if ideal else accel(t, x, v))
+        traj.samples.append(smp)
+        return smp.xdd
 
     project = (
         cfg.projection != "off"
@@ -315,13 +304,13 @@ def integrate_first_kind(
         return s.x, s.v
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
-    record(t, x, v)
+    a = record(t, x, v)
 
     if cfg.method == "rk4-fixed":
         dt = cfg.dt
         while t < t_end - 1e-12 * max(1.0, abs(t_end)):
             h = min(dt, t_end - t)
-            k1x, k1v = v, accel(t, x, v)
+            k1x, k1v = v, a
             x2, v2 = x + 0.5 * h * k1x, v + 0.5 * h * k1v
             k2x, k2v = v2, accel(t + 0.5 * h, x2, v2)
             x3, v3 = x + 0.5 * h * k2x, v + 0.5 * h * k2v
@@ -332,7 +321,7 @@ def integrate_first_kind(
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
             t = t + h
             x, v = maybe_project(t, x, v)
-            record(t, x, v)
+            a = record(t, x, v)
         return traj
 
     # rk45-adaptive (Dormand-Prince, local extrapolation)
@@ -346,9 +335,9 @@ def integrate_first_kind(
     tol = cfg.tolerance
     while t < t_end - 1e-12 * max(1.0, abs(t_end)):
         h = min(h, t_end - t)
-        ks = [rhs(t, y)]
+        ks = [np.concatenate([y[m:], a])]
         for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
+            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
             ks.append(rhs(t + _DP_C[i] * h, yi))
         y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
         y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
@@ -359,7 +348,7 @@ def integrate_first_kind(
             y = y5
             xx, vv = maybe_project(t, y[:m], y[m:])
             y = np.concatenate([xx, vv])
-            record(t, y[:m], y[m:])
+            a = record(t, y[:m], y[m:])
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         if h < 1e-14:

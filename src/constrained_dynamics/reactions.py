@@ -24,7 +24,7 @@ from .constraints import (
     RegularityError,
     VirtualBasis,
 )
-from .smooth import Array, SmoothMap, State, _fd_step
+from .smooth import Array, SmoothMap, State, _fd_step, central_differences
 from .system import MechanicalSystem
 
 
@@ -64,20 +64,26 @@ def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
     return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
 
 
+def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
+    """(f, phi_v, Lambda, gram) at (t, x, v) for a non-empty constraint set.
+
+    The one evaluation of the closed form: every consumer of the ideal
+    multipliers takes the force, phi_v and the Gram matrix from here.
+    """
+    f = sys.force(t, x, v)
+    phi = cs.phi
+    B = phi.d_v(t, x, v)
+    W = B @ sys.mass.inverse
+    gram = W @ B.T
+    rhs = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v + W @ f
+    return f, B, -_chol_solve(gram, rhs, t), gram
+
+
 def multipliers(sys: MechanicalSystem, cs: ConstraintSet, s: State) -> Array:
     """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
     if cs.is_empty:
         return np.zeros(0)
-    t, x, v = s.t, s.x, s.v
-    phi_t = cs.phi.d_t(t, x, v)
-    phi_x = cs.phi.d_x(t, x, v)
-    B = cs.phi.d_v(t, x, v)
-    Ginv = sys.mass.inverse
-    f = sys.force(t, x, v)
-    W = B @ Ginv
-    gram = W @ B.T
-    rhs = phi_t + phi_x @ v + W @ f
-    return -_chol_solve(gram, rhs, t)
+    return _solve_multipliers(sys, cs, s.t, s.x, s.v)[2]
 
 
 def reaction(sys: MechanicalSystem, cs: ConstraintSet, s: State) -> ReactionResult:
@@ -86,9 +92,7 @@ def reaction(sys: MechanicalSystem, cs: ConstraintSet, s: State) -> ReactionResu
         return ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
         )
-    B = cs.phi.d_v(s.t, s.x, s.v)
-    lam = multipliers(sys, cs, s)
-    gram = B @ sys.mass.inverse @ B.T
+    _, B, lam, gram = _solve_multipliers(sys, cs, s.t, s.x, s.v)
     return ReactionResult(Lambda=lam, N=lam @ B, gram=gram, state=s)
 
 
@@ -153,29 +157,15 @@ class Reparametrization:
         h = _fd_step(t)
         return (self(t + h, x, v, z) - self(t - h, x, v, z)) / (2 * h)
 
-    def _fd_slot(self, t, x, v, z, slot):
-        base = x if slot == "x" else v
-        cols = []
-        for i in range(base.size):
-            h = _fd_step(base[i])
-            bh, bl = base.copy(), base.copy()
-            bh[i] += h
-            bl[i] -= h
-            if slot == "x":
-                cols.append((self(t, bh, v, z) - self(t, bl, v, z)) / (2 * h))
-            else:
-                cols.append((self(t, x, bh, z) - self(t, x, bl, z)) / (2 * h))
-        return np.stack(cols, axis=1)
-
     def d_x(self, t, x, v, z):
         if self.jac_x is not None:
             return np.asarray(self.jac_x(t, x, v, z), float).reshape(self.n, x.size)
-        return self._fd_slot(t, x, v, z, "x")
+        return central_differences(lambda xx: self(t, xx, v, z), x)
 
     def d_v(self, t, x, v, z):
         if self.jac_v is not None:
             return np.asarray(self.jac_v(t, x, v, z), float).reshape(self.n, v.size)
-        return self._fd_slot(t, x, v, z, "v")
+        return central_differences(lambda vv: self(t, x, vv, z), v)
 
     @classmethod
     def identity(cls, n: int) -> "Reparametrization":

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .constraints import ConstraintSet, lift_holonomic, virtual_basis
-from .generalized import Embedding, GeneralizedState, pushforward_state
-from .integrate import IntegratorConfig
+from .generalized import ChartError, Embedding, GeneralizedState, pushforward_state
+from .integrate import IntegratorConfig, _check_initial
 from .smooth import ConfigurationMap, State
 from .system import ForceField, MassMatrix, MechanicalSystem, build_point_mass_matrix
 
@@ -42,6 +42,33 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario: " + "; ".join(self.problems))
 
 
+def _field(doc: Dict, where: str, key: str, default=None, convert=float):
+    """``doc[key]`` through ``convert``; a missing or unreadable value is a
+    ScenarioError naming the field as ``where.key``."""
+    raw = doc.get(key, default)
+    if raw is None:
+        raise ScenarioError([f"{where}.{key} is missing"])
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError([f"{where}.{key} is not numeric: {raw!r}"]) from None
+
+
+def _floats(raw) -> np.ndarray:
+    return np.asarray(raw, float)
+
+
+def _collect(problems: List[str], section: str, build, fallback=None):
+    """``build()``; on failure, record it under ``section`` and return ``fallback``."""
+    try:
+        return build()
+    except ScenarioError as exc:
+        problems.extend(exc.problems)
+    except (ValueError, ChartError) as exc:
+        problems.append(f"{section}: {exc}")
+    return fallback
+
+
 # ---------------------------------------------------------------------------
 # force catalog
 
@@ -51,8 +78,10 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
     if kind == "none":
         return ForceField.zero(m)
     if kind == "uniform-gravity":
-        g0 = float(doc["g0"])
-        axis = int(doc["axis"])
+        g0 = _field(doc, "force", "g0")
+        axis = _field(doc, "force", "axis", convert=int)
+        if not 0 <= axis < m:
+            raise ScenarioError([f"force.axis {axis} is out of range for m={m}"])
         e = np.zeros(m)
         e[axis] = 1.0
         w = mass.G @ e  # per-coordinate weights m_i g0
@@ -65,8 +94,8 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
             potential=lambda t, x: g0 * float(w @ x),
         )
     if kind == "linear-spring":
-        k = float(doc["k"])
-        anchor = np.asarray(doc.get("anchor", np.zeros(m)), float)
+        k = _field(doc, "force", "k")
+        anchor = _field(doc, "force", "anchor", np.zeros(m), _floats)
         return ForceField(
             dim=m,
             value=lambda t, x, v: -k * (x - anchor),
@@ -139,11 +168,13 @@ def _make_constraints(doc: Optional[Dict], m: int) -> Optional[ConstraintSet]:
         return None
     kind = doc["type"]
     if kind == "sphere":
-        return lift_holonomic(sphere_generator(float(doc.get("radius", 1.0)), m), m)
+        radius = _field(doc, "constraint", "radius", 1.0)
+        return lift_holonomic(sphere_generator(radius, m), m)
     if kind == "rotating-line":
         if m != 2:
             raise ScenarioError(["rotating-line constraint needs m = 2"])
-        return lift_holonomic(rotating_line_generator(float(doc.get("omega", 1.0))), 2)
+        omega = _field(doc, "constraint", "omega", 1.0)
+        return lift_holonomic(rotating_line_generator(omega), 2)
     if kind == "knife-edge":
         if m != 3:
             raise ScenarioError(["knife-edge constraint needs m = 3 (x, y, theta)"])
@@ -242,11 +273,11 @@ def _make_embedding(doc: Optional[Dict]) -> Optional[Embedding]:
         return None
     kind = doc["type"]
     if kind == "circle":
-        return circle_embedding(float(doc.get("radius", 1.0)))
+        return circle_embedding(_field(doc, "embedding", "radius", 1.0))
     if kind == "sphere-polar":
-        return sphere_polar_embedding(float(doc.get("radius", 1.0)))
+        return sphere_polar_embedding(_field(doc, "embedding", "radius", 1.0))
     if kind == "rotating-line":
-        return rotating_line_embedding(float(doc.get("omega", 1.0)))
+        return rotating_line_embedding(_field(doc, "embedding", "omega", 1.0))
     raise ScenarioError([f"unknown embedding type {kind!r}"])
 
 
@@ -313,103 +344,83 @@ class Scenario:
 def _integrator_from_doc(doc: Dict) -> IntegratorConfig:
     return IntegratorConfig(
         method=doc.get("method", "rk4-fixed"),
-        dt=float(doc.get("dt", 1e-3)),
-        tolerance=float(doc.get("tolerance", 1e-9)),
+        dt=_field(doc, "integrator", "dt", 1e-3),
+        tolerance=_field(doc, "integrator", "tolerance", 1e-9),
         projection=doc.get("projection", "off"),
-        projection_tol=float(doc.get("projection_tol", 1e-12)),
-        projection_max_iter=int(doc.get("projection_max_iter", 20)),
+        projection_tol=_field(doc, "integrator", "projection_tol", 1e-12),
+        projection_max_iter=_field(doc, "integrator", "projection_max_iter", 20, int),
     )
+
+
+def _mass_from_doc(doc: Optional[Dict]) -> MassMatrix:
+    if doc is None:
+        raise ScenarioError(["missing 'mass'"])
+    if "point_masses" in doc:
+        return build_point_mass_matrix(doc["point_masses"])
+    if "matrix" in doc:
+        return MassMatrix(np.asarray(doc["matrix"], float))
+    raise ScenarioError(["'mass' needs 'point_masses' or 'matrix'"])
+
+
+def _initial_from_doc(doc: Optional[Dict], m: int, emb: Optional[Embedding]):
+    """(State, GeneralizedState or None) from the ``initial`` section."""
+    if doc is None:
+        raise ScenarioError(["missing 'initial'"])
+    problems: List[str] = []
+    t0 = _field(doc, "initial", "t", 0.0)
+    if "y" in doc:
+        if emb is None:
+            raise ScenarioError(["generalized initial data given but no embedding declared"])
+        y = _field(doc, "initial", "y", convert=_floats)
+        w = _field(doc, "initial", "w", np.zeros_like(y), _floats)
+        for name, val in (("y", y), ("w", w)):
+            if val.size != emb.r:
+                problems.append(f"initial {name} has length {val.size}, chart has r={emb.r}")
+        if problems:
+            raise ScenarioError(problems)
+        init_gen = GeneralizedState(t=t0, y=y, w=w)
+        return pushforward_state(emb, init_gen), init_gen
+    x = _field(doc, "initial", "x", [], _floats)
+    v = _field(doc, "initial", "v", [], _floats)
+    for name, val in (("x", x), ("v", v)):
+        if val.size != m:
+            problems.append(f"initial {name} has length {val.size}, system has m={m}")
+    if problems:
+        raise ScenarioError(problems)
+    return State(t=t0, x=x, v=v), None
 
 
 def scenario_from_document(doc: Dict) -> Scenario:
     problems: List[str] = []
 
-    mass_doc = doc.get("mass")
-    mass = None
-    if mass_doc is None:
-        problems.append("missing 'mass'")
-    else:
-        try:
-            if "point_masses" in mass_doc:
-                mass = build_point_mass_matrix(mass_doc["point_masses"])
-            elif "matrix" in mass_doc:
-                mass = MassMatrix(np.asarray(mass_doc["matrix"], float))
-            else:
-                problems.append("'mass' needs 'point_masses' or 'matrix'")
-        except ValueError as exc:
-            problems.append(str(exc))
+    mass = _collect(problems, "mass", lambda: _mass_from_doc(doc.get("mass")))
     if mass is None:
         raise ScenarioError(problems)
     m = mass.dim
 
-    try:
-        force = _make_force(doc.get("force", {"type": "none"}), mass)
-    except (ScenarioError, KeyError) as exc:
-        problems.append(f"force: {exc}")
-        force = ForceField.zero(m)
+    force = _collect(
+        problems, "force",
+        lambda: _make_force(doc.get("force", {"type": "none"}), mass), ForceField.zero(m),
+    )
     system = MechanicalSystem(mass=mass, force=force)
-
-    cs = None
-    try:
-        cs = _make_constraints(doc.get("constraint"), m)
-    except ScenarioError as exc:
-        problems.extend(f"constraint: {p}" for p in exc.problems)
-
-    emb = None
-    try:
-        emb = _make_embedding(doc.get("embedding"))
-        if emb is not None and emb.dim != m:
-            problems.append(
-                f"embedding ambient dimension {emb.dim} != system dimension {m}"
-            )
-            emb = None
-    except ScenarioError as exc:
-        problems.extend(f"embedding: {p}" for p in exc.problems)
-
-    init = None
-    init_gen = None
-    init_doc = doc.get("initial")
-    if init_doc is None:
-        problems.append("missing 'initial'")
-    elif "y" in init_doc:
-        if emb is None:
-            problems.append("generalized initial data given but no embedding declared")
-        else:
-            y = np.asarray(init_doc["y"], float)
-            w = np.asarray(init_doc.get("w", np.zeros_like(y)), float)
-            if y.size != emb.r:
-                problems.append(f"initial y has length {y.size}, chart has r={emb.r}")
-            elif w.size != emb.r:
-                problems.append(f"initial w has length {w.size}, chart has r={emb.r}")
-            else:
-                init_gen = GeneralizedState(
-                    t=float(init_doc.get("t", 0.0)), y=y, w=w
-                )
-                init = pushforward_state(emb, init_gen)
-    else:
-        x = np.asarray(init_doc.get("x", []), float)
-        v = np.asarray(init_doc.get("v", []), float)
-        if x.size != m:
-            problems.append(f"initial x has length {x.size}, system has m={m}")
-        if v.size != m:
-            problems.append(f"initial v has length {v.size}, system has m={m}")
-        if x.size == m and v.size == m:
-            init = State(t=float(init_doc.get("t", 0.0)), x=x, v=v)
-
-    if init is not None and cs is not None:
-        phi0 = float(np.abs(cs.phi(init.t, init.x, init.v)).max(initial=0.0))
-        if phi0 > 1e-8:
-            problems.append(f"initial phi residual {phi0:.6g} exceeds 1e-08")
-        if cs.is_holonomic:
-            g0 = float(np.abs(cs.generator(init.t, init.x)).max(initial=0.0))
-            if g0 > 1e-8:
-                problems.append(f"initial g residual {g0:.6g} exceeds 1e-08")
-
-    try:
-        integ = _integrator_from_doc(doc.get("integrator", {}))
-    except ValueError as exc:
-        problems.append(f"integrator: {exc}")
-        integ = IntegratorConfig()
+    cs = _collect(problems, "constraint", lambda: _make_constraints(doc.get("constraint"), m))
+    emb = _collect(problems, "embedding", lambda: _make_embedding(doc.get("embedding")))
+    if emb is not None and emb.dim != m:
+        problems.append(f"embedding ambient dimension {emb.dim} != system dimension {m}")
+        emb = None
+    init, init_gen = _collect(
+        problems, "initial", lambda: _initial_from_doc(doc.get("initial"), m, emb), (None, None)
+    )
+    if init is not None:
+        _collect(problems, "on-manifold check", lambda: _check_initial(cs, init))
+    integ = _collect(
+        problems, "integrator",
+        lambda: _integrator_from_doc(doc.get("integrator", {})), IntegratorConfig(),
+    )
+    checks = list(doc.get("checks", DEFAULT_CHECKS))
+    unknown = [c for c in checks if c not in DEFAULT_CHECKS]
+    if unknown:
+        problems.append(f"unknown checks {unknown}; known: {', '.join(DEFAULT_CHECKS)}")
 
     if problems:
         raise ScenarioError(problems)
@@ -422,7 +433,7 @@ def scenario_from_document(doc: Dict) -> Scenario:
         initial=init,
         initial_generalized=init_gen,
         integrator=integ,
-        checks=list(doc.get("checks", DEFAULT_CHECKS)),
+        checks=checks,
         document=doc,
     )
     emb_type = (doc.get("embedding") or {}).get("type")

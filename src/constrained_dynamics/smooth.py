@@ -98,6 +98,19 @@ class SmoothMap:
         return fd_jacobian(self, State(t, x, v), "v")
 
 
+def central_differences(fn: Callable[[Array], Array], base: Array) -> Array:
+    """(fn(base + h e_i) - fn(base - h e_i)) / 2h for every coordinate i,
+    stacked along a new last axis, with h = _fd_step(base[i])."""
+    slabs = []
+    for i in range(base.size):
+        h = _fd_step(base[i])
+        hi, lo = base.copy(), base.copy()
+        hi[i] += h
+        lo[i] -= h
+        slabs.append((fn(hi) - fn(lo)) / (2.0 * h))
+    return np.stack(slabs, axis=-1)
+
+
 def fd_jacobian(m: SmoothMap, state: State, slot: str) -> Array:
     """Central-difference Jacobian of ``m`` at ``state`` w.r.t. one slot.
 
@@ -172,14 +185,7 @@ class ConfigurationMap:
         # d/dx of g_t, an n-by-m matrix
         if self.d_tx is not None:
             return np.asarray(self.d_tx(t, x), dtype=float).reshape(self.dim, x.size)
-        cols = []
-        for i in range(x.size):
-            h = _fd_step(x[i])
-            xh, xl = x.copy(), x.copy()
-            xh[i] += h
-            xl[i] -= h
-            cols.append((self.grad_t(t, xh) - self.grad_t(t, xl)) / (2.0 * h))
-        return np.stack(cols, axis=1)
+        return central_differences(lambda xx: self.grad_t(t, xx), x)
 
     def grad_xx(self, t: float, x: Array) -> Array:
         # d/dx of g_x, an n-by-m-by-m tensor; [i, j, k] = d^2 g_i / dx_j dx_k
@@ -187,11 +193,4 @@ class ConfigurationMap:
             return np.asarray(self.d_xx(t, x), dtype=float).reshape(
                 self.dim, x.size, x.size
             )
-        slabs = []
-        for k in range(x.size):
-            h = _fd_step(x[k])
-            xh, xl = x.copy(), x.copy()
-            xh[k] += h
-            xl[k] -= h
-            slabs.append((self.grad_x(t, xh) - self.grad_x(t, xl)) / (2.0 * h))
-        return np.stack(slabs, axis=2)
+        return central_differences(lambda xx: self.grad_x(t, xx), x)

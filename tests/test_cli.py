@@ -121,3 +121,18 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["Lambda"] == [-14.0]
+
+
+def test_malformed_scenario_file_exit_code(tmp_path, capsys):
+    doc = {
+        "name": "bad-axis",
+        "mass": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "force": {"type": "uniform-gravity", "g0": 10.0, "axis": 5},
+        "initial": {"t": 0.0, "x": [0.0, 0.0], "v": [0.0, 0.0]},
+    }
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["simulate", str(p), "--t-end", "0.05", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error:" in err and "force.axis" in err

@@ -242,3 +242,24 @@ def test_n_must_be_less_than_m():
     phi = SmoothMap(dim=2, value=lambda t, x, v: v[:2])
     with pytest.raises(ValueError):
         ConstraintSet.general(2, phi)
+
+
+def test_virtual_basis_runs_one_svd(circle_lift, monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    s = State(0.0, np.array([0.6, -0.8]), np.array([0.8, 0.6]))
+    before = virtual_basis(circle_lift, s).Xi
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert np.array_equal(virtual_basis(circle_lift, s).Xi, before)
+    assert len(calls) == 1
+
+
+def test_virtual_basis_regularity_error_fields(circle_lift):
+    with pytest.raises(RegularityError) as err:
+        virtual_basis(circle_lift, State(0.5, np.zeros(2), np.zeros(2)))
+    assert err.value.sigma_min == 0.0 and err.value.t == 0.5

@@ -10,11 +10,20 @@ from constrained_dynamics import (
     OffManifoldError,
     State,
     acceleration,
+    catalog_scenario,
     gde_residual,
     integrate_first_kind,
     project_to_manifold,
 )
-from constrained_dynamics.integrate import ProjectionError
+from constrained_dynamics.integrate import (
+    _DP_A,
+    _DP_B4,
+    _DP_B5,
+    _DP_C,
+    ProjectionError,
+    Trajectory,
+    _sample,
+)
 
 
 def _free_system(dim=2, force=None):
@@ -223,3 +232,188 @@ def test_nonideal_accel_still_satisfies_constraint(pendulum):
     )
     gap = np.abs(traj.positions[-1] - ideal.positions[-1]).max()
     assert gap > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# stage reuse: the integrators against plainly written reference loops
+
+def _reference_run(sys, cs, init, t_end, cfg, accel=None):
+    """The first-kind loops written out plainly: every stage and every
+    recorded sample evaluates the right-hand side afresh.
+
+    Returns (arrays, trajectory, rejected steps); the arrays hold t, X, V,
+    Lambda and N, with Lambda and N from a fresh ``reaction`` call.
+    """
+    from constrained_dynamics import reaction
+
+    if accel is None:
+        def accel(t, x, v):
+            return acceleration(sys, cs, State(t, x, v))
+
+    rows, samples = [], []
+    rejected = 0
+
+    def record(t, x, v):
+        s = State(t, x, v)
+        xdd = accel(t, x, v)
+        rx = reaction(sys, cs, s)
+        rows.append((t, s.x, s.v, rx.Lambda, rx.N, xdd))
+        samples.append(_sample(sys, cs, s, xdd))
+
+    def settle(t, x, v):
+        if cfg.projection == "off":
+            return x, v
+        s = project_to_manifold(
+            State(t, x, v), cs, sys.mass, tol=cfg.projection_tol,
+            max_iter=cfg.projection_max_iter,
+            velocity=cfg.projection == "positional+velocity",
+        )
+        return s.x, s.v
+
+    t, x, v = init.t, init.x.copy(), init.v.copy()
+    record(t, x, v)
+    if cfg.method == "rk4-fixed":
+        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+            h = min(cfg.dt, t_end - t)
+            k1x, k1v = v, accel(t, x, v)
+            x2, v2 = x + 0.5 * h * k1x, v + 0.5 * h * k1v
+            k2x, k2v = v2, accel(t + 0.5 * h, x2, v2)
+            x3, v3 = x + 0.5 * h * k2x, v + 0.5 * h * k2v
+            k3x, k3v = v3, accel(t + 0.5 * h, x3, v3)
+            x4, v4 = x + h * k3x, v + h * k3v
+            k4x, k4v = v4, accel(t + h, x4, v4)
+            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            t = t + h
+            x, v = settle(t, x, v)
+            record(t, x, v)
+    else:
+        m = x.size
+        y = np.concatenate([x, v])
+
+        def rhs(tt, yy):
+            return np.concatenate([yy[m:], accel(tt, yy[:m], yy[m:])])
+
+        h = cfg.dt
+        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+            h = min(h, t_end - t)
+            ks = [rhs(t, y)]
+            for i in range(1, 7):
+                yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
+                ks.append(rhs(t + _DP_C[i] * h, yi))
+            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+            y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+            err = float(np.abs(y5 - y4).max()) / (cfg.tolerance * (1.0 + np.abs(y5).max()))
+            if err <= 1.0:
+                t = t + h
+                xx, vv = settle(t, y5[:m], y5[m:])
+                y = np.concatenate([xx, vv])
+                record(t, y[:m], y[m:])
+            else:
+                rejected += 1
+            h = h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
+    arrays = [np.array(col) for col in zip(*rows)]
+    return arrays, Trajectory(samples=samples), rejected
+
+
+def _assert_same_run(traj, arrays, ref_traj):
+    t, X, V, Lam, N, XDD = arrays
+    assert np.array_equal(traj.times, t)
+    assert np.array_equal(traj.positions, X)
+    assert np.array_equal(traj.velocities, V)
+    assert np.array_equal(np.array([s.reaction.Lambda for s in traj.samples]), Lam)
+    assert np.array_equal(np.array([s.reaction.N for s in traj.samples]), N)
+    assert np.array_equal(np.array([s.xdd for s in traj.samples]), XDD)
+    assert traj.to_csv() == ref_traj.to_csv()
+
+
+@pytest.mark.parametrize(
+    "name, cfg",
+    [
+        ("pendulum", IntegratorConfig(dt=1e-2)),
+        ("knife-edge", IntegratorConfig(dt=1e-2)),
+        ("rotating-wire-bead", IntegratorConfig(dt=1e-2, projection="positional+velocity")),
+        ("spherical-pendulum", IntegratorConfig(method="rk45-adaptive", dt=1e-2)),
+    ],
+)
+def test_stage_reuse_is_bit_identical(name, cfg):
+    sc = catalog_scenario(name)
+    traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.5, cfg)
+    arrays, ref, _ = _reference_run(sc.system, sc.constraints, sc.initial, 0.5, cfg)
+    _assert_same_run(traj, arrays, ref)
+
+
+def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
+    # a large first step under the default tolerance is rejected before the
+    # controller settles; the retry starts from the stored acceleration
+    cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
+    sys, cs, init = pendulum.system, pendulum.constraints, pendulum.initial
+    traj = integrate_first_kind(sys, cs, init, 1.0, cfg)
+    arrays, ref, rejected = _reference_run(sys, cs, init, 1.0, cfg)
+    assert rejected >= 1
+    _assert_same_run(traj, arrays, ref)
+
+
+def test_stage_reuse_bit_identical_with_realization(pendulum):
+    from constrained_dynamics import (
+        Realization,
+        SmoothMap,
+        integrate_with_realization,
+        reaction_with_realization,
+    )
+
+    sys, cs = pendulum.system, pendulum.constraints
+
+    def blend(t, x, v):
+        S = cs.phi.d_v(t, x, v).copy()
+        S[0, 0] += 0.5
+        return S.reshape(-1)
+
+    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+
+    def accel(t, x, v):
+        res = reaction_with_realization(sys, cs, real, State(t, x, v))
+        return sys.mass.solve(sys.force(t, x, v) + res.N)
+
+    cfg = IntegratorConfig(dt=1e-2)
+    traj = integrate_with_realization(sys, cs, real, pendulum.initial, 0.5, cfg)
+    arrays, ref, _ = _reference_run(sys, cs, pendulum.initial, 0.5, cfg, accel=accel)
+    _assert_same_run(traj, arrays, ref)
+
+
+def _counting_force(sys):
+    import dataclasses
+
+    calls = [0]
+    inner = sys.force.value
+
+    def value(t, x, v):
+        calls[0] += 1
+        return inner(t, x, v)
+
+    force = dataclasses.replace(sys.force, value=value)
+    return MechanicalSystem(mass=sys.mass, force=force), calls
+
+
+def test_force_evaluations_per_step(pendulum):
+    # RK4: stages 2-4 per step plus one multiplier solve per sample, whose
+    # acceleration is the next step's first stage
+    sys, calls = _counting_force(pendulum.system)
+    traj = integrate_first_kind(
+        sys, pendulum.constraints, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+    )
+    steps = len(traj) - 1
+    assert steps == 20
+    assert calls[0] == 4 * steps + 1
+
+
+def test_force_evaluations_per_adaptive_attempt(pendulum):
+    cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
+    sys, calls = _counting_force(pendulum.system)
+    traj = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 1.0, cfg)
+    _, _, rejected = _reference_run(
+        pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg
+    )
+    attempts = len(traj) - 1 + rejected
+    assert rejected >= 1
+    assert calls[0] == 6 * attempts + len(traj)

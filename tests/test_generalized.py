@@ -7,6 +7,7 @@ from constrained_dynamics import (
     IntegratorConfig,
     MassMatrix,
     State,
+    catalog_scenario,
     covariance_residual,
     decompose_T,
     generalized_forces,
@@ -20,6 +21,8 @@ from constrained_dynamics import (
     random_polynomial_chart,
 )
 from constrained_dynamics.generalized import (
+    GeneralizedSample,
+    GeneralizedTrajectory,
     pushforward_second_order,
     second_kind_acceleration,
 )
@@ -290,3 +293,69 @@ def test_generalized_csv_layout(pendulum):
     lines = traj.to_csv().splitlines()
     assert lines[0] == "t,y1,w1,Q1,covariance_residual"
     assert lines[1].endswith(",")  # covariance column empty when not supplied
+
+
+def _reference_second_kind(emb, sys, init, t_end, cfg):
+    """Second-kind RK4 written out plainly: every stage and every recorded
+    sample calls second_kind_acceleration afresh."""
+    lag = pullback_lagrangian(emb, sys.mass)
+    Q = generalized_forces(emb, sys.force)
+
+    def accel(t, y, w):
+        return second_kind_acceleration(lag, Q, t, y, w)
+
+    traj = GeneralizedTrajectory(emb=emb)
+
+    def record(t, y, w):
+        traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=accel(t, y, w), Q=Q(t, y, w)))
+
+    t, y, w = init.t, init.y.copy(), init.w.copy()
+    record(t, y, w)
+    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        h = min(cfg.dt, t_end - t)
+        k1y, k1w = w, accel(t, y, w)
+        y2, w2 = y + 0.5 * h * k1y, w + 0.5 * h * k1w
+        k2y, k2w = w2, accel(t + 0.5 * h, y2, w2)
+        y3, w3 = y + 0.5 * h * k2y, w + 0.5 * h * k2w
+        k3y, k3w = w3, accel(t + 0.5 * h, y3, w3)
+        y4, w4 = y + h * k3y, w + h * k3w
+        k4y, k4w = w4, accel(t + h, y4, w4)
+        y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        t = t + h
+        record(t, y, w)
+    return traj
+
+
+@pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum", "rotating-wire-bead"])
+def test_second_kind_stage_reuse_is_bit_identical(name):
+    sc = catalog_scenario(name)
+    cfg = IntegratorConfig(dt=1e-2)
+    args = (sc.embedding, sc.system, sc.initial_generalized, 0.5, cfg)
+    traj = integrate_second_kind(args[0], args[1], None, *args[2:])
+    ref = _reference_second_kind(*args)
+    for field in ("t", "y", "w", "a", "Q"):
+        got = np.array([getattr(s, field) for s in traj.samples])
+        want = np.array([getattr(s, field) for s in ref.samples])
+        assert np.array_equal(got, want), field
+    assert traj.to_csv() == ref.to_csv()
+
+
+def test_second_kind_accelerations_per_step(pendulum, monkeypatch):
+    import constrained_dynamics.generalized as generalized
+
+    calls = [0]
+    inner = generalized.second_kind_acceleration
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(generalized, "second_kind_acceleration", counted)
+    traj = integrate_second_kind(
+        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.2,
+        IntegratorConfig(dt=1e-2),
+    )
+    steps = len(traj) - 1
+    assert steps == 20
+    assert calls[0] == 4 * steps + 1

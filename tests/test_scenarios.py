@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -133,3 +134,42 @@ def test_point_masses_accepted(tmp_path):
     p = tmp_path / "free.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
     assert parse_scenario(p).dim == 9
+
+
+def _pendulum_doc(**sections):
+    doc = copy.deepcopy(_catalog_documents()["pendulum"])
+    for key, patch in sections.items():
+        if isinstance(patch, dict):
+            doc[key].update(patch)
+        else:
+            doc[key] = patch
+    return doc
+
+
+def _problems(doc):
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_document(doc)
+    return "\n".join(err.value.problems)
+
+
+def test_force_axis_out_of_range_is_typed():
+    assert "force.axis" in _problems(_pendulum_doc(force={"axis": 5}))
+
+
+def test_non_numeric_radius_is_typed():
+    assert "constraint.radius" in _problems(_pendulum_doc(constraint={"radius": "a"}))
+
+
+def test_gravity_axis_beyond_one_dimensional_mass_is_typed():
+    msgs = _problems(_pendulum_doc(mass={"matrix": [[1.0]]}))
+    # collected together with the other problems of the same document
+    assert "force.axis" in msgs and "constraint" in msgs and "embedding" in msgs
+
+
+def test_non_numeric_initial_y_is_typed():
+    assert "initial.y" in _problems(_pendulum_doc(initial={"y": ["a"]}))
+
+
+def test_unknown_check_name_rejected():
+    msgs = _problems(_pendulum_doc(checks=["energyy", "first-integral"]))
+    assert "energyy" in msgs and "known" in msgs and "energy" in msgs
