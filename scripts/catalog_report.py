@@ -16,13 +16,12 @@ from constrained_dynamics.scenarios import _catalog_documents, catalog_scenario
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--t-end", type=float, default=10.0)
-    ap.add_argument("--jobs", type=int, default=4)
     args = ap.parse_args()
 
     all_ok = True
     for name in sorted(_catalog_documents()):
         sc = catalog_scenario(name)
-        report = check_scenario(sc, t_end=args.t_end, jobs=args.jobs)
+        report = check_scenario(sc, t_end=args.t_end)
         print(report.to_text())
         all_ok &= report.passed
         if sc.embedding is not None:

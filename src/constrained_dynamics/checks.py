@@ -7,7 +7,6 @@ Thresholds are the documented defaults; callers may override any of them
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -105,6 +104,15 @@ def _entry(name, value, threshold, comparison="<="):
     )
 
 
+def _skipped(name: str, why: str) -> List[ReportEntry]:
+    note = f"skipped: {why}"
+    return [ReportEntry(name=name, value=None, threshold=None, passed=True, note=note)]
+
+
+def _no_chart(sc: Scenario) -> str:
+    return "unconstrained system" if sc.unconstrained else "nonholonomic (no embedding)"
+
+
 def _is_scleronomic(sc: Scenario) -> bool:
     if sc.constraints is None:
         return True
@@ -131,14 +139,9 @@ def reparametrization_families(n: int, rng: np.random.Generator):
 
 
 def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
+    if sc.unconstrained:
+        return _skipped("first-integral", "unconstrained system")
     cs = sc.constraints
-    if cs is None or cs.is_empty:
-        return [
-            ReportEntry(
-                name="first-integral", value=None, threshold=None, passed=True,
-                note="skipped: unconstrained system",
-            )
-        ]
     value = max(traj.max_diag("phi_norm"), traj.max_diag("g_norm"))
     entries = [_entry("first-integral", value, thresholds["first-integral"])]
     # chain-rule d(phi)/dt along the integrated vector field, per accepted step
@@ -156,13 +159,8 @@ def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[Rep
 
 
 def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry]:
-    if sc.constraints is None or sc.constraints.is_empty:
-        return [
-            ReportEntry(
-                name="virtual-work", value=None, threshold=None, passed=True,
-                note="skipped: unconstrained system",
-            )
-        ]
+    if sc.unconstrained:
+        return _skipped("virtual-work", "unconstrained system")
     rng = np.random.default_rng(11)
     worst = 0.0
     for s in sc.sample_states(rng, count):
@@ -184,13 +182,8 @@ def check_gde(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
 
 
 def check_reparametrization(sc: Scenario, thresholds, count=100) -> List[ReportEntry]:
-    if sc.constraints is None or sc.constraints.is_empty:
-        return [
-            ReportEntry(
-                name="reparametrization", value=None, threshold=None, passed=True,
-                note="skipped: unconstrained system",
-            )
-        ]
+    if sc.unconstrained:
+        return _skipped("reparametrization", "unconstrained system")
     rng = np.random.default_rng(17)
     states = sc.sample_states(rng, count)
     worst = 0.0
@@ -201,12 +194,7 @@ def check_reparametrization(sc: Scenario, thresholds, count=100) -> List[ReportE
 
 def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
     if sc.embedding is None:
-        return [
-            ReportEntry(
-                name="covariance", value=None, threshold=None, passed=True,
-                note="skipped: nonholonomic (no embedding)",
-            )
-        ]
+        return _skipped("covariance", _no_chart(sc))
     rng = np.random.default_rng(23)
     emb = sc.embedding
     lo = sc.sample_y_lo if sc.sample_y_lo is not None else -np.pi * np.ones(emb.r)
@@ -229,12 +217,7 @@ def check_energy(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry
     e0 = energies[0]
     if _is_scleronomic(sc):
         if sc.system.force.potential is None:
-            return [
-                ReportEntry(
-                    name="energy", value=None, threshold=None, passed=True,
-                    note="skipped: force not declared potential",
-                )
-            ]
+            return _skipped("energy", "force not declared potential")
         drift = float(np.abs(energies - e0).max()) / (1.0 + abs(e0))
         return [_entry("energy", drift, thresholds["energy"])]
     # rheonomic: reactions may do work through the moving constraint; assert
@@ -251,12 +234,7 @@ def check_energy(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry
 def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]:
     """First-kind and second-kind runs agree through the chart, as a sup-norm bound."""
     if sc.embedding is None or sc.initial_generalized is None:
-        return [
-            ReportEntry(
-                name="equivalence", value=None, threshold=None, passed=True,
-                note="skipped: nonholonomic (no embedding)",
-            )
-        ]
+        return _skipped("equivalence", _no_chart(sc))
     traj_x = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
     traj_y = integrate_second_kind(
         sc.embedding, sc.system, None, sc.initial_generalized, t_end, sc.integrator
@@ -274,7 +252,6 @@ def check_scenario(
     sc: Scenario,
     t_end: float = 10.0,
     thresholds: Optional[Dict[str, float]] = None,
-    jobs: int = 1,
 ) -> Report:
     """Run every check the scenario requests and assemble the report."""
     th = dict(DEFAULT_THRESHOLDS)
@@ -291,13 +268,7 @@ def check_scenario(
         "covariance": lambda: check_covariance(sc, th),
         "energy": lambda: check_energy(sc, traj, th),
     }
-    tasks = [fn for name, fn in runners.items() if name in sc.checks]
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda fn: fn(), tasks))
-    else:
-        results = [fn() for fn in tasks]
+    results = [fn() for name, fn in runners.items() if name in sc.checks]
 
     report = Report(
         scenario=sc.name,

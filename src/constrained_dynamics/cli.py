@@ -110,16 +110,15 @@ def _emit_report(report, args) -> int:
 
 def cmd_check_invariants(args) -> int:
     sc = _apply_flags(_load_scenario(args.scenario), args)
-    report = check_scenario(
-        sc, t_end=args.t_end, thresholds=_parse_tols(args.tol), jobs=args.jobs
-    )
+    report = check_scenario(sc, t_end=args.t_end, thresholds=_parse_tols(args.tol))
     return _emit_report(report, args)
 
 
 def cmd_compare_embeddings(args) -> int:
     sc = _apply_flags(_load_scenario(args.scenario), args)
     if sc.embedding is None:
-        print(f"scenario {sc.name!r} declares no embedding (nonholonomic); nothing to compare")
+        kind = "unconstrained system" if sc.unconstrained else "nonholonomic"
+        print(f"scenario {sc.name!r} declares no embedding ({kind}); nothing to compare")
         return 1
     report = compare_embeddings_report(sc, t_end=args.t_end, thresholds=_parse_tols(args.tol))
     return _emit_report(report, args)
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a check threshold")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--jobs", type=int, default=1)
 
     sp = sub.add_parser("simulate", help="first-kind trajectory to CSV")
     common(sp)

@@ -21,8 +21,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .integrate import IntegratorConfig, Trajectory
-from .smooth import Array, State, _fd_step, central_differences
+from .integrate import IntegratorConfig, Trajectory, _march
+from .smooth import Array, State, central_differences, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem, check_spd
 
 
@@ -74,19 +74,17 @@ class Embedding:
     def d_tt(self, t, y):
         if self.u_tt is not None:
             return np.asarray(self.u_tt(t, y), float).reshape(self.dim)
-        h = _fd_step(t)
-        return (self.d_t(t + h, y) - self.d_t(t - h, y)) / (2 * h)
+        return time_difference(lambda tt: self.d_t(tt, y), t)
 
     def d_ty(self, t, y):
         if self.u_ty is not None:
             return np.asarray(self.u_ty(t, y), float).reshape(self.dim, self.r)
-        h = _fd_step(t)
-        return (self.d_y(t + h, y) - self.d_y(t - h, y)) / (2 * h)
+        return time_difference(lambda tt: self.d_y(tt, y), t)
 
     def d_yy(self, t, y):
         if self.u_yy is not None:
             return np.asarray(self.u_yy(t, y), float).reshape(self.dim, self.r, self.r)
-        return central_differences(lambda yy: self.d_y(t, yy), y)
+        return central_differences(lambda yy: self.d_y(t, yy), y, "y")
 
     def in_domain(self, y: Array) -> bool:
         if self.domain_lo is not None and np.any(y < self.domain_lo):
@@ -163,6 +161,17 @@ def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, flo
     return M2, b, T0
 
 
+def _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w):
+    """(M2dot, bdot, L_y): the total time derivatives of M2 and b along the
+    velocity w, and the row dL/dy."""
+    M2dot = dM2_dt + np.einsum("k,kij->ij", w, dM2_dy)
+    bdot = db_dt + w @ db_dy
+    L_y = np.array(
+        [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(w.size)]
+    )
+    return M2dot, bdot, L_y
+
+
 def lagrangian_derivative_from_pieces(
     M2: Array,
     dM2_dt: Array,
@@ -178,13 +187,8 @@ def lagrangian_derivative_from_pieces(
     ``dM2_dy[k]`` is the y^k-derivative of M2, ``db_dy[k]`` the y^k-derivative
     of the row b.  M2 may be singular (e.g. a pure total derivative, M2 = 0).
     """
-    r = w.size
-    M2dot = dM2_dt + np.einsum("k,kij->ij", w, dM2_dy)
-    bdot = db_dt + w @ db_dy
+    M2dot, bdot, L_y = _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w)
     dLw_dt = M2 @ a + M2dot @ w + bdot
-    L_y = np.array(
-        [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(r)]
-    )
     return dLw_dt - L_y
 
 
@@ -279,16 +283,12 @@ def second_kind_acceleration(
     lag: PullbackLagrangian, Q: GeneralizedForce, t: float, y: Array, w: Array
 ) -> Array:
     """ydd solving [L] = Q, via the normal form M2 ydd = Q^T - (rest)."""
-    M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy = lag._derivative_pieces(t, y)
-    r = y.size
+    M2, *pieces = lag._derivative_pieces(t, y)
     sv = np.linalg.svd(M2, compute_uv=False)
     if sv[-1] <= 1e-12 * max(1.0, sv[0]):
         raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
-    M2dot = dM2_dt + np.einsum("k,kij->ij", w, dM2_dy)
-    bdot = db_dt + w @ db_dy
-    L_y = np.array(
-        [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(r)]
-    )
+    M2dot, bdot, L_y = _along_velocity(*pieces, w)
+    # the normal form keeps its own order of summation, not [L] at ydd = 0
     rhs = Q(t, y, w) - M2dot @ w - bdot + L_y
     try:
         c = np.linalg.cholesky(M2)
@@ -315,6 +315,7 @@ def integrate_second_kind(
     Evaluations per step: 4 calls of :func:`second_kind_acceleration`; the
     acceleration recorded with each sample is the next step's first stage.
     """
+    # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")
     lag = pullback_lagrangian(emb, sys.mass)
@@ -331,24 +332,11 @@ def integrate_second_kind(
     def record(t, y, w):
         a = accel(t, y, w)
         traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=a, Q=Q(t, y, w)))
-        return a
+        return y, w, a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()
-    a = record(t, y, w)
-    dt = cfg.dt
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        h = min(dt, t_end - t)
-        k1y, k1w = w, a
-        y2, w2 = y + 0.5 * h * k1y, w + 0.5 * h * k1w
-        k2y, k2w = w2, accel(t + 0.5 * h, y2, w2)
-        y3, w3 = y + 0.5 * h * k2y, w + 0.5 * h * k2w
-        k3y, k3w = w3, accel(t + 0.5 * h, y3, w3)
-        y4, w4 = y + h * k3y, w + h * k3w
-        k4y, k4w = w4, accel(t + h, y4, w4)
-        y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        w = w + (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        t = t + h
-        a = record(t, y, w)
+    _, _, a = record(t, y, w)
+    _march(accel, record, t, y, w, a, t_end, cfg)
     return traj
 
 

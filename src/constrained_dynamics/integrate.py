@@ -11,7 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet, _kernel_basis, virtual_basis
+from .constraints import ConstraintSet, _kernel_basis
 from .reactions import (
     ReactionResult,
     Realization,
@@ -140,11 +140,7 @@ def gde_residual(sys: MechanicalSystem, cs: ConstraintSet, s: State, xdd: Array)
     Vanishes exactly along true solutions and, with the constraints
     satisfied, suffices for being one.
     """
-    basis = virtual_basis(cs, s)
-    row = xdd @ sys.mass.G - sys.force(s.t, s.x, s.v)
-    if basis.Xi.shape[1] == 0:
-        return 0.0
-    return float(np.abs(row @ basis.Xi).max())
+    return _sample(sys, cs, s, xdd).diagnostics.gde_residual
 
 
 def project_to_manifold(
@@ -251,6 +247,61 @@ _DP_B4 = np.array(
 )
 
 
+def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
+    """Integrate the second-order system q'' = accel(t, q, p), p = q', from
+    (t, q, p) to ``t_end`` with ``cfg.method``; ``a`` is accel(t, q, p).
+
+    After every accepted step ``record(t, q, p)`` stores a sample and returns
+    ``(q, p, a)``: the state to continue from (a caller may project it) and
+    its acceleration, which is the next step's first stage.  RK4 calls
+    ``accel`` 3 times per step, Dormand-Prince 6 times per attempt.
+    """
+    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))  # absorbs round-off in t
+    if cfg.method == "rk4-fixed":
+        while t < t_stop:
+            h = min(cfg.dt, t_end - t)
+            k1q, k1p = p, a
+            q2, p2 = q + 0.5 * h * k1q, p + 0.5 * h * k1p
+            k2q, k2p = p2, accel(t + 0.5 * h, q2, p2)
+            q3, p3 = q + 0.5 * h * k2q, p + 0.5 * h * k2p
+            k3q, k3p = p3, accel(t + 0.5 * h, q3, p3)
+            q4, p4 = q + h * k3q, p + h * k3p
+            k4q, k4p = p4, accel(t + h, q4, p4)
+            q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+            p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            t = t + h
+            q, p, a = record(t, q, p)
+        return
+
+    # rk45-adaptive (Dormand-Prince, local extrapolation)
+    y = np.concatenate([q, p])
+    m = q.size
+
+    def rhs(tt, yy):
+        return np.concatenate([yy[m:], accel(tt, yy[:m], yy[m:])])
+
+    h = cfg.dt
+    tol = cfg.tolerance
+    while t < t_stop:
+        h = min(h, t_end - t)
+        ks = [np.concatenate([y[m:], a])]
+        for i in range(1, 7):
+            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
+            ks.append(rhs(t + _DP_C[i] * h, yi))
+        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+        scale = tol * (1.0 + np.abs(y5).max())
+        err = float(np.abs(y5 - y4).max()) / scale
+        if err <= 1.0:
+            t = t + h
+            q, p, a = record(t, y5[:m], y5[m:])
+            y = np.concatenate([q, p])
+        factor = 0.9 * (err + 1e-16) ** (-0.2)
+        h = h * min(5.0, max(0.2, factor))
+        if h < 1e-14:
+            raise RuntimeError(f"adaptive step collapsed at t={t}")
+
+
 def integrate_first_kind(
     sys: MechanicalSystem,
     cs: Optional[ConstraintSet],
@@ -265,9 +316,10 @@ def integrate_first_kind(
     (used for non-ideal realizations); diagnostics are still recorded
     against the declared constraint set.
 
-    Evaluations per step: RK4 makes 4 right-hand-side evaluations per
+    Evaluations per step: RK4 makes 3 right-hand-side evaluations per
     step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
-    more, and its acceleration is the next step's first stage.
+    more, and its acceleration is the next step's first stage, so an RK4
+    step costs 4 in all.
     """
     _check_initial(cs, init)
     ideal = accel is None
@@ -278,10 +330,9 @@ def integrate_first_kind(
     traj = Trajectory()
 
     def record(t, x, v):
-        s = State(t, x, v)
-        smp = _sample(sys, cs, s, None if ideal else accel(t, x, v))
+        smp = _sample(sys, cs, State(t, x, v), None if ideal else accel(t, x, v))
         traj.samples.append(smp)
-        return smp.xdd
+        return x, v, smp.xdd
 
     project = (
         cfg.projection != "off"
@@ -290,9 +341,7 @@ def integrate_first_kind(
         and not cs.is_empty
     )
 
-    def maybe_project(t, x, v):
-        if not project:
-            return x, v
+    def project_and_record(t, x, v):
         s = project_to_manifold(
             State(t, x, v),
             cs,
@@ -301,58 +350,11 @@ def integrate_first_kind(
             max_iter=cfg.projection_max_iter,
             velocity=cfg.projection == "positional+velocity",
         )
-        return s.x, s.v
+        return record(t, s.x, s.v)
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
-    a = record(t, x, v)
-
-    if cfg.method == "rk4-fixed":
-        dt = cfg.dt
-        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-            h = min(dt, t_end - t)
-            k1x, k1v = v, a
-            x2, v2 = x + 0.5 * h * k1x, v + 0.5 * h * k1v
-            k2x, k2v = v2, accel(t + 0.5 * h, x2, v2)
-            x3, v3 = x + 0.5 * h * k2x, v + 0.5 * h * k2v
-            k3x, k3v = v3, accel(t + 0.5 * h, x3, v3)
-            x4, v4 = x + h * k3x, v + h * k3v
-            k4x, k4v = v4, accel(t + h, x4, v4)
-            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            t = t + h
-            x, v = maybe_project(t, x, v)
-            a = record(t, x, v)
-        return traj
-
-    # rk45-adaptive (Dormand-Prince, local extrapolation)
-    y = np.concatenate([x, v])
-    m = x.size
-
-    def rhs(tt, yy):
-        return np.concatenate([yy[m:], accel(tt, yy[:m], yy[m:])])
-
-    h = cfg.dt
-    tol = cfg.tolerance
-    while t < t_end - 1e-12 * max(1.0, abs(t_end)):
-        h = min(h, t_end - t)
-        ks = [np.concatenate([y[m:], a])]
-        for i in range(1, 7):
-            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
-            ks.append(rhs(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = tol * (1.0 + np.abs(y5).max())
-        err = float(np.abs(y5 - y4).max()) / scale
-        if err <= 1.0:
-            t = t + h
-            y = y5
-            xx, vv = maybe_project(t, y[:m], y[m:])
-            y = np.concatenate([xx, vv])
-            a = record(t, y[:m], y[m:])
-        factor = 0.9 * (err + 1e-16) ** (-0.2)
-        h = h * min(5.0, max(0.2, factor))
-        if h < 1e-14:
-            raise RuntimeError(f"adaptive step collapsed at t={t}")
+    _, _, a = record(t, x, v)
+    _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
     return traj
 
 

@@ -24,7 +24,7 @@ from .constraints import (
     RegularityError,
     VirtualBasis,
 )
-from .smooth import Array, SmoothMap, State, _fd_step, central_differences
+from .smooth import Array, SmoothMap, State, central_differences, time_difference
 from .system import MechanicalSystem
 
 
@@ -79,16 +79,16 @@ def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
     return f, B, -_chol_solve(gram, rhs, t), gram
 
 
-def multipliers(sys: MechanicalSystem, cs: ConstraintSet, s: State) -> Array:
+def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
     """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
-    if cs.is_empty:
+    if cs is None or cs.is_empty:
         return np.zeros(0)
     return _solve_multipliers(sys, cs, s.t, s.x, s.v)[2]
 
 
-def reaction(sys: MechanicalSystem, cs: ConstraintSet, s: State) -> ReactionResult:
+def reaction(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> ReactionResult:
     """Unique ideal reaction N = Lambda phi_v at a regular state."""
-    if cs.is_empty:
+    if cs is None or cs.is_empty:
         return ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
         )
@@ -154,8 +154,7 @@ class Reparametrization:
     def d_t(self, t, x, v, z):
         if self.jac_t is not None:
             return np.asarray(self.jac_t(t, x, v, z), float).reshape(self.n)
-        h = _fd_step(t)
-        return (self(t + h, x, v, z) - self(t - h, x, v, z)) / (2 * h)
+        return time_difference(lambda tt: self(tt, x, v, z), t)
 
     def d_x(self, t, x, v, z):
         if self.jac_x is not None:
@@ -165,7 +164,7 @@ class Reparametrization:
     def d_v(self, t, x, v, z):
         if self.jac_v is not None:
             return np.asarray(self.jac_v(t, x, v, z), float).reshape(self.n, v.size)
-        return central_differences(lambda vv: self(t, x, vv, z), v)
+        return central_differences(lambda vv: self(t, x, vv, z), v, "v")
 
     @classmethod
     def identity(cls, n: int) -> "Reparametrization":

@@ -303,6 +303,10 @@ class Scenario:
     def dim(self) -> int:
         return self.system.dim
 
+    @property
+    def unconstrained(self) -> bool:
+        return self.constraints is None or self.constraints.is_empty
+
     def sample_states(self, rng: np.random.Generator, count: int) -> List[State]:
         """Random on-manifold regular states for property checks."""
         out: List[State] = []

@@ -98,16 +98,33 @@ class SmoothMap:
         return fd_jacobian(self, State(t, x, v), "v")
 
 
-def central_differences(fn: Callable[[Array], Array], base: Array) -> Array:
+def _difference(fn, hi, lo, h: float, where: str):
+    try:
+        return (fn(hi) - fn(lo)) / (2.0 * h)
+    except Exception as exc:  # noqa: BLE001 - re-raise with stencil context
+        raise EvaluationError(f"evaluation failed {where}: {exc}") from exc
+
+
+def time_difference(fn: Callable[[float], Array], t: float) -> Array:
+    """(fn(t + h) - fn(t - h)) / 2h with h = _fd_step(t)."""
+    h = _fd_step(t)
+    return _difference(fn, t + h, t - h, h, f"at t = {t} +/- {h}")
+
+
+def central_differences(fn: Callable[[Array], Array], base: Array, name: str = "x") -> Array:
     """(fn(base + h e_i) - fn(base - h e_i)) / 2h for every coordinate i,
-    stacked along a new last axis, with h = _fd_step(base[i])."""
+    stacked along a new last axis, with h = _fd_step(base[i]).
+
+    A failing evaluation raises :class:`EvaluationError` naming the stencil
+    as ``name[i]``.
+    """
     slabs = []
     for i in range(base.size):
         h = _fd_step(base[i])
         hi, lo = base.copy(), base.copy()
         hi[i] += h
         lo[i] -= h
-        slabs.append((fn(hi) - fn(lo)) / (2.0 * h))
+        slabs.append(_difference(fn, hi, lo, h, f"perturbing {name}[{i}] by {h}"))
     return np.stack(slabs, axis=-1)
 
 
@@ -119,34 +136,12 @@ def fd_jacobian(m: SmoothMap, state: State, slot: str) -> Array:
     """
     t, x, v = state.t, state.x, state.v
     if slot == "t":
-        h = _fd_step(t)
-        try:
-            hi = m(t + h, x, v)
-            lo = m(t - h, x, v)
-        except Exception as exc:  # noqa: BLE001 - re-raise with stencil context
-            raise EvaluationError(f"evaluation failed at t = {t} +/- {h}: {exc}") from exc
-        return (hi - lo) / (2.0 * h)
-    if slot not in ("x", "v"):
-        raise ValueError(f"unknown slot {slot!r}")
-    base = x if slot == "x" else v
-    cols = []
-    for i in range(base.size):
-        h = _fd_step(base[i])
-        bumped_hi = base.copy()
-        bumped_lo = base.copy()
-        bumped_hi[i] += h
-        bumped_lo[i] -= h
-        args_hi = (t, bumped_hi, v) if slot == "x" else (t, x, bumped_hi)
-        args_lo = (t, bumped_lo, v) if slot == "x" else (t, x, bumped_lo)
-        try:
-            hi = m(*args_hi)
-            lo = m(*args_lo)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationError(
-                f"evaluation failed perturbing {slot}[{i}] by {h}: {exc}"
-            ) from exc
-        cols.append((hi - lo) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        return time_difference(lambda tt: m(tt, x, v), t)
+    if slot == "x":
+        return central_differences(lambda xx: m(t, xx, v), x, "x")
+    if slot == "v":
+        return central_differences(lambda vv: m(t, x, vv), v, "v")
+    raise ValueError(f"unknown slot {slot!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +173,7 @@ class ConfigurationMap:
     def grad_tt(self, t: float, x: Array) -> Array:
         if self.d_tt is not None:
             return np.asarray(self.d_tt(t, x), dtype=float).reshape(self.dim)
-        h = _fd_step(t)
-        return (self.grad_t(t + h, x) - self.grad_t(t - h, x)) / (2.0 * h)
+        return time_difference(lambda tt: self.grad_t(tt, x), t)
 
     def grad_tx(self, t: float, x: Array) -> Array:
         # d/dx of g_t, an n-by-m matrix

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,21 @@ def unit_circle_lift():
 @pytest.fixture
 def circle_lift():
     return unit_circle_lift()
+
+
+@pytest.fixture
+def free_particle_file(tmp_path):
+    """A scenario document without a constraint: a point in the plane under gravity."""
+    doc = {
+        "name": "free-particle",
+        "mass": {"matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "force": {"type": "uniform-gravity", "g0": 9.81, "axis": 1},
+        "initial": {"t": 0.0, "x": [0.0, 1.0], "v": [1.0, 0.0]},
+        "integrator": {"method": "rk4-fixed", "dt": 1e-2},
+    }
+    path = tmp_path / "free-particle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 @pytest.fixture

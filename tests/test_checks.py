@@ -5,9 +5,11 @@ from constrained_dynamics.checks import (
     DEFAULT_THRESHOLDS,
     Report,
     ReportEntry,
+    check_equivalence,
     check_scenario,
     reparametrization_families,
 )
+from constrained_dynamics.scenarios import parse_scenario
 
 
 def test_report_text_layout():
@@ -72,18 +74,21 @@ def test_threshold_override_can_force_failure(pendulum):
     assert not report.passed
 
 
-def test_parallel_jobs_agree_with_serial(rotating_wire):
-    serial = check_scenario(rotating_wire, t_end=1.0, jobs=1)
-    parallel = check_scenario(rotating_wire, t_end=1.0, jobs=4)
-    assert [e.name for e in serial.entries] == [e.name for e in parallel.entries]
-    for a, b in zip(serial.entries, parallel.entries):
-        assert a.value == b.value
-
-
 def test_knife_edge_skips_chart_checks(knife_edge):
     report = check_scenario(knife_edge, t_end=1.0)
     cov = next(e for e in report.entries if e.name == "covariance")
     assert cov.skipped and "nonholonomic" in cov.note
+    assert report.passed
+
+
+def test_unconstrained_system_skips_as_unconstrained(free_particle_file):
+    sc = parse_scenario(free_particle_file)
+    report = check_scenario(sc, t_end=0.5)
+    entries = report.entries + check_equivalence(sc, DEFAULT_THRESHOLDS, t_end=0.5)
+    skipped = {e.name: e.note for e in entries if e.skipped}
+    for name in ("first-integral", "virtual-work", "reparametrization", "covariance",
+                 "equivalence"):
+        assert skipped[name] == "skipped: unconstrained system"
     assert report.passed
 
 

@@ -85,6 +85,30 @@ def test_compare_embeddings_nonholonomic(capsys):
     assert "no embedding" in capsys.readouterr().out
 
 
+def test_compare_embeddings_unconstrained(free_particle_file, capsys):
+    rc = main(["compare-embeddings", str(free_particle_file), "--t-end", "0.5"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "no embedding (unconstrained system)" in out
+    assert "nonholonomic" not in out
+
+
+def test_compare_embeddings_adaptive_method_refused(tmp_path, capsys):
+    argv = ["compare-embeddings", "pendulum", "--t-end", "0.1", "--method", "rk45-adaptive"]
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "second-kind integration uses the rk4-fixed method" in capsys.readouterr().err
+
+
+def test_reactions_unconstrained(free_particle_file, capsys):
+    rc = main(["reactions", str(free_particle_file)])
+    assert rc == 0
+    dump = json.loads(capsys.readouterr().out)
+    assert dump["Lambda"] == []
+    assert dump["N"] == [0.0, 0.0]
+    assert dump["gram"] == []
+
+
 def test_scenario_from_file(tmp_path, capsys):
     doc = {
         "name": "wire-copy",

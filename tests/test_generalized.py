@@ -207,6 +207,31 @@ def test_second_kind_aborts_outside_domain():
         integrate_second_kind(emb, sys, None, init, 2.0, IntegratorConfig(dt=1e-3))
 
 
+def test_second_kind_refuses_adaptive_method(pendulum):
+    cfg = IntegratorConfig(method="rk45-adaptive", dt=1e-2)
+    with pytest.raises(NotImplementedError, match="rk4-fixed"):
+        integrate_second_kind(
+            pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.1, cfg
+        )
+
+
+def test_embedding_fallback_failure_reports_stencil():
+    from dataclasses import replace
+
+    from constrained_dynamics.smooth import EvaluationError
+
+    emb = circle_embedding(1.0)
+
+    def u_t(t, y):
+        if t > 0.5:
+            raise FloatingPointError("blew up")
+        return emb.u_t(t, y)
+
+    bare = replace(emb, u_t=u_t, u_tt=None)
+    with pytest.raises(EvaluationError, match=r"t = 0\.5 \+/-"):
+        bare.d_tt(0.5, np.array([0.1]))
+
+
 def test_pushforward_second_order_chain_rule():
     rng = np.random.default_rng(23)
     emb = random_polynomial_chart(rng, m=3, r=2)

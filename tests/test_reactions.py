@@ -68,6 +68,15 @@ def test_empty_constraints_zero_reaction():
     assert np.array_equal(res.N, np.zeros(2))
 
 
+def test_no_constraint_set_zero_reaction():
+    sys = MechanicalSystem(mass=MassMatrix(np.eye(2)))
+    s = State(0.0, np.zeros(2), np.ones(2))
+    res = reaction(sys, None, s)
+    assert res.Lambda.size == 0 and res.gram.shape == (0, 0)
+    assert np.array_equal(res.N, np.zeros(2))
+    assert multipliers(sys, None, s).size == 0
+
+
 def test_multipliers_singular_state_raises(pendulum):
     s = State(0.0, np.zeros(2), np.zeros(2))
     with pytest.raises(RegularityError):

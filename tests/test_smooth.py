@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from constrained_dynamics import SmoothMap, State, fd_jacobian
+from constrained_dynamics import ConfigurationMap, SmoothMap, State, fd_jacobian
+from constrained_dynamics.smooth import EvaluationError, central_differences, time_difference
 
 
 def test_fd_square_scalar():
@@ -55,10 +56,34 @@ def test_evaluation_failure_reports_stencil():
 
     m = SmoothMap(dim=1, value=bad)
     s = State(0.0, np.array([1.0]), np.array([0.0]))
-    from constrained_dynamics.smooth import EvaluationError
-
     with pytest.raises(EvaluationError, match=r"x\[0\]"):
         fd_jacobian(m, s, "x")
+
+
+def test_second_derivative_fallback_failure_reports_stencil():
+    def d_x(t, x):
+        if x[1] > 2.0:
+            raise FloatingPointError("blew up")
+        return x.reshape(1, 2)
+
+    g = ConfigurationMap(
+        dim=1, value=lambda t, x: np.array([0.5 * x @ x]), d_t=lambda t, x: np.zeros(1), d_x=d_x
+    )
+    assert np.abs(g.grad_xx(0.0, np.array([1.0, 1.0]))[0] - np.eye(2)).max() < 1e-9
+    with pytest.raises(EvaluationError, match=r"x\[1\]"):
+        g.grad_xx(0.0, np.array([1.0, 2.0]))
+
+
+def test_stencils_match_the_written_out_differences():
+    fn = lambda z: np.array([np.sin(3.0 * z[0]) * z[1], z[0] ** 3])  # noqa: E731
+    base = np.array([0.4, -1.7])
+    h = [np.cbrt(np.finfo(float).eps) * max(1.0, abs(c)) for c in base]
+    cols = [(fn(base + h[i] * e) - fn(base - h[i] * e)) / (2.0 * h[i])
+            for i, e in enumerate(np.eye(2))]
+    assert np.array_equal(central_differences(fn, base), np.stack(cols, axis=1))
+    f = lambda t: np.array([np.cos(t), t * t])  # noqa: E731
+    ht = np.cbrt(np.finfo(float).eps) * 2.5
+    assert np.array_equal(time_difference(f, 2.5), (f(2.5 + ht) - f(2.5 - ht)) / (2.0 * ht))
 
 
 def test_state_invariants():
