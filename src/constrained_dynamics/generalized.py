@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .integrate import IntegratorConfig, Trajectory, _march
 from .smooth import Array, State, central_differences, time_difference
@@ -407,6 +406,34 @@ def _chart_invert(
     return y, resid
 
 
+def _hermite(tk: Array, Y: Array, W: Array, ts: Array) -> Tuple[Array, Array]:
+    """Cubic Hermite interpolant through values Y and slopes W at the knots
+    tk, and its derivative, at the times ts.
+
+    Per interval the cubic is c3 + c2 s + c1 s^2 + c0 s^3 with s = t - tk[i],
+    summed in increasing powers of s.  The coefficients and that order of
+    summation are those of the standard piecewise-polynomial spline, which
+    the tests hold it to bit for bit.  Times outside the knots use the end
+    cubics.
+    """
+    if tk.size < 2:
+        raise ValueError("Hermite resampling needs at least 2 knots")
+    dx = np.diff(tk)
+    if np.any(dx <= 0):
+        raise ValueError("Hermite knots must be strictly increasing")
+    dx = dx[:, None]
+    slope = np.diff(Y, axis=0) / dx
+    tt = (W[:-1] + W[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = tt / dx, (slope - W[:-1]) / dx - tt, W[:-1], Y[:-1]
+    i = np.clip(np.searchsorted(tk, ts, side="right") - 1, 0, tk.size - 2)
+    s = (ts - tk[i])[:, None]
+    c0, c1, c2, c3 = c0[i], c1[i], c2[i], c3[i]
+    ss = s * s
+    value = ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+    slope_at = (c2 + (c1 * 2.0) * s) + (c0 * 3.0) * ss
+    return value, slope_at
+
+
 @dataclass(frozen=True)
 class MatchReport:
     sup_position: float
@@ -432,14 +459,10 @@ def match_trajectories(
     ty = traj_y.times
     Y = np.array([s.y for s in traj_y.samples])
     W = np.array([s.w for s in traj_y.samples])
-    y_spline = CubicHermiteSpline(ty, Y, W, axis=0)
-    w_spline = y_spline.derivative()
-
     times = traj_x.times
+    Ys, Ws = _hermite(ty, Y, W, times)
     if times[0] < ty[0] - 1e-12 or times[-1] > ty[-1] + 1e-12:
         raise ValueError("first-kind grid extends beyond the second-kind run")
-    Ys = np.atleast_2d(y_spline(times))
-    Ws = np.atleast_2d(w_spline(times))
 
     sup_x = 0.0
     sup_v = 0.0

@@ -54,6 +54,8 @@ class Diagnostics:
     phi_norm: float
     gde_residual: float
     energy: float
+    force_norm: float  # max |f|, the scale of the gde-residual check
+    phi_rate: float  # max |phi_t + phi_x v + phi_v xdd|, d(phi)/dt along the run
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v) -> A
     # hot path: no State construction, no ReactionResult packaging
     if cs is None or cs.is_empty:
         return sys.mass.inverse @ sys.force(t, x, v)
-    f, B, lam, _ = _solve_multipliers(sys, cs, t, x, v)
+    f, B, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
     return sys.mass.inverse @ (f + lam @ B)
 
 
@@ -200,10 +202,13 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> TrajectorySample:
             Lambda=np.zeros(0), N=np.zeros(s.dim), gram=np.zeros((0, 0)), state=s
         )
         gde = float(np.abs(xdd @ sys.mass.G - f).max())
-        diag = Diagnostics(g_norm=None, phi_norm=0.0, gde_residual=gde, energy=E)
+        diag = Diagnostics(
+            g_norm=None, phi_norm=0.0, gde_residual=gde, energy=E,
+            force_norm=float(np.abs(f).max(initial=0.0)), phi_rate=0.0,
+        )
         return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
 
-    f, B, lam, gram = _solve_multipliers(sys, cs, t, x, v)
+    f, B, lam, gram, drift = _solve_multipliers(sys, cs, t, x, v)
     if xdd is None:
         xdd = Ginv @ (f + lam @ B)
     Xi = _kernel_basis(B, cs.n, t)
@@ -214,7 +219,11 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> TrajectorySample:
         g_norm = float(np.abs(cs.generator(t, x)).max(initial=0.0))
     row = xdd @ sys.mass.G - f
     gde = float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
-    diag = Diagnostics(g_norm=g_norm, phi_norm=phi_norm, gde_residual=gde, energy=E)
+    diag = Diagnostics(
+        g_norm=g_norm, phi_norm=phi_norm, gde_residual=gde, energy=E,
+        force_norm=float(np.abs(f).max(initial=0.0)),
+        phi_rate=float(np.abs(drift + B @ xdd).max(initial=0.0)),
+    )
     return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
 
 

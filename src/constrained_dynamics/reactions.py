@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .constraints import (
     ConstraintSet,
@@ -54,29 +53,31 @@ def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
             )
         return rhs / gram[0, 0]
     try:
-        c, low = scipy.linalg.cho_factor(gram, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+        c = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
         raise RegularityError(
             f"constraint Gram matrix not positive definite at t={t}: {exc}",
             sigma_min=0.0,
             t=t,
         ) from exc
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+    return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
 def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
-    """(f, phi_v, Lambda, gram) at (t, x, v) for a non-empty constraint set.
+    """(f, phi_v, Lambda, gram, phi_t + phi_x v) at (t, x, v) for a
+    non-empty constraint set.
 
     The one evaluation of the closed form: every consumer of the ideal
-    multipliers takes the force, phi_v and the Gram matrix from here.
+    multipliers takes the force, phi_v, the Gram matrix and the
+    acceleration-free part of d(phi)/dt from here.
     """
     f = sys.force(t, x, v)
     phi = cs.phi
     B = phi.d_v(t, x, v)
     W = B @ sys.mass.inverse
     gram = W @ B.T
-    rhs = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v + W @ f
-    return f, B, -_chol_solve(gram, rhs, t), gram
+    drift = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
+    return f, B, -_chol_solve(gram, drift + W @ f, t), gram, drift
 
 
 def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -92,7 +93,7 @@ def reaction(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Re
         return ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
         )
-    _, B, lam, gram = _solve_multipliers(sys, cs, s.t, s.x, s.v)
+    _, B, lam, gram, _ = _solve_multipliers(sys, cs, s.t, s.x, s.v)
     return ReactionResult(Lambda=lam, N=lam @ B, gram=gram, state=s)
 
 

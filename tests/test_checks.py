@@ -112,3 +112,109 @@ def test_default_thresholds_are_complete():
         "energy-nonconservation",
         "equivalence",
     }
+
+
+# ---------------------------------------------------------------------------
+# trajectory checks read the values the run stored, and agree with the
+# formulas written out at every sample
+
+
+def _counted(fn, calls):
+    def wrapped(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    return wrapped
+
+
+def test_gde_check_makes_no_force_calls(pendulum):
+    import dataclasses
+
+    from constrained_dynamics import MechanicalSystem, integrate_first_kind
+    from constrained_dynamics.checks import check_gde
+
+    calls = [0]
+    force = dataclasses.replace(
+        pendulum.system.force, value=_counted(pendulum.system.force.value, calls)
+    )
+    sc = dataclasses.replace(
+        pendulum, system=MechanicalSystem(mass=pendulum.system.mass, force=force)
+    )
+    traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.2, sc.integrator)
+    calls[0] = 0
+    check_gde(sc, traj, DEFAULT_THRESHOLDS)
+    assert calls[0] == 0
+
+
+def test_first_integral_check_makes_no_jacobian_calls(pendulum):
+    import dataclasses
+
+    from constrained_dynamics import integrate_first_kind
+    from constrained_dynamics.checks import check_first_integral
+
+    phi = pendulum.constraints.phi
+    assert None not in (phi.jac_t, phi.jac_x, phi.jac_v)
+    calls = [0]
+    counted = dataclasses.replace(
+        phi,
+        value=_counted(phi.value, calls),
+        jac_t=_counted(phi.jac_t, calls),
+        jac_x=_counted(phi.jac_x, calls),
+        jac_v=_counted(phi.jac_v, calls),
+    )
+    sc = dataclasses.replace(
+        pendulum, constraints=dataclasses.replace(pendulum.constraints, phi=counted)
+    )
+    traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.2, sc.integrator)
+    calls[0] = 0
+    check_first_integral(sc, traj, DEFAULT_THRESHOLDS)
+    assert calls[0] == 0
+
+
+def _pendulum_run(sc, run):
+    from constrained_dynamics import (
+        IntegratorConfig,
+        Realization,
+        SmoothMap,
+        integrate_first_kind,
+        integrate_with_realization,
+    )
+
+    cs = sc.constraints
+    if run == "projected":
+        cfg = IntegratorConfig(dt=1e-2, projection="positional+velocity")
+        return integrate_first_kind(sc.system, cs, sc.initial, 0.5, cfg)
+    cfg = IntegratorConfig(dt=1e-2)
+    if run == "plain":
+        return integrate_first_kind(sc.system, cs, sc.initial, 0.5, cfg)
+
+    def blend(t, x, v):
+        S = cs.phi.d_v(t, x, v).copy()
+        S[0, 0] += 0.5
+        return S.reshape(-1)
+
+    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    return integrate_with_realization(sc.system, cs, real, sc.initial, 0.5, cfg)
+
+
+@pytest.mark.parametrize("run", ["plain", "projected", "realization"])
+def test_trajectory_checks_equal_the_written_out_formulas(pendulum, run):
+    from constrained_dynamics.checks import check_first_integral, check_gde
+
+    traj = _pendulum_run(pendulum, run)
+    cs, force = pendulum.constraints, pendulum.system.force
+    rate = gde = 0.0
+    for smp in traj.samples:
+        s = smp.state
+        row = (
+            cs.phi.d_t(s.t, s.x, s.v)
+            + cs.phi.d_x(s.t, s.x, s.v) @ s.v
+            + cs.phi.d_v(s.t, s.x, s.v) @ smp.xdd
+        )
+        rate = max(rate, float(np.abs(row).max(initial=0.0)))
+        fscale = 1.0 + float(np.abs(force(s.t, s.x, s.v)).max(initial=0.0))
+        gde = max(gde, smp.diagnostics.gde_residual / fscale)
+    entries = check_first_integral(pendulum, traj, DEFAULT_THRESHOLDS)
+    assert entries[1].name == "first-integral-rate"
+    assert entries[1].value == rate
+    assert check_gde(pendulum, traj, DEFAULT_THRESHOLDS)[0].value == gde

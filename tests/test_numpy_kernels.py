@@ -1,0 +1,76 @@
+"""The engine's numpy Cholesky solve and Hermite resampler against the scipy
+routines they stand in for, and a guard that the engine never loads scipy.
+
+scipy is a test dependency only, so it is imported inside the tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from constrained_dynamics import RegularityError
+from constrained_dynamics.generalized import _hermite
+from constrained_dynamics.reactions import _chol_solve
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_hermite_matches_cubic_hermite_spline_bit_for_bit(r):
+    from scipy.interpolate import CubicHermiteSpline
+
+    rng = np.random.default_rng(r)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        tk = np.cumsum(rng.uniform(1e-3, 0.3, n))
+        Y = rng.normal(size=(n, r))
+        W = rng.normal(size=(n, r))
+        between = np.sort(rng.uniform(tk[0], tk[-1], 40))
+        ts = np.concatenate([tk, between, [tk[0] - 1e-12, tk[-1] + 1e-12]])
+        spline = CubicHermiteSpline(tk, Y, W, axis=0)
+        value, slope = _hermite(tk, Y, W, ts)
+        np.testing.assert_array_equal(value, spline(ts))
+        np.testing.assert_array_equal(slope, spline.derivative()(ts))
+
+
+@pytest.mark.parametrize("tk", [np.array([0.0]), np.array([0.0, 0.5, 0.5, 1.0])])
+def test_hermite_rejects_short_or_unsorted_grid(tk):
+    Y = np.zeros((tk.size, 2))
+    with pytest.raises(ValueError):
+        _hermite(tk, Y, Y, np.array([0.25]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chol_solve_matches_scipy_cho_solve(n):
+    import scipy.linalg
+
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        A = rng.normal(size=(n, n + 2))
+        gram = A @ A.T
+        rhs = rng.normal(size=n)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+        np.testing.assert_allclose(_chol_solve(gram, rhs, 0.0), ref, rtol=1e-12)
+
+
+def test_chol_solve_rejects_indefinite_gram():
+    gram = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(RegularityError):
+        _chol_solve(gram, np.ones(2), 0.5)
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, constrained_dynamics.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
