@@ -25,6 +25,9 @@ from .smooth import Array, State, central_differences, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem, check_spd
 
 
+_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+
+
 class ChartError(RuntimeError):
     """Chart degeneration or domain exit during a generalized-coordinate run."""
 
@@ -124,28 +127,30 @@ class PullbackLagrangian:
         return 0.5 * float(w @ M2 @ w) + float(b @ w) + T0
 
     def _derivative_pieces(self, t: float, y: Array):
-        """t- and y-derivatives of (M2, b, T0) from embedding second derivatives."""
+        """t- and y-derivatives of (M2, b, T0) from embedding second derivatives.
+
+        Index k of ``dM2_dy[k]``, ``db_dy[k]`` and ``dT0_dy[k]`` is the
+        derivative in y^k.  Every piece is a contraction of the chart jet
+        with G u_y or G u_t, which are formed once; G is symmetric, so
+        u_y^T G u_ty is the transpose of u_ty^T G u_y.
+        """
         G = self.mass.G
         emb = self.emb
         Ut = emb.d_t(t, y)
         Uy = emb.d_y(t, y)
         Utt = emb.d_tt(t, y)
         Uty = emb.d_ty(t, y)
-        Uyy = emb.d_yy(t, y)
-        r = emb.r
-        M2 = Uy.T @ G @ Uy
-        dM2_dt = Uty.T @ G @ Uy + Uy.T @ G @ Uty
-        dM2_dy = np.empty((r, r, r))
-        db_dy = np.empty((r, r))
-        dT0_dy = np.empty(r)
+        UyyT = emb.d_yy(t, y).transpose(2, 1, 0)  # [k] = (d u_y / d y^k)^T, (r, r, m)
         GUy = G @ Uy
         GUt = G @ Ut
-        for k in range(r):
-            Uyk = Uyy[:, :, k]  # d u_y / d y^k, (m, r)
-            dM2_dy[k] = Uyk.T @ GUy + GUy.T @ Uyk
-            db_dy[k] = Uty[:, k] @ GUy + Ut @ G @ Uyk
-            dT0_dy[k] = float(Ut @ G @ Uty[:, k])
-        db_dt = Utt @ GUy + Ut @ G @ Uty
+        M2 = Uy.T @ GUy
+        UtyGUy = Uty.T @ GUy  # [k, i] = u_ty[:, k] . G u_y[:, i]
+        dM2_dt = UtyGUy + UtyGUy.T
+        A = UyyT @ GUy
+        dM2_dy = A + A.transpose(0, 2, 1)
+        db_dy = UtyGUy + UyyT @ GUt
+        dT0_dy = GUt @ Uty
+        db_dt = Utt @ GUy + dT0_dy  # u_t G u_ty is dT0/dy
         return M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy
 
 
@@ -163,11 +168,10 @@ def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, flo
 def _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w):
     """(M2dot, bdot, L_y): the total time derivatives of M2 and b along the
     velocity w, and the row dL/dy."""
-    M2dot = dM2_dt + np.einsum("k,kij->ij", w, dM2_dy)
+    r = w.size
+    M2dot = dM2_dt + (w @ dM2_dy.reshape(r, r * r)).reshape(r, r)
     bdot = db_dt + w @ db_dy
-    L_y = np.array(
-        [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(w.size)]
-    )
+    L_y = 0.5 * ((w @ dM2_dy) @ w) + db_dy @ w + dT0_dy
     return M2dot, bdot, L_y
 
 
@@ -281,20 +285,25 @@ class GeneralizedTrajectory:
 def second_kind_acceleration(
     lag: PullbackLagrangian, Q: GeneralizedForce, t: float, y: Array, w: Array
 ) -> Array:
-    """ydd solving [L] = Q, via the normal form M2 ydd = Q^T - (rest)."""
+    """ydd solving [L] = Q, via the normal form M2 ydd = Q^T - (rest).
+
+    M2 is factored once, by a symmetric eigendecomposition M2 = V diag(lam) V^T.
+    Its eigenvalues are its singular values, so the regularity rule is
+    lam_min > 1e-12 max(1, lam_max), written so that a NaN fails it; the
+    solve is then V (rhs V / lam).  Raises :class:`ChartError` when the rule
+    fails or the metric cannot be factored.
+    """
     M2, *pieces = lag._derivative_pieces(t, y)
-    sv = np.linalg.svd(M2, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    try:
+        lam, V = np.linalg.eigh(M2)
+    except np.linalg.LinAlgError as exc:
+        raise ChartError(f"chart metric M2 not factorable at t={t}, y={y}") from exc
+    if not lam[0] > 1e-12 * np.maximum(1.0, lam[-1]):
         raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
     M2dot, bdot, L_y = _along_velocity(*pieces, w)
     # the normal form keeps its own order of summation, not [L] at ydd = 0
     rhs = Q(t, y, w) - M2dot @ w - bdot + L_y
-    try:
-        c = np.linalg.cholesky(M2)
-    except np.linalg.LinAlgError as exc:
-        raise ChartError(f"chart metric M2 not SPD at t={t}, y={y}") from exc
-    z = np.linalg.solve(c, rhs)
-    return np.linalg.solve(c.T, z)
+    return V @ ((rhs @ V) / lam)
 
 
 def integrate_second_kind(
@@ -385,20 +394,43 @@ def covariance_residual(
 
 def _chart_invert(
     emb: Embedding, mass: MassMatrix, t: float, x: Array, y0: Array,
-    tol: float = 1e-12, max_iter: int = 20,
+    r0: Optional[Array] = None, tol: float = 1e-12, max_iter: int = 20,
 ) -> Tuple[Array, float]:
-    """Solve u(t, y) = x by G-weighted Gauss-Newton; returns (y, residual)."""
+    """Solve u(t, y) = x by G-weighted Gauss-Newton from y0; returns (y, residual).
+
+    ``r0`` is u(t, y0) - x when the caller has it already; the residual
+    returned is |u(t, y) - x|_inf.  Iteration stops once that is <= tol;
+    when a step no longer lowers the Gauss-Newton objective r^T G r, which
+    happens once x lies off the chart image by more than tol, as a first-kind
+    position does when it drifts off the constraint manifold; or after a
+    step below sqrt(eps) relative to y, since the next step, about its
+    square, would be lost in rounding.  The best point found is returned.
+    Raises :class:`ChartError` when u_y^T G u_y is singular or the residual
+    stays above 1e-6.
+    """
     y = y0.copy()
+    r = emb.value(t, y) - x if r0 is None else r0
     G = mass.G
+    obj = float(r @ G @ r)
     for _ in range(max_iter):
-        r = emb.value(t, y) - x
         if np.abs(r).max() <= tol:
             break
         J = emb.d_y(t, y)
         JG = J.T @ G
-        y = y - np.linalg.solve(JG @ J, JG @ r)
-    resid = float(np.abs(emb.value(t, y) - x).max())
-    if resid > 1e-6:
+        try:
+            step = np.linalg.solve(JG @ J, JG @ r)
+        except np.linalg.LinAlgError as exc:
+            raise ChartError(f"chart Jacobian singular at t={t}, y={y}") from exc
+        y_next = y - step
+        r_next = emb.value(t, y_next) - x
+        obj_next = float(r_next @ G @ r_next)
+        if not obj_next < obj:
+            break
+        y, r, obj = y_next, r_next, obj_next
+        if np.abs(step).max() <= _SQRT_EPS * (1.0 + np.abs(y).max()):
+            break
+    resid = float(np.abs(r).max())
+    if not resid <= 1e-6:
         raise ChartError(
             f"chart inversion diverged at t={t} (residual {resid:.3e}); "
             "trajectory left the chart"
@@ -450,9 +482,10 @@ def match_trajectories(
     """Compare a first-kind run against a second-kind run pushed through the chart.
 
     The first-kind grid is authoritative; (y, w) are resampled onto it by
-    cubic Hermite interpolation.  Also inverts the chart per sample
-    (Gauss-Newton, previous sample as warm start) to report u(t,y)=x
-    solvability residuals.
+    cubic Hermite interpolation.  Also inverts the chart per sample to report
+    u(t,y)=x solvability residuals: Gauss-Newton starts from the resampled
+    y(t_i), which already lies close to the answer, and reuses the residual
+    u(t_i, y(t_i)) - x_i that the position comparison computes.
     """
     if mass is None:
         mass = MassMatrix(np.eye(emb.dim))
@@ -467,16 +500,15 @@ def match_trajectories(
     sup_x = 0.0
     sup_v = 0.0
     max_inv = 0.0
-    y_warm = traj_y.samples[0].y.copy()
     for i, smp in enumerate(traj_x.samples):
         t = smp.state.t
         y = Ys[i]
         w = Ws[i]
-        x_pred = emb.value(t, y)
+        r0 = emb.value(t, y) - smp.state.x
         v_pred = emb.d_t(t, y) + emb.d_y(t, y) @ w
-        sup_x = max(sup_x, float(np.abs(smp.state.x - x_pred).max()))
+        sup_x = max(sup_x, float(np.abs(r0).max()))
         sup_v = max(sup_v, float(np.abs(smp.state.v - v_pred).max()))
-        y_warm, resid = _chart_invert(emb, mass, t, smp.state.x, y_warm)
+        _, resid = _chart_invert(emb, mass, t, smp.state.x, y, r0)
         max_inv = max(max_inv, resid)
     return MatchReport(sup_position=sup_x, sup_velocity=sup_v, max_inversion_residual=max_inv)
 

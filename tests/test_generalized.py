@@ -384,3 +384,170 @@ def test_second_kind_accelerations_per_step(pendulum, monkeypatch):
     steps = len(traj) - 1
     assert steps == 20
     assert calls[0] == 4 * steps + 1
+
+
+def _reference_derivative_pieces(lag, t, y):
+    """(M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy) with one loop over y^k,
+    each piece written as its own matrix product."""
+    G = lag.mass.G
+    emb = lag.emb
+    Ut, Uy = emb.d_t(t, y), emb.d_y(t, y)
+    Utt, Uty, Uyy = emb.d_tt(t, y), emb.d_ty(t, y), emb.d_yy(t, y)
+    r = emb.r
+    dM2_dy = np.empty((r, r, r))
+    db_dy = np.empty((r, r))
+    dT0_dy = np.empty(r)
+    for k in range(r):
+        Uyk = Uyy[:, :, k]
+        dM2_dy[k] = Uyk.T @ G @ Uy + Uy.T @ G @ Uyk
+        db_dy[k] = Uty[:, k] @ G @ Uy + Ut @ G @ Uyk
+        dT0_dy[k] = Ut @ G @ Uty[:, k]
+    M2 = Uy.T @ G @ Uy
+    dM2_dt = Uty.T @ G @ Uy + Uy.T @ G @ Uty
+    db_dt = Utt @ G @ Uy + Ut @ G @ Uty
+    return M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy
+
+
+def _random_chart_point(rng, r):
+    m = r + int(rng.integers(1, 3))
+    emb = random_polynomial_chart(rng, m, r)
+    S = rng.uniform(-0.3, 0.3, (m, m))
+    mass = MassMatrix(np.diag(rng.uniform(0.5, 2.0, m)) + S @ S.T)
+    t = float(rng.uniform(-0.5, 0.5))
+    return pullback_lagrangian(emb, mass), t, rng.uniform(-0.3, 0.3, r), rng.uniform(-1, 1, r)
+
+
+def _assert_close_in_norm(got, want, rtol=1e-13):
+    # relative to the largest entry: single entries may cancel to ~1e-3 of it
+    np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_derivative_pieces_match_per_coordinate_loops(r):
+    from constrained_dynamics.generalized import _along_velocity
+
+    rng = np.random.default_rng(40 + r)
+    for _ in range(20):
+        lag, t, y, w = _random_chart_point(rng, r)
+        got = lag._derivative_pieces(t, y)
+        want = _reference_derivative_pieces(lag, t, y)
+        for g, e in zip(got, want):
+            assert g.shape == e.shape
+            _assert_close_in_norm(g, e)
+        dM2_dy, db_dy, dT0_dy = want[2], want[4], want[5]
+        L_y = np.array(
+            [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(r)]
+        )
+        M2dot = want[1] + sum(w[k] * dM2_dy[k] for k in range(r))
+        got_dot, _, got_L_y = _along_velocity(*want[1:], w)
+        _assert_close_in_norm(got_L_y, L_y)
+        _assert_close_in_norm(got_dot, M2dot)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_second_kind_acceleration_matches_dense_solve(r):
+    from constrained_dynamics.generalized import GeneralizedForce, _along_velocity
+
+    rng = np.random.default_rng(50 + r)
+    for _ in range(20):
+        lag, t, y, w = _random_chart_point(rng, r)
+        q = rng.uniform(-1, 1, r)
+        Q = GeneralizedForce(r=r, Q=lambda t, y, w, q=q: q)
+        M2, *pieces = lag._derivative_pieces(t, y)
+        M2dot, bdot, L_y = _along_velocity(*pieces, w)
+        want = np.linalg.solve(M2, q - M2dot @ w - bdot + L_y)
+        got = second_kind_acceleration(lag, Q, t, y, w)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_second_kind_acceleration_near_pole_raises():
+    from constrained_dynamics.generalized import GeneralizedForce
+
+    emb = sphere_polar_embedding(1.0, pole_margin=0.0)
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
+    with pytest.raises(ChartError, match="degenerate"):
+        second_kind_acceleration(
+            lag, GeneralizedForce.zero(2), 0.0, np.array([1e-7, 0.3]), np.array([0.1, 0.2])
+        )
+
+
+def test_second_kind_acceleration_nan_chart_raises():
+    from dataclasses import replace
+
+    from constrained_dynamics.generalized import GeneralizedForce
+
+    emb = replace(sphere_polar_embedding(1.0), u_y=lambda t, y: np.full((3, 2), np.nan))
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
+    with pytest.raises(ChartError, match="t=0.5"):
+        second_kind_acceleration(
+            lag, GeneralizedForce.zero(2), 0.5, np.array([1.0, 0.3]), np.zeros(2)
+        )
+
+
+def test_chart_invert_off_image_stops_at_best_point():
+    # x lies 1e-9 off the sphere radially: the best point is y itself, with
+    # residual 1e-9 max|u(y)|; no step can lower it further
+    from dataclasses import replace
+
+    from constrained_dynamics.generalized import _chart_invert
+
+    base = sphere_polar_embedding(1.0)
+    calls = [0]
+
+    def u_y(t, y):
+        calls[0] += 1
+        return base.u_y(t, y)
+
+    emb = replace(base, u_y=u_y)
+    y = np.array([0.7, 0.4])
+    x = 1.000000001 * emb.value(0.0, y)
+    y_best, resid = _chart_invert(
+        emb, MassMatrix(np.eye(3)), 0.0, x, y + np.array([1e-3, -0.7e-3])
+    )
+    assert resid == pytest.approx(1e-9 * np.abs(emb.value(0.0, y)).max(), rel=1e-6)
+    assert resid == pytest.approx(7.65e-10, rel=1e-3)
+    assert np.abs(y_best - y).max() < 1e-9
+    assert calls[0] <= 4
+
+
+def test_chart_invert_singular_jacobian_raises_chart_error():
+    from constrained_dynamics.generalized import _chart_invert
+
+    emb = sphere_polar_embedding(1.0, pole_margin=0.0)
+    y0 = np.array([0.0, 0.3])
+    x = emb.value(0.25, y0) + 1e-6
+    with pytest.raises(ChartError, match="t=0.25"):
+        _chart_invert(emb, MassMatrix(np.eye(3)), 0.25, x, y0)
+
+
+def test_match_trajectories_inverts_from_resampled_point(pendulum, monkeypatch):
+    # the resampled y(t_i) lies close to the answer: at most two Gauss-Newton
+    # steps (one u_y and one u call each) per sample, even on a coarse grid
+    # where the first-kind drift keeps the residual above its tolerance
+    from dataclasses import replace
+
+    import constrained_dynamics.generalized as generalized
+
+    cfg = IntegratorConfig(dt=1e-2)
+    first = integrate_first_kind(pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg)
+    second = integrate_second_kind(
+        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 1.0, cfg
+    )
+    calls = [0]
+
+    def counted(fn):
+        def call(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return call
+
+    inner = generalized._chart_invert
+    monkeypatch.setattr(
+        generalized,
+        "_chart_invert",
+        lambda emb, *args: inner(replace(emb, u=counted(emb.u), u_y=counted(emb.u_y)), *args),
+    )
+    rep = match_trajectories(first, pendulum.embedding, second, pendulum.system.mass)
+    assert calls[0] <= 4 * len(first)
+    assert rep.max_inversion_residual < 1e-7
