@@ -227,7 +227,7 @@ def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]
         return _skipped("equivalence", _no_chart(sc))
     traj_x = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
     traj_y = integrate_second_kind(
-        sc.embedding, sc.system, None, sc.initial_generalized, t_end, sc.integrator
+        sc.embedding, sc.system, sc.initial_generalized, t_end, sc.integrator
     )
     rep = match_trajectories(traj_x, sc.embedding, traj_y, sc.system.mass)
     value = max(rep.sup_position, rep.sup_velocity)

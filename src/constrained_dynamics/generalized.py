@@ -22,7 +22,7 @@ import numpy as np
 
 from .integrate import IntegratorConfig, Trajectory, _march
 from .smooth import Array, State, central_differences, time_difference
-from .system import ForceField, MassMatrix, MechanicalSystem, check_spd
+from .system import ForceField, MassMatrix, MechanicalSystem
 
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
@@ -96,6 +96,35 @@ class Embedding:
         return True
 
 
+def _chart_jet(emb: Embedding, t: float, y: Array):
+    """(u, u_t, u_y, u_tt, u_ty, u_yy) at (t, y): one call of each chart map."""
+    return (
+        emb.value(t, y), emb.d_t(t, y), emb.d_y(t, y),
+        emb.d_tt(t, y), emb.d_ty(t, y), emb.d_yy(t, y),
+    )
+
+
+def _force_row(f: ForceField, t: float, u: Array, u_t: Array, u_y: Array, w: Array) -> Array:
+    """Q = f(t, u, u_t + u_y w) u_y, the force row pulled back through the chart."""
+    return f(t, u, u_t + u_y @ w) @ u_y
+
+
+def _regular_metric(M2: Array, tol: float, t: float, y: Array) -> Tuple[Array, Array]:
+    """(lam, V) of M2 = V diag(lam) V^T, checked regular.
+
+    The eigenvalues of the symmetric metric are its singular values, so the
+    rule is lam_min > tol max(1, lam_max), written so that a NaN fails it.
+    Raises :class:`ChartError` when the rule fails or M2 cannot be factored.
+    """
+    try:
+        lam, V = np.linalg.eigh(M2)
+    except np.linalg.LinAlgError as exc:
+        raise ChartError(f"chart metric M2 not factorable at t={t}, y={y}") from exc
+    if not lam[0] > tol * np.maximum(1.0, lam[-1]):
+        raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
+    return lam, V
+
+
 def pushforward_state(emb: Embedding, gs: GeneralizedState) -> State:
     """x = u(t, y), v = u_t + u_y w."""
     if not emb.in_domain(gs.y):
@@ -126,8 +155,8 @@ class PullbackLagrangian:
         M2, b, T0 = self.decompose(t, y)
         return 0.5 * float(w @ M2 @ w) + float(b @ w) + T0
 
-    def _derivative_pieces(self, t: float, y: Array):
-        """t- and y-derivatives of (M2, b, T0) from embedding second derivatives.
+    def _derivative_pieces(self, jet):
+        """t- and y-derivatives of (M2, b, T0) from the chart jet of :func:`_chart_jet`.
 
         Index k of ``dM2_dy[k]``, ``db_dy[k]`` and ``dT0_dy[k]`` is the
         derivative in y^k.  Every piece is a contraction of the chart jet
@@ -135,12 +164,8 @@ class PullbackLagrangian:
         u_y^T G u_ty is the transpose of u_ty^T G u_y.
         """
         G = self.mass.G
-        emb = self.emb
-        Ut = emb.d_t(t, y)
-        Uy = emb.d_y(t, y)
-        Utt = emb.d_tt(t, y)
-        Uty = emb.d_ty(t, y)
-        UyyT = emb.d_yy(t, y).transpose(2, 1, 0)  # [k] = (d u_y / d y^k)^T, (r, r, m)
+        _, Ut, Uy, Utt, Uty, Uyy = jet
+        UyyT = Uyy.transpose(2, 1, 0)  # [k] = (d u_y / d y^k)^T, (r, r, m)
         GUy = G @ Uy
         GUt = G @ Ut
         M2 = Uy.T @ GUy
@@ -155,13 +180,10 @@ class PullbackLagrangian:
 
 
 def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, float]:
-    """(M2, b, T0); raises ChartError when M2 fails the SPD check."""
+    """(M2, b, T0); raises ChartError unless lam_min(M2) > 1e-10 max(1, lam_max)."""
     y = np.asarray(y, float).reshape(-1)
     M2, b, T0 = lag.decompose(t, y)
-    verdict = check_spd(M2, tol=1e-10)
-    sv = np.linalg.svd(M2, compute_uv=False)
-    if not verdict or (sv.size and sv[-1] <= 1e-10 * max(1.0, sv[0])):
-        raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
+    _regular_metric(M2, 1e-10, t, y)
     return M2, b, T0
 
 
@@ -200,38 +222,23 @@ def lagrangian_derivative(lag: PullbackLagrangian, t: float, y, w, a) -> Array:
     y = np.asarray(y, float).reshape(-1)
     w = np.asarray(w, float).reshape(-1)
     a = np.asarray(a, float).reshape(-1)
-    return lagrangian_derivative_from_pieces(*lag._derivative_pieces(t, y), w, a)
-
-
-@dataclass(frozen=True)
-class GeneralizedForce:
-    r: int
-    Q: Callable[[float, Array, Array], Array]
-
-    def __call__(self, t, y, w):
-        return np.asarray(self.Q(t, y, w), float).reshape(self.r)
-
-    @classmethod
-    def zero(cls, r: int) -> "GeneralizedForce":
-        return cls(r=r, Q=lambda t, y, w: np.zeros(r))
+    jet = _chart_jet(lag.emb, t, y)
+    return lagrangian_derivative_from_pieces(*lag._derivative_pieces(jet), w, a)
 
 
 def pullback_lagrangian(emb: Embedding, mass: MassMatrix) -> PullbackLagrangian:
     return PullbackLagrangian(emb=emb, mass=mass)
 
 
-def generalized_forces(emb: Embedding, f: ForceField) -> GeneralizedForce:
+def generalized_forces(emb: Embedding, f: ForceField) -> Callable[[float, Array, Array], Array]:
     """Q(t, y, w) = f(t, u, u_t + u_y w) u_y, the chart pullback of the force row."""
 
     def Q(t, y, w):
         y = np.asarray(y, float).reshape(-1)
         w = np.asarray(w, float).reshape(-1)
-        Uy = emb.d_y(t, y)
-        x = emb.value(t, y)
-        v = emb.d_t(t, y) + Uy @ w
-        return f(t, x, v) @ Uy
+        return _force_row(f, t, emb.value(t, y), emb.d_t(t, y), emb.d_y(t, y), w)
 
-    return GeneralizedForce(r=emb.r, Q=Q)
+    return Q
 
 
 @dataclass(frozen=True)
@@ -255,7 +262,7 @@ class GeneralizedTrajectory:
     def times(self) -> Array:
         return np.array([s.t for s in self.samples])
 
-    def to_csv(self, covariance: Optional[List[float]] = None) -> str:
+    def to_csv(self) -> str:
         if not self.samples:
             return ""
         r = self.samples[0].y.size
@@ -264,102 +271,88 @@ class GeneralizedTrajectory:
             + [f"y{i+1}" for i in range(r)]
             + [f"w{i+1}" for i in range(r)]
             + [f"Q{i+1}" for i in range(r)]
-            + ["covariance_residual"]
         )
         buf = io.StringIO()
         buf.write(",".join(cols) + "\n")
-        fmt = lambda z: "" if z is None else f"{z:.17g}"  # noqa: E731
-        for i, s in enumerate(self.samples):
-            cov = covariance[i] if covariance is not None else None
-            row = (
-                [fmt(s.t)]
-                + [fmt(c) for c in s.y]
-                + [fmt(c) for c in s.w]
-                + [fmt(c) for c in s.Q]
-                + [fmt(cov)]
-            )
-            buf.write(",".join(row) + "\n")
+        for s in self.samples:
+            row = np.concatenate([[s.t], s.y, s.w, s.Q])
+            buf.write(",".join(f"{z:.17g}" for z in row) + "\n")
         return buf.getvalue()
 
 
 def second_kind_acceleration(
-    lag: PullbackLagrangian, Q: GeneralizedForce, t: float, y: Array, w: Array
-) -> Array:
-    """ydd solving [L] = Q, via the normal form M2 ydd = Q^T - (rest).
+    lag: PullbackLagrangian, f: ForceField, t: float, y: Array, w: Array
+) -> Tuple[Array, Array]:
+    """(ydd, Q): ydd solves [L] = Q for the pulled-back force row Q of f,
+    via the normal form M2 ydd = Q^T - (rest).
 
-    M2 is factored once, by a symmetric eigendecomposition M2 = V diag(lam) V^T.
-    Its eigenvalues are its singular values, so the regularity rule is
-    lam_min > 1e-12 max(1, lam_max), written so that a NaN fails it; the
-    solve is then V (rhs V / lam).  Raises :class:`ChartError` when the rule
-    fails or the metric cannot be factored.
+    The chart jet is evaluated once and serves both M2's pieces and Q.  M2 is
+    factored once, by a symmetric eigendecomposition M2 = V diag(lam) V^T,
+    and must pass :func:`_regular_metric` at 1e-12; the solve is then
+    V (rhs V / lam).  Raises :class:`ChartError` when the metric is singular
+    or cannot be factored.
     """
-    M2, *pieces = lag._derivative_pieces(t, y)
-    try:
-        lam, V = np.linalg.eigh(M2)
-    except np.linalg.LinAlgError as exc:
-        raise ChartError(f"chart metric M2 not factorable at t={t}, y={y}") from exc
-    if not lam[0] > 1e-12 * np.maximum(1.0, lam[-1]):
-        raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
+    jet = _chart_jet(lag.emb, t, y)
+    M2, *pieces = lag._derivative_pieces(jet)
+    lam, V = _regular_metric(M2, 1e-12, t, y)
     M2dot, bdot, L_y = _along_velocity(*pieces, w)
+    Q = _force_row(f, t, *jet[:3], w)
     # the normal form keeps its own order of summation, not [L] at ydd = 0
-    rhs = Q(t, y, w) - M2dot @ w - bdot + L_y
-    return V @ ((rhs @ V) / lam)
+    rhs = Q - M2dot @ w - bdot + L_y
+    return V @ ((rhs @ V) / lam), Q
 
 
 def integrate_second_kind(
     emb: Embedding,
     sys: MechanicalSystem,
-    Q: Optional[GeneralizedForce],
     init: GeneralizedState,
     t_end: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> GeneralizedTrajectory:
-    """Integrate the second-kind equations [L] = Q on the chart.
+    """Integrate the second-kind equations [L] = Q on the chart, with Q the
+    system's force field pulled back through it.
 
-    ``Q=None`` derives the generalized forces from the system's force field.
     Aborts with :class:`ChartError` when the solution leaves the chart
     domain or the metric degenerates.
 
-    Evaluations per step: 4 calls of :func:`second_kind_acceleration`; the
-    acceleration recorded with each sample is the next step's first stage.
+    Evaluations per step: 4 calls of :func:`second_kind_acceleration`, each
+    of which evaluates the chart jet once; the acceleration and Q recorded
+    with each sample come from one call, and that acceleration is the next
+    step's first stage.
     """
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")
     lag = pullback_lagrangian(emb, sys.mass)
-    if Q is None:
-        Q = generalized_forces(emb, sys.force)
 
-    def accel(t, y, w):
+    def accel_and_Q(t, y, w):
         if not emb.in_domain(y):
             raise ChartError(f"trajectory left the chart domain at t={t}, y={y}")
-        return second_kind_acceleration(lag, Q, t, y, w)
+        return second_kind_acceleration(lag, sys.force, t, y, w)
 
     traj = GeneralizedTrajectory(emb=emb)
 
     def record(t, y, w):
-        a = accel(t, y, w)
-        traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=a, Q=Q(t, y, w)))
+        a, Q = accel_and_Q(t, y, w)
+        traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=a, Q=Q))
         return y, w, a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()
     _, _, a = record(t, y, w)
-    _march(accel, record, t, y, w, a, t_end, cfg)
+    _march(lambda t, y, w: accel_and_Q(t, y, w)[0], record, t, y, w, a, t_end, cfg)
     return traj
 
 
 def pushforward_second_order(emb: Embedding, t: float, y: Array, w: Array, a: Array):
     """(x, v, xdd) of the chart jet (t, y, w, a) in ambient coordinates."""
-    Uy = emb.d_y(t, y)
-    x = emb.value(t, y)
-    v = emb.d_t(t, y) + Uy @ w
-    xdd = (
-        emb.d_tt(t, y)
-        + 2.0 * emb.d_ty(t, y) @ w
-        + np.einsum("pij,i,j->p", emb.d_yy(t, y), w, w)
-        + Uy @ a
-    )
-    return x, v, xdd
+    return _pushforward_jet(_chart_jet(emb, t, y), w, a)
+
+
+def _pushforward_jet(jet, w: Array, a: Array):
+    u, Ut, Uy, Utt, Uty, Uyy = jet
+    v = Ut + Uy @ w
+    xdd = Utt + 2.0 * Uty @ w + np.einsum("pij,i,j->p", Uyy, w, w) + Uy @ a
+    return u, v, xdd
 
 
 def covariance_residual(
@@ -380,16 +373,16 @@ def covariance_residual(
     y = np.asarray(y, float).reshape(-1)
     w = np.asarray(w, float).reshape(-1)
     a = np.asarray(a, float).reshape(-1)
-    x, v, xdd = pushforward_second_order(emb, t, y, w, a)
-    Uy = emb.d_y(t, y)
+    jet = _chart_jet(emb, t, y)
+    x, v, xdd = _pushforward_jet(jet, w, a)
     ambient_row = xdd @ mass.G
     if f is not None:
         ambient_row = ambient_row - f(t, x, v)
-    lag = PullbackLagrangian(emb=emb, mass=mass)
-    chart_row = lagrangian_derivative(lag, t, y, w, a)
+    pieces = PullbackLagrangian(emb=emb, mass=mass)._derivative_pieces(jet)
+    chart_row = lagrangian_derivative_from_pieces(*pieces, w, a)
     if f is not None:
-        chart_row = chart_row - generalized_forces(emb, f)(t, y, w)
-    return float(np.abs(ambient_row @ Uy - chart_row).max())
+        chart_row = chart_row - _force_row(f, t, *jet[:3], w)
+    return float(np.abs(ambient_row @ jet[2] - chart_row).max())
 
 
 def _chart_invert(

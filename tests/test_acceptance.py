@@ -194,7 +194,7 @@ def test_08_first_second_kind_equivalence(all_scenarios, long_runs):
         if sc.embedding is None:
             continue
         traj_y = integrate_second_kind(
-            sc.embedding, sc.system, None, sc.initial_generalized, 10.0, cfg
+            sc.embedding, sc.system, sc.initial_generalized, 10.0, cfg
         )
         rep = match_trajectories(long_runs[sc.name], sc.embedding, traj_y, sc.system.mass)
         worst = max(worst, rep.sup_position, rep.sup_velocity)

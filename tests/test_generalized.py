@@ -172,8 +172,9 @@ def test_generalized_forces_gravity_on_circle():
 
 def test_second_kind_pendulum_acceleration(pendulum):
     lag = pullback_lagrangian(pendulum.embedding, pendulum.system.mass)
-    Q = generalized_forces(pendulum.embedding, pendulum.system.force)
-    a = second_kind_acceleration(lag, Q, 0.0, np.array([0.3]), np.array([0.0]))
+    a, _ = second_kind_acceleration(
+        lag, pendulum.system.force, 0.0, np.array([0.3]), np.array([0.0])
+    )
     assert abs(a[0] - (-10.0 * np.sin(0.3))) < 1e-12
 
 
@@ -181,7 +182,6 @@ def test_integrate_second_kind_energy(pendulum):
     traj = integrate_second_kind(
         pendulum.embedding,
         pendulum.system,
-        None,
         pendulum.initial_generalized,
         4.0,
         IntegratorConfig(dt=1e-3),
@@ -204,14 +204,14 @@ def test_second_kind_aborts_outside_domain():
     )
     init = GeneralizedState(0.0, np.array([0.5, 0.0]), np.array([-2.0, 0.0]))
     with pytest.raises(ChartError):
-        integrate_second_kind(emb, sys, None, init, 2.0, IntegratorConfig(dt=1e-3))
+        integrate_second_kind(emb, sys, init, 2.0, IntegratorConfig(dt=1e-3))
 
 
 def test_second_kind_refuses_adaptive_method(pendulum):
     cfg = IntegratorConfig(method="rk45-adaptive", dt=1e-2)
     with pytest.raises(NotImplementedError, match="rk4-fixed"):
         integrate_second_kind(
-            pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.1, cfg
+            pendulum.embedding, pendulum.system, pendulum.initial_generalized, 0.1, cfg
         )
 
 
@@ -288,7 +288,7 @@ def test_match_trajectories_pendulum(pendulum):
         IntegratorConfig(dt=1e-3),
     )
     second = integrate_second_kind(
-        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 2.0,
+        pendulum.embedding, pendulum.system, pendulum.initial_generalized, 2.0,
         IntegratorConfig(dt=1e-3),
     )
     rep = match_trajectories(first, pendulum.embedding, second, pendulum.system.mass)
@@ -303,7 +303,7 @@ def test_match_rejects_short_chart_run(pendulum):
         IntegratorConfig(dt=1e-2),
     )
     second = integrate_second_kind(
-        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.5,
+        pendulum.embedding, pendulum.system, pendulum.initial_generalized, 0.5,
         IntegratorConfig(dt=1e-2),
     )
     with pytest.raises(ValueError):
@@ -312,12 +312,12 @@ def test_match_rejects_short_chart_run(pendulum):
 
 def test_generalized_csv_layout(pendulum):
     traj = integrate_second_kind(
-        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.01,
+        pendulum.embedding, pendulum.system, pendulum.initial_generalized, 0.01,
         IntegratorConfig(dt=5e-3),
     )
     lines = traj.to_csv().splitlines()
-    assert lines[0] == "t,y1,w1,Q1,covariance_residual"
-    assert lines[1].endswith(",")  # covariance column empty when not supplied
+    assert lines[0] == "t,y1,w1,Q1"
+    assert all(len(line.split(",")) == 4 for line in lines[1:])
 
 
 def _reference_second_kind(emb, sys, init, t_end, cfg):
@@ -327,7 +327,7 @@ def _reference_second_kind(emb, sys, init, t_end, cfg):
     Q = generalized_forces(emb, sys.force)
 
     def accel(t, y, w):
-        return second_kind_acceleration(lag, Q, t, y, w)
+        return second_kind_acceleration(lag, sys.force, t, y, w)[0]
 
     traj = GeneralizedTrajectory(emb=emb)
 
@@ -357,7 +357,7 @@ def test_second_kind_stage_reuse_is_bit_identical(name):
     sc = catalog_scenario(name)
     cfg = IntegratorConfig(dt=1e-2)
     args = (sc.embedding, sc.system, sc.initial_generalized, 0.5, cfg)
-    traj = integrate_second_kind(args[0], args[1], None, *args[2:])
+    traj = integrate_second_kind(*args)
     ref = _reference_second_kind(*args)
     for field in ("t", "y", "w", "a", "Q"):
         got = np.array([getattr(s, field) for s in traj.samples])
@@ -378,7 +378,7 @@ def test_second_kind_accelerations_per_step(pendulum, monkeypatch):
 
     monkeypatch.setattr(generalized, "second_kind_acceleration", counted)
     traj = integrate_second_kind(
-        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 0.2,
+        pendulum.embedding, pendulum.system, pendulum.initial_generalized, 0.2,
         IntegratorConfig(dt=1e-2),
     )
     steps = len(traj) - 1
@@ -424,12 +424,12 @@ def _assert_close_in_norm(got, want, rtol=1e-13):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_derivative_pieces_match_per_coordinate_loops(r):
-    from constrained_dynamics.generalized import _along_velocity
+    from constrained_dynamics.generalized import _along_velocity, _chart_jet
 
     rng = np.random.default_rng(40 + r)
     for _ in range(20):
         lag, t, y, w = _random_chart_point(rng, r)
-        got = lag._derivative_pieces(t, y)
+        got = lag._derivative_pieces(_chart_jet(lag.emb, t, y))
         want = _reference_derivative_pieces(lag, t, y)
         for g, e in zip(got, want):
             assert g.shape == e.shape
@@ -446,42 +446,103 @@ def test_derivative_pieces_match_per_coordinate_loops(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_second_kind_acceleration_matches_dense_solve(r):
-    from constrained_dynamics.generalized import GeneralizedForce, _along_velocity
+    from constrained_dynamics import ForceField
+    from constrained_dynamics.generalized import _along_velocity, _chart_jet
 
     rng = np.random.default_rng(50 + r)
     for _ in range(20):
         lag, t, y, w = _random_chart_point(rng, r)
-        q = rng.uniform(-1, 1, r)
-        Q = GeneralizedForce(r=r, Q=lambda t, y, w, q=q: q)
-        M2, *pieces = lag._derivative_pieces(t, y)
+        g = rng.uniform(-1, 1, lag.emb.dim)
+        f = ForceField(dim=g.size, value=lambda t, x, v, g=g: g)
+        q = g @ lag.emb.d_y(t, y)
+        M2, *pieces = lag._derivative_pieces(_chart_jet(lag.emb, t, y))
         M2dot, bdot, L_y = _along_velocity(*pieces, w)
         want = np.linalg.solve(M2, q - M2dot @ w - bdot + L_y)
-        got = second_kind_acceleration(lag, Q, t, y, w)
+        got, Q = second_kind_acceleration(lag, f, t, y, w)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert np.array_equal(Q, q)
 
 
 def test_second_kind_acceleration_near_pole_raises():
-    from constrained_dynamics.generalized import GeneralizedForce
+    from constrained_dynamics import ForceField
 
     emb = sphere_polar_embedding(1.0, pole_margin=0.0)
     lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
     with pytest.raises(ChartError, match="degenerate"):
         second_kind_acceleration(
-            lag, GeneralizedForce.zero(2), 0.0, np.array([1e-7, 0.3]), np.array([0.1, 0.2])
+            lag, ForceField.zero(3), 0.0, np.array([1e-7, 0.3]), np.array([0.1, 0.2])
         )
 
 
 def test_second_kind_acceleration_nan_chart_raises():
     from dataclasses import replace
 
-    from constrained_dynamics.generalized import GeneralizedForce
+    from constrained_dynamics import ForceField
 
     emb = replace(sphere_polar_embedding(1.0), u_y=lambda t, y: np.full((3, 2), np.nan))
     lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
     with pytest.raises(ChartError, match="t=0.5"):
         second_kind_acceleration(
-            lag, GeneralizedForce.zero(2), 0.5, np.array([1.0, 0.3]), np.zeros(2)
+            lag, ForceField.zero(3), 0.5, np.array([1.0, 0.3]), np.zeros(2)
         )
+
+
+def test_decompose_T_nan_chart_raises_chart_error():
+    from dataclasses import replace
+
+    emb = replace(sphere_polar_embedding(1.0), u_y=lambda t, y: np.full((3, 2), np.nan))
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
+    with pytest.raises(ChartError, match="t=0.5"):
+        decompose_T(lag, 0.5, np.array([1.0, 0.3]))
+
+
+_CHART_MAPS = ("u", "u_t", "u_y", "u_tt", "u_ty", "u_yy")
+
+
+def _counted_chart(emb):
+    """emb with every chart map wrapped to count its calls, and the counts."""
+    from dataclasses import replace
+
+    calls = dict.fromkeys(_CHART_MAPS, 0)
+
+    def counted(name):
+        fn = getattr(emb, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    return replace(emb, **{name: counted(name) for name in _CHART_MAPS}), calls
+
+
+def test_second_kind_acceleration_evaluates_each_chart_map_once(spherical):
+    emb, calls = _counted_chart(spherical.embedding)
+    lag = pullback_lagrangian(emb, spherical.system.mass)
+    second_kind_acceleration(lag, spherical.system.force, 0.3, np.array([0.9, 0.4]), np.ones(2))
+    assert calls == dict.fromkeys(_CHART_MAPS, 1)
+
+
+def test_integrate_second_kind_chart_calls_per_step(pendulum):
+    emb, calls = _counted_chart(pendulum.embedding)
+    traj = integrate_second_kind(
+        emb, pendulum.system, pendulum.initial_generalized, 0.2, IntegratorConfig(dt=1e-2)
+    )
+    steps = len(traj) - 1
+    assert steps == 20
+    # 4 accelerations per step, one jet of 6 maps each; Q comes with them
+    assert sum(calls.values()) == 6 + 24 * steps
+
+
+def test_covariance_residual_evaluates_each_chart_map_once(spherical):
+    emb, calls = _counted_chart(spherical.embedding)
+    sys = spherical.system
+    res = covariance_residual(
+        emb, sys.mass, sys.force, 0.3, np.array([0.9, 0.4]), np.ones(2), np.array([0.2, -0.1])
+    )
+    assert res < 1e-12
+    assert calls == dict.fromkeys(_CHART_MAPS, 1)
 
 
 def test_chart_invert_off_image_stops_at_best_point():
@@ -531,7 +592,7 @@ def test_match_trajectories_inverts_from_resampled_point(pendulum, monkeypatch):
     cfg = IntegratorConfig(dt=1e-2)
     first = integrate_first_kind(pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg)
     second = integrate_second_kind(
-        pendulum.embedding, pendulum.system, None, pendulum.initial_generalized, 1.0, cfg
+        pendulum.embedding, pendulum.system, pendulum.initial_generalized, 1.0, cfg
     )
     calls = [0]
 
