@@ -164,10 +164,7 @@ def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry
 
 
 def check_gde(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
-    worst = 0.0
-    for smp in traj.samples:
-        dg = smp.diagnostics
-        worst = max(worst, dg.gde_residual / (1.0 + dg.force_norm))
+    worst = np.max(traj.gde_residual / (1.0 + traj.force_norm), initial=0.0)
     return [_entry("gde-residual", worst, thresholds["gde-residual"])]
 
 
@@ -203,7 +200,7 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
 
 
 def check_energy(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
-    energies = np.array([s.diagnostics.energy for s in traj.samples])
+    energies = traj.energy
     e0 = energies[0]
     if _is_scleronomic(sc):
         if sc.system.force.potential is None:

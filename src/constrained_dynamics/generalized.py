@@ -14,13 +14,12 @@ with M2 symmetric positive definite wherever the chart is regular.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .integrate import IntegratorConfig, Trajectory, _march
+from .integrate import IntegratorConfig, Trajectory, _csv, _march
 from .smooth import Array, State, central_differences, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem
 
@@ -241,43 +240,31 @@ def generalized_forces(emb: Embedding, f: ForceField) -> Callable[[float, Array,
     return Q
 
 
-@dataclass(frozen=True)
-class GeneralizedSample:
-    t: float
+@dataclass(frozen=True, eq=False)
+class GeneralizedTrajectory:
+    """A second-kind run as aligned columns: ``times`` (k,) and the chart
+    coordinates ``y``, velocities ``w``, accelerations ``a`` and generalized
+    forces ``Q``, each (k, r)."""
+
+    times: Array
     y: Array
     w: Array
     a: Array
     Q: Array
 
-
-@dataclass
-class GeneralizedTrajectory:
-    emb: Embedding
-    samples: List[GeneralizedSample] = field(default_factory=list)
-
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def times(self) -> Array:
-        return np.array([s.t for s in self.samples])
+        return self.times.size
 
     def to_csv(self) -> str:
-        if not self.samples:
-            return ""
-        r = self.samples[0].y.size
+        r = self.y.shape[1]
         cols = (
             ["t"]
             + [f"y{i+1}" for i in range(r)]
             + [f"w{i+1}" for i in range(r)]
             + [f"Q{i+1}" for i in range(r)]
         )
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for s in self.samples:
-            row = np.concatenate([[s.t], s.y, s.w, s.Q])
-            buf.write(",".join(f"{z:.17g}" for z in row) + "\n")
-        return buf.getvalue()
+        body = np.column_stack([self.times, self.y, self.w, self.Q])
+        return _csv(cols, ",".join(["%.17g"] * (1 + 3 * r)), body)
 
 
 def second_kind_acceleration(
@@ -330,17 +317,17 @@ def integrate_second_kind(
             raise ChartError(f"trajectory left the chart domain at t={t}, y={y}")
         return second_kind_acceleration(lag, sys.force, t, y, w)
 
-    traj = GeneralizedTrajectory(emb=emb)
+    rows = []
 
     def record(t, y, w):
         a, Q = accel_and_Q(t, y, w)
-        traj.samples.append(GeneralizedSample(t=t, y=y, w=w, a=a, Q=Q))
+        rows.append((t, y, w, a, Q))
         return y, w, a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()
     _, _, a = record(t, y, w)
     _march(lambda t, y, w: accel_and_Q(t, y, w)[0], record, t, y, w, a, t_end, cfg)
-    return traj
+    return GeneralizedTrajectory(*map(np.array, zip(*rows)))
 
 
 def pushforward_second_order(emb: Embedding, t: float, y: Array, w: Array, a: Array):
@@ -483,25 +470,20 @@ def match_trajectories(
     if mass is None:
         mass = MassMatrix(np.eye(emb.dim))
     ty = traj_y.times
-    Y = np.array([s.y for s in traj_y.samples])
-    W = np.array([s.w for s in traj_y.samples])
     times = traj_x.times
-    Ys, Ws = _hermite(ty, Y, W, times)
+    Ys, Ws = _hermite(ty, traj_y.y, traj_y.w, times)
     if times[0] < ty[0] - 1e-12 or times[-1] > ty[-1] + 1e-12:
         raise ValueError("first-kind grid extends beyond the second-kind run")
 
     sup_x = 0.0
     sup_v = 0.0
     max_inv = 0.0
-    for i, smp in enumerate(traj_x.samples):
-        t = smp.state.t
-        y = Ys[i]
-        w = Ws[i]
-        r0 = emb.value(t, y) - smp.state.x
+    for t, x, v, y, w in zip(times, traj_x.positions, traj_x.velocities, Ys, Ws):
+        r0 = emb.value(t, y) - x
         v_pred = emb.d_t(t, y) + emb.d_y(t, y) @ w
         sup_x = max(sup_x, float(np.abs(r0).max()))
-        sup_v = max(sup_v, float(np.abs(smp.state.v - v_pred).max()))
-        _, resid = _chart_invert(emb, mass, t, smp.state.x, y, r0)
+        sup_v = max(sup_v, float(np.abs(v - v_pred).max()))
+        _, resid = _chart_invert(emb, mass, t, x, y, r0)
         max_inv = max(max_inv, resid)
     return MatchReport(sup_position=sup_x, sup_velocity=sup_v, max_inversion_residual=max_inv)
 

@@ -5,15 +5,13 @@ energy) and optional manifold projection for drift control.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .constraints import ConstraintSet, _kernel_basis
 from .reactions import (
-    ReactionResult,
     Realization,
     _solve_multipliers,
     reaction_with_realization,
@@ -48,56 +46,42 @@ class IntegratorConfig:
             raise ValueError("steps and tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    g_norm: Optional[float]
-    phi_norm: float
-    gde_residual: float
-    energy: float
-    force_norm: float  # max |f|, the scale of the gde-residual check
-    phi_rate: float  # max |phi_t + phi_x v + phi_v xdd|, d(phi)/dt along the run
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    state: State
-    reaction: ReactionResult
-    diagnostics: Diagnostics
-    xdd: Array  # the acceleration that drives the run at this state
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered samples of a first-kind integration run."""
+    """A first-kind run as aligned columns, one row per recorded sample.
 
-    samples: List[TrajectorySample] = field(default_factory=list)
+    ``times`` is (k,); ``positions``, ``velocities``, the reaction ``N`` and
+    the acceleration ``xdd`` that drives the run are (k, m); the multipliers
+    ``Lambda`` are (k, n).  The diagnostic columns are (k,): ``g_norm``
+    (None unless the constraints are holonomic), ``phi_norm``,
+    ``gde_residual``, ``energy``, ``force_norm`` (max |f|, the scale of the
+    gde-residual check) and ``phi_rate`` (max |phi_t + phi_x v + phi_v xdd|,
+    d(phi)/dt along the run).
+    """
+
+    times: Array
+    positions: Array
+    velocities: Array
+    Lambda: Array
+    N: Array
+    xdd: Array
+    g_norm: Optional[Array]
+    phi_norm: Array
+    gde_residual: Array
+    energy: Array
+    force_norm: Array
+    phi_rate: Array
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def times(self) -> Array:
-        return np.array([s.state.t for s in self.samples])
-
-    @property
-    def positions(self) -> Array:
-        return np.array([s.state.x for s in self.samples])
-
-    @property
-    def velocities(self) -> Array:
-        return np.array([s.state.v for s in self.samples])
+        return self.times.size
 
     def max_diag(self, name: str) -> float:
-        vals = [getattr(s.diagnostics, name) for s in self.samples]
-        vals = [v for v in vals if v is not None]
-        return max(vals) if vals else 0.0
+        col = getattr(self, name)
+        return float(col.max()) if col is not None and col.size else 0.0
 
     def to_csv(self) -> str:
         """Deterministic CSV dump; 17 significant digits, '\\n' endings."""
-        if not self.samples:
-            return ""
-        m = self.samples[0].state.dim
-        n = self.samples[0].reaction.Lambda.size
+        m, n = self.positions.shape[1], self.Lambda.shape[1]
         cols = (
             ["t"]
             + [f"x{i+1}" for i in range(m)]
@@ -106,21 +90,27 @@ class Trajectory:
             + [f"N{i+1}" for i in range(m)]
             + ["g_norm", "phi_norm", "gde_residual", "energy"]
         )
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        fmt = lambda z: "" if z is None else f"{z:.17g}"  # noqa: E731
-        for smp in self.samples:
-            st, rx, dg = smp.state, smp.reaction, smp.diagnostics
-            row = (
-                [fmt(st.t)]
-                + [fmt(c) for c in st.x]
-                + [fmt(c) for c in st.v]
-                + [fmt(c) for c in rx.Lambda]
-                + [fmt(c) for c in rx.N]
-                + [fmt(dg.g_norm), fmt(dg.phi_norm), fmt(dg.gde_residual), fmt(dg.energy)]
-            )
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        diags = [self.g_norm, self.phi_norm, self.gde_residual, self.energy]
+        body = np.column_stack(
+            [self.times, self.positions, self.velocities, self.Lambda, self.N]
+            + [d for d in diags if d is not None]
+        )
+        # a non-holonomic run leaves the g_norm field empty
+        slots = ["%.17g"] * (1 + 3 * m + n) + [
+            "" if d is None else "%.17g" for d in diags
+        ]
+        return _csv(cols, ",".join(slots), body)
+
+
+def _csv(cols: List[str], template: str, body: Array) -> str:
+    """Header line plus one ``template % row`` line per row of ``body``."""
+    lines = [",".join(cols)] + [template % tuple(row) for row in body.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _stack(rows) -> Trajectory:
+    """Columns of a run from its rows ``(t, x, v) + _sample(...)``."""
+    return Trajectory(*(None if c[0] is None else np.array(c) for c in zip(*rows)))
 
 
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v) -> Array:
@@ -142,7 +132,7 @@ def gde_residual(sys: MechanicalSystem, cs: ConstraintSet, s: State, xdd: Array)
     Vanishes exactly along true solutions and, with the constraints
     satisfied, suffices for being one.
     """
-    return _sample(sys, cs, s, xdd).diagnostics.gde_residual
+    return _sample(sys, cs, s, xdd)[5]
 
 
 def project_to_manifold(
@@ -184,8 +174,10 @@ def project_to_manifold(
     return State(t=t, x=x, v=v)
 
 
-def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> TrajectorySample:
-    """Full per-step diagnostics from one multiplier solve and one SVD.
+def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> tuple:
+    """One row of a run after (t, x, v): (Lambda, N, xdd, g_norm, phi_norm,
+    gde_residual, energy, force_norm, phi_rate), in :class:`Trajectory`'s
+    field order, from one multiplier solve and one SVD.
 
     ``xdd`` is the acceleration driving the run; when omitted it is the
     ideal G^-1 (f^T + N^T), taken from the same solve.
@@ -198,33 +190,26 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> TrajectorySample:
         f = sys.force(t, x, v)
         if xdd is None:
             xdd = Ginv @ f
-        rx = ReactionResult(
-            Lambda=np.zeros(0), N=np.zeros(s.dim), gram=np.zeros((0, 0)), state=s
-        )
         gde = float(np.abs(xdd @ sys.mass.G - f).max())
-        diag = Diagnostics(
-            g_norm=None, phi_norm=0.0, gde_residual=gde, energy=E,
-            force_norm=float(np.abs(f).max(initial=0.0)), phi_rate=0.0,
-        )
-        return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
+        fnorm = float(np.abs(f).max(initial=0.0))
+        return np.zeros(0), np.zeros(s.dim), xdd, None, 0.0, gde, E, fnorm, 0.0
 
-    f, B, lam, gram, drift = _solve_multipliers(sys, cs, t, x, v)
+    f, B, lam, _, drift = _solve_multipliers(sys, cs, t, x, v)
+    N = lam @ B
     if xdd is None:
-        xdd = Ginv @ (f + lam @ B)
+        xdd = Ginv @ (f + N)
     Xi = _kernel_basis(B, cs.n, t)
-    rx = ReactionResult(Lambda=lam, N=lam @ B, gram=gram, state=s)
     phi_norm = float(np.abs(cs.phi(t, x, v)).max(initial=0.0))
     g_norm = None
     if cs.is_holonomic:
         g_norm = float(np.abs(cs.generator(t, x)).max(initial=0.0))
     row = xdd @ sys.mass.G - f
     gde = float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
-    diag = Diagnostics(
-        g_norm=g_norm, phi_norm=phi_norm, gde_residual=gde, energy=E,
-        force_norm=float(np.abs(f).max(initial=0.0)),
-        phi_rate=float(np.abs(drift + B @ xdd).max(initial=0.0)),
+    return (
+        lam, N, xdd, g_norm, phi_norm, gde, E,
+        float(np.abs(f).max(initial=0.0)),
+        float(np.abs(drift + B @ xdd).max(initial=0.0)),
     )
-    return TrajectorySample(state=s, reaction=rx, diagnostics=diag, xdd=xdd)
 
 
 def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
@@ -336,12 +321,13 @@ def integrate_first_kind(
         def accel(t, x, v):  # noqa: ANN001
             return _accel_raw(sys, cs, t, x, v)
 
-    traj = Trajectory()
+    rows = []
 
     def record(t, x, v):
-        smp = _sample(sys, cs, State(t, x, v), None if ideal else accel(t, x, v))
-        traj.samples.append(smp)
-        return x, v, smp.xdd
+        # State refuses a non-finite sample, which ends the run there
+        row = _sample(sys, cs, State(t, x, v), None if ideal else accel(t, x, v))
+        rows.append((t, x, v) + row)
+        return x, v, row[2]
 
     project = (
         cfg.projection != "off"
@@ -364,7 +350,7 @@ def integrate_first_kind(
     t, x, v = init.t, init.x.copy(), init.v.copy()
     _, _, a = record(t, x, v)
     _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
-    return traj
+    return _stack(rows)
 
 
 def integrate_with_realization(

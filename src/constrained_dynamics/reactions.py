@@ -45,9 +45,11 @@ def gram_matrix(cs: ConstraintSet, mass, s: State) -> Array:
 
 
 def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
+    """gram^-1 rhs for an SPD Gram matrix; the tests are written so that a
+    NaN entry fails them."""
     n = gram.shape[0]
     if n == 1:
-        if gram[0, 0] <= 0.0:
+        if not gram[0, 0] > 0.0:
             raise RegularityError(
                 f"singular constraint Gram matrix at t={t}", sigma_min=0.0, t=t
             )
@@ -60,6 +62,11 @@ def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
             sigma_min=0.0,
             t=t,
         ) from exc
+    # cholesky returns a NaN factor for a NaN matrix instead of raising
+    if not np.all(np.diagonal(c) > 0.0):
+        raise RegularityError(
+            f"constraint Gram matrix not positive definite at t={t}", sigma_min=0.0, t=t
+        )
     return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 

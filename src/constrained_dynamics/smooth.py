@@ -44,7 +44,7 @@ class State:
         if self.x.size < 1:
             raise ValueError("configuration dimension must be >= 1")
         if not (np.isfinite(self.t) and np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))):
-            raise ValueError("state entries must be finite")
+            raise ValueError(f"state entries must be finite at t={self.t}")
 
     @property
     def dim(self) -> int:

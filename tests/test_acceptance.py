@@ -90,10 +90,10 @@ def test_03_zero_virtual_work(all_scenarios):
 def test_04_general_equation_of_dynamics(all_scenarios, long_runs):
     worst = 0.0
     for sc in all_scenarios:
-        for smp in long_runs[sc.name].samples:
-            s = smp.state
-            fscale = 1.0 + float(np.abs(sc.system.force(s.t, s.x, s.v)).max(initial=0.0))
-            worst = max(worst, smp.diagnostics.gde_residual / fscale)
+        run = long_runs[sc.name]
+        for t, x, v, gde in zip(run.times, run.positions, run.velocities, run.gde_residual):
+            fscale = 1.0 + float(np.abs(sc.system.force(t, x, v)).max(initial=0.0))
+            worst = max(worst, gde / fscale)
     # negative control: a wrong acceleration must break the bound
     sc = next(s for s in all_scenarios if s.name == "pendulum")
     s = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
@@ -200,9 +200,8 @@ def test_08_first_second_kind_equivalence(all_scenarios, long_runs):
         worst = max(worst, rep.sup_position, rep.sup_velocity)
         if sc.name == "rotating-wire-bead":
             # closed form: radial position cosh(t) for omega = 1, y(0)=1, w(0)=0
-            cosh_err = max(
-                abs(s.y[0] - np.cosh(s.t)) for s in traj_y.samples if s.t <= 3.0
-            )
+            early = traj_y.times <= 3.0
+            cosh_err = np.abs(traj_y.y[early, 0] - np.cosh(traj_y.times[early])).max()
     ok = worst <= 1e-5 and cosh_err <= 1e-5
     _verdict("08 first-second-kind-equivalence", ok)
 
@@ -211,7 +210,7 @@ def test_09_energy_behavior(all_scenarios, long_runs):
     ok = True
     for sc in all_scenarios:
         traj = long_runs[sc.name]
-        energies = np.array([s.diagnostics.energy for s in traj.samples])
+        energies = traj.energy
         e0 = energies[0]
         if sc.name == "rotating-wire-bead":
             times = traj.times
@@ -248,9 +247,10 @@ def test_10_realizations(pendulum):
         sys, cs, real, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3)
     )
     max_work = 0.0
-    for smp in traj.samples:
-        res = reaction_with_realization(sys, cs, real, smp.state)
-        max_work = max(max_work, virtual_work(res, virtual_basis(cs, smp.state)))
+    for t, x, v in zip(traj.times, traj.positions, traj.velocities):
+        s = State(t, x, v)
+        res = reaction_with_realization(sys, cs, real, s)
+        max_work = max(max_work, virtual_work(res, virtual_basis(cs, s)))
     ok = (
         ideal_gap <= 1e-12
         and traj.max_diag("phi_norm") <= 1e-6

@@ -21,8 +21,8 @@ from constrained_dynamics.integrate import (
     _DP_B5,
     _DP_C,
     ProjectionError,
-    Trajectory,
     _sample,
+    _stack,
 )
 
 
@@ -39,10 +39,9 @@ def test_unconstrained_projectile():
     )
     init = State(0.0, np.zeros(2), np.array([1.0, 5.0]))
     traj = integrate_first_kind(sys, None, init, 1.0, IntegratorConfig(dt=1e-2))
-    s = traj.samples[-1].state
-    assert abs(s.t - 1.0) < 1e-12
-    assert np.abs(s.x - np.array([1.0, 0.0])).max() < 1e-10
-    assert np.abs(s.v - np.array([1.0, -5.0])).max() < 1e-10
+    assert abs(traj.times[-1] - 1.0) < 1e-12
+    assert np.abs(traj.positions[-1] - np.array([1.0, 0.0])).max() < 1e-10
+    assert np.abs(traj.velocities[-1] - np.array([1.0, -5.0])).max() < 1e-10
 
 
 def test_acceleration_pendulum(pendulum, pendulum_bottom):
@@ -67,9 +66,8 @@ def test_pendulum_period_against_quadrature(pendulum):
     traj = integrate_first_kind(
         pendulum.system, pendulum.constraints, init, period, IntegratorConfig(dt=5e-4)
     )
-    s = traj.samples[-1].state
-    assert np.abs(s.x - init.x).max() < 1e-5
-    assert np.abs(s.v).max() < 1e-4
+    assert np.abs(traj.positions[-1] - init.x).max() < 1e-5
+    assert np.abs(traj.velocities[-1]).max() < 1e-4
 
 
 def test_fourth_order_drift_convergence(pendulum):
@@ -97,7 +95,7 @@ def test_adaptive_matches_fixed(pendulum):
         2.0,
         IntegratorConfig(method="rk45-adaptive", dt=1e-2, tolerance=1e-11),
     )
-    assert np.abs(fixed.samples[-1].state.x - adaptive.samples[-1].state.x).max() < 1e-7
+    assert np.abs(fixed.positions[-1] - adaptive.positions[-1]).max() < 1e-7
     assert len(adaptive) < len(fixed)
 
 
@@ -197,7 +195,7 @@ def test_csv_round_trip(pendulum):
     assert len(rows) == 1 + len(traj)
     # 17 significant digits survive a parse round trip bit-for-bit
     parsed = np.array([float(c) for c in rows[1][1:3]])
-    assert np.array_equal(parsed, traj.samples[0].state.x)
+    assert np.array_equal(parsed, traj.positions[0])
 
 
 def test_csv_empty_g_norm_for_nonholonomic(knife_edge):
@@ -209,6 +207,105 @@ def test_csv_empty_g_norm_for_nonholonomic(knife_edge):
     line = traj.to_csv().splitlines()[1]
     g_field = line.split(",")[header.index("g_norm")]
     assert g_field == ""
+
+
+def _per_row_csv(header, columns):
+    """The per-row CSV formatter that the column writers replaced:
+    f"{z:.17g}" per field, and an empty field for a missing column."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        fields = []
+        for col in columns:
+            if col is None:
+                fields.append("")
+            else:
+                fields += [f"{float(z):.17g}" for z in np.atleast_1d(col[i])]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def _first_kind_header(m, n):
+    return (
+        ["t"] + [f"x{i+1}" for i in range(m)] + [f"v{i+1}" for i in range(m)]
+        + [f"lambda{i+1}" for i in range(n)] + [f"N{i+1}" for i in range(m)]
+        + ["g_norm", "phi_norm", "gde_residual", "energy"]
+    )
+
+
+def _assert_csv_matches_per_row_formatter(traj):
+    m, n = traj.positions.shape[1], traj.Lambda.shape[1]
+    columns = [
+        traj.times, traj.positions, traj.velocities, traj.Lambda, traj.N,
+        traj.g_norm, traj.phi_norm, traj.gde_residual, traj.energy,
+    ]
+    assert traj.to_csv() == _per_row_csv(_first_kind_header(m, n), columns)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "knife-edge"])
+def test_csv_matches_per_row_formatter(name):
+    sc = catalog_scenario(name)
+    traj = integrate_first_kind(
+        sc.system, sc.constraints, sc.initial, 0.2, IntegratorConfig(dt=1e-2)
+    )
+    assert (traj.g_norm is None) == (name == "knife-edge")
+    _assert_csv_matches_per_row_formatter(traj)
+
+
+def test_free_particle_columns_and_csv(free_particle_file):
+    from constrained_dynamics import parse_scenario
+
+    sc = parse_scenario(free_particle_file)
+    traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.2, sc.integrator)
+    k = len(traj)
+    assert k == 21
+    assert traj.times.shape == (k,)
+    for col in (traj.positions, traj.velocities, traj.N, traj.xdd):
+        assert col.shape == (k, 2)
+    assert traj.Lambda.shape == (k, 0)
+    assert traj.g_norm is None
+    assert traj.max_diag("g_norm") == 0.0
+    for col in (traj.phi_norm, traj.gde_residual, traj.energy, traj.force_norm, traj.phi_rate):
+        assert col.shape == (k,)
+    assert "lambda" not in traj.to_csv().splitlines()[0]
+    _assert_csv_matches_per_row_formatter(traj)
+
+
+def test_second_kind_csv_matches_per_row_formatter(spherical):
+    from constrained_dynamics import integrate_second_kind
+
+    traj = integrate_second_kind(
+        spherical.embedding, spherical.system, spherical.initial_generalized, 0.2,
+        IntegratorConfig(dt=1e-2),
+    )
+    k, r = traj.y.shape
+    assert k == len(traj) == 21 and r == 2
+    for col in (traj.w, traj.a, traj.Q):
+        assert col.shape == (k, r)
+    header = (
+        ["t"] + [f"y{i+1}" for i in range(r)] + [f"w{i+1}" for i in range(r)]
+        + [f"Q{i+1}" for i in range(r)]
+    )
+    assert traj.to_csv() == _per_row_csv(header, [traj.times, traj.y, traj.w, traj.Q])
+
+
+def test_non_finite_sample_names_its_time(pendulum):
+    import dataclasses
+
+    inner = pendulum.system.force.value
+
+    def value(t, x, v):
+        return np.full(2, np.nan) if t >= 0.05 else inner(t, x, v)
+
+    sys = MechanicalSystem(
+        mass=pendulum.system.mass, force=dataclasses.replace(pendulum.system.force, value=value)
+    )
+    cfg = IntegratorConfig(dt=1e-2)
+    # every sample up to t = 0.04 is finite; the step to t = 0.05 takes its
+    # last stage at the first NaN force, so the sample at 0.05 is not
+    finite = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.04, cfg)
+    assert np.all(np.isfinite(finite.velocities))
+    with pytest.raises(ValueError, match=r"must be finite at t=0\.05$"):
+        integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.2, cfg)
 
 
 def test_nonideal_accel_still_satisfies_constraint(pendulum):
@@ -242,7 +339,8 @@ def _reference_run(sys, cs, init, t_end, cfg, accel=None):
     recorded sample evaluates the right-hand side afresh.
 
     Returns (arrays, trajectory, rejected steps); the arrays hold t, X, V,
-    Lambda and N, with Lambda and N from a fresh ``reaction`` call.
+    Lambda, N and xdd, with Lambda and N from a fresh ``reaction`` call, and
+    the trajectory stacks the same samples' ``_sample`` rows.
     """
     from constrained_dynamics import reaction
 
@@ -250,7 +348,7 @@ def _reference_run(sys, cs, init, t_end, cfg, accel=None):
         def accel(t, x, v):
             return acceleration(sys, cs, State(t, x, v))
 
-    rows, samples = [], []
+    rows, sample_rows = [], []
     rejected = 0
 
     def record(t, x, v):
@@ -258,7 +356,7 @@ def _reference_run(sys, cs, init, t_end, cfg, accel=None):
         xdd = accel(t, x, v)
         rx = reaction(sys, cs, s)
         rows.append((t, s.x, s.v, rx.Lambda, rx.N, xdd))
-        samples.append(_sample(sys, cs, s, xdd))
+        sample_rows.append((t, s.x, s.v) + _sample(sys, cs, s, xdd))
 
     def settle(t, x, v):
         if cfg.projection == "off":
@@ -313,7 +411,7 @@ def _reference_run(sys, cs, init, t_end, cfg, accel=None):
                 rejected += 1
             h = h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
     arrays = [np.array(col) for col in zip(*rows)]
-    return arrays, Trajectory(samples=samples), rejected
+    return arrays, _stack(sample_rows), rejected
 
 
 def _assert_same_run(traj, arrays, ref_traj):
@@ -321,9 +419,9 @@ def _assert_same_run(traj, arrays, ref_traj):
     assert np.array_equal(traj.times, t)
     assert np.array_equal(traj.positions, X)
     assert np.array_equal(traj.velocities, V)
-    assert np.array_equal(np.array([s.reaction.Lambda for s in traj.samples]), Lam)
-    assert np.array_equal(np.array([s.reaction.N for s in traj.samples]), N)
-    assert np.array_equal(np.array([s.xdd for s in traj.samples]), XDD)
+    assert np.array_equal(traj.Lambda, Lam)
+    assert np.array_equal(traj.N, N)
+    assert np.array_equal(traj.xdd, XDD)
     assert traj.to_csv() == ref_traj.to_csv()
 
 

@@ -83,6 +83,25 @@ def test_multipliers_singular_state_raises(pendulum):
         multipliers(pendulum.system, pendulum.constraints, s)
 
 
+def test_nan_gram_matrix_raises(pendulum):
+    # NaN fails `gram > 0`, so a NaN phi_v is refused rather than solved
+    import dataclasses
+
+    cs = pendulum.constraints
+    nan_jac_v = dataclasses.replace(cs.phi, jac_v=lambda t, x, v: np.full((1, 2), np.nan))
+    bad = dataclasses.replace(cs, phi=nan_jac_v)
+    with pytest.raises(RegularityError, match="t=0.0"):
+        reaction(pendulum.system, bad, pendulum.initial)
+
+
+def test_nan_gram_matrix_raises_for_two_constraints():
+    # numpy's cholesky returns a NaN factor for a NaN matrix without raising
+    from constrained_dynamics.reactions import _chol_solve
+
+    with pytest.raises(RegularityError, match="t=0.25"):
+        _chol_solve(np.full((2, 2), np.nan), np.ones(2), 0.25)
+
+
 def test_reaction_newton_third_law_scaling(pendulum, pendulum_bottom):
     # doubling the speed quadruples the centripetal term, tension 4 + 10
     s = State(0.0, pendulum_bottom.x, 2.0 * pendulum_bottom.v)
