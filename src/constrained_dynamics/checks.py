@@ -184,12 +184,10 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
         return _skipped("covariance", _no_chart(sc))
     rng = np.random.default_rng(23)
     emb = sc.embedding
-    lo = sc.sample_y_lo if sc.sample_y_lo is not None else -np.pi * np.ones(emb.r)
-    hi = sc.sample_y_hi if sc.sample_y_hi is not None else np.pi * np.ones(emb.r)
     worst = 0.0
     for _ in range(count):
         t = float(rng.uniform(0, 3))
-        y = rng.uniform(lo, hi)
+        y = rng.uniform(sc.sample_y_lo, sc.sample_y_hi)
         w = rng.uniform(-2, 2, emb.r)
         a = rng.uniform(-2, 2, emb.r)
         worst = max(

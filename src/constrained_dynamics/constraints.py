@@ -8,6 +8,7 @@ derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,12 +20,45 @@ RANK_TOL_FACTOR = 1e-8
 
 
 class RegularityError(RuntimeError):
-    """Constraint Jacobian phi_v lost full row rank at a state."""
+    """A constraint matrix (phi_v, the Gram matrix or a realization matrix)
+    failed the regularity rule at time t; ``sigma_min`` is its smallest
+    singular value or pivot."""
 
     def __init__(self, msg: str, sigma_min: float = 0.0, t: float = float("nan")):
         super().__init__(msg)
         self.sigma_min = sigma_min
         self.t = t
+
+
+def require_regular(lo, hi, tol: float, what: str, t: Optional[float], error=RegularityError):
+    """The one regularity rule: lo > tol * max(1, hi), where lo and hi are the
+    smallest and largest singular value, eigenvalue or Cholesky pivot of the
+    matrix named ``what``.  A NaN or infinite lo or hi fails it.
+
+    On failure raises ``error`` (a :class:`RegularityError` also carries lo
+    and t) with a message that names the matrix and t and says whether the
+    spectrum was non-finite or degenerate.  ``t`` is None for a matrix that
+    does not depend on time, such as a linear reparametrization.
+    """
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    if finite and lo > tol * max(1.0, hi):
+        return
+    when = "at every t" if t is None else f"at t={t}"
+    msg = f"{what} is {'degenerate' if finite else 'non-finite'} {when}"
+    msg += f" (min {lo:.3e}, max {hi:.3e}, tol {tol:g})"
+    raise RegularityError(msg, float(lo), t) if error is RegularityError else error(msg)
+
+
+def regular_svd(M: Array, tol: float, what: str, t: Optional[float], error=RegularityError):
+    """(U, s, Vt), the full SVD of M, once its singular values pass
+    :func:`require_regular`.  LAPACK's SVD does not converge on a NaN entry,
+    which counts as a non-finite spectrum."""
+    try:
+        U, s, Vt = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        require_regular(math.nan, math.nan, tol, what, t, error)
+    require_regular(s[-1], s[0], tol, what, t, error)
+    return U, s, Vt
 
 
 @dataclass(frozen=True)
@@ -44,6 +78,8 @@ class ConstraintSet:
     generator: Optional[ConfigurationMap] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}; no constraints is written None")
         if self.n >= self.dim:
             raise ValueError(f"need n < m, got n={self.n}, m={self.dim}")
         if self.phi is not None and self.phi.dim != self.n:
@@ -54,21 +90,6 @@ class ConstraintSet:
     @property
     def is_holonomic(self) -> bool:
         return self.structure == "holonomic"
-
-    @property
-    def is_empty(self) -> bool:
-        return self.n == 0
-
-    @classmethod
-    def empty(cls, dim: int) -> "ConstraintSet":
-        phi = SmoothMap(
-            dim=0,
-            value=lambda t, x, v: np.zeros(0),
-            jac_t=lambda t, x, v: np.zeros(0),
-            jac_x=lambda t, x, v: np.zeros((0, dim)),
-            jac_v=lambda t, x, v: np.zeros((0, dim)),
-        )
-        return cls(dim=dim, n=0, phi=phi)
 
     @classmethod
     def general(cls, dim: int, phi: SmoothMap) -> "ConstraintSet":
@@ -165,19 +186,14 @@ class RegularityVerdict:
         return self.passed
 
 
-def check_regularity(cs: ConstraintSet, s: State, tol: Optional[float] = None) -> RegularityVerdict:
-    """rank phi_v == n, tested as sigma_min(phi_v) > tol.
-
-    Default tolerance is scale-aware: 1e-8 * max(1, ||phi_v||_2).
-    """
-    if cs.is_empty:
-        return RegularityVerdict(True, np.inf)
-    B = cs.phi.d_v(s.t, s.x, s.v)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if tol is None:
-        tol = RANK_TOL_FACTOR * max(1.0, sv[0] if sv.size else 0.0)
-    smin = float(sv[-1]) if sv.size else 0.0
-    return RegularityVerdict(bool(smin > tol), smin)
+def check_regularity(cs: ConstraintSet, s: State, tol: float = RANK_TOL_FACTOR) -> RegularityVerdict:
+    """rank phi_v == n, tested by :func:`require_regular` as
+    sigma_min(phi_v) > tol * max(1, sigma_max(phi_v)); a NaN phi_v fails."""
+    try:
+        _, sv, _ = regular_svd(cs.phi.d_v(s.t, s.x, s.v), tol, "constraint Jacobian phi_v", s.t)
+    except RegularityError as exc:
+        return RegularityVerdict(False, exc.sigma_min)
+    return RegularityVerdict(True, float(sv[-1]))
 
 
 @dataclass(frozen=True)
@@ -203,23 +219,14 @@ def _fix_signs(Q: Array) -> Array:
 
 
 def _kernel_basis(B: Array, n: int, t: float) -> Array:
-    """Columns spanning ker B from one full SVD, after the regularity test
-    sigma_min(B) > RANK_TOL_FACTOR * max(1, sigma_max(B))."""
-    _, sv, Vt = np.linalg.svd(B, full_matrices=True)
-    smin = float(sv[-1]) if sv.size else 0.0
-    if smin <= RANK_TOL_FACTOR * max(1.0, sv[0] if sv.size else 0.0):
-        raise RegularityError(
-            f"constraint Jacobian rank-deficient at t={t} (sigma_min={smin:.3e})",
-            sigma_min=smin,
-            t=t,
-        )
+    """Columns spanning ker B from one full SVD, once B = phi_v passes the
+    regularity rule at RANK_TOL_FACTOR."""
+    _, _, Vt = regular_svd(B, RANK_TOL_FACTOR, "constraint Jacobian phi_v", t)
     return Vt[n:, :].T
 
 
 def virtual_basis(cs: ConstraintSet, s: State) -> VirtualBasis:
     """Kernel basis of phi_v via SVD; m - n orthonormal columns."""
-    if cs.is_empty:
-        return VirtualBasis(Xi=np.eye(cs.dim), state=s)
     B = cs.phi.d_v(s.t, s.x, s.v)
     return VirtualBasis(Xi=_fix_signs(_kernel_basis(B, cs.n, s.t)), state=s)
 

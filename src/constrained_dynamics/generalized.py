@@ -19,6 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .constraints import require_regular
 from .integrate import IntegratorConfig, Trajectory, _csv, _march
 from .smooth import Array, State, central_differences, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem
@@ -108,20 +109,32 @@ def _force_row(f: ForceField, t: float, u: Array, u_t: Array, u_y: Array, w: Arr
     return f(t, u, u_t + u_y @ w) @ u_y
 
 
-def _regular_metric(M2: Array, tol: float, t: float, y: Array) -> Tuple[Array, Array]:
-    """(lam, V) of M2 = V diag(lam) V^T, checked regular.
+_METRIC = "chart metric M2 = u_y^T G u_y"
 
-    The eigenvalues of the symmetric metric are its singular values, so the
-    rule is lam_min > tol max(1, lam_max), written so that a NaN fails it.
-    Raises :class:`ChartError` when the rule fails or M2 cannot be factored.
-    """
+
+def _regular_metric(M2: Array, tol: float, t: float) -> Tuple[Array, Array]:
+    """(lam, V) of M2 = V diag(lam) V^T once its eigenvalues, which are its
+    singular values, pass the regularity rule at ``tol``; raises
+    :class:`ChartError` otherwise.  The eigensolver fails to converge only
+    on a non-finite entry, which counts as a non-finite spectrum."""
     try:
         lam, V = np.linalg.eigh(M2)
-    except np.linalg.LinAlgError as exc:
-        raise ChartError(f"chart metric M2 not factorable at t={t}, y={y}") from exc
-    if not lam[0] > tol * np.maximum(1.0, lam[-1]):
-        raise ChartError(f"chart metric M2 degenerate at t={t}, y={y}")
+    except np.linalg.LinAlgError:
+        require_regular(np.nan, np.nan, tol, _METRIC, t, ChartError)
+    require_regular(lam[0], lam[-1], tol, _METRIC, t, ChartError)
     return lam, V
+
+
+def _metric_solve(M2: Array, rhs: Array, t: float) -> Array:
+    """M2^-1 rhs for a chart metric M2 checked regular at 1e-12, as
+    V (rhs V / lam) from its eigendecomposition.  A 1x1 metric is its own
+    eigenvalue, and rhs / M2 gives the same bits without the eigensolver."""
+    if M2.shape[0] == 1:
+        m = M2[0, 0]
+        require_regular(m, m, 1e-12, _METRIC, t, ChartError)
+        return rhs / m
+    lam, V = _regular_metric(M2, 1e-12, t)
+    return V @ ((rhs @ V) / lam)
 
 
 def pushforward_state(emb: Embedding, gs: GeneralizedState) -> State:
@@ -182,7 +195,7 @@ def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, flo
     """(M2, b, T0); raises ChartError unless lam_min(M2) > 1e-10 max(1, lam_max)."""
     y = np.asarray(y, float).reshape(-1)
     M2, b, T0 = lag.decompose(t, y)
-    _regular_metric(M2, 1e-10, t, y)
+    _regular_metric(M2, 1e-10, t)
     return M2, b, T0
 
 
@@ -273,20 +286,17 @@ def second_kind_acceleration(
     """(ydd, Q): ydd solves [L] = Q for the pulled-back force row Q of f,
     via the normal form M2 ydd = Q^T - (rest).
 
-    The chart jet is evaluated once and serves both M2's pieces and Q.  M2 is
-    factored once, by a symmetric eigendecomposition M2 = V diag(lam) V^T,
-    and must pass :func:`_regular_metric` at 1e-12; the solve is then
-    V (rhs V / lam).  Raises :class:`ChartError` when the metric is singular
-    or cannot be factored.
+    The chart jet is evaluated once and serves both M2's pieces and Q.  The
+    solve is :func:`_metric_solve`, which raises :class:`ChartError` when the
+    metric is degenerate or non-finite.
     """
     jet = _chart_jet(lag.emb, t, y)
     M2, *pieces = lag._derivative_pieces(jet)
-    lam, V = _regular_metric(M2, 1e-12, t, y)
     M2dot, bdot, L_y = _along_velocity(*pieces, w)
     Q = _force_row(f, t, *jet[:3], w)
     # the normal form keeps its own order of summation, not [L] at ydd = 0
     rhs = Q - M2dot @ w - bdot + L_y
-    return V @ ((rhs @ V) / lam), Q
+    return _metric_solve(M2, rhs, t), Q
 
 
 def integrate_second_kind(
@@ -385,7 +395,8 @@ def _chart_invert(
     position does when it drifts off the constraint manifold; or after a
     step below sqrt(eps) relative to y, since the next step, about its
     square, would be lost in rounding.  The best point found is returned.
-    Raises :class:`ChartError` when u_y^T G u_y is singular or the residual
+    The Gauss-Newton step is :func:`_metric_solve` on u_y^T G u_y.
+    Raises :class:`ChartError` when that metric is degenerate or the residual
     stays above 1e-6.
     """
     y = y0.copy()
@@ -397,10 +408,7 @@ def _chart_invert(
             break
         J = emb.d_y(t, y)
         JG = J.T @ G
-        try:
-            step = np.linalg.solve(JG @ J, JG @ r)
-        except np.linalg.LinAlgError as exc:
-            raise ChartError(f"chart Jacobian singular at t={t}, y={y}") from exc
+        step = _metric_solve(JG @ J, JG @ r, t)
         y_next = y - step
         r_next = emb.value(t, y_next) - x
         obj_next = float(r_next @ G @ r_next)

@@ -13,6 +13,8 @@ import numpy as np
 from .constraints import ConstraintSet, _kernel_basis
 from .reactions import (
     Realization,
+    _chol_solve,
+    _gram,
     _solve_multipliers,
     reaction_with_realization,
 )
@@ -115,7 +117,7 @@ def _stack(rows) -> Trajectory:
 
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v) -> Array:
     # hot path: no State construction, no ReactionResult packaging
-    if cs is None or cs.is_empty:
+    if cs is None:
         return sys.mass.inverse @ sys.force(t, x, v)
     f, B, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
     return sys.mass.inverse @ (f + lam @ B)
@@ -147,6 +149,8 @@ def project_to_manifold(
 
     Position: Gauss-Newton with the minimal correction in the G-metric.
     Velocity: G-orthogonal projection onto the affine set g_x v = -g_t.
+    Both solve with the constraint Gram matrix g_x G^-1 g_x^T, so a
+    degenerate g_x raises :class:`RegularityError`.
     """
     if not cs.is_holonomic:
         raise ValueError("projection requires a holonomic constraint set")
@@ -158,8 +162,7 @@ def project_to_manifold(
         if np.abs(r).max(initial=0.0) <= tol:
             break
         J = g.grad_x(t, x)
-        K = J @ Ginv @ J.T
-        x = x - Ginv @ J.T @ np.linalg.solve(K, r)
+        x = x - Ginv @ J.T @ _chol_solve(_gram(J, Ginv)[1], r, t)
     else:
         raise ProjectionError(
             f"position projection did not reach tol={tol} in {max_iter} iterations "
@@ -168,9 +171,8 @@ def project_to_manifold(
     v = s.v
     if velocity:
         J = g.grad_x(t, x)
-        K = J @ Ginv @ J.T
         defect = g.grad_t(t, x) + J @ v
-        v = v - Ginv @ J.T @ np.linalg.solve(K, defect)
+        v = v - Ginv @ J.T @ _chol_solve(_gram(J, Ginv)[1], defect, t)
     return State(t=t, x=x, v=v)
 
 
@@ -186,7 +188,7 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> tuple:
     T, V = energy(sys, s)
     E = T + (V or 0.0)
     Ginv = sys.mass.inverse
-    if cs is None or cs.is_empty:
+    if cs is None:
         f = sys.force(t, x, v)
         if xdd is None:
             xdd = Ginv @ f
@@ -213,7 +215,7 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> tuple:
 
 
 def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
-    if cs is None or cs.is_empty:
+    if cs is None:
         return
     phi0 = float(np.abs(cs.phi(init.t, init.x, init.v)).max(initial=0.0))
     if phi0 > tol:
@@ -329,12 +331,7 @@ def integrate_first_kind(
         rows.append((t, x, v) + row)
         return x, v, row[2]
 
-    project = (
-        cfg.projection != "off"
-        and cs is not None
-        and cs.is_holonomic
-        and not cs.is_empty
-    )
+    project = cfg.projection != "off" and cs is not None and cs.is_holonomic
 
     def project_and_record(t, x, v):
         s = project_to_manifold(

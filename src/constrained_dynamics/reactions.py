@@ -7,21 +7,22 @@ The multiplier row solves
 
 and the reaction covector is N = Lambda phi_v.  The Gram matrix
 phi_v G^-1 phi_v^T is symmetric positive definite whenever the constraint
-Jacobian has full row rank, so the solve goes through Cholesky; a failed
-factorization doubles as a regularity diagnostic.
+Jacobian has full row rank, so the solve goes through Cholesky, whose
+pivots must pass the regularity rule with a zero floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .constraints import (
     ConstraintSet,
-    RegularityError,
     VirtualBasis,
+    regular_svd,
+    require_regular,
 )
 from .smooth import Array, SmoothMap, State, central_differences, time_difference
 from .system import MechanicalSystem
@@ -37,42 +38,40 @@ class ReactionResult:
     state: State
 
 
+def _gram(B: Array, Ginv: Array) -> Tuple[Array, Array]:
+    """(W, W B^T) with W = B G^-1: the constraint Gram matrix B G^-1 B^T."""
+    W = B @ Ginv
+    return W, W @ B.T
+
+
 def gram_matrix(cs: ConstraintSet, mass, s: State) -> Array:
     """phi_v G^-1 phi_v^T, the SPD kernel of the multiplier solve."""
-    B = cs.phi.d_v(s.t, s.x, s.v)
-    W = B @ mass.inverse
-    return W @ B.T
+    return _gram(cs.phi.d_v(s.t, s.x, s.v), mass.inverse)[1]
+
+
+_GRAM = "constraint Gram matrix"
 
 
 def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
-    """gram^-1 rhs for an SPD Gram matrix; the tests are written so that a
-    NaN entry fails them."""
-    n = gram.shape[0]
-    if n == 1:
-        if not gram[0, 0] > 0.0:
-            raise RegularityError(
-                f"singular constraint Gram matrix at t={t}", sigma_min=0.0, t=t
-            )
-        return rhs / gram[0, 0]
+    """gram^-1 rhs for a Gram matrix from :func:`_gram`, whose Cholesky
+    pivots must pass the regularity rule with floor 0 (positivity).  A 1x1
+    matrix is its own pivot."""
+    if gram.shape[0] == 1:
+        g = gram[0, 0]
+        require_regular(g, g, 0.0, _GRAM, t)
+        return rhs / g
     try:
         c = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RegularityError(
-            f"constraint Gram matrix not positive definite at t={t}: {exc}",
-            sigma_min=0.0,
-            t=t,
-        ) from exc
-    # cholesky returns a NaN factor for a NaN matrix instead of raising
-    if not np.all(np.diagonal(c) > 0.0):
-        raise RegularityError(
-            f"constraint Gram matrix not positive definite at t={t}", sigma_min=0.0, t=t
-        )
+        pivots = np.diagonal(c)
+        lo, hi = pivots.min(), pivots.max()
+    except np.linalg.LinAlgError:  # the factorization stops at a pivot <= 0
+        lo = hi = 0.0
+    require_regular(lo, hi, 0.0, _GRAM, t)
     return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
 def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
-    """(f, phi_v, Lambda, gram, phi_t + phi_x v) at (t, x, v) for a
-    non-empty constraint set.
+    """(f, phi_v, Lambda, gram, phi_t + phi_x v) at (t, x, v).
 
     The one evaluation of the closed form: every consumer of the ideal
     multipliers takes the force, phi_v, the Gram matrix and the
@@ -81,22 +80,21 @@ def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
     f = sys.force(t, x, v)
     phi = cs.phi
     B = phi.d_v(t, x, v)
-    W = B @ sys.mass.inverse
-    gram = W @ B.T
+    W, gram = _gram(B, sys.mass.inverse)
     drift = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
     return f, B, -_chol_solve(gram, drift + W @ f, t), gram, drift
 
 
 def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
     """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
-    if cs is None or cs.is_empty:
+    if cs is None:
         return np.zeros(0)
     return _solve_multipliers(sys, cs, s.t, s.x, s.v)[2]
 
 
 def reaction(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> ReactionResult:
     """Unique ideal reaction N = Lambda phi_v at a regular state."""
-    if cs is None or cs.is_empty:
+    if cs is None:
         return ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
         )
@@ -126,13 +124,7 @@ def reaction_with_realization(
     Ginv = sys.mass.inverse
     f = sys.force(t, x, v)
     M = B @ Ginv @ Smat.T
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * max(1.0, sv[0]):
-        raise RegularityError(
-            f"singular realization matrix phi_v G^-1 S^T at t={t}",
-            sigma_min=float(sv[-1]) if sv.size else 0.0,
-            t=t,
-        )
+    regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
     rhs = phi_t + phi_x @ v + B @ Ginv @ f
     lam = -np.linalg.solve(M, rhs)
     return ReactionResult(Lambda=lam, N=lam @ Smat, gram=M, state=s)
@@ -197,8 +189,7 @@ class Reparametrization:
     def linear(cls, M: Array) -> "Reparametrization":
         M = np.asarray(M, float)
         n = M.shape[0]
-        if np.linalg.matrix_rank(M) < n:
-            raise ValueError("linear mix matrix must be invertible")
+        regular_svd(M, 1e-10, "linear mix matrix M, which must be invertible,", None, ValueError)
         return cls(
             n=n,
             value=lambda t, x, v, z: M @ np.asarray(z, float),
@@ -222,9 +213,7 @@ def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
         if np.abs(rep(t, x, v, z0)).max(initial=0.0) > 1e-10:
             raise ValueError("U(t, x, v, 0) must vanish")
         Uz = rep.d_z(t, x, v, z0)
-        sv = np.linalg.svd(Uz, compute_uv=False)
-        if sv.size and sv[-1] <= 1e-10 * max(1.0, sv[0]):
-            raise ValueError("U_z(t, x, v, 0) must be invertible")
+        regular_svd(Uz, 1e-10, "U_z(t, x, v, 0), which must be invertible,", t, ValueError)
 
     phi = cs.phi
 

@@ -87,11 +87,7 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
         w = mass.G @ e  # per-coordinate weights m_i g0
         fvec = -g0 * w
         return ForceField(
-            dim=m,
-            value=lambda t, x, v: fvec,
-            jac_x=lambda t, x, v: np.zeros((m, m)),
-            jac_v=lambda t, x, v: np.zeros((m, m)),
-            potential=lambda t, x: g0 * float(w @ x),
+            dim=m, value=lambda t, x, v: fvec, potential=lambda t, x: g0 * float(w @ x)
         )
     if kind == "linear-spring":
         k = _field(doc, "force", "k")
@@ -99,8 +95,6 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
         return ForceField(
             dim=m,
             value=lambda t, x, v: -k * (x - anchor),
-            jac_x=lambda t, x, v: -k * np.eye(m),
-            jac_v=lambda t, x, v: np.zeros((m, m)),
             potential=lambda t, x: 0.5 * k * float((x - anchor) @ (x - anchor)),
         )
     raise ScenarioError([f"unknown force type {kind!r}"])
@@ -305,18 +299,16 @@ class Scenario:
 
     @property
     def unconstrained(self) -> bool:
-        return self.constraints is None or self.constraints.is_empty
+        return self.constraints is None
 
     def sample_states(self, rng: np.random.Generator, count: int) -> List[State]:
         """Random on-manifold regular states for property checks."""
         out: List[State] = []
         if self.embedding is not None:
             emb = self.embedding
-            lo = self.sample_y_lo if self.sample_y_lo is not None else -np.pi * np.ones(emb.r)
-            hi = self.sample_y_hi if self.sample_y_hi is not None else np.pi * np.ones(emb.r)
             for _ in range(count):
                 t = float(rng.uniform(0.0, self.sample_t_hi))
-                y = rng.uniform(lo, hi)
+                y = rng.uniform(self.sample_y_lo, self.sample_y_hi)
                 w = rng.uniform(-2.0, 2.0, emb.r)
                 out.append(pushforward_state(emb, GeneralizedState(t=t, y=y, w=w)))
             return out
@@ -447,6 +439,9 @@ def scenario_from_document(doc: Dict) -> Scenario:
     elif emb_type == "rotating-line":
         sc.sample_y_lo = np.array([0.5])
         sc.sample_y_hi = np.array([2.0])
+    elif emb is not None:
+        sc.sample_y_lo = -np.pi * np.ones(emb.r)
+        sc.sample_y_hi = np.pi * np.ones(emb.r)
     return sc
 
 

@@ -52,7 +52,8 @@ class State:
 
 
 class EvaluationError(RuntimeError):
-    """Raised when an evaluator fails inside a finite-difference stencil."""
+    """Raised when an evaluator fails inside a finite-difference stencil, or
+    a force field returns a non-finite value."""
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .smooth import Array, State
+from .smooth import Array, EvaluationError, State
 
 SPD_SYMMETRY_TOL = 1e-12
 
@@ -90,16 +91,17 @@ def build_point_mass_matrix(masses) -> MassMatrix:
 
 @dataclass(frozen=True)
 class ForceField:
-    """Active-force covector f(t, x, v) with optional Jacobians and potential.
+    """Active-force covector f(t, x, v), with an optional potential.
 
     ``potential`` declares the force as -grad V; the energy diagnostic then
-    reports T + V instead of T alone.
+    reports T + V instead of T alone.  Every evaluation goes through
+    ``__call__``, which refuses a non-finite value with
+    :class:`EvaluationError` naming t, so a NaN force stops a run at the
+    stage that produced it.
     """
 
     dim: int
     value: Callable[[float, Array, Array], Array]
-    jac_x: Optional[Callable[[float, Array, Array], Array]] = None
-    jac_v: Optional[Callable[[float, Array, Array], Array]] = None
     potential: Optional[Callable[[float, Array], float]] = None
 
     def __call__(self, t: float, x: Array, v: Array) -> Array:
@@ -108,18 +110,15 @@ class ForceField:
             raise ValueError(
                 f"force field declared dimension {self.dim}, got {out.size}"
             )
+        # for a few coordinates this is several times cheaper than np.isfinite
+        if not all(map(math.isfinite, out.tolist())):
+            raise EvaluationError(f"force field f(t, x, v) is non-finite at t={t}")
         return out
 
     @classmethod
     def zero(cls, dim: int) -> "ForceField":
         z = np.zeros(dim)
-        return cls(
-            dim=dim,
-            value=lambda t, x, v: z,
-            jac_x=lambda t, x, v: np.zeros((dim, dim)),
-            jac_v=lambda t, x, v: np.zeros((dim, dim)),
-            potential=lambda t, x: 0.0,
-        )
+        return cls(dim=dim, value=lambda t, x, v: z, potential=lambda t, x: 0.0)
 
 
 @dataclass(frozen=True)

@@ -156,11 +156,9 @@ def test_07_kinetic_decomposition(all_scenarios):
             continue
         emb = sc.embedding
         lag = pullback_lagrangian(emb, sc.system.mass)
-        lo = sc.sample_y_lo if sc.sample_y_lo is not None else -np.pi * np.ones(emb.r)
-        hi = sc.sample_y_hi if sc.sample_y_hi is not None else np.pi * np.ones(emb.r)
         for _ in range(100):
             t = float(rng.uniform(0, 3))
-            y = rng.uniform(lo, hi)
+            y = rng.uniform(sc.sample_y_lo, sc.sample_y_hi)
             M2, b, T0 = decompose_T(lag, t, y)
             # independent reconstruction straight from the chart derivatives
             Uy = emb.d_y(t, y)

@@ -291,21 +291,23 @@ def test_second_kind_csv_matches_per_row_formatter(spherical):
 def test_non_finite_sample_names_its_time(pendulum):
     import dataclasses
 
-    inner = pendulum.system.force.value
+    # a NaN phi_t passes the Gram check (phi_v is finite) and makes the
+    # multipliers, hence the acceleration, NaN; a NaN force would be stopped
+    # at the force field instead
+    cs = pendulum.constraints
+    inner = cs.phi.jac_t
 
-    def value(t, x, v):
-        return np.full(2, np.nan) if t >= 0.05 else inner(t, x, v)
+    def jac_t(t, x, v):
+        return np.full(1, np.nan) if t >= 0.05 else inner(t, x, v)
 
-    sys = MechanicalSystem(
-        mass=pendulum.system.mass, force=dataclasses.replace(pendulum.system.force, value=value)
-    )
+    cs = dataclasses.replace(cs, phi=dataclasses.replace(cs.phi, jac_t=jac_t))
     cfg = IntegratorConfig(dt=1e-2)
     # every sample up to t = 0.04 is finite; the step to t = 0.05 takes its
-    # last stage at the first NaN force, so the sample at 0.05 is not
-    finite = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.04, cfg)
+    # last stage at the first NaN phi_t, so the sample at 0.05 is not
+    finite = integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.04, cfg)
     assert np.all(np.isfinite(finite.velocities))
     with pytest.raises(ValueError, match=r"must be finite at t=0\.05$"):
-        integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.2, cfg)
+        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, cfg)
 
 
 def test_nonideal_accel_still_satisfies_constraint(pendulum):

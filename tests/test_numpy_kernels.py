@@ -1,9 +1,12 @@
 """The engine's numpy Cholesky solve and Hermite resampler against the scipy
-routines they stand in for, and a guard that the engine never loads scipy.
+routines they stand in for, a guard that the engine never loads scipy, and a
+guard that it factors or solves matrices only where README's regularity
+table says.
 
 scipy is a test dependency only, so it is imported inside the tests.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +77,45 @@ def test_cli_import_loads_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# the functions of README's "Regularity" table that factor or solve
+LINALG_SITES = {
+    "regular_svd", "_chol_solve", "reaction_with_realization", "_regular_metric", "check_spd",
+}
+GUARDED = {"svd", "eigh", "cholesky", "solve", "matrix_rank"}
+
+
+def _linalg_calls(tree):
+    """(enclosing function, numpy.linalg name) for every guarded call or import."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            found.extend((where, a.name) for a in node.names if a.name in GUARDED)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in GUARDED
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+        ):
+            found.append((where, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_linalg_only_at_the_regularity_sites():
+    calls = []
+    for path in sorted((SRC / "constrained_dynamics").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [(path.name, fn, name) for fn, name in _linalg_calls(tree)]
+    assert {fn for _, fn, _ in calls} <= LINALG_SITES, calls
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    regularity = readme.split("## Regularity", 1)[1].split("\n## ", 1)[0]
+    assert all(f"`{fn}`" in regularity for fn in LINALG_SITES)

@@ -3,7 +3,6 @@ import pytest
 
 from constrained_dynamics import (
     ConstraintSet,
-    ForceField,
     MassMatrix,
     MechanicalSystem,
     Realization,
@@ -58,14 +57,11 @@ def test_gram_matrix_scales_with_inverse_mass(circle_lift, pendulum_bottom):
     assert abs(gram[0, 0] - 0.25) < 1e-14
 
 
-def test_empty_constraints_zero_reaction():
-    sys = MechanicalSystem(
-        mass=MassMatrix(np.eye(2)),
-        force=ForceField(dim=2, value=lambda t, x, v: np.array([1.0, 2.0])),
-    )
-    res = reaction(sys, ConstraintSet.empty(2), State(0.0, np.zeros(2), np.zeros(2)))
-    assert res.Lambda.size == 0
-    assert np.array_equal(res.N, np.zeros(2))
+def test_constraint_set_rejects_no_constraints():
+    # an unconstrained system is written as None, never as an empty set
+    phi = SmoothMap(dim=0, value=lambda t, x, v: np.zeros(0))
+    with pytest.raises(ValueError, match="n=0"):
+        ConstraintSet.general(2, phi)
 
 
 def test_no_constraint_set_zero_reaction():

@@ -1,0 +1,210 @@
+"""Every regularity site against one singular and one NaN input.
+
+Each site applies the one rule of ``constraints.require_regular`` and must
+raise its own typed error, naming the matrix and t, never a bare
+``LinAlgError``; ``check_regularity`` returns a failed verdict instead.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from constrained_dynamics import (
+    ChartError,
+    ConfigurationMap,
+    IntegratorConfig,
+    MassMatrix,
+    MechanicalSystem,
+    Realization,
+    RegularityError,
+    Reparametrization,
+    SmoothMap,
+    State,
+    check_regularity,
+    decompose_T,
+    integrate_first_kind,
+    lift_holonomic,
+    project_to_manifold,
+    pullback_lagrangian,
+    reaction,
+    reaction_with_realization,
+    reparametrize,
+    virtual_basis,
+)
+from constrained_dynamics.cli import main
+from constrained_dynamics.generalized import _chart_invert, second_kind_acceleration
+from constrained_dynamics.reactions import _chol_solve
+from constrained_dynamics.scenarios import circle_embedding, sphere_polar_embedding
+from constrained_dynamics.smooth import EvaluationError
+from constrained_dynamics.system import ForceField
+
+NAN = float("nan")
+
+
+def _circle(kind):
+    """The unit-circle lift; its g_x is NaN everywhere for kind 'nan'."""
+    d_x = (lambda t, x: x.reshape(1, 2)) if kind == "singular" else (
+        lambda t, x: np.full((1, 2), NAN)
+    )
+    g = ConfigurationMap(
+        dim=1,
+        value=lambda t, x: np.array([0.5 * (x @ x - 1.0)]),
+        d_t=lambda t, x: np.zeros(1),
+        d_x=d_x,
+        d_tt=lambda t, x: np.zeros(1),
+        d_tx=lambda t, x: np.zeros((1, 2)),
+        d_xx=lambda t, x: np.eye(2).reshape(1, 2, 2),
+    )
+    return lift_holonomic(g, 2)
+
+
+def _circle_state(kind):
+    # g_x = x vanishes at the origin; elsewhere the NaN chart is the fault
+    x = np.zeros(2) if kind == "singular" else np.array([0.0, -1.0])
+    return State(0.5, x, np.array([2.0, 0.0]))
+
+
+def _system():
+    return MechanicalSystem(mass=MassMatrix(np.eye(2)))
+
+
+def _virtual_basis(kind):
+    virtual_basis(_circle(kind), _circle_state(kind))
+
+
+def _reaction(kind):
+    reaction(_system(), _circle(kind), _circle_state(kind))
+
+
+def _gram_2x2(kind):
+    gram = np.ones((2, 2)) if kind == "singular" else np.full((2, 2), NAN)
+    _chol_solve(gram, np.ones(2), 0.5)
+
+
+def _projection(kind):
+    # off the circle, so the position step must solve with the Gram matrix
+    x = np.zeros(2) if kind == "singular" else np.array([0.0, -1.1])
+    project_to_manifold(State(0.5, x, np.ones(2)), _circle(kind), MassMatrix(np.eye(2)))
+
+
+def _realization(kind):
+    S = np.array([1.0, 0.0]) if kind == "singular" else np.full(2, NAN)
+    real = Realization(S=SmoothMap(dim=2, value=lambda t, x, v: S))
+    state = State(0.5, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
+    reaction_with_realization(_system(), _circle("singular"), real, state)
+
+
+def _reparametrize(kind):
+    jac_z = (lambda t, x, v, z: np.diag(3.0 * np.atleast_1d(z) ** 2)) if kind == "singular" else (
+        lambda t, x, v, z: np.full((1, 1), NAN)
+    )
+    rep = Reparametrization(n=1, value=lambda t, x, v, z: np.asarray(z) ** 3, jac_z=jac_z)
+    reparametrize(_circle("singular"), rep)
+
+
+def _linear_mix(kind):
+    Reparametrization.linear(np.ones((2, 2)) if kind == "singular" else np.full((2, 2), NAN))
+
+
+def _chart(kind):
+    """The polar sphere chart without its pole guard band, and a point: at the
+    pole for 'singular', anywhere with a NaN u_y for 'nan'."""
+    emb = sphere_polar_embedding(1.0, pole_margin=0.0)
+    if kind == "singular":
+        return emb, np.array([1e-7, 0.3])
+    return replace(emb, u_y=lambda t, y: np.full((3, 2), NAN)), np.array([1.0, 0.3])
+
+
+def _decompose_T(kind):
+    emb, y = _chart(kind)
+    decompose_T(pullback_lagrangian(emb, MassMatrix(np.eye(3))), 0.5, y)
+
+
+def _second_kind(kind):
+    emb, y = _chart(kind)
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(3)))
+    second_kind_acceleration(lag, ForceField.zero(3), 0.5, y, np.array([0.1, 0.2]))
+
+
+def _second_kind_r1(kind):
+    # a circle of radius 0 has u_y = 0 everywhere
+    emb = circle_embedding(0.0 if kind == "singular" else 1.0)
+    if kind == "nan":
+        emb = replace(emb, u_y=lambda t, y: np.full((2, 1), NAN))
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(2)))
+    second_kind_acceleration(lag, ForceField.zero(2), 0.5, np.array([0.3]), np.array([0.1]))
+
+
+def _chart_inversion(kind):
+    emb, y = _chart(kind)
+    x = sphere_polar_embedding(1.0).value(0.5, y) + 1e-6
+    _chart_invert(emb, MassMatrix(np.eye(3)), 0.5, x, y)
+
+
+# site -> (call, error type, what the message says about t)
+SITES = {
+    "virtual_basis": (_virtual_basis, RegularityError, "t=0.5"),
+    "reaction": (_reaction, RegularityError, "t=0.5"),
+    "_chol_solve 2x2": (_gram_2x2, RegularityError, "t=0.5"),
+    "project_to_manifold": (_projection, RegularityError, "t=0.5"),
+    "reaction_with_realization": (_realization, RegularityError, "t=0.5"),
+    "reparametrize": (_reparametrize, ValueError, "t="),
+    "Reparametrization.linear": (_linear_mix, ValueError, "at every t"),
+    "decompose_T": (_decompose_T, ChartError, "t=0.5"),
+    "second_kind_acceleration": (_second_kind, ChartError, "t=0.5"),
+    "second_kind_acceleration r=1": (_second_kind_r1, ChartError, "t=0.5"),
+    "_chart_invert": (_chart_inversion, ChartError, "t=0.5"),
+}
+
+
+@pytest.mark.parametrize("kind", ["singular", "nan"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_site_raises_its_typed_error(site, kind):
+    call, error, when = SITES[site]
+    with pytest.raises(error) as err:
+        call(kind)
+    msg = str(err.value)
+    assert when in msg
+    assert ("degenerate" if kind == "singular" else "non-finite") in msg
+
+
+@pytest.mark.parametrize("kind", ["singular", "nan"])
+def test_check_regularity_returns_failed_verdict(kind):
+    verdict = check_regularity(_circle(kind), _circle_state(kind))
+    assert not verdict.passed
+    assert verdict.sigma_min == 0.0 if kind == "singular" else np.isnan(verdict.sigma_min)
+
+
+def test_regularity_error_carries_margin_and_time():
+    with pytest.raises(RegularityError) as err:
+        _reaction("singular")
+    assert err.value.sigma_min == 0.0 and err.value.t == 0.5
+
+
+def _nan_force_pendulum(pendulum):
+    inner = pendulum.system.force.value
+
+    def value(t, x, v):
+        return np.full(2, NAN) if t >= 0.045 else inner(t, x, v)
+
+    force = replace(pendulum.system.force, value=value)
+    return replace(pendulum, system=MechanicalSystem(mass=pendulum.system.mass, force=force))
+
+
+def test_nan_force_at_inner_stage_is_named_at_its_stage_time(pendulum):
+    # dt = 1e-2: the step from t = 0.04 takes its second stage at t = 0.045,
+    # the first NaN force, which must be named there and not blamed later on
+    # the Gram matrix of a NaN stage state
+    sc = _nan_force_pendulum(pendulum)
+    with pytest.raises(EvaluationError, match=r"force field .* non-finite at t=0\.045$"):
+        integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.2, IntegratorConfig(dt=1e-2))
+
+
+def test_simulate_exits_2_on_nan_force(pendulum, monkeypatch, tmp_path, capsys):
+    from constrained_dynamics import cli
+
+    monkeypatch.setattr(cli, "_load_scenario", lambda token: _nan_force_pendulum(pendulum))
+    rc = main(["simulate", "pendulum", "--t-end", "0.2", "--dt", "1e-2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "force field f(t, x, v) is non-finite at t=0.045" in capsys.readouterr().err

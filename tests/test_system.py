@@ -86,24 +86,6 @@ def _catalog_forces(m, mass):
     ]
 
 
-def test_force_jacobians_match_finite_differences():
-    # 100 random states in [-2, 2]^(2m+1) per catalog force field
-    rng = np.random.default_rng(5)
-    m = 3
-    mass = MassMatrix(np.diag([1.0, 2.0, 3.0]))
-    for f in _catalog_forces(m, mass):
-        from constrained_dynamics import SmoothMap, fd_jacobian
-
-        as_map = SmoothMap(dim=m, value=lambda t, x, v, f=f: f(t, x, v))
-        for _ in range(100):
-            t = float(rng.uniform(-2, 2))
-            x = rng.uniform(-2, 2, m)
-            v = rng.uniform(-2, 2, m)
-            s = State(t, x, v)
-            assert np.abs(fd_jacobian(as_map, s, "x") - f.jac_x(t, x, v)).max() < 1e-6
-            assert np.abs(fd_jacobian(as_map, s, "v") - f.jac_v(t, x, v)).max() < 1e-6
-
-
 def test_potential_consistent_with_force():
     # -grad V == f for the declared-potential catalog forces
     rng = np.random.default_rng(6)
