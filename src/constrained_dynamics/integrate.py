@@ -5,19 +5,14 @@ energy) and optional manifold projection for drift control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .constraints import ConstraintSet, _kernel_basis
-from .reactions import (
-    Realization,
-    _chol_solve,
-    _gram,
-    _solve_multipliers,
-    reaction_with_realization,
-)
+from .reactions import Realization, _chol_solve, _gram, _solve_multipliers
 from .smooth import Array, State
 from .system import MechanicalSystem, energy
 
@@ -44,8 +39,10 @@ class IntegratorConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.projection not in ("off", "positional", "positional+velocity"):
             raise ValueError(f"unknown projection mode {self.projection!r}")
-        if self.dt <= 0 or self.tolerance <= 0 or self.projection_tol <= 0:
-            raise ValueError("steps and tolerances must be positive")
+        for name in ("dt", "tolerance", "projection_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +50,13 @@ class Trajectory:
     """A first-kind run as aligned columns, one row per recorded sample.
 
     ``times`` is (k,); ``positions``, ``velocities``, the reaction ``N`` and
-    the acceleration ``xdd`` that drives the run are (k, m); the multipliers
-    ``Lambda`` are (k, n).  The diagnostic columns are (k,): ``g_norm``
-    (None unless the constraints are holonomic), ``phi_norm``,
-    ``gde_residual``, ``energy``, ``force_norm`` (max |f|, the scale of the
-    gde-residual check) and ``phi_rate`` (max |phi_t + phi_x v + phi_v xdd|,
-    d(phi)/dt along the run).
+    the acceleration ``xdd`` are (k, m); the multipliers ``Lambda`` are
+    (k, n).  ``Lambda``, ``N`` and ``xdd`` are those of the reaction that
+    drives the run, ideal or of a realization.  The diagnostic columns are
+    (k,) and measured against the declared constraints: ``g_norm`` (None
+    unless they are holonomic), ``phi_norm``, ``gde_residual``, ``energy``,
+    ``force_norm`` (max |f|, the scale of the gde-residual check) and
+    ``phi_rate`` (max |phi_t + phi_x v + phi_v xdd|, d(phi)/dt along the run).
     """
 
     times: Array
@@ -115,12 +113,12 @@ def _stack(rows) -> Trajectory:
     return Trajectory(*(None if c[0] is None else np.array(c) for c in zip(*rows)))
 
 
-def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v) -> Array:
+def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
     # hot path: no State construction, no ReactionResult packaging
     if cs is None:
         return sys.mass.inverse @ sys.force(t, x, v)
-    f, B, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
-    return sys.mass.inverse @ (f + lam @ B)
+    f, _, S, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, real)
+    return sys.mass.inverse @ (f + lam @ S)
 
 
 def acceleration(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -134,7 +132,18 @@ def gde_residual(sys: MechanicalSystem, cs: ConstraintSet, s: State, xdd: Array)
     Vanishes exactly along true solutions and, with the constraints
     satisfied, suffices for being one.
     """
-    return _sample(sys, cs, s, xdd)[5]
+    B = None if cs is None else cs.phi.d_v(s.t, s.x, s.v)
+    return _gde(sys, cs, B, sys.force(s.t, s.x, s.v), xdd, s.t)
+
+
+def _gde(sys, cs, B, f, xdd, t) -> float:
+    """max |(xdd^T G - f) xi| over a basis xi of ker phi_v, or of R^m
+    without constraints."""
+    row = xdd @ sys.mass.G - f
+    if cs is None:
+        return float(np.abs(row).max())
+    Xi = _kernel_basis(B, cs.n, t)
+    return float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
 
 
 def project_to_manifold(
@@ -176,13 +185,13 @@ def project_to_manifold(
     return State(t=t, x=x, v=v)
 
 
-def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> tuple:
+def _sample(sys, cs, s: State, real: Optional[Realization] = None) -> tuple:
     """One row of a run after (t, x, v): (Lambda, N, xdd, g_norm, phi_norm,
     gde_residual, energy, force_norm, phi_rate), in :class:`Trajectory`'s
     field order, from one multiplier solve and one SVD.
 
-    ``xdd`` is the acceleration driving the run; when omitted it is the
-    ideal G^-1 (f^T + N^T), taken from the same solve.
+    Lambda, N and xdd = G^-1 (f^T + N^T) are those of the reaction ``real``
+    (ideal when None); the diagnostics measure the declared constraints.
     """
     t, x, v = s.t, s.x, s.v
     T, V = energy(sys, s)
@@ -190,25 +199,20 @@ def _sample(sys, cs, s: State, xdd: Optional[Array] = None) -> tuple:
     Ginv = sys.mass.inverse
     if cs is None:
         f = sys.force(t, x, v)
-        if xdd is None:
-            xdd = Ginv @ f
-        gde = float(np.abs(xdd @ sys.mass.G - f).max())
+        xdd = Ginv @ f
+        gde = _gde(sys, cs, None, f, xdd, t)
         fnorm = float(np.abs(f).max(initial=0.0))
         return np.zeros(0), np.zeros(s.dim), xdd, None, 0.0, gde, E, fnorm, 0.0
 
-    f, B, lam, _, drift = _solve_multipliers(sys, cs, t, x, v)
-    N = lam @ B
-    if xdd is None:
-        xdd = Ginv @ (f + N)
-    Xi = _kernel_basis(B, cs.n, t)
+    f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real)
+    N = lam @ S
+    xdd = Ginv @ (f + N)
     phi_norm = float(np.abs(cs.phi(t, x, v)).max(initial=0.0))
     g_norm = None
     if cs.is_holonomic:
         g_norm = float(np.abs(cs.generator(t, x)).max(initial=0.0))
-    row = xdd @ sys.mass.G - f
-    gde = float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
     return (
-        lam, N, xdd, g_norm, phi_norm, gde, E,
+        lam, N, xdd, g_norm, phi_norm, _gde(sys, cs, B, f, xdd, t), E,
         float(np.abs(f).max(initial=0.0)),
         float(np.abs(drift + B @ xdd).max(initial=0.0)),
     )
@@ -304,13 +308,12 @@ def integrate_first_kind(
     init: State,
     t_end: float,
     cfg: IntegratorConfig = IntegratorConfig(),
-    accel=None,
+    real: Optional[Realization] = None,
 ) -> Trajectory:
     """Integrate G xdd = f^T + N^T from ``init`` to ``t_end``.
 
-    ``accel``, when given, replaces the ideal-reaction right-hand side
-    (used for non-ideal realizations); diagnostics are still recorded
-    against the declared constraint set.
+    N is the ideal reaction, or that of the realization ``real``; the
+    diagnostics are measured against the declared constraint set either way.
 
     Evaluations per step: RK4 makes 3 right-hand-side evaluations per
     step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
@@ -318,16 +321,15 @@ def integrate_first_kind(
     step costs 4 in all.
     """
     _check_initial(cs, init)
-    ideal = accel is None
-    if ideal:
-        def accel(t, x, v):  # noqa: ANN001
-            return _accel_raw(sys, cs, t, x, v)
+
+    def accel(t, x, v):
+        return _accel_raw(sys, cs, t, x, v, real)
 
     rows = []
 
     def record(t, x, v):
         # State refuses a non-finite sample, which ends the run there
-        row = _sample(sys, cs, State(t, x, v), None if ideal else accel(t, x, v))
+        row = _sample(sys, cs, State(t, x, v), real)
         rows.append((t, x, v) + row)
         return x, v, row[2]
 
@@ -348,21 +350,3 @@ def integrate_first_kind(
     _, _, a = record(t, x, v)
     _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
     return _stack(rows)
-
-
-def integrate_with_realization(
-    sys: MechanicalSystem,
-    cs: ConstraintSet,
-    real: Realization,
-    init: State,
-    t_end: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> Trajectory:
-    """First-kind run with a non-ideal realization S in place of phi_v."""
-
-    def accel(t, x, v):
-        s = State(t, x, v)
-        res = reaction_with_realization(sys, cs, real, s)
-        return sys.mass.solve(sys.force(t, x, v) + res.N)
-
-    return integrate_first_kind(sys, cs, init, t_end, cfg, accel=accel)

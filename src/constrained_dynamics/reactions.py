@@ -1,14 +1,16 @@
-"""Ideal constraint reactions in closed form, plus alternative realizations
-and constraint-reparametrization machinery.
+"""Constraint reactions in closed form, ideal or of another realization,
+plus constraint-reparametrization machinery.
 
-The multiplier row solves
+A reaction N = Lambda S acts along the rows of S(t, x, v).  Keeping the
+motion on phi = 0 fixes the multiplier row:
 
-    Lambda^T = -(phi_v G^-1 phi_v^T)^-1 (phi_t + phi_x v + phi_v G^-1 f^T)
+    Lambda^T = -(phi_v G^-1 S^T)^-1 (phi_t + phi_x v + phi_v G^-1 f^T).
 
-and the reaction covector is N = Lambda phi_v.  The Gram matrix
+The ideal reaction takes S = phi_v and does no virtual work.  Its matrix
 phi_v G^-1 phi_v^T is symmetric positive definite whenever the constraint
 Jacobian has full row rank, so the solve goes through Cholesky, whose
-pivots must pass the regularity rule with a zero floor.
+pivots must pass the regularity rule with a zero floor.  Any other S must
+make phi_v G^-1 S^T regular in its singular values.
 """
 
 from __future__ import annotations
@@ -70,38 +72,6 @@ def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
     return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
-def _solve_multipliers(sys: MechanicalSystem, cs: ConstraintSet, t, x, v):
-    """(f, phi_v, Lambda, gram, phi_t + phi_x v) at (t, x, v).
-
-    The one evaluation of the closed form: every consumer of the ideal
-    multipliers takes the force, phi_v, the Gram matrix and the
-    acceleration-free part of d(phi)/dt from here.
-    """
-    f = sys.force(t, x, v)
-    phi = cs.phi
-    B = phi.d_v(t, x, v)
-    W, gram = _gram(B, sys.mass.inverse)
-    drift = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
-    return f, B, -_chol_solve(gram, drift + W @ f, t), gram, drift
-
-
-def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
-    """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
-    if cs is None:
-        return np.zeros(0)
-    return _solve_multipliers(sys, cs, s.t, s.x, s.v)[2]
-
-
-def reaction(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> ReactionResult:
-    """Unique ideal reaction N = Lambda phi_v at a regular state."""
-    if cs is None:
-        return ReactionResult(
-            Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
-        )
-    _, B, lam, gram, _ = _solve_multipliers(sys, cs, s.t, s.x, s.v)
-    return ReactionResult(Lambda=lam, N=lam @ B, gram=gram, state=s)
-
-
 @dataclass(frozen=True)
 class Realization:
     """Alternative reaction directions: rows of S(t, x, v) replace phi_v.
@@ -113,21 +83,53 @@ class Realization:
     S: SmoothMap
 
 
-def reaction_with_realization(
-    sys: MechanicalSystem, cs: ConstraintSet, real: Realization, s: State
-) -> ReactionResult:
-    t, x, v = s.t, s.x, s.v
-    phi_t = cs.phi.d_t(t, x, v)
-    phi_x = cs.phi.d_x(t, x, v)
-    B = cs.phi.d_v(t, x, v)
-    Smat = np.asarray(real.S.value(t, x, v), float).reshape(cs.n, cs.dim)
-    Ginv = sys.mass.inverse
+def _solve_multipliers(
+    sys: MechanicalSystem, cs: ConstraintSet, t, x, v, real: Optional[Realization] = None
+):
+    """(f, phi_v, S, Lambda, M, phi_t + phi_x v) at (t, x, v), with
+    M = phi_v G^-1 S^T; S is phi_v, or ``real.S`` for a realization.
+
+    The one evaluation of the closed form: every consumer of multipliers
+    takes the force, phi_v, the solve matrix and the acceleration-free part
+    of d(phi)/dt from here.
+    """
     f = sys.force(t, x, v)
-    M = B @ Ginv @ Smat.T
+    phi = cs.phi
+    B = phi.d_v(t, x, v)
+    W = B @ sys.mass.inverse
+    drift = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
+    rhs = drift + W @ f
+    if real is None:
+        M = W @ B.T
+        return f, B, B, -_chol_solve(M, rhs, t), M, drift
+    S = np.asarray(real.S.value(t, x, v), float).reshape(cs.n, cs.dim)
+    M = W @ S.T
     regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
-    rhs = phi_t + phi_x @ v + B @ Ginv @ f
-    lam = -np.linalg.solve(M, rhs)
-    return ReactionResult(Lambda=lam, N=lam @ Smat, gram=M, state=s)
+    return f, B, S, -np.linalg.solve(M, rhs), M, drift
+
+
+def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
+    """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
+    if cs is None:
+        return np.zeros(0)
+    return _solve_multipliers(sys, cs, s.t, s.x, s.v)[3]
+
+
+def reaction(
+    sys: MechanicalSystem,
+    cs: Optional[ConstraintSet],
+    s: State,
+    real: Optional[Realization] = None,
+) -> ReactionResult:
+    """Reaction N = Lambda S at a regular state: the unique ideal one
+    (S = phi_v) by default, or that of the realization ``real``.  ``gram``
+    holds the matrix M = phi_v G^-1 S^T of the solve."""
+    if cs is None:
+        return ReactionResult(
+            Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
+        )
+    _, _, S, lam, M, _ = _solve_multipliers(sys, cs, s.t, s.x, s.v, real)
+    return ReactionResult(Lambda=lam, N=lam @ S, gram=M, state=s)
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,8 @@ class Reparametrization:
     @classmethod
     def linear(cls, M: Array) -> "Reparametrization":
         M = np.asarray(M, float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"linear mix matrix M must be square, got shape {M.shape}")
         n = M.shape[0]
         regular_svd(M, 1e-10, "linear mix matrix M, which must be invertible,", None, ValueError)
         return cls(

@@ -43,15 +43,20 @@ class ScenarioError(ValueError):
 
 
 def _field(doc: Dict, where: str, key: str, default=None, convert=float):
-    """``doc[key]`` through ``convert``; a missing or unreadable value is a
+    """``doc[key]`` through ``convert``; a missing, unreadable or non-finite
+    value (JSON's ``NaN``, ``Infinity`` or an overflowing ``1e400``) is a
     ScenarioError naming the field as ``where.key``."""
     raw = doc.get(key, default)
     if raw is None:
         raise ScenarioError([f"{where}.{key} is missing"])
     try:
-        return convert(raw)
+        finite = bool(np.isfinite(np.asarray(raw, float)).all())
+        value = convert(raw) if finite else None
     except (TypeError, ValueError):
         raise ScenarioError([f"{where}.{key} is not numeric: {raw!r}"]) from None
+    if not finite:
+        raise ScenarioError([f"{where}.{key} is not finite: {raw!r}"])
+    return value
 
 
 def _floats(raw) -> np.ndarray:

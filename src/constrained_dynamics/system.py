@@ -33,9 +33,8 @@ def check_spd(M: Array, tol: float = SPD_SYMMETRY_TOL) -> SpdVerdict:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("check_spd expects a square matrix")
     scale = np.abs(M).max()
-    sym = np.abs(M - M.T).max() <= tol * max(scale, 1e-300)
-    if scale == 0.0:
-        sym = True
+    # a Python bool, since SpdVerdict.__bool__ must return one
+    sym = bool(scale == 0.0 or np.abs(M - M.T).max() <= tol * max(scale, 1e-300))
     try:
         np.linalg.cholesky(0.5 * (M + M.T))
         pd = True

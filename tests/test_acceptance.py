@@ -18,13 +18,11 @@ from constrained_dynamics import (
     gde_residual,
     integrate_first_kind,
     integrate_second_kind,
-    integrate_with_realization,
     lagrangian_derivative_from_pieces,
     match_trajectories,
     pullback_lagrangian,
     random_polynomial_chart,
     reaction,
-    reaction_with_realization,
     virtual_basis,
     virtual_work,
 )
@@ -232,7 +230,7 @@ def test_10_realizations(pendulum):
     )
     for s in pendulum.sample_states(rng, 50):
         a = reaction(sys, cs, s)
-        b = reaction_with_realization(sys, cs, exact, s)
+        b = reaction(sys, cs, s, real=exact)
         ideal_gap = max(ideal_gap, float(np.abs(a.N - b.N).max()))
 
     def blend(t, x, v):
@@ -241,13 +239,13 @@ def test_10_realizations(pendulum):
         return S.reshape(-1)
 
     real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
-    traj = integrate_with_realization(
-        sys, cs, real, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3)
+    traj = integrate_first_kind(
+        sys, cs, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3), real=real
     )
     max_work = 0.0
     for t, x, v in zip(traj.times, traj.positions, traj.velocities):
         s = State(t, x, v)
-        res = reaction_with_realization(sys, cs, real, s)
+        res = reaction(sys, cs, s, real=real)
         max_work = max(max_work, virtual_work(res, virtual_basis(cs, s)))
     ok = (
         ideal_gap <= 1e-12

@@ -177,7 +177,6 @@ def _pendulum_run(sc, run):
         Realization,
         SmoothMap,
         integrate_first_kind,
-        integrate_with_realization,
     )
 
     cs = sc.constraints
@@ -194,7 +193,7 @@ def _pendulum_run(sc, run):
         return S.reshape(-1)
 
     real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
-    return integrate_with_realization(sc.system, cs, real, sc.initial, 0.5, cfg)
+    return integrate_first_kind(sc.system, cs, sc.initial, 0.5, cfg, real=real)
 
 
 @pytest.mark.parametrize("run", ["plain", "projected", "realization"])

@@ -160,3 +160,42 @@ def test_malformed_scenario_file_exit_code(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scenario error:" in err and "force.axis" in err
+
+
+def _pendulum_text(**sections):
+    from constrained_dynamics.scenarios import _catalog_documents
+
+    doc = dict(_catalog_documents()["pendulum"], **sections)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        # JSON's NaN literal, which json.loads accepts
+        (_pendulum_text(force={"type": "linear-spring", "k": float("nan")}),
+         "force.k is not finite"),
+        # a literal that overflows to inf when parsed
+        (_pendulum_text(integrator={"dt": "DT"}).replace('"DT"', "1e400"),
+         "integrator.dt is not finite"),
+        (_pendulum_text(mass={"matrix": [[1.0, 0.5], [0.0, 1.0]]}),
+         "mass: mass matrix must be symmetric"),
+    ],
+    ids=["nan-spring-constant", "overflowing-dt", "asymmetric-mass"],
+)
+def test_bad_document_value_exit_code(tmp_path, capsys, text, problem):
+    p = tmp_path / "bad.json"
+    p.write_text(text, encoding="utf-8")
+    rc = main(["simulate", str(p), "--t-end", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scenario error:" in err and problem in err
+    assert not (tmp_path / "pendulum_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("dt", ["inf", "nan"])
+def test_non_finite_dt_flag_exit_code(tmp_path, capsys, dt):
+    rc = main(["simulate", "pendulum", "--t-end", "1", "--dt", dt, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"dt must be finite and positive, got {dt}" in capsys.readouterr().err
+    assert not (tmp_path / "pendulum_trajectory.csv").exists()

@@ -14,6 +14,7 @@ from constrained_dynamics import (
     gde_residual,
     integrate_first_kind,
     project_to_manifold,
+    reaction,
 )
 from constrained_dynamics.integrate import (
     _DP_A,
@@ -311,7 +312,7 @@ def test_non_finite_sample_names_its_time(pendulum):
 
 
 def test_nonideal_accel_still_satisfies_constraint(pendulum):
-    from constrained_dynamics import Realization, SmoothMap, integrate_with_realization
+    from constrained_dynamics import Realization, SmoothMap
 
     cs = pendulum.constraints
 
@@ -321,8 +322,8 @@ def test_nonideal_accel_still_satisfies_constraint(pendulum):
         return S.reshape(-1)
 
     real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
-    traj = integrate_with_realization(
-        pendulum.system, cs, real, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3)
+    traj = integrate_first_kind(
+        pendulum.system, cs, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3), real=real
     )
     assert traj.max_diag("phi_norm") < 1e-6
     # the trajectory leaves the ideal one measurably
@@ -336,19 +337,22 @@ def test_nonideal_accel_still_satisfies_constraint(pendulum):
 # ---------------------------------------------------------------------------
 # stage reuse: the integrators against plainly written reference loops
 
-def _reference_run(sys, cs, init, t_end, cfg, accel=None):
+def _reference_run(sys, cs, init, t_end, cfg, real=None):
     """The first-kind loops written out plainly: every stage and every
     recorded sample evaluates the right-hand side afresh.
 
     Returns (arrays, trajectory, rejected steps); the arrays hold t, X, V,
-    Lambda, N and xdd, with Lambda and N from a fresh ``reaction`` call, and
-    the trajectory stacks the same samples' ``_sample`` rows.
+    Lambda, N and xdd, with Lambda and N from a fresh ``reaction`` call (of
+    the realization ``real`` when given), and the trajectory stacks the same
+    samples' ``_sample`` rows.
     """
-    from constrained_dynamics import reaction
-
-    if accel is None:
+    if real is None:
         def accel(t, x, v):
             return acceleration(sys, cs, State(t, x, v))
+    else:
+        def accel(t, x, v):
+            res = reaction(sys, cs, State(t, x, v), real=real)
+            return sys.mass.solve(sys.force(t, x, v) + res.N)
 
     rows, sample_rows = [], []
     rejected = 0
@@ -356,9 +360,9 @@ def _reference_run(sys, cs, init, t_end, cfg, accel=None):
     def record(t, x, v):
         s = State(t, x, v)
         xdd = accel(t, x, v)
-        rx = reaction(sys, cs, s)
+        rx = reaction(sys, cs, s, real=real)
         rows.append((t, s.x, s.v, rx.Lambda, rx.N, xdd))
-        sample_rows.append((t, s.x, s.v) + _sample(sys, cs, s, xdd))
+        sample_rows.append((t, s.x, s.v) + _sample(sys, cs, s, real))
 
     def settle(t, x, v):
         if cfg.projection == "off":
@@ -454,31 +458,41 @@ def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
     _assert_same_run(traj, arrays, ref)
 
 
-def test_stage_reuse_bit_identical_with_realization(pendulum):
-    from constrained_dynamics import (
-        Realization,
-        SmoothMap,
-        integrate_with_realization,
-        reaction_with_realization,
-    )
-
-    sys, cs = pendulum.system, pendulum.constraints
+def _blend(cs):
+    """phi_v with 0.5 added to its (0, 0) entry: a non-ideal realization
+    that stays regular along the pendulum run."""
+    from constrained_dynamics import Realization, SmoothMap
 
     def blend(t, x, v):
         S = cs.phi.d_v(t, x, v).copy()
         S[0, 0] += 0.5
         return S.reshape(-1)
 
-    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    return Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
 
-    def accel(t, x, v):
-        res = reaction_with_realization(sys, cs, real, State(t, x, v))
-        return sys.mass.solve(sys.force(t, x, v) + res.N)
 
+def test_stage_reuse_bit_identical_with_realization(pendulum):
+    sys, cs = pendulum.system, pendulum.constraints
+    real = _blend(cs)
     cfg = IntegratorConfig(dt=1e-2)
-    traj = integrate_with_realization(sys, cs, real, pendulum.initial, 0.5, cfg)
-    arrays, ref, _ = _reference_run(sys, cs, pendulum.initial, 0.5, cfg, accel=accel)
+    traj = integrate_first_kind(sys, cs, pendulum.initial, 0.5, cfg, real=real)
+    arrays, ref, _ = _reference_run(sys, cs, pendulum.initial, 0.5, cfg, real=real)
     _assert_same_run(traj, arrays, ref)
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_realization_run_records_its_reaction(pendulum, method):
+    # every row's Lambda, N and xdd come from the realization that drives
+    # the run: G xdd = f + N holds to round-off
+    sys, cs = pendulum.system, pendulum.constraints
+    cfg = IntegratorConfig(method=method, dt=1e-2)
+    traj = integrate_first_kind(sys, cs, pendulum.initial, 2.0, cfg, real=_blend(cs))
+    f = np.array([sys.force(t, x, v) for t, x, v in
+                  zip(traj.times, traj.positions, traj.velocities)])
+    assert np.abs(traj.xdd @ sys.mass.G - f - traj.N).max() <= 1e-12
+    # and the recorded reaction is not the ideal one
+    ideal = reaction(sys, cs, State(traj.times[-1], traj.positions[-1], traj.velocities[-1]))
+    assert np.abs(traj.N[-1] - ideal.N).max() > 1e-3
 
 
 def _counting_force(sys):
@@ -495,12 +509,16 @@ def _counting_force(sys):
     return MechanicalSystem(mass=sys.mass, force=force), calls
 
 
-def test_force_evaluations_per_step(pendulum):
+@pytest.mark.parametrize("realization", [False, True], ids=["ideal", "realization"])
+def test_force_evaluations_per_step(pendulum, realization):
     # RK4: stages 2-4 per step plus one multiplier solve per sample, whose
-    # acceleration is the next step's first stage
+    # acceleration is the next step's first stage; a realization only
+    # changes the directions S of that one solve
+    cs = pendulum.constraints
+    real = _blend(cs) if realization else None
     sys, calls = _counting_force(pendulum.system)
     traj = integrate_first_kind(
-        sys, pendulum.constraints, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+        sys, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2), real=real
     )
     steps = len(traj) - 1
     assert steps == 20

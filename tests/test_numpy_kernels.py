@@ -81,7 +81,7 @@ def test_cli_import_loads_no_scipy():
 
 # the functions of README's "Regularity" table that factor or solve
 LINALG_SITES = {
-    "regular_svd", "_chol_solve", "reaction_with_realization", "_regular_metric", "check_spd",
+    "regular_svd", "_chol_solve", "_solve_multipliers", "_regular_metric", "check_spd",
 }
 GUARDED = {"svd", "eigh", "cholesky", "solve", "matrix_rank"}
 

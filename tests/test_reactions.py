@@ -14,7 +14,6 @@ from constrained_dynamics import (
     invariance_report,
     multipliers,
     reaction,
-    reaction_with_realization,
     reparametrize,
     virtual_basis,
     virtual_work,
@@ -140,7 +139,7 @@ def test_realization_ideal_directions_recover_ideal(pendulum, pendulum_bottom):
         S=SmoothMap(dim=cs.dim, value=lambda t, x, v: cs.phi.d_v(t, x, v).reshape(-1))
     )
     ideal = reaction(pendulum.system, cs, pendulum_bottom)
-    alt = reaction_with_realization(pendulum.system, cs, real, pendulum_bottom)
+    alt = reaction(pendulum.system, cs, pendulum_bottom, real=real)
     assert np.abs(alt.N - ideal.N).max() < 1e-12
     assert np.abs(alt.Lambda - ideal.Lambda).max() < 1e-12
 
@@ -151,7 +150,7 @@ def test_realization_singular_pairing_raises(pendulum, pendulum_bottom):
         S=SmoothMap(dim=2, value=lambda t, x, v: np.array([1.0, 0.0]))
     )
     with pytest.raises(RegularityError):
-        reaction_with_realization(pendulum.system, pendulum.constraints, real, pendulum_bottom)
+        reaction(pendulum.system, pendulum.constraints, pendulum_bottom, real=real)
 
 
 def test_realization_blend_enforces_constraint_direction(pendulum, pendulum_bottom):
@@ -159,7 +158,7 @@ def test_realization_blend_enforces_constraint_direction(pendulum, pendulum_bott
     # differentiated constraint, though the reaction itself differs
     sys, cs = pendulum.system, pendulum.constraints
     real = _tangent_blend_realization(cs)
-    res = reaction_with_realization(sys, cs, real, pendulum_bottom)
+    res = reaction(sys, cs, pendulum_bottom, real=real)
     t, x, v = pendulum_bottom.t, pendulum_bottom.x, pendulum_bottom.v
     a = sys.mass.solve(sys.force(t, x, v) + res.N)
     resid = cs.phi.d_t(t, x, v) + cs.phi.d_x(t, x, v) @ v + cs.phi.d_v(t, x, v) @ a
@@ -171,7 +170,7 @@ def test_realization_blend_enforces_constraint_direction(pendulum, pendulum_bott
 def test_realization_blend_does_virtual_work(pendulum, pendulum_bottom):
     cs = pendulum.constraints
     real = _tangent_blend_realization(cs)
-    res = reaction_with_realization(pendulum.system, cs, real, pendulum_bottom)
+    res = reaction(pendulum.system, cs, pendulum_bottom, real=real)
     basis = virtual_basis(cs, pendulum_bottom)
     assert virtual_work(res, basis) > 1e-3
 
@@ -274,3 +273,9 @@ def test_reactions_differ_off_manifold(pendulum):
 def test_linear_mix_requires_invertible():
     with pytest.raises(ValueError):
         Reparametrization.linear(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_linear_mix_requires_square():
+    # its one singular value, sqrt(3), would pass the regularity rule
+    with pytest.raises(ValueError, match=r"must be square, got shape \(1, 3\)"):
+        Reparametrization.linear(np.ones((1, 3)))

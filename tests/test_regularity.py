@@ -28,7 +28,6 @@ from constrained_dynamics import (
     project_to_manifold,
     pullback_lagrangian,
     reaction,
-    reaction_with_realization,
     reparametrize,
     virtual_basis,
 )
@@ -92,7 +91,7 @@ def _realization(kind):
     S = np.array([1.0, 0.0]) if kind == "singular" else np.full(2, NAN)
     real = Realization(S=SmoothMap(dim=2, value=lambda t, x, v: S))
     state = State(0.5, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
-    reaction_with_realization(_system(), _circle("singular"), real, state)
+    reaction(_system(), _circle("singular"), state, real=real)
 
 
 def _reparametrize(kind):
@@ -148,7 +147,7 @@ SITES = {
     "reaction": (_reaction, RegularityError, "t=0.5"),
     "_chol_solve 2x2": (_gram_2x2, RegularityError, "t=0.5"),
     "project_to_manifold": (_projection, RegularityError, "t=0.5"),
-    "reaction_with_realization": (_realization, RegularityError, "t=0.5"),
+    "reaction with realization": (_realization, RegularityError, "t=0.5"),
     "reparametrize": (_reparametrize, ValueError, "t="),
     "Reparametrization.linear": (_linear_mix, ValueError, "at every t"),
     "decompose_T": (_decompose_T, ChartError, "t=0.5"),

@@ -64,6 +64,13 @@ def test_mass_matrix_rejects_indefinite():
         MassMatrix(np.diag([1.0, -2.0]))
 
 
+def test_mass_matrix_rejects_asymmetric():
+    verdict = check_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert verdict.symmetric is False and verdict.passed is False
+    with pytest.raises(ValueError, match="symmetric=False"):
+        MassMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
 def test_energy_at_rest(pendulum):
     s = State(0.0, np.array([0.0, -1.0]), np.zeros(2))
     T, V = energy(pendulum.system, s)
