@@ -49,15 +49,28 @@ def require_regular(lo, hi, tol: float, what: str, t: Optional[float], error=Reg
     raise RegularityError(msg, float(lo), t) if error is RegularityError else error(msg)
 
 
-def regular_svd(M: Array, tol: float, what: str, t: Optional[float], error=RegularityError):
+def regular_svd(M: Array, tol: float, what: str, t, error=RegularityError):
     """(U, s, Vt), the full SVD of M, once its singular values pass
     :func:`require_regular`.  LAPACK's SVD does not converge on a NaN entry,
-    which counts as a non-finite spectrum."""
+    which counts as a non-finite spectrum.
+
+    M may also be a (k, a, b) stack with its k times ``t``: one stacked SVD,
+    and the earliest matrix that fails the rule raises.
+    """
+    stack = M.ndim == 3
     try:
         U, s, Vt = np.linalg.svd(M)
     except np.linalg.LinAlgError:
-        require_regular(math.nan, math.nan, tol, what, t, error)
-    require_regular(s[-1], s[0], tol, what, t, error)
+        if not stack:
+            require_regular(math.nan, math.nan, tol, what, t, error)
+        for Mi, ti in zip(M, t):  # one unfactorable matrix fails the stack
+            regular_svd(Mi, tol, what, float(ti), error)
+        raise
+    lo, hi = s[..., -1], s[..., 0]
+    if stack:  # the first matrix that fails, or the first of all
+        i = int(np.argmin(lo > tol * np.maximum(1.0, hi)))
+        lo, hi, t = lo[i], hi[i], float(t[i])
+    require_regular(lo, hi, tol, what, t, error)
     return U, s, Vt
 
 
@@ -218,11 +231,12 @@ def _fix_signs(Q: Array) -> Array:
     return Q
 
 
-def _kernel_basis(B: Array, n: int, t: float) -> Array:
+def _kernel_basis(B: Array, n: int, t) -> Array:
     """Columns spanning ker B from one full SVD, once B = phi_v passes the
-    regularity rule at RANK_TOL_FACTOR."""
+    regularity rule at RANK_TOL_FACTOR; for a (k, n, m) stack of phi_v at
+    times ``t``, the (k, m, m - n) stack of such bases."""
     _, _, Vt = regular_svd(B, RANK_TOL_FACTOR, "constraint Jacobian phi_v", t)
-    return Vt[n:, :].T
+    return Vt[..., n:, :].swapaxes(-1, -2)
 
 
 def virtual_basis(cs: ConstraintSet, s: State) -> VirtualBasis:

@@ -1,6 +1,9 @@
 """First-kind dynamics: G xdd = f^T + N^T, integrated with per-sample
 diagnostics (constraint residuals, general-equation-of-dynamics residual,
 energy) and optional manifold projection for drift control.
+
+A run records one flat row per sample of what the march computed there;
+the diagnostic columns are computed from those rows once, when it ends.
 """
 
 from __future__ import annotations
@@ -11,10 +14,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet, _kernel_basis
+from .constraints import ConstraintSet, RegularityError, _kernel_basis
 from .reactions import Realization, _chol_solve, _gram, _solve_multipliers
 from .smooth import Array, State
-from .system import MechanicalSystem, energy
+from .system import MechanicalSystem
 
 
 class OffManifoldError(ValueError):
@@ -57,6 +60,8 @@ class Trajectory:
     unless they are holonomic), ``phi_norm``, ``gde_residual``, ``energy``,
     ``force_norm`` (max |f|, the scale of the gde-residual check) and
     ``phi_rate`` (max |phi_t + phi_x v + phi_v xdd|, d(phi)/dt along the run).
+    They are computed once per run from the recorded rows (see
+    :func:`_trajectory`).
     """
 
     times: Array
@@ -108,11 +113,6 @@ def _csv(cols: List[str], template: str, body: Array) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stack(rows) -> Trajectory:
-    """Columns of a run from its rows ``(t, x, v) + _sample(...)``."""
-    return Trajectory(*(None if c[0] is None else np.array(c) for c in zip(*rows)))
-
-
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
     # hot path: no State construction, no ReactionResult packaging
     if cs is None:
@@ -132,18 +132,22 @@ def gde_residual(sys: MechanicalSystem, cs: ConstraintSet, s: State, xdd: Array)
     Vanishes exactly along true solutions and, with the constraints
     satisfied, suffices for being one.
     """
-    B = None if cs is None else cs.phi.d_v(s.t, s.x, s.v)
-    return _gde(sys, cs, B, sys.force(s.t, s.x, s.v), xdd, s.t)
+    B = None if cs is None else cs.phi.d_v(s.t, s.x, s.v)[None]
+    f = sys.force(s.t, s.x, s.v)
+    return float(_gde(sys.mass.G, B, f[None], np.reshape(xdd, (1, -1)), [s.t])[0])
 
 
-def _gde(sys, cs, B, f, xdd, t) -> float:
-    """max |(xdd^T G - f) xi| over a basis xi of ker phi_v, or of R^m
-    without constraints."""
-    row = xdd @ sys.mass.G - f
-    if cs is None:
-        return float(np.abs(row).max())
-    Xi = _kernel_basis(B, cs.n, t)
-    return float(np.abs(row @ Xi).max()) if Xi.shape[1] else 0.0
+def _gde(G: Array, B: Optional[Array], F: Array, XDD: Array, times) -> Array:
+    """Per row, max |(xdd^T G - f) xi| over a basis xi of ker phi_v, or of
+    R^m when ``B``, the (k, n, m) stack of phi_v at ``times``, is None.
+
+    Stacked ``@`` and the one stacked SVD of :func:`_kernel_basis` give the
+    same bits as the same products taken one row at a time.
+    """
+    R = (XDD[:, None, :] @ G)[:, 0] - F
+    if B is not None:
+        R = (R[:, None, :] @ _kernel_basis(B, B.shape[1], times))[:, 0]
+    return np.abs(R).max(axis=1)
 
 
 def project_to_manifold(
@@ -185,36 +189,57 @@ def project_to_manifold(
     return State(t=t, x=x, v=v)
 
 
-def _sample(sys, cs, s: State, real: Optional[Realization] = None) -> tuple:
-    """One row of a run after (t, x, v): (Lambda, N, xdd, g_norm, phi_norm,
-    gde_residual, energy, force_norm, phi_rate), in :class:`Trajectory`'s
-    field order, from one multiplier solve and one SVD.
+def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
+    """(xdd, row) at a point the march accepted, from one multiplier solve.
 
-    Lambda, N and xdd = G^-1 (f^T + N^T) are those of the reaction ``real``
-    (ideal when None); the diagnostics measure the declared constraints.
+    xdd = G^-1 (f^T + N^T) is the next step's first stage; the row is the
+    flat float64 record [t, x, v, Lambda, N, xdd, f, phi_v, phi_t + phi_x v,
+    phi, g, V] (Lambda, phi_v, the drift, phi and g empty without
+    constraints, g empty unless they are holonomic, V = 0 without a
+    potential) that :func:`_trajectory` turns into columns.  Lambda, N and
+    xdd are those of the reaction ``real`` (ideal when None).
     """
-    t, x, v = s.t, s.x, s.v
-    T, V = energy(sys, s)
-    E = T + (V or 0.0)
-    Ginv = sys.mass.inverse
+    # the State check, without building a State on the hot path
+    if not all(map(math.isfinite, [t] + x.tolist() + v.tolist())):
+        raise ValueError(f"state entries must be finite at t={t}")
+    pot = sys.force.potential
+    V = 0.0 if pot is None else float(pot(t, x))
     if cs is None:
         f = sys.force(t, x, v)
-        xdd = Ginv @ f
-        gde = _gde(sys, cs, None, f, xdd, t)
-        fnorm = float(np.abs(f).max(initial=0.0))
-        return np.zeros(0), np.zeros(s.dim), xdd, None, 0.0, gde, E, fnorm, 0.0
-
+        xdd = sys.mass.inverse @ f
+        return xdd, np.concatenate(([t], x, v, np.zeros(x.size), xdd, f, [V]))
     f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real)
     N = lam @ S
-    xdd = Ginv @ (f + N)
-    phi_norm = float(np.abs(cs.phi(t, x, v)).max(initial=0.0))
-    g_norm = None
-    if cs.is_holonomic:
-        g_norm = float(np.abs(cs.generator(t, x)).max(initial=0.0))
-    return (
-        lam, N, xdd, g_norm, phi_norm, _gde(sys, cs, B, f, xdd, t), E,
-        float(np.abs(f).max(initial=0.0)),
-        float(np.abs(drift + B @ xdd).max(initial=0.0)),
+    xdd = sys.mass.inverse @ (f + N)
+    phi = cs.phi(t, x, v)
+    g = cs.generator(t, x) if cs.is_holonomic else ()
+    return xdd, np.concatenate(([t], x, v, lam, N, xdd, f, B.reshape(-1), drift, phi, g, [V]))
+
+
+def _trajectory(sys: MechanicalSystem, cs: Optional[ConstraintSet], rows) -> Trajectory:
+    """The run's columns from its :func:`_sample` rows, with every
+    diagnostic computed once for all rows by stacked numpy; a phi_v that
+    fails the regularity rule raises for its earliest sample."""
+    m = sys.dim
+    n = 0 if cs is None else cs.n
+    ng = n if n and cs.is_holonomic else 0
+    widths = [1, m, m, n, m, m, m, n * m, n, n, ng]
+    t, X, V, lam, N, xdd, f, B, drift, phi, g, pot = np.split(
+        np.array(rows), np.cumsum(widths), axis=1
+    )
+    t = t[:, 0].copy()
+    B = B.reshape(t.size, n, m)
+    G = sys.mass.G
+    T = 0.5 * (V[:, None, :] @ (G @ V[:, :, None]))[:, 0, 0]
+    rate = drift + (B @ xdd[:, :, None])[:, :, 0]
+    return Trajectory(
+        t, X.copy(), V.copy(), lam.copy(), N.copy(), xdd.copy(),
+        g_norm=np.abs(g).max(axis=1, initial=0.0) if ng else None,
+        phi_norm=np.abs(phi).max(axis=1, initial=0.0),
+        gde_residual=_gde(G, B if n else None, f, xdd, t),
+        energy=T + pot[:, 0],
+        force_norm=np.abs(f).max(axis=1, initial=0.0),
+        phi_rate=np.abs(rate).max(axis=1, initial=0.0),
     )
 
 
@@ -328,10 +353,9 @@ def integrate_first_kind(
     rows = []
 
     def record(t, x, v):
-        # State refuses a non-finite sample, which ends the run there
-        row = _sample(sys, cs, State(t, x, v), real)
-        rows.append((t, x, v) + row)
-        return x, v, row[2]
+        xdd, row = _sample(sys, cs, t, x, v, real)
+        rows.append(row)
+        return x, v, xdd
 
     project = cfg.projection != "off" and cs is not None and cs.is_holonomic
 
@@ -347,6 +371,16 @@ def integrate_first_kind(
         return record(t, s.x, s.v)
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
-    _, _, a = record(t, x, v)
-    _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
-    return _stack(rows)
+    try:
+        _, _, a = record(t, x, v)
+        _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
+    except Exception as exc:
+        # a sample before the failure whose phi_v already failed the
+        # regularity rule is the run's first failure
+        if rows:
+            try:
+                _trajectory(sys, cs, rows)
+            except RegularityError as first:
+                raise first from exc
+        raise
+    return _trajectory(sys, cs, rows)

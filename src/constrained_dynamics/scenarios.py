@@ -44,14 +44,17 @@ class ScenarioError(ValueError):
 
 def _field(doc: Dict, where: str, key: str, default=None, convert=float):
     """``doc[key]`` through ``convert``; a missing, unreadable or non-finite
-    value (JSON's ``NaN``, ``Infinity`` or an overflowing ``1e400``) is a
-    ScenarioError naming the field as ``where.key``."""
+    value (JSON's ``NaN``, ``Infinity``, an overflowing ``1e400`` or an
+    integer beyond the float range) is a ScenarioError naming the field as
+    ``where.key``."""
     raw = doc.get(key, default)
     if raw is None:
         raise ScenarioError([f"{where}.{key} is missing"])
     try:
         finite = bool(np.isfinite(np.asarray(raw, float)).all())
         value = convert(raw) if finite else None
+    except OverflowError:
+        finite = False
     except (TypeError, ValueError):
         raise ScenarioError([f"{where}.{key} is not numeric: {raw!r}"]) from None
     if not finite:
@@ -61,6 +64,24 @@ def _field(doc: Dict, where: str, key: str, default=None, convert=float):
 
 def _floats(raw) -> np.ndarray:
     return np.asarray(raw, float)
+
+
+def _vector(doc: Dict, where: str, key: str, default=None) -> np.ndarray:
+    """A :func:`_field` that must be a flat list of numbers."""
+    value = _field(doc, where, key, default, _floats)
+    if value.ndim != 1:
+        raise ScenarioError([f"{where}.{key} must be a list of numbers, got {doc.get(key)!r}"])
+    return value
+
+
+def _section(doc: Dict, key: str, default=None) -> Optional[Dict]:
+    """The object ``doc[key]``, or ``default`` when it is absent or null."""
+    raw = doc.get(key)
+    if raw is None:
+        return default
+    if not isinstance(raw, dict):
+        raise ScenarioError([f"{key} must be an object, got {type(raw).__name__}"])
+    return raw
 
 
 def _collect(problems: List[str], section: str, build, fallback=None):
@@ -357,9 +378,9 @@ def _mass_from_doc(doc: Optional[Dict]) -> MassMatrix:
     if doc is None:
         raise ScenarioError(["missing 'mass'"])
     if "point_masses" in doc:
-        return build_point_mass_matrix(doc["point_masses"])
+        return build_point_mass_matrix(_vector(doc, "mass", "point_masses"))
     if "matrix" in doc:
-        return MassMatrix(np.asarray(doc["matrix"], float))
+        return MassMatrix(_field(doc, "mass", "matrix", convert=_floats))
     raise ScenarioError(["'mass' needs 'point_masses' or 'matrix'"])
 
 
@@ -372,8 +393,8 @@ def _initial_from_doc(doc: Optional[Dict], m: int, emb: Optional[Embedding]):
     if "y" in doc:
         if emb is None:
             raise ScenarioError(["generalized initial data given but no embedding declared"])
-        y = _field(doc, "initial", "y", convert=_floats)
-        w = _field(doc, "initial", "w", np.zeros_like(y), _floats)
+        y = _vector(doc, "initial", "y")
+        w = _vector(doc, "initial", "w", np.zeros_like(y))
         for name, val in (("y", y), ("w", w)):
             if val.size != emb.r:
                 problems.append(f"initial {name} has length {val.size}, chart has r={emb.r}")
@@ -381,8 +402,8 @@ def _initial_from_doc(doc: Optional[Dict], m: int, emb: Optional[Embedding]):
             raise ScenarioError(problems)
         init_gen = GeneralizedState(t=t0, y=y, w=w)
         return pushforward_state(emb, init_gen), init_gen
-    x = _field(doc, "initial", "x", [], _floats)
-    v = _field(doc, "initial", "v", [], _floats)
+    x = _vector(doc, "initial", "x", [])
+    v = _vector(doc, "initial", "v", [])
     for name, val in (("x", x), ("v", v)):
         if val.size != m:
             problems.append(f"initial {name} has length {val.size}, system has m={m}")
@@ -392,33 +413,41 @@ def _initial_from_doc(doc: Optional[Dict], m: int, emb: Optional[Embedding]):
 
 
 def scenario_from_document(doc: Dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ScenarioError([f"scenario document must be an object, got {type(doc).__name__}"])
     problems: List[str] = []
 
-    mass = _collect(problems, "mass", lambda: _mass_from_doc(doc.get("mass")))
+    mass = _collect(problems, "mass", lambda: _mass_from_doc(_section(doc, "mass")))
     if mass is None:
         raise ScenarioError(problems)
     m = mass.dim
 
     force = _collect(
         problems, "force",
-        lambda: _make_force(doc.get("force", {"type": "none"}), mass), ForceField.zero(m),
+        lambda: _make_force(_section(doc, "force", {"type": "none"}), mass), ForceField.zero(m),
     )
     system = MechanicalSystem(mass=mass, force=force)
-    cs = _collect(problems, "constraint", lambda: _make_constraints(doc.get("constraint"), m))
-    emb = _collect(problems, "embedding", lambda: _make_embedding(doc.get("embedding")))
+    cs = _collect(
+        problems, "constraint", lambda: _make_constraints(_section(doc, "constraint"), m)
+    )
+    emb = _collect(problems, "embedding", lambda: _make_embedding(_section(doc, "embedding")))
     if emb is not None and emb.dim != m:
         problems.append(f"embedding ambient dimension {emb.dim} != system dimension {m}")
         emb = None
     init, init_gen = _collect(
-        problems, "initial", lambda: _initial_from_doc(doc.get("initial"), m, emb), (None, None)
+        problems, "initial",
+        lambda: _initial_from_doc(_section(doc, "initial"), m, emb), (None, None),
     )
     if init is not None:
         _collect(problems, "on-manifold check", lambda: _check_initial(cs, init))
     integ = _collect(
         problems, "integrator",
-        lambda: _integrator_from_doc(doc.get("integrator", {})), IntegratorConfig(),
+        lambda: _integrator_from_doc(_section(doc, "integrator", {})), IntegratorConfig(),
     )
-    checks = list(doc.get("checks", DEFAULT_CHECKS))
+    checks = doc.get("checks", DEFAULT_CHECKS)
+    if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+        problems.append(f"checks must be a list of strings, got {checks!r}")
+        checks = []
     unknown = [c for c in checks if c not in DEFAULT_CHECKS]
     if unknown:
         problems.append(f"unknown checks {unknown}; known: {', '.join(DEFAULT_CHECKS)}")
@@ -434,7 +463,7 @@ def scenario_from_document(doc: Dict) -> Scenario:
         initial=init,
         initial_generalized=init_gen,
         integrator=integ,
-        checks=checks,
+        checks=list(checks),
         document=doc,
     )
     emb_type = (doc.get("embedding") or {}).get("type")

@@ -27,19 +27,22 @@ def check_spd(M: Array, tol: float = SPD_SYMMETRY_TOL) -> SpdVerdict:
     """Verdict on symmetry (relative inf-norm) and positive definiteness.
 
     Positive definiteness is tested by attempting a Cholesky factorization
-    of the symmetrized matrix.
+    of the symmetrized matrix.  A matrix with a NaN or infinite entry passes
+    neither test (numpy's Cholesky does not refuse a NaN).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("check_spd expects a square matrix")
+    finite = bool(np.isfinite(M).all())
     scale = np.abs(M).max()
-    # a Python bool, since SpdVerdict.__bool__ must return one
-    sym = bool(scale == 0.0 or np.abs(M - M.T).max() <= tol * max(scale, 1e-300))
-    try:
-        np.linalg.cholesky(0.5 * (M + M.T))
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
+    # Python bools, since SpdVerdict.__bool__ must return one
+    sym = finite and bool(scale == 0.0 or np.abs(M - M.T).max() <= tol * max(scale, 1e-300))
+    pd = finite
+    if finite:
+        try:
+            np.linalg.cholesky(0.5 * (M + M.T))
+        except np.linalg.LinAlgError:
+            pd = False
     return SpdVerdict(passed=sym and pd, symmetric=sym, positive_definite=pd)
 
 

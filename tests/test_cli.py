@@ -180,8 +180,23 @@ def _pendulum_text(**sections):
          "integrator.dt is not finite"),
         (_pendulum_text(mass={"matrix": [[1.0, 0.5], [0.0, 1.0]]}),
          "mass: mass matrix must be symmetric"),
+        (_pendulum_text(mass={"point_masses": ["PM"]}).replace('"PM"', "1e400"),
+         "mass.point_masses is not finite"),
+        (_pendulum_text(mass={"matrix": [[1.0, 0.0], [0.0, float("nan")]]}),
+         "mass.matrix is not finite"),
+        (_pendulum_text(mass={"matrix": [[float("inf"), 0.0], [0.0, 1.0]]}),
+         "mass.matrix is not finite"),
+        (_pendulum_text(mass=5), "mass must be an object, got int"),
+        (_pendulum_text(checks=5), "checks must be a list of strings, got 5"),
+        (_pendulum_text(integrator=[1e-3]), "integrator must be an object, got list"),
+        ("[1, 2]", "scenario document must be an object, got list"),
     ],
-    ids=["nan-spring-constant", "overflowing-dt", "asymmetric-mass"],
+    ids=[
+        "nan-spring-constant", "overflowing-dt", "asymmetric-mass",
+        "overflowing-point-mass", "nan-mass-entry", "inf-mass-entry",
+        "mass-not-an-object", "checks-not-a-list", "integrator-a-list",
+        "document-a-list",
+    ],
 )
 def test_bad_document_value_exit_code(tmp_path, capsys, text, problem):
     p = tmp_path / "bad.json"

@@ -11,6 +11,8 @@ from constrained_dynamics import (
     State,
     acceleration,
     catalog_scenario,
+    constraint_jacobians,
+    energy,
     gde_residual,
     integrate_first_kind,
     project_to_manifold,
@@ -22,8 +24,7 @@ from constrained_dynamics.integrate import (
     _DP_B5,
     _DP_C,
     ProjectionError,
-    _sample,
-    _stack,
+    Trajectory,
 )
 
 
@@ -311,6 +312,84 @@ def test_non_finite_sample_names_its_time(pendulum):
         integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, cfg)
 
 
+def _faint_pendulum(pendulum, nan_phi_t_from=None):
+    """The pendulum with phi and its Jacobians scaled by 1e-9 for t >= 0.05:
+    phi_v then fails the 1e-8 rank rule while the Gram rule (floor 0)
+    passes, and the reaction, hence the motion, is unchanged.  Optionally
+    phi_t is NaN from ``nan_phi_t_from`` on."""
+    import dataclasses
+
+    cs = pendulum.constraints
+    inner = cs.phi
+
+    def scaled(fn):
+        return lambda t, x, v: (1e-9 if t >= 0.05 else 1.0) * fn(t, x, v)
+
+    def jac_t(t, x, v):
+        if nan_phi_t_from is not None and t >= nan_phi_t_from:
+            return np.full(1, np.nan)
+        return scaled(inner.d_t)(t, x, v)
+
+    phi = dataclasses.replace(
+        inner, value=scaled(inner), jac_t=jac_t, jac_x=scaled(inner.d_x),
+        jac_v=scaled(inner.d_v),
+    )
+    return dataclasses.replace(cs, phi=phi)
+
+
+def test_degenerate_phi_v_is_reported_at_its_first_sample(pendulum):
+    from constrained_dynamics import RegularityError
+
+    cs = _faint_pendulum(pendulum)
+    sys = pendulum.system
+    s = State(0.1, pendulum.initial.x, pendulum.initial.v)
+    a = acceleration(sys, cs, s)
+    assert np.allclose(a, acceleration(sys, pendulum.constraints, s), rtol=1e-9, atol=0.0)
+    with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 ") as err:
+        integrate_first_kind(sys, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
+    assert err.value.t == 0.05
+
+
+def test_degenerate_phi_v_outranks_a_later_failure(pendulum):
+    # the NaN phi_t from t = 0.1 makes the sample's acceleration NaN, and the
+    # next step stops the march at the Gram matrix of a NaN stage state; the
+    # degenerate phi_v at t = 0.05 came first and is what the run reports
+    from constrained_dynamics import RegularityError
+
+    cs = _faint_pendulum(pendulum, nan_phi_t_from=0.1)
+    with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 "):
+        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
+
+
+def test_deferred_phi_v_failure_is_chained_from_the_march_error(pendulum):
+    # the diagnostics, phi_v's rank test among them, are taken once per run,
+    # so the march has gone on past t = 0.05 and its own error is the cause
+    from constrained_dynamics import RegularityError
+
+    cs = _faint_pendulum(pendulum, nan_phi_t_from=0.1)
+    with pytest.raises(RegularityError) as err:
+        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
+    assert err.value.t == 0.05
+    assert "constraint Gram matrix is non-finite" in str(err.value.__cause__)
+
+
+def test_one_svd_per_run(pendulum, monkeypatch):
+    # the kernel bases of every sample's gde residual come from one stacked SVD
+    calls = [0]
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    traj = integrate_first_kind(
+        pendulum.system, pendulum.constraints, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+    )
+    assert len(traj) == 21
+    assert calls[0] == 1
+
+
 def test_nonideal_accel_still_satisfies_constraint(pendulum):
     from constrained_dynamics import Realization, SmoothMap
 
@@ -341,10 +420,12 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
     """The first-kind loops written out plainly: every stage and every
     recorded sample evaluates the right-hand side afresh.
 
-    Returns (arrays, trajectory, rejected steps); the arrays hold t, X, V,
-    Lambda, N and xdd, with Lambda and N from a fresh ``reaction`` call (of
-    the realization ``real`` when given), and the trajectory stacks the same
-    samples' ``_sample`` rows.
+    Returns (columns, rejected steps).  The columns are those of
+    :class:`Trajectory`, each computed per sample on its own: Lambda and N
+    from a fresh ``reaction`` call (of the realization ``real`` when given),
+    the gde residual from the public ``gde_residual``, the energy from
+    ``energy``, phi, g and |f| from their maps and d(phi)/dt from
+    ``constraint_jacobians``.
     """
     if real is None:
         def accel(t, x, v):
@@ -354,15 +435,29 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
             res = reaction(sys, cs, State(t, x, v), real=real)
             return sys.mass.solve(sys.force(t, x, v) + res.N)
 
-    rows, sample_rows = [], []
+    rows = []
     rejected = 0
+
+    def norm(a):
+        return float(np.abs(a).max(initial=0.0))
 
     def record(t, x, v):
         s = State(t, x, v)
         xdd = accel(t, x, v)
         rx = reaction(sys, cs, s, real=real)
-        rows.append((t, s.x, s.v, rx.Lambda, rx.N, xdd))
-        sample_rows.append((t, s.x, s.v) + _sample(sys, cs, s, real))
+        T, V = energy(sys, s)
+        g_norm, phi_norm, rate = None, 0.0, 0.0
+        if cs is not None:
+            phi_norm = norm(cs.phi(t, s.x, s.v))
+            if cs.is_holonomic:
+                g_norm = norm(cs.generator(t, s.x))
+            phi_t, phi_x, phi_v = constraint_jacobians(cs, s)
+            rate = norm(phi_t + phi_x @ s.v + phi_v @ xdd)
+        rows.append((
+            t, s.x, s.v, rx.Lambda, rx.N, xdd, g_norm, phi_norm,
+            gde_residual(sys, cs, s, xdd), T + (V or 0.0),
+            norm(sys.force(t, s.x, s.v)), rate,
+        ))
 
     def settle(t, x, v):
         if cfg.projection == "off":
@@ -416,19 +511,16 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
             else:
                 rejected += 1
             h = h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** (-0.2)))
-    arrays = [np.array(col) for col in zip(*rows)]
-    return arrays, _stack(sample_rows), rejected
+    columns = [None if c[0] is None else np.array(c) for c in zip(*rows)]
+    return columns, rejected
 
 
-def _assert_same_run(traj, arrays, ref_traj):
-    t, X, V, Lam, N, XDD = arrays
-    assert np.array_equal(traj.times, t)
-    assert np.array_equal(traj.positions, X)
-    assert np.array_equal(traj.velocities, V)
-    assert np.array_equal(traj.Lambda, Lam)
-    assert np.array_equal(traj.N, N)
-    assert np.array_equal(traj.xdd, XDD)
-    assert traj.to_csv() == ref_traj.to_csv()
+def _assert_same_run(traj, columns):
+    # every column, the recorded motion and each diagnostic, bit for bit
+    for name, ref in zip(Trajectory.__dataclass_fields__, columns):
+        col = getattr(traj, name)
+        assert (col is None) == (ref is None), name
+        assert col is None or np.array_equal(col, ref), name
 
 
 @pytest.mark.parametrize(
@@ -443,8 +535,8 @@ def _assert_same_run(traj, arrays, ref_traj):
 def test_stage_reuse_is_bit_identical(name, cfg):
     sc = catalog_scenario(name)
     traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.5, cfg)
-    arrays, ref, _ = _reference_run(sc.system, sc.constraints, sc.initial, 0.5, cfg)
-    _assert_same_run(traj, arrays, ref)
+    columns, _ = _reference_run(sc.system, sc.constraints, sc.initial, 0.5, cfg)
+    _assert_same_run(traj, columns)
 
 
 def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
@@ -453,9 +545,9 @@ def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
     cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
     sys, cs, init = pendulum.system, pendulum.constraints, pendulum.initial
     traj = integrate_first_kind(sys, cs, init, 1.0, cfg)
-    arrays, ref, rejected = _reference_run(sys, cs, init, 1.0, cfg)
+    columns, rejected = _reference_run(sys, cs, init, 1.0, cfg)
     assert rejected >= 1
-    _assert_same_run(traj, arrays, ref)
+    _assert_same_run(traj, columns)
 
 
 def _blend(cs):
@@ -476,8 +568,23 @@ def test_stage_reuse_bit_identical_with_realization(pendulum):
     real = _blend(cs)
     cfg = IntegratorConfig(dt=1e-2)
     traj = integrate_first_kind(sys, cs, pendulum.initial, 0.5, cfg, real=real)
-    arrays, ref, _ = _reference_run(sys, cs, pendulum.initial, 0.5, cfg, real=real)
-    _assert_same_run(traj, arrays, ref)
+    columns, _ = _reference_run(sys, cs, pendulum.initial, 0.5, cfg, real=real)
+    _assert_same_run(traj, columns)
+
+
+def test_stage_reuse_bit_identical_free_particle():
+    # no constraints, a potential force: the gde residual is max |G xdd - f|
+    # and the energy carries V
+    force = ForceField(
+        dim=2, value=lambda t, x, v: np.array([0.0, 0.5 * x[1] - 10.0]),
+        potential=lambda t, x: 10.0 * x[1] - 0.25 * x[1] ** 2,
+    )
+    sys = MechanicalSystem(mass=MassMatrix(np.diag([2.0, 3.0])), force=force)
+    init = State(0.0, np.zeros(2), np.array([1.0, 5.0]))
+    cfg = IntegratorConfig(dt=1e-2)
+    traj = integrate_first_kind(sys, None, init, 0.5, cfg)
+    columns, _ = _reference_run(sys, None, init, 0.5, cfg)
+    _assert_same_run(traj, columns)
 
 
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
@@ -529,7 +636,7 @@ def test_force_evaluations_per_adaptive_attempt(pendulum):
     cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
     sys, calls = _counting_force(pendulum.system)
     traj = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 1.0, cfg)
-    _, _, rejected = _reference_run(
+    _, rejected = _reference_run(
         pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg
     )
     attempts = len(traj) - 1 + rejected

@@ -207,3 +207,26 @@ def test_simulate_exits_2_on_nan_force(pendulum, monkeypatch, tmp_path, capsys):
     rc = main(["simulate", "pendulum", "--t-end", "0.2", "--dt", "1e-2", "--out", str(tmp_path)])
     assert rc == 2
     assert "force field f(t, x, v) is non-finite at t=0.045" in capsys.readouterr().err
+
+
+def test_stacked_svd_raises_for_its_earliest_failure():
+    from constrained_dynamics.constraints import regular_svd
+
+    good = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+    singular = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    nan = np.full((2, 3), NAN)
+    times = [0.1, 0.2, 0.3, 0.4]
+    cases = [
+        ([good, singular, nan, good], "degenerate at t=0.2 "),
+        # a NaN matrix fails the stacked factorization as a whole
+        ([good, good, nan, singular], "non-finite at t=0.3 "),
+    ]
+    for mats, msg in cases:
+        with pytest.raises(RegularityError, match=msg):
+            regular_svd(np.array(mats), 1e-8, "phi_v", times)
+    # a regular stack gives each matrix's own factors, bit for bit
+    mats = np.array([good, 3.0 * good, good + singular])
+    U, s, Vt = regular_svd(mats, 1e-8, "phi_v", times[:3])
+    for i, M in enumerate(mats):
+        Ui, si, Vti = np.linalg.svd(M)
+        assert np.array_equal(U[i], Ui) and np.array_equal(s[i], si) and np.array_equal(Vt[i], Vti)

@@ -173,3 +173,111 @@ def test_non_numeric_initial_y_is_typed():
 def test_unknown_check_name_rejected():
     msgs = _problems(_pendulum_doc(checks=["energyy", "first-integral"]))
     assert "energyy" in msgs and "known" in msgs and "energy" in msgs
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("mass", 5, "mass must be an object, got int"),
+        ("checks", 5, "checks must be a list of strings, got 5"),
+        ("checks", ["energy", 3], "checks must be a list of strings"),
+        ("integrator", [1e-3], "integrator must be an object, got list"),
+        ("force", "gravity", "force must be an object, got str"),
+        ("constraint", [], "constraint must be an object, got list"),
+        ("initial", 0.0, "initial must be an object, got float"),
+        ("embedding", True, "embedding must be an object, got bool"),
+    ],
+)
+def test_section_of_the_wrong_kind_is_typed(key, value, problem):
+    assert problem in _problems(_pendulum_doc(**{key: value}))
+
+
+@pytest.mark.parametrize("doc", [[], 3, "pendulum", None])
+def test_document_that_is_not_an_object_is_typed(doc):
+    with pytest.raises(ScenarioError, match="scenario document must be an object"):
+        scenario_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "mass, problem",
+    [
+        ({"point_masses": [1e400]}, "mass.point_masses is not finite"),
+        ({"point_masses": [10 ** 400]}, "mass.point_masses is not finite"),
+        ({"point_masses": [[1.0]]}, "mass.point_masses must be a list of numbers"),
+        ({"matrix": [[1.0, 0.0], [0.0, float("nan")]]}, "mass.matrix is not finite"),
+        ({"matrix": [[float("inf"), 0.0], [0.0, 1.0]]}, "mass.matrix is not finite"),
+    ],
+)
+def test_non_finite_mass_entry_is_named(mass, problem):
+    assert problem in _problems(_pendulum_doc(mass=mass))
+
+
+def test_check_spd_refuses_a_non_finite_matrix():
+    from constrained_dynamics.system import check_spd
+
+    for M in (np.full((2, 2), np.nan), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        verdict = check_spd(M)
+        assert not verdict.passed and not verdict.positive_definite
+
+
+def _json_values():
+    from hypothesis import strategies as st
+
+    leaves = (
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _paths(node, path=()):
+    """Every node of a JSON document, as the key path that reaches it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, path, value, drop):
+    """``doc`` with the node at ``path`` dropped (a dict key) or replaced."""
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_mutated_documents_raise_only_scenario_errors():
+    # one node of a catalog document replaced by a random JSON value, or one
+    # key dropped: the parser either builds a scenario or lists problems
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_catalog_documents())),
+        pick=st.integers(min_value=0),
+        value=_json_values(),
+        drop=st.booleans(),
+    )
+    def parse_mutated(name, pick, value, drop):
+        doc = copy.deepcopy(_catalog_documents()[name])
+        paths = list(_paths(doc))
+        doc = _mutate(doc, paths[pick % len(paths)], value, drop)
+        try:
+            scenario_from_document(doc)
+        except ScenarioError:
+            pass
+
+    parse_mutated()
