@@ -13,17 +13,11 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .constraints import virtual_basis
-from .generalized import (
-    GeneralizedState,
-    covariance_residual,
-    integrate_second_kind,
-    match_trajectories,
-)
+from .constraints import _fix_signs, _kernel_basis
+from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
-from .reactions import Reparametrization, invariance_report, reaction, virtual_work
-from .scenarios import Scenario
-from .smooth import State
+from .reactions import Reparametrization, _ideal_reaction, invariance_report
+from .scenarios import Scenario, uniform_rows
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
     "first-integral": 1e-6,
@@ -116,9 +110,9 @@ def _no_chart(sc: Scenario) -> str:
 def _is_scleronomic(sc: Scenario) -> bool:
     if sc.constraints is None:
         return True
-    rng = np.random.default_rng(3)
-    for s in sc.sample_states(rng, 5):
-        if np.abs(sc.constraints.phi.d_t(s.t, s.x, s.v)).max(initial=0.0) > 1e-12:
+    t, X, V = sc.sample_states(np.random.default_rng(3), 5)
+    for ti, x, v in zip(t.tolist(), X, V):
+        if np.abs(sc.constraints.phi.d_t(ti, x, v)).max(initial=0.0) > 1e-12:
             return False
     return True
 
@@ -152,14 +146,16 @@ def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[Rep
 def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry]:
     if sc.unconstrained:
         return _skipped("virtual-work", "unconstrained system")
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for s in sc.sample_states(rng, count):
-        res = reaction(sc.system, sc.constraints, s)
-        basis = virtual_basis(sc.constraints, s)
-        w = virtual_work(res, basis)
-        scale = 1.0 + float(np.abs(res.N).max(initial=0.0))
-        worst = max(worst, w / scale)
+    cs = sc.constraints
+    t, X, V = sc.sample_states(np.random.default_rng(11), count)
+    B, N = map(np.array, zip(*(
+        _ideal_reaction(sc.system, cs, ti, x, v) for ti, x, v in zip(t.tolist(), X, V)
+    )))
+    # one stacked SVD for every kernel basis; N[i] @ Xi[i] row by row, on
+    # C-contiguous Xi[i], gives the bits of the per-state product
+    Xi = _fix_signs(_kernel_basis(B, cs.n, t))
+    work = np.array([np.abs(N[i] @ Xi[i]).max() for i in range(t.size)])
+    worst = np.max(work / (1.0 + np.abs(N).max(axis=1)), initial=0.0)
     return [_entry("virtual-work", worst, thresholds["virtual-work"])]
 
 
@@ -172,27 +168,26 @@ def check_reparametrization(sc: Scenario, thresholds, count=100) -> List[ReportE
     if sc.unconstrained:
         return _skipped("reparametrization", "unconstrained system")
     rng = np.random.default_rng(17)
-    states = sc.sample_states(rng, count)
-    worst = 0.0
-    for _, rep in reparametrization_families(sc.constraints.n, rng):
-        worst = max(worst, invariance_report(sc.system, sc.constraints, rep, states))
+    t, X, V = sc.sample_states(rng, count)
+    reps = [rep for _, rep in reparametrization_families(sc.constraints.n, rng)]
+    worst = invariance_report(sc.system, sc.constraints, reps, t, X, V)
     return [_entry("reparametrization", worst, thresholds["reparametrization"])]
 
 
 def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
     if sc.embedding is None:
         return _skipped("covariance", _no_chart(sc))
-    rng = np.random.default_rng(23)
     emb = sc.embedding
+    r = emb.r
+    t, Y, W, A = uniform_rows(
+        np.random.default_rng(23), count,
+        (0.0, 3.0, 1), (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
+    )
     worst = 0.0
-    for _ in range(count):
-        t = float(rng.uniform(0, 3))
-        y = rng.uniform(sc.sample_y_lo, sc.sample_y_hi)
-        w = rng.uniform(-2, 2, emb.r)
-        a = rng.uniform(-2, 2, emb.r)
+    for i, ti in enumerate(t[:, 0].tolist()):
         worst = max(
             worst,
-            covariance_residual(emb, sc.system.mass, sc.system.force, t, y, w, a),
+            covariance_residual(emb, sc.system.mass, sc.system.force, ti, Y[i], W[i], A[i]),
         )
     return [_entry("covariance", worst, thresholds["covariance"])]
 

@@ -222,12 +222,12 @@ class VirtualBasis:
 
 
 def _fix_signs(Q: Array) -> Array:
-    # deterministic sign convention: largest-magnitude entry of each column > 0
+    """A C-contiguous copy of the (..., m, d) stack Q with every column
+    negated whose first largest-magnitude entry is negative: a deterministic
+    sign for each basis column."""
     Q = Q.copy()
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
+    top = np.take_along_axis(Q, np.abs(Q).argmax(axis=-2)[..., None, :], axis=-2)
+    np.negative(Q, out=Q, where=top < 0)
     return Q
 
 

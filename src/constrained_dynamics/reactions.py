@@ -16,7 +16,7 @@ make phi_v G^-1 S^T regular in its singular values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,6 +106,12 @@ def _solve_multipliers(
     M = W @ S.T
     regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
     return f, B, S, -np.linalg.solve(M, rhs), M, drift
+
+
+def _ideal_reaction(sys: MechanicalSystem, cs: ConstraintSet, t, x, v) -> Tuple[Array, Array]:
+    """(phi_v, N) of the ideal reaction N = Lambda phi_v at (t, x, v)."""
+    _, B, _, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
+    return B, lam @ B
 
 
 def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -243,26 +249,31 @@ def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
 def invariance_report(
     sys: MechanicalSystem,
     cs: ConstraintSet,
-    rep: Reparametrization,
-    states: List[State],
+    reps: Sequence[Reparametrization],
+    t: Array,
+    X: Array,
+    V: Array,
     on_manifold_tol: float = 1e-10,
 ) -> float:
-    """max ||N_phi - N_psi||_inf over on-manifold states.
+    """max ||N_phi - N_psi||_inf over the on-manifold states (t[i], X[i],
+    V[i]) and the representations psi = U(phi) of every U in ``reps``.
 
-    The reaction is representation-independent only on phi = 0, so states
-    violating ||phi||_inf <= tol are rejected.
+    The reaction is representation-independent only on phi = 0, so a state
+    violating ||phi||_inf <= tol is rejected.  The on-manifold test and
+    N_phi are computed once per state, whatever the number of families.
     """
-    psi_set = reparametrize(cs, rep)
+    psi_sets = [reparametrize(cs, rep) for rep in reps]
     worst = 0.0
-    for s in states:
-        resid = float(np.abs(cs.phi(s.t, s.x, s.v)).max(initial=0.0))
+    for ti, x, v in zip(np.asarray(t, float).tolist(), X, V):
+        resid = float(np.abs(cs.phi(ti, x, v)).max(initial=0.0))
         if resid > on_manifold_tol:
             raise ValueError(
-                f"state at t={s.t} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
+                f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
             )
-        N_phi = reaction(sys, cs, s).N
-        N_psi = reaction(sys, psi_set, s).N
-        worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
+        N_phi = _ideal_reaction(sys, cs, ti, x, v)[1]
+        for psi_set in psi_sets:
+            N_psi = _ideal_reaction(sys, psi_set, ti, x, v)[1]
+            worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
     return worst
 
 

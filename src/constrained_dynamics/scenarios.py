@@ -16,7 +16,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet, lift_holonomic, virtual_basis
+from .constraints import (
+    RANK_TOL_FACTOR,
+    ConstraintSet,
+    _fix_signs,
+    lift_holonomic,
+    regular_svd,
+)
 from .generalized import ChartError, Embedding, GeneralizedState, pushforward_state
 from .integrate import IntegratorConfig, _check_initial
 from .smooth import ConfigurationMap, State
@@ -327,37 +333,78 @@ class Scenario:
     def unconstrained(self) -> bool:
         return self.constraints is None
 
-    def sample_states(self, rng: np.random.Generator, count: int) -> List[State]:
-        """Random on-manifold regular states for property checks."""
-        out: List[State] = []
-        if self.embedding is not None:
-            emb = self.embedding
-            for _ in range(count):
-                t = float(rng.uniform(0.0, self.sample_t_hi))
-                y = rng.uniform(self.sample_y_lo, self.sample_y_hi)
-                w = rng.uniform(-2.0, 2.0, emb.r)
-                out.append(pushforward_state(emb, GeneralizedState(t=t, y=y, w=w)))
-            return out
-        if self.constraints is None:
-            for _ in range(count):
-                t = float(rng.uniform(0.0, self.sample_t_hi))
-                out.append(
-                    State(t, rng.uniform(-2, 2, self.dim), rng.uniform(-2, 2, self.dim))
-                )
-            return out
-        cs = self.constraints
-        if cs.structure not in ("affine", "holonomic"):
+    def sample_states(self, rng: np.random.Generator, count: int):
+        """(t, X, V): ``count`` random on-manifold regular states for property
+        checks, with t of shape (count,) and X, V of shape (count, m).
+
+        Every draw comes from one :func:`uniform_rows` block whose row i holds
+        state i's t, then y and w on a chart, x and v without constraints, or
+        x and the kernel coefficients on the affine branch: the same doubles,
+        in the same order, as drawing each state in turn with
+        ``rng.uniform``, and the stream ends at the same position.  A chart's
+        maps are called once per state.  On the affine branch one stacked
+        SVD of A(t, x) gives both the least-norm solution of A v = -a and the
+        kernel basis.  The failures are tested in this order, each naming
+        the earliest state that fails: a y outside the chart domain
+        (ChartError), an A that fails the regularity rule
+        (:class:`RegularityError`), a non-finite state (ValueError).
+        """
+        m, emb, cs = self.dim, self.embedding, self.constraints
+        span_t = (0.0, self.sample_t_hi, 1)
+        if emb is not None:
+            t, Y, W = uniform_rows(
+                rng, count, span_t, (self.sample_y_lo, self.sample_y_hi, emb.r), (-2.0, 2.0, emb.r)
+            )
+            lo = -np.inf if emb.domain_lo is None else emb.domain_lo
+            hi = np.inf if emb.domain_hi is None else emb.domain_hi
+            outside = ((Y < lo) | (Y > hi)).any(axis=1)
+            if outside.any():
+                raise ChartError(f"y={Y[np.argmax(outside)]} outside the chart domain")
+            X = np.empty((count, m))
+            V = np.empty((count, m))
+            for i, ti in enumerate(t[:, 0].tolist()):
+                X[i] = emb.value(ti, Y[i])
+                V[i] = emb.d_t(ti, Y[i]) + emb.d_y(ti, Y[i]) @ W[i]
+        elif cs is None:
+            t, X, V = uniform_rows(rng, count, span_t, (-2.0, 2.0, m), (-2.0, 2.0, m))
+        elif cs.structure in ("affine", "holonomic"):
+            n = cs.n
+            t, X, C = uniform_rows(rng, count, span_t, (-2.0, 2.0, m), (-2.0, 2.0, m - n))
+            a = np.empty((count, n))
+            A = np.empty((count, n, m))
+            for i, ti in enumerate(t[:, 0].tolist()):
+                a[i] = np.asarray(cs.affine_a(ti, X[i]), float).reshape(n)
+                A[i] = np.asarray(cs.affine_A(ti, X[i]), float).reshape(n, m)
+            U, s, Vt = regular_svd(A, RANK_TOL_FACTOR, "constraint Jacobian phi_v", t[:, 0])
+            # v = V1 S^-1 U^T (-a) + Xi c: the least-norm solution of A v = -a,
+            # with V1 the first n rows of Vt transposed, plus a kernel combination
+            P = (-a[:, None, :] @ U)[:, 0] / s
+            Xi = _fix_signs(Vt[:, n:].swapaxes(1, 2))
+            V = np.array([p @ Vt[i, :n] + Xi[i] @ C[i] for i, p in enumerate(P)])
+        else:
             raise ValueError("cannot sample on-manifold states for a general constraint set")
-        for _ in range(count):
-            t = float(rng.uniform(0.0, self.sample_t_hi))
-            x = rng.uniform(-2, 2, self.dim)
-            a = np.asarray(cs.affine_a(t, x), float).reshape(cs.n)
-            A = np.asarray(cs.affine_A(t, x), float).reshape(cs.n, self.dim)
-            v_part, *_ = np.linalg.lstsq(A, -a, rcond=None)
-            basis = virtual_basis(cs, State(t, x, v_part))
-            v = v_part + basis.Xi @ rng.uniform(-2, 2, basis.Xi.shape[1])
-            out.append(State(t, x, v))
-        return out
+        t = t[:, 0].copy()
+        ok = np.isfinite(t) & np.isfinite(X).all(axis=1) & np.isfinite(V).all(axis=1)
+        if not ok.all():  # the State check, stacked
+            raise ValueError(f"state entries must be finite at t={float(t[np.argmin(ok)])}")
+        return t, X, V
+
+
+def uniform_rows(rng: np.random.Generator, count: int, *spans) -> List[np.ndarray]:
+    """One (count, n) block of uniform draws per span (lo, hi, n), whose lo
+    and hi are scalars or n-vectors, cut from one ``rng.random`` block in
+    which row i holds the spans in turn.
+
+    ``Generator.uniform(lo, hi, n)`` computes lo + (hi - lo) u from the same
+    doubles u, so the draws equal those of calling it span by span, row by
+    row, and the stream ends at the same position.
+    """
+    lo, hi = (
+        np.concatenate([np.broadcast_to(np.asarray(span[j], float), span[2]) for span in spans])
+        for j in (0, 1)
+    )
+    draws = lo + (hi - lo) * rng.random((count, lo.size))
+    return np.split(draws, np.cumsum([span[2] for span in spans])[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +535,8 @@ def parse_scenario(path) -> Scenario:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"JSON parse error at line {exc.lineno}: {exc.msg}"]) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, an integer past the digit limit
+        raise ScenarioError([f"unreadable scenario file {path}: {exc}"]) from exc
     return scenario_from_document(doc)
 
 

@@ -78,7 +78,7 @@ def test_03_zero_virtual_work(all_scenarios):
     rng = np.random.default_rng(101)
     worst = 0.0
     for sc in all_scenarios:
-        for s in sc.sample_states(rng, 1000):
+        for s in map(State, *sc.sample_states(rng, 1000)):
             res = reaction(sc.system, sc.constraints, s)
             w = virtual_work(res, virtual_basis(sc.constraints, s))
             worst = max(worst, w / (1.0 + float(np.abs(res.N).max(initial=0.0))))
@@ -106,9 +106,9 @@ def test_05_reparametrization_invariance(all_scenarios):
     rng = np.random.default_rng(103)
     worst = 0.0
     for sc in all_scenarios:
-        states = sc.sample_states(rng, 100)
-        for _, rep in reparametrization_families(sc.constraints.n, rng):
-            worst = max(worst, invariance_report(sc.system, sc.constraints, rep, states))
+        t, X, V = sc.sample_states(rng, 100)
+        reps = [rep for _, rep in reparametrization_families(sc.constraints.n, rng)]
+        worst = max(worst, invariance_report(sc.system, sc.constraints, reps, t, X, V))
     _verdict("05 reparametrization-invariance", worst <= 1e-8)
 
 
@@ -228,7 +228,7 @@ def test_10_realizations(pendulum):
     exact = Realization(
         S=SmoothMap(dim=cs.dim, value=lambda t, x, v: cs.phi.d_v(t, x, v).reshape(-1))
     )
-    for s in pendulum.sample_states(rng, 50):
+    for s in map(State, *pendulum.sample_states(rng, 50)):
         a = reaction(sys, cs, s)
         b = reaction(sys, cs, s, real=exact)
         ideal_gap = max(ideal_gap, float(np.abs(a.N - b.N).max()))

@@ -162,6 +162,20 @@ def test_malformed_scenario_file_exit_code(tmp_path, capsys):
     assert "scenario error:" in err and "force.axis" in err
 
 
+@pytest.mark.parametrize(
+    "raw, why",
+    [(b"\xff\xfe{\x00}\x00", "utf-8"), (b'{"t": ' + b"7" * 5000 + b"}", "4300 digits")],
+    ids=["not-utf8", "integer-past-digit-limit"],
+)
+def test_unreadable_scenario_file_exit_code(tmp_path, capsys, raw, why):
+    p = tmp_path / "unreadable.json"
+    p.write_bytes(raw)
+    rc = main(["simulate", str(p), "--t-end", "0.05", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:\n  - unreadable scenario file") and why in err
+
+
 def _pendulum_text(**sections):
     from constrained_dynamics.scenarios import _catalog_documents
 

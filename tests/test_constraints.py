@@ -227,7 +227,7 @@ def test_affine_superposition_probe():
 def test_basis_orthonormal_and_annihilated(all_scenarios):
     rng = np.random.default_rng(10)
     for sc in all_scenarios:
-        for s in sc.sample_states(rng, 50):
+        for s in map(State, *sc.sample_states(rng, 50)):
             basis = virtual_basis(sc.constraints, s)
             Xi = basis.Xi
             assert np.abs(Xi.T @ Xi - np.eye(Xi.shape[1])).max() < 1e-12

@@ -83,7 +83,7 @@ def test_cli_import_loads_no_scipy():
 LINALG_SITES = {
     "regular_svd", "_chol_solve", "_solve_multipliers", "_regular_metric", "check_spd",
 }
-GUARDED = {"svd", "eigh", "cholesky", "solve", "matrix_rank"}
+GUARDED = {"svd", "eigh", "cholesky", "solve", "matrix_rank", "lstsq"}
 
 
 def _linalg_calls(tree):

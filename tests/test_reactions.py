@@ -107,7 +107,7 @@ def test_reaction_newton_third_law_scaling(pendulum, pendulum_bottom):
 def test_virtual_work_zero_for_ideal(all_scenarios):
     rng = np.random.default_rng(11)
     for sc in all_scenarios:
-        for s in sc.sample_states(rng, 100):
+        for s in map(State, *sc.sample_states(rng, 100)):
             res = reaction(sc.system, sc.constraints, s)
             basis = virtual_basis(sc.constraints, s)
             scale = 1.0 + float(np.abs(res.N).max(initial=0.0))
@@ -224,9 +224,8 @@ def test_reparametrized_jacobians_chain_rule(circle_lift):
 
 def test_invariance_scaling_by_two(pendulum, pendulum_bottom):
     rep = Reparametrization.linear(np.array([[2.0]]))
-    worst = invariance_report(
-        pendulum.system, pendulum.constraints, rep, [pendulum_bottom]
-    )
+    s = pendulum_bottom
+    worst = invariance_report(pendulum.system, pendulum.constraints, [rep], [s.t], [s.x], [s.v])
     assert worst < 1e-12
 
 
@@ -240,8 +239,7 @@ def test_invariance_nonlinear_on_manifold(all_scenarios):
             rep_n = Reparametrization.componentwise(sc.constraints.n, np.expm1, np.exp)
         else:
             rep_n = rep
-        states = sc.sample_states(rng, 30)
-        worst = invariance_report(sc.system, sc.constraints, rep_n, states)
+        worst = invariance_report(sc.system, sc.constraints, [rep_n], *sc.sample_states(rng, 30))
         assert worst < 1e-9
 
 
@@ -249,7 +247,7 @@ def test_invariance_rejects_off_manifold(pendulum):
     rep = Reparametrization.identity(1)
     off = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.5]))
     with pytest.raises(ValueError, match="off-manifold"):
-        invariance_report(pendulum.system, pendulum.constraints, rep, [off])
+        invariance_report(pendulum.system, pendulum.constraints, [rep], [off.t], [off.x], [off.v])
 
 
 def test_reactions_differ_off_manifold(pendulum):

@@ -1,15 +1,24 @@
 import copy
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from constrained_dynamics import (
+    ConstraintSet,
+    GeneralizedState,
+    RegularityError,
     ScenarioError,
+    State,
     catalog_scenario,
     parse_scenario,
+    virtual_basis,
     write_scenario,
 )
+from constrained_dynamics.constraints import _fix_signs
+from constrained_dynamics.generalized import ChartError, pushforward_state
 from constrained_dynamics.scenarios import _catalog_documents, scenario_from_document
 
 
@@ -68,6 +77,20 @@ def test_parse_bad_json(tmp_path):
         parse_scenario(p)
 
 
+def test_parse_non_utf8_file(tmp_path):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(ScenarioError, match="unreadable scenario file.*utf-8"):
+        parse_scenario(p)
+
+
+def test_parse_integer_past_the_digit_limit(tmp_path):
+    p = tmp_path / "digits.json"
+    p.write_text('{"mass": {"point_masses": [' + "1" * 5000 + "]}}", encoding="utf-8")
+    with pytest.raises(ScenarioError, match="unreadable scenario file.*4300 digits"):
+        parse_scenario(p)
+
+
 def test_document_problems_are_collected():
     doc = {
         "name": "broken",
@@ -110,16 +133,139 @@ def test_generalized_initial_requires_embedding():
 def test_sample_states_on_manifold(all_scenarios):
     rng = np.random.default_rng(30)
     for sc in all_scenarios:
-        for s in sc.sample_states(rng, 50):
-            phi = sc.constraints.phi(s.t, s.x, s.v)
-            assert np.abs(phi).max() < 1e-10
+        t, X, V = sc.sample_states(rng, 50)
+        assert t.shape == (50,) and X.shape == V.shape == (50, sc.dim)
+        for ti, x, v in zip(t, X, V):
+            assert np.abs(sc.constraints.phi(ti, x, v)).max() < 1e-10
+
+
+def _sample_one_by_one(sc, rng, count):
+    """The per-state sampler the array sampler replaces: rng.uniform call by
+    call, a State per sample, and on the affine branch an lstsq particular
+    solution plus a virtual_basis combination."""
+    out = []
+    for _ in range(count):
+        t = float(rng.uniform(0.0, sc.sample_t_hi))
+        if sc.embedding is not None:
+            y = rng.uniform(sc.sample_y_lo, sc.sample_y_hi)
+            w = rng.uniform(-2.0, 2.0, sc.embedding.r)
+            out.append(pushforward_state(sc.embedding, GeneralizedState(t=t, y=y, w=w)))
+        elif sc.constraints is None:
+            out.append(State(t, rng.uniform(-2, 2, sc.dim), rng.uniform(-2, 2, sc.dim)))
+        else:
+            cs = sc.constraints
+            x = rng.uniform(-2, 2, sc.dim)
+            a = np.asarray(cs.affine_a(t, x), float).reshape(cs.n)
+            A = np.asarray(cs.affine_A(t, x), float).reshape(cs.n, sc.dim)
+            v_part, *_ = np.linalg.lstsq(A, -a, rcond=None)
+            Xi = virtual_basis(cs, State(t, x, v_part)).Xi
+            out.append(State(t, x, v_part + Xi @ rng.uniform(-2, 2, Xi.shape[1])))
+    return out
+
+
+def _free_particle():
+    doc = {
+        "name": "free",
+        "mass": {"matrix": [[1.0, 0.0], [0.0, 2.0]]},
+        "initial": {"x": [0.0, 0.0], "v": [0.0, 0.0]},
+    }
+    return scenario_from_document(doc)
+
+
+@pytest.mark.parametrize("seed", [11, 17])
+def test_sample_states_equal_the_per_state_sampler(all_scenarios, seed):
+    for sc in [*all_scenarios, _free_particle()]:
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        t, X, V = sc.sample_states(rng_a, 300)
+        ref = _sample_one_by_one(sc, rng_b, 300)
+        assert np.array_equal(t, [s.t for s in ref]), sc.name
+        assert np.array_equal(X, [s.x for s in ref]), sc.name
+        assert np.array_equal(V, [s.v for s in ref]), sc.name
+        # the block draw leaves the stream where the per-state draws left it
+        assert rng_a.random() == rng_b.random(), sc.name
+
+
+def _nan_chart_after_one(sc):
+    emb = dataclasses.replace(
+        sc.embedding, u=lambda t, y, u=sc.embedding.u: u(t, y) * (np.nan if t > 1.0 else 1.0)
+    )
+    return dataclasses.replace(sc, embedding=emb)
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [
+        (lambda sc: dataclasses.replace(sc, sample_y_lo=np.array([0.0, -np.pi])), ChartError),
+        (_nan_chart_after_one, ValueError),
+    ],
+    ids=["outside-chart-domain", "non-finite-state"],
+)
+def test_sample_states_fail_as_the_per_state_sampler(spherical, spoil, error):
+    sc = spoil(spherical)
+    with pytest.raises(error) as ref:
+        _sample_one_by_one(sc, np.random.default_rng(2), 200)
+    with pytest.raises(error, match=re.escape(str(ref.value))):
+        sc.sample_states(np.random.default_rng(2), 200)
+
+
+def _fix_signs_by_column(Q):
+    Q = Q.copy()
+    for j in range(Q.shape[1]):
+        i = int(np.argmax(np.abs(Q[:, j])))
+        if Q[i, j] < 0:
+            Q[:, j] = -Q[:, j]
+    return Q
+
+
+def test_fix_signs_stack_equals_the_column_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        k, m = int(rng.integers(1, 6)), int(rng.integers(2, 6))
+        Q = rng.normal(size=(k, m, int(rng.integers(1, m))))
+        ref = np.array([_fix_signs_by_column(q) for q in Q])
+        out = _fix_signs(Q)
+        assert np.array_equal(out, ref) and out is not Q
+        # a transposed view, as the kernel basis hands it over, comes back C-contiguous
+        swapped = _fix_signs(Q.swapaxes(1, 2))
+        assert swapped.flags.c_contiguous
+        assert np.array_equal(swapped, [_fix_signs_by_column(q.T) for q in Q])
+    # a 2-D input, and a column whose |max| is tied: the first entry decides
+    Q = np.array([[-1.0, 0.5], [1.0, -2.0], [0.25, 2.0]])
+    ref = _fix_signs_by_column(Q)
+    assert np.array_equal(_fix_signs(Q), ref)
+    assert np.array_equal(ref, [[1.0, -0.5], [-1.0, 2.0], [-0.25, -2.0]])
+
+
+def _knife_edge_with_A(bad_A):
+    """knife-edge whose A(t, x) is ``bad_A`` for t > 1 and the catalog's before."""
+    sc = catalog_scenario("knife-edge")
+    good = sc.constraints.affine_A
+
+    def A(t, x):
+        return bad_A if t > 1.0 else good(t, x)
+
+    cs = ConstraintSet.affine(dim=3, a=lambda t, x: np.zeros(1), A=A, n=1)
+    first_bad = next(t for t in sc.sample_states(np.random.default_rng(4), 50)[0] if t > 1.0)
+    return dataclasses.replace(sc, constraints=cs), first_bad
+
+
+@pytest.mark.parametrize(
+    "bad_A, verdict",
+    [(np.array([[np.nan, 1.0, 0.0]]), "non-finite"), (np.zeros((1, 3)), "degenerate")],
+    ids=["nan", "zero"],
+)
+def test_sample_states_irregular_A_names_the_earliest_sample(capfd, bad_A, verdict):
+    sc, first_bad = _knife_edge_with_A(bad_A)
+    with pytest.raises(RegularityError, match=f"phi_v is {verdict} at t={first_bad}") as info:
+        sc.sample_states(np.random.default_rng(4), 50)
+    assert info.value.t == first_bad
+    assert capfd.readouterr().err == ""
 
 
 def test_sample_states_reproducible(pendulum):
     a = pendulum.sample_states(np.random.default_rng(31), 5)
     b = pendulum.sample_states(np.random.default_rng(31), 5)
-    for sa, sb in zip(a, b):
-        assert sa.t == sb.t and np.array_equal(sa.x, sb.x) and np.array_equal(sa.v, sb.v)
+    assert all(np.array_equal(ca, cb) for ca, cb in zip(a, b))
 
 
 def test_point_masses_accepted(tmp_path):
