@@ -162,8 +162,8 @@ def lift_holonomic(g: ConfigurationMap, dim: int) -> ConstraintSet:
         return g.grad_tt(t, x) + g.grad_tx(t, x) @ v
 
     def jac_x(t, x, v):
-        # d/dx (g_t + g_x v) = g_tx + sum_k g_xx[:, k, :] v_k
-        return g.grad_tx(t, x) + np.einsum("ikj,k->ij", g.grad_xx(t, x), v)
+        # d/dx (g_t + g_x v) = g_tx + sum_k v_k g_xx[:, k, :]
+        return g.grad_tx(t, x) + v @ g.grad_xx(t, x)
 
     def jac_v(t, x, v):
         return g.grad_x(t, x)

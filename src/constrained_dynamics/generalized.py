@@ -14,7 +14,8 @@ with M2 symmetric positive definite wherever the chart is regular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -50,7 +51,8 @@ class Embedding:
     """Chart u(t, y) : R x Y -> R^m with first and second derivatives.
 
     Second derivatives default to central differences of u_t and u_y;
-    catalog charts supply them analytically.
+    catalog charts supply them analytically.  The domain is the box
+    [domain_lo, domain_hi], unbounded where a bound is None.
     """
 
     dim: int  # m
@@ -63,6 +65,14 @@ class Embedding:
     u_yy: Optional[Callable[[float, Array], Array]] = None  # (m, r, r)
     domain_lo: Optional[Array] = None
     domain_hi: Optional[Array] = None
+    _box: Tuple[list, list] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the domain box as float lists, so that in_domain makes no numpy call
+        lo = -math.inf if self.domain_lo is None else self.domain_lo
+        hi = math.inf if self.domain_hi is None else self.domain_hi
+        box = tuple(np.broadcast_to(np.asarray(b, float), self.r).tolist() for b in (lo, hi))
+        object.__setattr__(self, "_box", box)
 
     def value(self, t, y):
         return np.asarray(self.u(t, y), float).reshape(self.dim)
@@ -89,11 +99,9 @@ class Embedding:
         return central_differences(lambda yy: self.d_y(t, yy), y, "y")
 
     def in_domain(self, y: Array) -> bool:
-        if self.domain_lo is not None and np.any(y < self.domain_lo):
-            return False
-        if self.domain_hi is not None and np.any(y > self.domain_hi):
-            return False
-        return True
+        """Whether lo <= y <= hi for every coordinate; a NaN y is in no domain."""
+        lo, hi = self._box
+        return all(a <= yi <= b for a, yi, b in zip(lo, y.tolist(), hi))
 
 
 def _chart_jet(emb: Embedding, t: float, y: Array):
@@ -126,13 +134,30 @@ def _regular_metric(M2: Array, tol: float, t: float) -> Tuple[Array, Array]:
 
 
 def _metric_solve(M2: Array, rhs: Array, t: float) -> Array:
-    """M2^-1 rhs for a chart metric M2 checked regular at 1e-12, as
-    V (rhs V / lam) from its eigendecomposition.  A 1x1 metric is its own
-    eigenvalue, and rhs / M2 gives the same bits without the eigensolver."""
-    if M2.shape[0] == 1:
+    """M2^-1 rhs for a chart metric M2 checked regular at 1e-12.
+
+    A 1x1 metric is its own eigenvalue, and rhs / M2 gives the same bits as
+    the eigensolver.  A 2x2 metric [[a, b], [b, d]] (b read below the
+    diagonal, as the eigensolver does) has the eigenvalues h -+ s with
+    h = (a + d)/2 and s = hypot((a - d)/2, b); the smaller is taken as
+    det / (h + s) when h + s > 0, since h - s cancels near a pole of the
+    chart and det does not.  It is solved by Cramer's rule.  A larger
+    metric is solved as V (rhs V / lam) from its eigendecomposition.
+    """
+    r = M2.shape[0]
+    if r == 1:
         m = M2[0, 0]
         require_regular(m, m, 1e-12, _METRIC, t, ChartError)
         return rhs / m
+    if r == 2:
+        (a, _), (b, d) = M2.tolist()
+        h = 0.5 * (a + d)
+        s = math.hypot(0.5 * (a - d), b)
+        det = a * d - b * b
+        hi = h + s
+        require_regular(det / hi if hi > 0 else h - s, hi, 1e-12, _METRIC, t, ChartError)
+        r0, r1 = rhs.tolist()
+        return np.array([(d * r0 - b * r1) / det, (a * r1 - b * r0) / det])
     lam, V = _regular_metric(M2, 1e-12, t)
     return V @ ((rhs @ V) / lam)
 
@@ -167,29 +192,6 @@ class PullbackLagrangian:
         M2, b, T0 = self.decompose(t, y)
         return 0.5 * float(w @ M2 @ w) + float(b @ w) + T0
 
-    def _derivative_pieces(self, jet):
-        """t- and y-derivatives of (M2, b, T0) from the chart jet of :func:`_chart_jet`.
-
-        Index k of ``dM2_dy[k]``, ``db_dy[k]`` and ``dT0_dy[k]`` is the
-        derivative in y^k.  Every piece is a contraction of the chart jet
-        with G u_y or G u_t, which are formed once; G is symmetric, so
-        u_y^T G u_ty is the transpose of u_ty^T G u_y.
-        """
-        G = self.mass.G
-        _, Ut, Uy, Utt, Uty, Uyy = jet
-        UyyT = Uyy.transpose(2, 1, 0)  # [k] = (d u_y / d y^k)^T, (r, r, m)
-        GUy = G @ Uy
-        GUt = G @ Ut
-        M2 = Uy.T @ GUy
-        UtyGUy = Uty.T @ GUy  # [k, i] = u_ty[:, k] . G u_y[:, i]
-        dM2_dt = UtyGUy + UtyGUy.T
-        A = UyyT @ GUy
-        dM2_dy = A + A.transpose(0, 2, 1)
-        db_dy = UtyGUy + UyyT @ GUt
-        dT0_dy = GUt @ Uty
-        db_dt = Utt @ GUy + dT0_dy  # u_t G u_ty is dT0/dy
-        return M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy
-
 
 def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, float]:
     """(M2, b, T0); raises ChartError unless lam_min(M2) > 1e-10 max(1, lam_max)."""
@@ -209,6 +211,40 @@ def _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w):
     return M2dot, bdot, L_y
 
 
+def _lagrange_terms(G: Array, jet, w: Array):
+    """(M2, M2dot w, bdot, L_y) of the pullback Lagrangian at the chart jet
+    of :func:`_chart_jet` and the velocity w: the metric, the total time
+    derivatives of M2 (applied to w) and of b along w, and the row dL/dy.
+
+    The jet is contracted with w before anything else.  D = u_ty + u_yy w is
+    the total time derivative of u_y, so
+
+        M2dot w = D^T (G u_y w) + (G u_y)^T (D w),
+        bdot    = (u_tt + u_ty w)^T G u_y + (G u_t)^T D,
+        L_y     = D^T G (u_t + u_y w),
+
+    the last because u_yy is symmetric in its two y indices.  Each term is
+    formed on its own and none is cancelled against another, so [L] built
+    from them is the Lagrangian derivative, not the pushed-forward Newton
+    law it equals.
+    """
+    _, Ut, Uy, Utt, Uty, Uyy = jet
+    GUy = G @ Uy
+    GUt = G @ Ut
+    D = Uty + Uyy @ w
+    GUyw = GUy @ w
+    M2dot_w = D.T @ GUyw + GUy.T @ (D @ w)
+    bdot = (Utt + Uty @ w) @ GUy + GUt @ D
+    L_y = D.T @ (GUt + GUyw)
+    return Uy.T @ GUy, M2dot_w, bdot, L_y
+
+
+def _bracket(terms, a: Array) -> Array:
+    """[L] = M2 a + M2dot w + bdot - L_y from the terms (M2, M2dot w, bdot, L_y)."""
+    M2, M2dot_w, bdot, L_y = terms
+    return M2 @ a + M2dot_w + bdot - L_y
+
+
 def lagrangian_derivative_from_pieces(
     M2: Array,
     dM2_dt: Array,
@@ -225,8 +261,7 @@ def lagrangian_derivative_from_pieces(
     of the row b.  M2 may be singular (e.g. a pure total derivative, M2 = 0).
     """
     M2dot, bdot, L_y = _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w)
-    dLw_dt = M2 @ a + M2dot @ w + bdot
-    return dLw_dt - L_y
+    return _bracket((M2, M2dot @ w, bdot, L_y), a)
 
 
 def lagrangian_derivative(lag: PullbackLagrangian, t: float, y, w, a) -> Array:
@@ -234,8 +269,7 @@ def lagrangian_derivative(lag: PullbackLagrangian, t: float, y, w, a) -> Array:
     y = np.asarray(y, float).reshape(-1)
     w = np.asarray(w, float).reshape(-1)
     a = np.asarray(a, float).reshape(-1)
-    jet = _chart_jet(lag.emb, t, y)
-    return lagrangian_derivative_from_pieces(*lag._derivative_pieces(jet), w, a)
+    return _bracket(_lagrange_terms(lag.mass.G, _chart_jet(lag.emb, t, y), w), a)
 
 
 def pullback_lagrangian(emb: Embedding, mass: MassMatrix) -> PullbackLagrangian:
@@ -284,18 +318,18 @@ def second_kind_acceleration(
     lag: PullbackLagrangian, f: ForceField, t: float, y: Array, w: Array
 ) -> Tuple[Array, Array]:
     """(ydd, Q): ydd solves [L] = Q for the pulled-back force row Q of f,
-    via the normal form M2 ydd = Q^T - (rest).
+    via the normal form M2 ydd = Q^T - M2dot w - bdot + L_y.
 
-    The chart jet is evaluated once and serves both M2's pieces and Q.  The
-    solve is :func:`_metric_solve`, which raises :class:`ChartError` when the
-    metric is degenerate or non-finite.
+    The chart jet is evaluated once and serves both Q and the terms of
+    :func:`_lagrange_terms`, which contract it with w.  The solve is
+    :func:`_metric_solve` (closed form for r <= 2), which raises
+    :class:`ChartError` when the metric is degenerate or non-finite.
     """
     jet = _chart_jet(lag.emb, t, y)
-    M2, *pieces = lag._derivative_pieces(jet)
-    M2dot, bdot, L_y = _along_velocity(*pieces, w)
+    M2, M2dot_w, bdot, L_y = _lagrange_terms(lag.mass.G, jet, w)
     Q = _force_row(f, t, *jet[:3], w)
     # the normal form keeps its own order of summation, not [L] at ydd = 0
-    rhs = Q - M2dot @ w - bdot + L_y
+    rhs = Q - M2dot_w - bdot + L_y
     return _metric_solve(M2, rhs, t), Q
 
 
@@ -309,13 +343,14 @@ def integrate_second_kind(
     """Integrate the second-kind equations [L] = Q on the chart, with Q the
     system's force field pulled back through it.
 
-    Aborts with :class:`ChartError` when the solution leaves the chart
-    domain or the metric degenerates.
+    Aborts with :class:`ChartError` naming t when the solution leaves the
+    chart domain or turns NaN, or the metric degenerates.
 
     Evaluations per step: 4 calls of :func:`second_kind_acceleration`, each
     of which evaluates the chart jet once; the acceleration and Q recorded
     with each sample come from one call, and that acceleration is the next
-    step's first stage.
+    step's first stage.  Each sample is recorded as one flat float64 row
+    [t, y, w, a, Q], split into the columns once when the run ends.
     """
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
@@ -331,13 +366,15 @@ def integrate_second_kind(
 
     def record(t, y, w):
         a, Q = accel_and_Q(t, y, w)
-        rows.append((t, y, w, a, Q))
+        rows.append(np.concatenate(([t], y, w, a, Q)))
         return y, w, a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()
     _, _, a = record(t, y, w)
     _march(lambda t, y, w: accel_and_Q(t, y, w)[0], record, t, y, w, a, t_end, cfg)
-    return GeneralizedTrajectory(*map(np.array, zip(*rows)))
+    r = init.y.size
+    t, Y, W, A, Q = np.split(np.array(rows), np.cumsum([1, r, r, r]), axis=1)
+    return GeneralizedTrajectory(t[:, 0].copy(), Y.copy(), W.copy(), A.copy(), Q.copy())
 
 
 def pushforward_second_order(emb: Embedding, t: float, y: Array, w: Array, a: Array):
@@ -364,8 +401,9 @@ def covariance_residual(
     """inf-norm defect of the covariance identity at a second-order jet.
 
     The ambient Lagrangian derivative (G xdd)^T is pushed through u_y and
-    compared against the chart-side [L] computed from the decomposition
-    derivatives; with a force field both sides subtract their force rows.
+    compared against the chart-side [L] built from the terms of
+    :func:`_lagrange_terms`; with a force field both sides subtract their
+    force rows.
     """
     y = np.asarray(y, float).reshape(-1)
     w = np.asarray(w, float).reshape(-1)
@@ -375,8 +413,7 @@ def covariance_residual(
     ambient_row = xdd @ mass.G
     if f is not None:
         ambient_row = ambient_row - f(t, x, v)
-    pieces = PullbackLagrangian(emb=emb, mass=mass)._derivative_pieces(jet)
-    chart_row = lagrangian_derivative_from_pieces(*pieces, w, a)
+    chart_row = _bracket(_lagrange_terms(mass.G, jet, w), a)
     if f is not None:
         chart_row = chart_row - _force_row(f, t, *jet[:3], w)
     return float(np.abs(ambient_row @ jet[2] - chart_row).max())

@@ -10,6 +10,7 @@ failures at once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -137,6 +138,7 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
 
 def sphere_generator(radius: float, m: int) -> ConfigurationMap:
     r2 = radius * radius
+    hess = np.eye(m).reshape(1, m, m)  # constant; callers never write to it
     return ConfigurationMap(
         dim=1,
         value=lambda t, x: np.array([0.5 * (x @ x - r2)]),
@@ -144,7 +146,7 @@ def sphere_generator(radius: float, m: int) -> ConfigurationMap:
         d_x=lambda t, x: x.reshape(1, m),
         d_tt=lambda t, x: np.zeros(1),
         d_tx=lambda t, x: np.zeros((1, m)),
-        d_xx=lambda t, x: np.eye(m).reshape(1, m, m),
+        d_xx=lambda t, x: hess,
     )
 
 
@@ -213,48 +215,55 @@ def _make_constraints(doc: Optional[Dict], m: int) -> Optional[ConstraintSet]:
 
 def circle_embedding(radius: float) -> Embedding:
     R = radius
+
+    def u(t, y):
+        return np.array([R * math.sin(y[0]), R * -math.cos(y[0])])
+
+    def u_y(t, y):
+        return np.array([R * math.cos(y[0]), R * math.sin(y[0])]).reshape(2, 1)
+
+    def u_yy(t, y):
+        return np.array([R * -math.sin(y[0]), R * math.cos(y[0])]).reshape(2, 1, 1)
+
     return Embedding(
         dim=2,
         r=1,
-        u=lambda t, y: R * np.array([np.sin(y[0]), -np.cos(y[0])]),
+        u=u,
         u_t=lambda t, y: np.zeros(2),
-        u_y=lambda t, y: R * np.array([[np.cos(y[0])], [np.sin(y[0])]]),
+        u_y=u_y,
         u_tt=lambda t, y: np.zeros(2),
         u_ty=lambda t, y: np.zeros((2, 1)),
-        u_yy=lambda t, y: R * np.array([[[-np.sin(y[0])]], [[np.cos(y[0])]]]),
+        u_yy=u_yy,
     )
 
 
 def sphere_polar_embedding(radius: float, pole_margin: float = 0.02) -> Embedding:
     R = radius
 
+    def trig(y):
+        """(sin th, cos th, sin ph, cos ph) at y = (th, ph), one call per angle."""
+        th, ph = y.tolist()
+        return math.sin(th), math.cos(th), math.sin(ph), math.cos(ph)
+
+    # a flat list of floats, reshaped, builds these tiny arrays faster than nested lists
     def u(t, y):
-        th, ph = y
-        return R * np.array(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), -np.cos(th)]
-        )
+        st, ct, sp, cp = trig(y)
+        return np.array([R * (st * cp), R * (st * sp), R * -ct])
 
     def u_y(t, y):
-        th, ph = y
-        return R * np.array(
-            [
-                [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
-                [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
-                [np.sin(th), 0.0],
-            ]
-        )
+        st, ct, sp, cp = trig(y)
+        return np.array(
+            [R * (ct * cp), R * (-st * sp), R * (ct * sp), R * (st * cp), R * st, 0.0]
+        ).reshape(3, 2)
 
     def u_yy(t, y):
-        th, ph = y
-        u_thth = R * np.array([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), np.cos(th)])
-        u_thph = R * np.array([-np.cos(th) * np.sin(ph), np.cos(th) * np.cos(ph), 0.0])
-        u_phph = R * np.array([-np.sin(th) * np.cos(ph), -np.sin(th) * np.sin(ph), 0.0])
-        out = np.empty((3, 2, 2))
-        out[:, 0, 0] = u_thth
-        out[:, 0, 1] = u_thph
-        out[:, 1, 0] = u_thph
-        out[:, 1, 1] = u_phph
-        return out
+        st, ct, sp, cp = trig(y)
+        # [p] = [[u_thth, u_thph], [u_thph, u_phph]] of coordinate p
+        thth0, thth1 = R * (-st * cp), R * (-st * sp)
+        thph0, thph1 = R * (-ct * sp), R * (ct * cp)
+        return np.array(
+            [thth0, thph0, thph0, thth0, thth1, thph1, thph1, thth1, R * ct, 0.0, 0.0, 0.0]
+        ).reshape(3, 2, 2)
 
     return Embedding(
         dim=3,
@@ -273,20 +282,31 @@ def sphere_polar_embedding(radius: float, pole_margin: float = 0.02) -> Embeddin
 def rotating_line_embedding(omega: float) -> Embedding:
     w = omega
 
+    def trig(t):
+        """(sin wt, cos wt), one call each."""
+        return math.sin(w * t), math.cos(w * t)
+
     def u(t, y):
-        return y[0] * np.array([np.cos(w * t), np.sin(w * t)])
+        s, c = trig(t)
+        return np.array([y[0] * c, y[0] * s])
 
     def u_t(t, y):
-        return y[0] * w * np.array([-np.sin(w * t), np.cos(w * t)])
+        s, c = trig(t)
+        k = y[0] * w
+        return np.array([k * -s, k * c])
 
     def u_y(t, y):
-        return np.array([[np.cos(w * t)], [np.sin(w * t)]])
+        s, c = trig(t)
+        return np.array([c, s]).reshape(2, 1)
 
     def u_tt(t, y):
-        return -y[0] * w * w * np.array([np.cos(w * t), np.sin(w * t)])
+        s, c = trig(t)
+        k = -y[0] * w * w
+        return np.array([k * c, k * s])
 
     def u_ty(t, y):
-        return w * np.array([[-np.sin(w * t)], [np.cos(w * t)]])
+        s, c = trig(t)
+        return np.array([w * -s, w * c]).reshape(2, 1)
 
     return Embedding(
         dim=2, r=1, u=u, u_t=u_t, u_y=u_y, u_tt=u_tt, u_ty=u_ty,

@@ -416,32 +416,44 @@ def _assert_close_in_norm(got, want, rtol=1e-13):
     np.testing.assert_allclose(got, want, rtol=0, atol=rtol * np.abs(want).max())
 
 
+def _reference_terms(lag, t, y, w):
+    """(M2, M2dot w, bdot, L_y) from the per-coordinate pieces, contracted
+    with w one coordinate at a time."""
+    M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy = _reference_derivative_pieces(lag, t, y)
+    r = w.size
+    M2dot = dM2_dt + sum(w[k] * dM2_dy[k] for k in range(r))
+    bdot = db_dt + sum(w[k] * db_dy[k] for k in range(r))
+    L_y = np.array(
+        [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(r)]
+    )
+    return M2, M2dot @ w, bdot, L_y
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_derivative_pieces_match_per_coordinate_loops(r):
-    from constrained_dynamics.generalized import _along_velocity, _chart_jet
+    # the w-contracted kernel against every y-derivative of (M2, b, T0)
+    # built one coordinate at a time and contracted with w afterwards
+    from constrained_dynamics.generalized import _along_velocity, _chart_jet, _lagrange_terms
 
     rng = np.random.default_rng(40 + r)
     for _ in range(20):
         lag, t, y, w = _random_chart_point(rng, r)
-        got = lag._derivative_pieces(_chart_jet(lag.emb, t, y))
-        want = _reference_derivative_pieces(lag, t, y)
+        got = _lagrange_terms(lag.mass.G, _chart_jet(lag.emb, t, y), w)
+        want = _reference_terms(lag, t, y, w)
         for g, e in zip(got, want):
             assert g.shape == e.shape
             _assert_close_in_norm(g, e)
-        dM2_dy, db_dy, dT0_dy = want[2], want[4], want[5]
-        L_y = np.array(
-            [0.5 * float(w @ dM2_dy[k] @ w) + float(db_dy[k] @ w) + dT0_dy[k] for k in range(r)]
-        )
-        M2dot = want[1] + sum(w[k] * dM2_dy[k] for k in range(r))
-        got_dot, _, got_L_y = _along_velocity(*want[1:], w)
-        _assert_close_in_norm(got_L_y, L_y)
-        _assert_close_in_norm(got_dot, M2dot)
+        # the generic kernel of lagrangian_derivative_from_pieces, too
+        pieces = _reference_derivative_pieces(lag, t, y)
+        M2dot, bdot, L_y = _along_velocity(*pieces[1:], w)
+        _assert_close_in_norm(M2dot @ w, want[1])
+        _assert_close_in_norm(bdot, want[2])
+        _assert_close_in_norm(L_y, want[3])
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_second_kind_acceleration_matches_dense_solve(r):
     from constrained_dynamics import ForceField
-    from constrained_dynamics.generalized import _along_velocity, _chart_jet
 
     rng = np.random.default_rng(50 + r)
     for _ in range(20):
@@ -449,9 +461,8 @@ def test_second_kind_acceleration_matches_dense_solve(r):
         g = rng.uniform(-1, 1, lag.emb.dim)
         f = ForceField(dim=g.size, value=lambda t, x, v, g=g: g)
         q = g @ lag.emb.d_y(t, y)
-        M2, *pieces = lag._derivative_pieces(_chart_jet(lag.emb, t, y))
-        M2dot, bdot, L_y = _along_velocity(*pieces, w)
-        want = np.linalg.solve(M2, q - M2dot @ w - bdot + L_y)
+        M2, M2dot_w, bdot, L_y = _reference_terms(lag, t, y, w)
+        want = np.linalg.solve(M2, q - M2dot_w - bdot + L_y)
         got, Q = second_kind_acceleration(lag, f, t, y, w)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert np.array_equal(Q, q)
@@ -606,3 +617,113 @@ def test_match_trajectories_inverts_from_resampled_point(pendulum, monkeypatch):
     rep = match_trajectories(first, pendulum.embedding, second, pendulum.system.mass)
     assert calls[0] <= 4 * len(first)
     assert rep.max_inversion_residual < 1e-7
+
+
+def test_metric_solve_2x2_matches_dense_solve():
+    from constrained_dynamics.generalized import _metric_solve
+
+    rng = np.random.default_rng(60)
+    for _ in range(500):
+        A = rng.uniform(-1, 1, (2, 2))
+        M2 = (A @ A.T + 0.1 * np.eye(2)) * 10.0 ** rng.uniform(-3, 3)
+        rhs = rng.uniform(-1, 1, 2)
+        np.testing.assert_allclose(_metric_solve(M2, rhs, 0.0), np.linalg.solve(M2, rhs), rtol=1e-12)
+
+
+def _metric_verdict(solve, M2):
+    """'regular', 'degenerate' or 'non-finite': what ``solve(M2)`` concluded."""
+    try:
+        solve(M2)
+    except ChartError as exc:
+        return "non-finite" if "non-finite" in str(exc) else "degenerate"
+    return "regular"
+
+
+def _near_singular_metrics():
+    """Sphere-polar metrics from the pole to 1e-3 away from it, rotated
+    diag(lam, eps) metrics across the 1e-12 threshold, and non-finite ones.
+
+    Both grids stay 10% or more away from the threshold, where rounding
+    cannot decide a verdict.  The polar angles 1e-6 (1 -+ 1e-8) put
+    lam_min = sin^2 within 2e-8 of it, which an estimate of lam_min that is
+    accurate only to ulps of lam_max, such as h - s, misjudges."""
+    J = sphere_polar_embedding(1.0, pole_margin=0.0).d_y
+    rng = np.random.default_rng(61)
+    out = []
+    polar = np.logspace(-9, -3, 60)
+    for th in np.concatenate([[0.0], polar, 1e-6 * (1.0 + np.array([-1e-6, -1e-8, 1e-8, 1e-6]))]):
+        Uy = J(0.0, np.array([th, rng.uniform(-np.pi, np.pi)]))
+        out.append(Uy.T @ Uy)
+    for eps in np.logspace(-14, -10, 40):  # threshold 1e-12, since lam <= 1
+        angle = rng.uniform(0, np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        R = np.array([[c, -s], [s, c]])
+        out.append(R @ np.diag([rng.uniform(0.5, 1.0), eps]) @ R.T)
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 0), (1, 1)):
+            M2 = np.eye(2)
+            M2[i, j] = bad
+            if i != j:
+                M2[j, i] = bad
+            out.append(M2)
+    out.append(np.zeros((2, 2)))
+    return out
+
+
+def test_metric_solve_2x2_verdict_equals_the_eigensolver():
+    from constrained_dynamics.generalized import _metric_solve, _regular_metric
+
+    verdicts = []
+    for M2 in _near_singular_metrics():
+        closed = _metric_verdict(lambda M: _metric_solve(M, np.ones(2), 0.5), M2)
+        eigen = _metric_verdict(lambda M: _regular_metric(M, 1e-12, 0.5), M2)
+        assert closed == eigen, M2
+        verdicts.append(closed)
+    assert {"regular", "degenerate", "non-finite"} <= set(verdicts)
+
+
+def test_chart_equivalence_on_sphere_makes_no_eigh_call(spherical, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on a 2x2 chart metric")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    cfg = IntegratorConfig(dt=1e-2)
+    first = integrate_first_kind(spherical.system, spherical.constraints, spherical.initial, 0.2, cfg)
+    second = integrate_second_kind(
+        spherical.embedding, spherical.system, spherical.initial_generalized, 0.2, cfg
+    )
+    rep = match_trajectories(first, spherical.embedding, second, spherical.system.mass)
+    assert len(second) == 21
+    assert rep.max_inversion_residual < 1e-7
+
+
+@pytest.mark.parametrize(
+    "emb, y",
+    [
+        (sphere_polar_embedding(1.0), np.array([1.0, np.nan])),  # NaN in the unbounded angle
+        (sphere_polar_embedding(1.0), np.array([np.nan, 0.3])),
+        (circle_embedding(1.0), np.array([np.nan])),  # a chart with no bounds at all
+    ],
+    ids=["sphere-polar-phi", "sphere-polar-theta", "circle"],
+)
+def test_nan_coordinate_leaves_the_chart_domain(emb, y):
+    from constrained_dynamics import ForceField, MechanicalSystem
+
+    assert not emb.in_domain(y)
+    sys = MechanicalSystem(mass=MassMatrix(np.eye(emb.dim)), force=ForceField.zero(emb.dim))
+    init = GeneralizedState(0.25, y, np.zeros(emb.r))
+    with pytest.raises(ChartError, match=r"left the chart domain at t=0\.25"):
+        integrate_second_kind(emb, sys, init, 0.5, IntegratorConfig(dt=0.1))
+
+
+def test_domain_follows_dataclass_replace():
+    from dataclasses import replace
+
+    emb = sphere_polar_embedding(1.0, pole_margin=0.02)
+    y = np.array([0.4, 7.0])
+    assert emb.in_domain(y)
+    assert not emb.in_domain(np.array([0.01, 0.0]))
+    assert replace(emb, u=emb.u).in_domain(y)
+    assert not replace(emb, domain_lo=np.array([0.5, -np.inf])).in_domain(y)
+    assert not replace(emb, domain_hi=np.array([np.pi, 6.0])).in_domain(y)
+    assert circle_embedding(1.0).in_domain(np.array([1e300]))

@@ -19,7 +19,15 @@ from constrained_dynamics import (
 )
 from constrained_dynamics.constraints import _fix_signs
 from constrained_dynamics.generalized import ChartError, pushforward_state
-from constrained_dynamics.scenarios import _catalog_documents, scenario_from_document
+from constrained_dynamics.scenarios import (
+    _catalog_documents,
+    circle_embedding,
+    rotating_line_embedding,
+    rotating_line_generator,
+    scenario_from_document,
+    sphere_generator,
+    sphere_polar_embedding,
+)
 
 
 def test_catalog_names():
@@ -427,3 +435,83 @@ def test_mutated_documents_raise_only_scenario_errors():
             pass
 
     parse_mutated()
+
+
+# every analytic derivative of the catalog charts and generators against
+# central differences of the map one order below it, at sampled points
+
+_H = 1e-5
+
+
+def _t_diff(fn, t):
+    return (fn(t + _H) - fn(t - _H)) / (2 * _H)
+
+
+def _y_diff(fn, y):
+    """Central differences of fn along each coordinate of y, stacked last."""
+    cols = []
+    for i in range(y.size):
+        e = np.zeros(y.size)
+        e[i] = _H
+        cols.append((fn(y + e) - fn(y - e)) / (2 * _H))
+    return np.stack(cols, axis=-1)
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make, lo, hi",
+    [
+        (lambda: circle_embedding(1.3), -np.pi, np.pi),
+        (lambda: sphere_polar_embedding(0.7), 0.3, np.pi - 0.3),
+        (lambda: rotating_line_embedding(1.7), 0.5, 2.0),
+    ],
+    ids=["circle", "sphere-polar", "rotating-line"],
+)
+def test_catalog_chart_derivatives_match_central_differences(make, lo, hi):
+    emb = make()
+    assert None not in (emb.u_tt, emb.u_ty, emb.u_yy)  # analytic, not the fallback
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        t = float(rng.uniform(0.0, 3.0))
+        y = rng.uniform(lo, hi, emb.r)
+        _close(emb.d_t(t, y), _t_diff(lambda s: emb.value(s, y), t))
+        _close(emb.d_y(t, y), _y_diff(lambda z: emb.value(t, z), y))
+        _close(emb.d_tt(t, y), _t_diff(lambda s: emb.d_t(s, y), t))
+        _close(emb.d_ty(t, y), _t_diff(lambda s: emb.d_y(s, y), t))
+        _close(emb.d_ty(t, y), _y_diff(lambda z: emb.d_t(t, z), y))
+        _close(emb.d_yy(t, y), _y_diff(lambda z: emb.d_y(t, z), y))
+
+
+@pytest.mark.parametrize(
+    "make, m",
+    [
+        (lambda: sphere_generator(1.0, 2), 2),
+        (lambda: sphere_generator(1.4, 3), 3),
+        (lambda: rotating_line_generator(1.7), 2),
+    ],
+    ids=["sphere-2", "sphere-3", "rotating-line"],
+)
+def test_catalog_generator_derivatives_match_central_differences(make, m):
+    from constrained_dynamics.constraints import lift_holonomic
+
+    g = make()
+    assert None not in (g.d_tt, g.d_tx, g.d_xx)
+    phi = lift_holonomic(g, m).phi
+    rng = np.random.default_rng(72)
+    for _ in range(20):
+        t = float(rng.uniform(0.0, 3.0))
+        x = rng.uniform(-2.0, 2.0, m)
+        v = rng.uniform(-2.0, 2.0, m)
+        _close(g.grad_t(t, x), _t_diff(lambda s: g(s, x), t))
+        _close(g.grad_x(t, x), _y_diff(lambda z: g(t, z), x))
+        _close(g.grad_tt(t, x), _t_diff(lambda s: g.grad_t(s, x), t))
+        _close(g.grad_tx(t, x), _y_diff(lambda z: g.grad_t(t, z), x))
+        _close(g.grad_xx(t, x), _y_diff(lambda z: g.grad_x(t, z), x))
+        # the lift's Jacobians, built from those derivatives
+        _close(phi.d_t(t, x, v), _t_diff(lambda s: phi(s, x, v), t))
+        _close(phi.d_x(t, x, v), _y_diff(lambda z: phi(t, z, v), x))
+        _close(phi.d_v(t, x, v), _y_diff(lambda z: phi(t, x, z), v))
