@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +79,10 @@ class ConstraintSet:
     """n differential constraints on an m-dimensional configuration.
 
     ``structure`` is one of ``general``, ``affine`` (phi = a + A v) or
-    ``holonomic`` (phi = g_t + g_x v for a generator g).
+    ``holonomic`` (phi = g_t + g_x v for a generator g).  A holonomic set's
+    phi is, by declaration, the lift of its ``generator``, and the multiplier
+    solve reads the generator (see :meth:`jet`); a phi that is not that lift
+    is built with :meth:`general`.
     """
 
     dim: int
@@ -99,10 +102,28 @@ class ConstraintSet:
             raise ValueError("phi output dimension disagrees with n")
         if self.structure not in ("general", "affine", "holonomic"):
             raise ValueError(f"unknown structure tag {self.structure!r}")
+        if self.is_holonomic and self.generator is None:
+            raise ValueError("a holonomic constraint set needs its generator")
 
     @property
     def is_holonomic(self) -> bool:
         return self.structure == "holonomic"
+
+    def jet(self, t: float, x: Array, v: Array) -> Tuple[Array, Array]:
+        """(phi_v, phi_t + phi_x v) at (t, x, v): the constraint terms of the
+        multiplier solve.
+
+        A holonomic set reads them off its generator, with g_tx evaluated
+        once: phi_v = g_x and phi_t + phi_x v = (g_tt + g_tx v) + (g_tx +
+        v g_xx) v, the same operations in the same order as the lift's
+        Jacobians.  Any other set takes them from phi.
+        """
+        if self.is_holonomic:
+            g = self.generator
+            gtx = g.grad_tx(t, x)
+            return g.grad_x(t, x), (g.grad_tt(t, x) + gtx @ v) + (gtx + v @ g.grad_xx(t, x)) @ v
+        phi = self.phi
+        return phi.d_v(t, x, v), phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
 
     @classmethod
     def general(cls, dim: int, phi: SmoothMap) -> "ConstraintSet":

@@ -103,6 +103,20 @@ class Embedding:
         lo, hi = self._box
         return all(a <= yi <= b for a, yi, b in zip(lo, y.tolist(), hi))
 
+    def domain_error(self, t: float, y: Array) -> ChartError:
+        """The ChartError for a y outside the domain at time t, naming the
+        first coordinate that is out and the bound it misses."""
+        lo, hi = self._box
+        for i, (a, yi, b) in enumerate(zip(lo, y.tolist(), hi)):
+            if not a <= yi <= b:
+                if yi < a:
+                    miss = f"< lower bound {a}"
+                elif yi > b:
+                    miss = f"> upper bound {b}"
+                else:  # NaN compares false with both bounds
+                    miss = "is not a number"
+                return ChartError(f"y={y} outside the chart domain at t={t}: y[{i}]={yi} {miss}")
+
 
 def _chart_jet(emb: Embedding, t: float, y: Array):
     """(u, u_t, u_y, u_tt, u_ty, u_yy) at (t, y): one call of each chart map."""
@@ -165,7 +179,7 @@ def _metric_solve(M2: Array, rhs: Array, t: float) -> Array:
 def pushforward_state(emb: Embedding, gs: GeneralizedState) -> State:
     """x = u(t, y), v = u_t + u_y w."""
     if not emb.in_domain(gs.y):
-        raise ChartError(f"y={gs.y} outside the chart domain")
+        raise emb.domain_error(gs.t, gs.y)
     x = emb.value(gs.t, gs.y)
     v = emb.d_t(gs.t, gs.y) + emb.d_y(gs.t, gs.y) @ gs.w
     return State(t=gs.t, x=x, v=v)

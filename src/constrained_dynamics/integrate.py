@@ -16,7 +16,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, RegularityError, _kernel_basis
 from .reactions import Realization, _chol_solve, _gram, _solve_multipliers
-from .smooth import Array, State
+from .smooth import Array, State, require_finite_state
 from .system import MechanicalSystem
 
 
@@ -199,9 +199,7 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
     potential) that :func:`_trajectory` turns into columns.  Lambda, N and
     xdd are those of the reaction ``real`` (ideal when None).
     """
-    # the State check, without building a State on the hot path
-    if not all(map(math.isfinite, [t] + x.tolist() + v.tolist())):
-        raise ValueError(f"state entries must be finite at t={t}")
+    require_finite_state(t, x, v)  # the State check, without building a State
     pot = sys.force.potential
     V = 0.0 if pot is None else float(pot(t, x))
     if cs is None:

@@ -94,10 +94,8 @@ def _solve_multipliers(
     of d(phi)/dt from here.
     """
     f = sys.force(t, x, v)
-    phi = cs.phi
-    B = phi.d_v(t, x, v)
+    B, drift = cs.jet(t, x, v)
     W = B @ sys.mass.inverse
-    drift = phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
     rhs = drift + W @ f
     if real is None:
         M = W @ B.T

@@ -152,25 +152,38 @@ def sphere_generator(radius: float, m: int) -> ConfigurationMap:
 
 def rotating_line_generator(omega: float) -> ConfigurationMap:
     w = omega
+    zero_xx = np.zeros((1, 2, 2))  # constant; callers never write to it
+
+    def trig(t):
+        """(sin wt, cos wt), one call each."""
+        return math.sin(w * t), math.cos(w * t)
 
     def val(t, x):
-        return np.array([-x[0] * np.sin(w * t) + x[1] * np.cos(w * t)])
+        s, c = trig(t)
+        x0, x1 = x.tolist()
+        return np.array([-x0 * s + x1 * c])
 
     def d_t(t, x):
-        return np.array([-w * (x[0] * np.cos(w * t) + x[1] * np.sin(w * t))])
+        s, c = trig(t)
+        x0, x1 = x.tolist()
+        return np.array([-w * (x0 * c + x1 * s)])
 
     def d_x(t, x):
-        return np.array([[-np.sin(w * t), np.cos(w * t)]])
+        s, c = trig(t)
+        return np.array([-s, c]).reshape(1, 2)
 
     def d_tt(t, x):
-        return np.array([w * w * (x[0] * np.sin(w * t) - x[1] * np.cos(w * t))])
+        s, c = trig(t)
+        x0, x1 = x.tolist()
+        return np.array([w * w * (x0 * s - x1 * c)])
 
     def d_tx(t, x):
-        return np.array([[-w * np.cos(w * t), -w * np.sin(w * t)]])
+        s, c = trig(t)
+        return np.array([-w * c, -w * s]).reshape(1, 2)
 
     return ConfigurationMap(
         dim=1, value=val, d_t=d_t, d_x=d_x, d_tt=d_tt, d_tx=d_tx,
-        d_xx=lambda t, x: np.zeros((1, 2, 2)),
+        d_xx=lambda t, x: zero_xx,
     )
 
 
@@ -178,13 +191,15 @@ def knife_edge_constraints() -> ConstraintSet:
     """phi = vx sin(theta) - vy cos(theta) on (x, y, theta); nonholonomic."""
 
     def A(t, x):
-        return np.array([[np.sin(x[2]), -np.cos(x[2]), 0.0]])
+        th = x[2]
+        return np.array([math.sin(th), -math.cos(th), 0.0]).reshape(1, 3)
 
     def jac_t(t, x, v):
         return np.zeros(1)
 
     def jac_x(t, x, v):
-        return np.array([[0.0, 0.0, v[0] * np.cos(x[2]) + v[1] * np.sin(x[2])]])
+        th = x[2]
+        return np.array([0.0, 0.0, v[0] * math.cos(th) + v[1] * math.sin(th)]).reshape(1, 3)
 
     return ConstraintSet.affine(
         dim=3, a=lambda t, x: np.zeros(1), A=A, jac_t=jac_t, jac_x=jac_x, n=1
@@ -379,7 +394,8 @@ class Scenario:
             hi = np.inf if emb.domain_hi is None else emb.domain_hi
             outside = ((Y < lo) | (Y > hi)).any(axis=1)
             if outside.any():
-                raise ChartError(f"y={Y[np.argmax(outside)]} outside the chart domain")
+                i = int(np.argmax(outside))
+                raise emb.domain_error(float(t[i, 0]), Y[i])
             X = np.empty((count, m))
             V = np.empty((count, m))
             for i, ti in enumerate(t[:, 0].tolist()):

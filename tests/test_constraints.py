@@ -263,3 +263,46 @@ def test_virtual_basis_regularity_error_fields(circle_lift):
     with pytest.raises(RegularityError) as err:
         virtual_basis(circle_lift, State(0.5, np.zeros(2), np.zeros(2)))
     assert err.value.sigma_min == 0.0 and err.value.t == 0.5
+
+
+def _jet_sets():
+    import dataclasses
+
+    from constrained_dynamics import Reparametrization, reparametrize
+    from constrained_dynamics.scenarios import sphere_generator
+
+    bare = dataclasses.replace(sphere_generator(1.3, 3), d_tt=None, d_tx=None, d_xx=None)
+    return {
+        "sphere-2": lift_holonomic(sphere_generator(1.0, 2), 2),
+        "sphere-3": lift_holonomic(sphere_generator(1.4, 3), 3),
+        "rotating-line": lift_holonomic(rotating_line_generator(1.7), 2),
+        "finite-difference": lift_holonomic(bare, 3),
+        "knife-edge": knife_edge_constraints(),
+        "reparametrized": reparametrize(
+            lift_holonomic(rotating_line_generator(0.6), 2),
+            Reparametrization.componentwise(1, np.sinh, np.cosh),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_jet_sets()))
+def test_jet_equals_the_phi_jacobians(name):
+    # a holonomic set's jet reads its generator, and must give the bits of
+    # the lift's own Jacobians; any other set's reads phi
+    cs = _jet_sets()[name]
+    phi = cs.phi
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        t = float(rng.uniform(0.0, 3.0))
+        x = rng.uniform(-2.0, 2.0, cs.dim)
+        v = rng.uniform(-2.0, 2.0, cs.dim)
+        B, drift = cs.jet(t, x, v)
+        assert np.array_equal(B, phi.d_v(t, x, v))
+        assert np.array_equal(drift, phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v)
+
+
+def test_holonomic_set_needs_its_generator(circle_lift):
+    import dataclasses
+
+    with pytest.raises(ValueError, match="needs its generator"):
+        dataclasses.replace(circle_lift, generator=None)

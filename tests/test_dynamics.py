@@ -15,6 +15,7 @@ from constrained_dynamics import (
     energy,
     gde_residual,
     integrate_first_kind,
+    lift_holonomic,
     project_to_manifold,
     reaction,
 )
@@ -290,64 +291,86 @@ def test_second_kind_csv_matches_per_row_formatter(spherical):
     assert traj.to_csv() == _per_row_csv(header, [traj.times, traj.y, traj.w, traj.Q])
 
 
-def test_non_finite_sample_names_its_time(pendulum):
+_LEVELS = ("generator", "phi")
+
+
+def _injected(cs, level, wrap):
+    """The holonomic set ``cs`` with a fault injected by ``wrap(name, fn)``,
+    which returns the map to use in place of the map ``fn`` named ``name``.
+
+    At level "generator" the generator's maps (value, d_t, d_x, d_tt, d_tx,
+    d_xx) are wrapped and re-lifted, since the multiplier solve reads them;
+    at level "phi" phi's maps (value, jac_t, jac_x, jac_v) are wrapped in a
+    general set, whose solve reads phi.
+    """
     import dataclasses
 
-    # a NaN phi_t passes the Gram check (phi_v is finite) and makes the
-    # multipliers, hence the acceleration, NaN; a NaN force would be stopped
-    # at the force field instead
-    cs = pendulum.constraints
-    inner = cs.phi.jac_t
-
-    def jac_t(t, x, v):
-        return np.full(1, np.nan) if t >= 0.05 else inner(t, x, v)
-
-    cs = dataclasses.replace(cs, phi=dataclasses.replace(cs.phi, jac_t=jac_t))
-    cfg = IntegratorConfig(dt=1e-2)
-    # every sample up to t = 0.04 is finite; the step to t = 0.05 takes its
-    # last stage at the first NaN phi_t, so the sample at 0.05 is not
-    finite = integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.04, cfg)
-    assert np.all(np.isfinite(finite.velocities))
-    with pytest.raises(ValueError, match=r"must be finite at t=0\.05$"):
-        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, cfg)
-
-
-def _faint_pendulum(pendulum, nan_phi_t_from=None):
-    """The pendulum with phi and its Jacobians scaled by 1e-9 for t >= 0.05:
-    phi_v then fails the 1e-8 rank rule while the Gram rule (floor 0)
-    passes, and the reaction, hence the motion, is unchanged.  Optionally
-    phi_t is NaN from ``nan_phi_t_from`` on."""
-    import dataclasses
-
-    cs = pendulum.constraints
-    inner = cs.phi
-
-    def scaled(fn):
-        return lambda t, x, v: (1e-9 if t >= 0.05 else 1.0) * fn(t, x, v)
-
-    def jac_t(t, x, v):
-        if nan_phi_t_from is not None and t >= nan_phi_t_from:
-            return np.full(1, np.nan)
-        return scaled(inner.d_t)(t, x, v)
-
-    phi = dataclasses.replace(
-        inner, value=scaled(inner), jac_t=jac_t, jac_x=scaled(inner.d_x),
-        jac_v=scaled(inner.d_v),
+    if level == "generator":
+        g = cs.generator
+        names = ("value", "d_t", "d_x", "d_tt", "d_tx", "d_xx")
+        g = dataclasses.replace(g, **{k: wrap(k, getattr(g, k)) for k in names})
+        return lift_holonomic(g, cs.dim)
+    phi = cs.phi
+    names = ("value", "jac_t", "jac_x", "jac_v")
+    return ConstraintSet.general(
+        cs.dim, dataclasses.replace(phi, **{k: wrap(k, getattr(phi, k)) for k in names})
     )
-    return dataclasses.replace(cs, phi=phi)
+
+
+def _nan_time_derivative(fn_name, fn, t_from):
+    """``fn``, except NaN from ``t_from`` on when it is g_tt or phi_t."""
+    if fn_name not in ("d_tt", "jac_t"):
+        return fn
+    return lambda t, *a: np.full(1, np.nan) if t >= t_from else fn(t, *a)
+
+
+def test_non_finite_sample_names_its_time(pendulum):
+    # a NaN phi_t (from a NaN g_tt) passes the Gram check (phi_v is finite)
+    # and makes the multipliers, hence the acceleration, NaN; a NaN force
+    # would be stopped at the force field instead
+    for level in _LEVELS:
+        cs = _injected(
+            pendulum.constraints, level, lambda k, fn: _nan_time_derivative(k, fn, 0.05)
+        )
+        cfg = IntegratorConfig(dt=1e-2)
+        # every sample up to t = 0.04 is finite; the step to t = 0.05 takes its
+        # last stage at the first NaN phi_t, so the sample at 0.05 is not
+        finite = integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.04, cfg)
+        assert np.all(np.isfinite(finite.velocities))
+        with pytest.raises(ValueError, match=r"must be finite at t=0\.05$"):
+            integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, cfg)
+
+
+def _faint_pendulum(pendulum, level, nan_phi_t_from=None):
+    """The pendulum with g (or phi) and its derivatives scaled by 1e-9 for
+    t >= 0.05: phi_v then fails the 1e-8 rank rule while the Gram rule
+    (floor 0) passes, and the reaction, hence the motion, is unchanged.
+    Optionally g_tt (or phi_t), hence phi_t, is NaN from ``nan_phi_t_from``
+    on."""
+
+    def wrap(name, fn):
+        def scaled(t, *args):
+            return (1e-9 if t >= 0.05 else 1.0) * fn(t, *args)
+
+        if nan_phi_t_from is None:
+            return scaled
+        return _nan_time_derivative(name, scaled, nan_phi_t_from)
+
+    return _injected(pendulum.constraints, level, wrap)
 
 
 def test_degenerate_phi_v_is_reported_at_its_first_sample(pendulum):
     from constrained_dynamics import RegularityError
 
-    cs = _faint_pendulum(pendulum)
-    sys = pendulum.system
-    s = State(0.1, pendulum.initial.x, pendulum.initial.v)
-    a = acceleration(sys, cs, s)
-    assert np.allclose(a, acceleration(sys, pendulum.constraints, s), rtol=1e-9, atol=0.0)
-    with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 ") as err:
-        integrate_first_kind(sys, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
-    assert err.value.t == 0.05
+    for level in _LEVELS:
+        cs = _faint_pendulum(pendulum, level)
+        sys = pendulum.system
+        s = State(0.1, pendulum.initial.x, pendulum.initial.v)
+        a = acceleration(sys, cs, s)
+        assert np.allclose(a, acceleration(sys, pendulum.constraints, s), rtol=1e-9, atol=0.0)
+        with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 ") as err:
+            integrate_first_kind(sys, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
+        assert err.value.t == 0.05
 
 
 def test_degenerate_phi_v_outranks_a_later_failure(pendulum):
@@ -356,9 +379,12 @@ def test_degenerate_phi_v_outranks_a_later_failure(pendulum):
     # degenerate phi_v at t = 0.05 came first and is what the run reports
     from constrained_dynamics import RegularityError
 
-    cs = _faint_pendulum(pendulum, nan_phi_t_from=0.1)
-    with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 "):
-        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
+    for level in _LEVELS:
+        cs = _faint_pendulum(pendulum, level, nan_phi_t_from=0.1)
+        with pytest.raises(RegularityError, match=r"constraint Jacobian phi_v .* at t=0\.05 "):
+            integrate_first_kind(
+                pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+            )
 
 
 def test_deferred_phi_v_failure_is_chained_from_the_march_error(pendulum):
@@ -366,11 +392,50 @@ def test_deferred_phi_v_failure_is_chained_from_the_march_error(pendulum):
     # so the march has gone on past t = 0.05 and its own error is the cause
     from constrained_dynamics import RegularityError
 
-    cs = _faint_pendulum(pendulum, nan_phi_t_from=0.1)
-    with pytest.raises(RegularityError) as err:
-        integrate_first_kind(pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2))
-    assert err.value.t == 0.05
-    assert "constraint Gram matrix is non-finite" in str(err.value.__cause__)
+    for level in _LEVELS:
+        cs = _faint_pendulum(pendulum, level, nan_phi_t_from=0.1)
+        with pytest.raises(RegularityError) as err:
+            integrate_first_kind(
+                pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+            )
+        assert err.value.t == 0.05
+        assert "constraint Gram matrix is non-finite" in str(err.value.__cause__)
+
+
+def test_multiplier_solve_reads_each_generator_map_once(pendulum, monkeypatch):
+    # one g_tt, g_tx and g_xx call per multiplier solve, and no phi Jacobian
+    # call: the drift phi_t + phi_x v shares one g_tx
+    import collections
+    import dataclasses
+
+    from constrained_dynamics import integrate
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    g = pendulum.constraints.generator
+    g = dataclasses.replace(g, **{k: counted(k, getattr(g, k)) for k in ("d_tt", "d_tx", "d_xx")})
+    cs = lift_holonomic(g, 2)
+    phi = dataclasses.replace(
+        cs.phi, **{k: counted("phi_jac", getattr(cs.phi, k)) for k in ("jac_t", "jac_x", "jac_v")}
+    )
+    cs = dataclasses.replace(cs, phi=phi)
+    monkeypatch.setattr(
+        integrate, "_solve_multipliers", counted("solve", integrate._solve_multipliers)
+    )
+    traj = integrate_first_kind(
+        pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
+    )
+    # 20 steps of 3 stages, plus one solve per each of the 21 samples
+    assert len(traj) == 21 and calls["solve"] == 81
+    assert calls["d_tt"] == calls["d_tx"] == calls["d_xx"] == 81
+    assert calls["phi_jac"] == 0
 
 
 def test_one_svd_per_run(pendulum, monkeypatch):

@@ -44,6 +44,14 @@ def test_pushforward_respects_domain():
     emb = sphere_polar_embedding(1.0)
     with pytest.raises(ChartError):
         pushforward_state(emb, GeneralizedState(0.0, np.array([0.0, 0.0]), np.zeros(2)))
+    # the error names t and the bound that failed; a NaN y is in no domain
+    for y, miss in (
+        ([0.01, 0.0], r"y\[0\]=0\.01 < lower bound 0\.02$"),
+        ([np.pi, 0.0], r"y\[0\]=3\.14159\d* > upper bound 3\.12159\d*$"),
+        ([np.nan, 0.0], r"y\[0\]=nan is not a number$"),
+    ):
+        with pytest.raises(ChartError, match=r"outside the chart domain at t=0\.7: " + miss):
+            pushforward_state(emb, GeneralizedState(0.7, np.array(y), np.zeros(2)))
 
 
 def test_decompose_circle():

@@ -12,6 +12,7 @@ from constrained_dynamics import (
     State,
     gram_matrix,
     invariance_report,
+    lift_holonomic,
     multipliers,
     reaction,
     reparametrize,
@@ -79,14 +80,16 @@ def test_multipliers_singular_state_raises(pendulum):
 
 
 def test_nan_gram_matrix_raises(pendulum):
-    # NaN fails `gram > 0`, so a NaN phi_v is refused rather than solved
+    # NaN fails `gram > 0`, so a NaN phi_v is refused rather than solved: a
+    # NaN g_x re-lifted, and a NaN phi_v of a general set
     import dataclasses
 
     cs = pendulum.constraints
+    nan_g_x = dataclasses.replace(cs.generator, d_x=lambda t, x: np.full((1, 2), np.nan))
     nan_jac_v = dataclasses.replace(cs.phi, jac_v=lambda t, x, v: np.full((1, 2), np.nan))
-    bad = dataclasses.replace(cs, phi=nan_jac_v)
-    with pytest.raises(RegularityError, match="t=0.0"):
-        reaction(pendulum.system, bad, pendulum.initial)
+    for bad in (lift_holonomic(nan_g_x, 2), ConstraintSet.general(2, nan_jac_v)):
+        with pytest.raises(RegularityError, match="t=0.0"):
+            reaction(pendulum.system, bad, pendulum.initial)
 
 
 def test_nan_gram_matrix_raises_for_two_constraints():

@@ -13,6 +13,7 @@ from constrained_dynamics import (
     ScenarioError,
     State,
     catalog_scenario,
+    lift_holonomic,
     parse_scenario,
     virtual_basis,
     write_scenario,
@@ -22,6 +23,7 @@ from constrained_dynamics.generalized import ChartError, pushforward_state
 from constrained_dynamics.scenarios import (
     _catalog_documents,
     circle_embedding,
+    knife_edge_constraints,
     rotating_line_embedding,
     rotating_line_generator,
     scenario_from_document,
@@ -489,29 +491,31 @@ def test_catalog_chart_derivatives_match_central_differences(make, lo, hi):
 @pytest.mark.parametrize(
     "make, m",
     [
-        (lambda: sphere_generator(1.0, 2), 2),
-        (lambda: sphere_generator(1.4, 3), 3),
-        (lambda: rotating_line_generator(1.7), 2),
+        (lambda: lift_holonomic(sphere_generator(1.0, 2), 2), 2),
+        (lambda: lift_holonomic(sphere_generator(1.4, 3), 3), 3),
+        (lambda: lift_holonomic(rotating_line_generator(1.7), 2), 2),
+        (knife_edge_constraints, 3),
     ],
-    ids=["sphere-2", "sphere-3", "rotating-line"],
+    ids=["sphere-2", "sphere-3", "rotating-line", "knife-edge"],
 )
 def test_catalog_generator_derivatives_match_central_differences(make, m):
-    from constrained_dynamics.constraints import lift_holonomic
-
-    g = make()
-    assert None not in (g.d_tt, g.d_tx, g.d_xx)
-    phi = lift_holonomic(g, m).phi
+    cs = make()
+    phi, g = cs.phi, cs.generator
+    assert None not in (phi.jac_t, phi.jac_x, phi.jac_v)
+    assert g is None or None not in (g.d_tt, g.d_tx, g.d_xx)
     rng = np.random.default_rng(72)
     for _ in range(20):
         t = float(rng.uniform(0.0, 3.0))
         x = rng.uniform(-2.0, 2.0, m)
         v = rng.uniform(-2.0, 2.0, m)
-        _close(g.grad_t(t, x), _t_diff(lambda s: g(s, x), t))
-        _close(g.grad_x(t, x), _y_diff(lambda z: g(t, z), x))
-        _close(g.grad_tt(t, x), _t_diff(lambda s: g.grad_t(s, x), t))
-        _close(g.grad_tx(t, x), _y_diff(lambda z: g.grad_t(t, z), x))
-        _close(g.grad_xx(t, x), _y_diff(lambda z: g.grad_x(t, z), x))
-        # the lift's Jacobians, built from those derivatives
+        if g is not None:
+            _close(g.grad_t(t, x), _t_diff(lambda s: g(s, x), t))
+            _close(g.grad_x(t, x), _y_diff(lambda z: g(t, z), x))
+            _close(g.grad_tt(t, x), _t_diff(lambda s: g.grad_t(s, x), t))
+            _close(g.grad_tx(t, x), _y_diff(lambda z: g.grad_t(t, z), x))
+            _close(g.grad_xx(t, x), _y_diff(lambda z: g.grad_x(t, z), x))
+        # phi's Jacobians: a lift's, built from those derivatives, or the
+        # knife edge's own
         _close(phi.d_t(t, x, v), _t_diff(lambda s: phi(s, x, v), t))
         _close(phi.d_x(t, x, v), _y_diff(lambda z: phi(t, z, v), x))
         _close(phi.d_v(t, x, v), _y_diff(lambda z: phi(t, x, z), v))
