@@ -108,13 +108,17 @@ def _no_chart(sc: Scenario) -> str:
 
 
 def _is_scleronomic(sc: Scenario) -> bool:
-    if sc.constraints is None:
+    """Whether the constraints are declared scleronomic (no constraints
+    count as such).  A declared set is probed at five sampled states, and
+    one with a nonzero phi_t there raises ValueError naming the scenario."""
+    cs = sc.constraints
+    if cs is None:
         return True
-    t, X, V = sc.sample_states(np.random.default_rng(3), 5)
-    for ti, x, v in zip(t.tolist(), X, V):
-        if np.abs(sc.constraints.phi.d_t(ti, x, v)).max(initial=0.0) > 1e-12:
-            return False
-    return True
+    if cs.scleronomic:
+        t, X, V = sc.sample_states(np.random.default_rng(3), 5)
+        for ti, x, v in zip(t.tolist(), X, V):
+            cs.require_declared_scleronomy(ti, x, v, f"scenario {sc.name!r}")
+    return cs.scleronomic
 
 
 def reparametrization_families(n: int, rng: np.random.Generator):

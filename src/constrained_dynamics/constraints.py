@@ -17,6 +17,7 @@ import numpy as np
 from .smooth import Array, ConfigurationMap, SmoothMap, State
 
 RANK_TOL_FACTOR = 1e-8
+SCLERONOMY_TOL = 1e-12  # largest |phi_t| a set declared scleronomic may show
 
 
 class RegularityError(RuntimeError):
@@ -83,6 +84,10 @@ class ConstraintSet:
     phi is, by declaration, the lift of its ``generator``, and the multiplier
     solve reads the generator (see :meth:`jet`); a phi that is not that lift
     is built with :meth:`general`.
+
+    ``scleronomic`` declares that phi does not depend on t, so that phi_t,
+    and for a holonomic set g_t, g_tt and g_tx, vanish identically; the
+    multiplier solve then skips them.  False, the default, claims nothing.
     """
 
     dim: int
@@ -92,6 +97,7 @@ class ConstraintSet:
     affine_a: Optional[Callable[[float, Array], Array]] = None
     affine_A: Optional[Callable[[float, Array], Array]] = None
     generator: Optional[ConfigurationMap] = None
+    scleronomic: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -109,6 +115,18 @@ class ConstraintSet:
     def is_holonomic(self) -> bool:
         return self.structure == "holonomic"
 
+    def require_declared_scleronomy(self, t: float, x: Array, v: Array, where: str) -> None:
+        """Refuse, with a ValueError naming ``where``, a set declared
+        scleronomic whose |phi_t| exceeds SCLERONOMY_TOL at (t, x, v)."""
+        if not self.scleronomic:
+            return
+        rate = float(np.abs(self.phi.d_t(t, x, v)).max(initial=0.0))
+        if rate > SCLERONOMY_TOL:
+            raise ValueError(
+                f"{where}: constraints declared scleronomic have |phi_t| = {rate:.3e} "
+                f"> {SCLERONOMY_TOL:g} at t={t}"
+            )
+
     def jet(self, t: float, x: Array, v: Array) -> Tuple[Array, Array]:
         """(phi_v, phi_t + phi_x v) at (t, x, v): the constraint terms of the
         multiplier solve.
@@ -116,14 +134,22 @@ class ConstraintSet:
         A holonomic set reads them off its generator, with g_tx evaluated
         once: phi_v = g_x and phi_t + phi_x v = (g_tt + g_tx v) + (g_tx +
         v g_xx) v, the same operations in the same order as the lift's
-        Jacobians.  Any other set takes them from phi.
+        Jacobians.  Any other set takes them from phi.  A scleronomic set
+        leaves out the terms it declares zero: the drift is (v g_xx) v, or
+        phi_x v, which differs from the full sum at most in the sign of an
+        exact zero.
         """
         if self.is_holonomic:
             g = self.generator
+            if self.scleronomic:
+                return g.grad_x(t, x), np.dot(np.dot(v, g.grad_xx(t, x)), v)
             gtx = g.grad_tx(t, x)
-            return g.grad_x(t, x), (g.grad_tt(t, x) + gtx @ v) + (gtx + v @ g.grad_xx(t, x)) @ v
+            drift = g.grad_tt(t, x) + np.dot(gtx, v)
+            return g.grad_x(t, x), drift + np.dot(gtx + np.dot(v, g.grad_xx(t, x)), v)
         phi = self.phi
-        return phi.d_v(t, x, v), phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
+        if self.scleronomic:
+            return phi.d_v(t, x, v), np.dot(phi.d_x(t, x, v), v)
+        return phi.d_v(t, x, v), phi.d_t(t, x, v) + np.dot(phi.d_x(t, x, v), v)
 
     @classmethod
     def general(cls, dim: int, phi: SmoothMap) -> "ConstraintSet":
@@ -138,11 +164,13 @@ class ConstraintSet:
         jac_t: Optional[Callable] = None,
         jac_x: Optional[Callable] = None,
         n: Optional[int] = None,
+        scleronomic: bool = False,
     ) -> "ConstraintSet":
         """Constraints linear in velocity, phi = a(t,x) + A(t,x) v.
 
         phi_v = A exactly; phi_t and phi_x use the supplied analytic
-        Jacobians or fall back to central differences of phi.
+        Jacobians or fall back to central differences of phi.  ``scleronomic``
+        declares that a and A do not depend on t.
         """
         if n is None:
             n = np.asarray(a(0.0, np.zeros(dim)), dtype=float).reshape(-1).size
@@ -154,14 +182,18 @@ class ConstraintSet:
             jac_x=jac_x,
             jac_v=lambda t, x, v: A(t, x),
         )
-        return cls(dim=dim, n=n, phi=phi, structure="affine", affine_a=a, affine_A=A)
+        return cls(
+            dim=dim, n=n, phi=phi, structure="affine", affine_a=a, affine_A=A,
+            scleronomic=scleronomic,
+        )
 
 
-def lift_holonomic(g: ConfigurationMap, dim: int) -> ConstraintSet:
+def lift_holonomic(g: ConfigurationMap, dim: int, scleronomic: bool = False) -> ConstraintSet:
     """Differential lift phi = g_t(t,x) + g_x(t,x) v of a geometric constraint.
 
     ker phi_v = ker g_x by construction.  Rejects generators that turn out
-    to depend on v (probed at random points).
+    to depend on v (probed at random points).  ``scleronomic`` declares that
+    g does not depend on t.
     """
     rng = np.random.default_rng(0)
     for _ in range(3):
@@ -193,7 +225,8 @@ def lift_holonomic(g: ConfigurationMap, dim: int) -> ConstraintSet:
     a = lambda t, x: g.grad_t(t, x)  # noqa: E731
     A = lambda t, x: g.grad_x(t, x)  # noqa: E731
     return ConstraintSet(
-        dim=dim, n=n, phi=phi, structure="holonomic", affine_a=a, affine_A=A, generator=g
+        dim=dim, n=n, phi=phi, structure="holonomic", affine_a=a, affine_A=A, generator=g,
+        scleronomic=scleronomic,
     )
 
 

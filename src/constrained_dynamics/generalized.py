@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import require_regular
 from .integrate import IntegratorConfig, Trajectory, _csv, _march
-from .smooth import Array, State, central_differences, time_difference
+from .smooth import Array, State, central_differences, shaped, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem
 
 
@@ -75,27 +75,27 @@ class Embedding:
         object.__setattr__(self, "_box", box)
 
     def value(self, t, y):
-        return np.asarray(self.u(t, y), float).reshape(self.dim)
+        return shaped(self.u(t, y), (self.dim,))
 
     def d_t(self, t, y):
-        return np.asarray(self.u_t(t, y), float).reshape(self.dim)
+        return shaped(self.u_t(t, y), (self.dim,))
 
     def d_y(self, t, y):
-        return np.asarray(self.u_y(t, y), float).reshape(self.dim, self.r)
+        return shaped(self.u_y(t, y), (self.dim, self.r))
 
     def d_tt(self, t, y):
         if self.u_tt is not None:
-            return np.asarray(self.u_tt(t, y), float).reshape(self.dim)
+            return shaped(self.u_tt(t, y), (self.dim,))
         return time_difference(lambda tt: self.d_t(tt, y), t)
 
     def d_ty(self, t, y):
         if self.u_ty is not None:
-            return np.asarray(self.u_ty(t, y), float).reshape(self.dim, self.r)
+            return shaped(self.u_ty(t, y), (self.dim, self.r))
         return time_difference(lambda tt: self.d_y(tt, y), t)
 
     def d_yy(self, t, y):
         if self.u_yy is not None:
-            return np.asarray(self.u_yy(t, y), float).reshape(self.dim, self.r, self.r)
+            return shaped(self.u_yy(t, y), (self.dim, self.r, self.r))
         return central_differences(lambda yy: self.d_y(t, yy), y, "y")
 
     def in_domain(self, y: Array) -> bool:

@@ -46,6 +46,9 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        n = self.projection_max_iter
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"projection_max_iter must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +119,9 @@ def _csv(cols: List[str], template: str, body: Array) -> str:
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
     # hot path: no State construction, no ReactionResult packaging
     if cs is None:
-        return sys.mass.inverse @ sys.force(t, x, v)
+        return np.dot(sys.mass.inverse, sys.force(t, x, v))
     f, _, S, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, real)
-    return sys.mass.inverse @ (f + lam @ S)
+    return np.dot(sys.mass.inverse, f + np.dot(lam, S))
 
 
 def acceleration(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -204,11 +207,11 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
     V = 0.0 if pot is None else float(pot(t, x))
     if cs is None:
         f = sys.force(t, x, v)
-        xdd = sys.mass.inverse @ f
+        xdd = np.dot(sys.mass.inverse, f)
         return xdd, np.concatenate(([t], x, v, np.zeros(x.size), xdd, f, [V]))
     f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real)
-    N = lam @ S
-    xdd = sys.mass.inverse @ (f + N)
+    N = np.dot(lam, S)
+    xdd = np.dot(sys.mass.inverse, f + N)
     phi = cs.phi(t, x, v)
     g = cs.generator(t, x) if cs.is_holonomic else ()
     return xdd, np.concatenate(([t], x, v, lam, N, xdd, f, B.reshape(-1), drift, phi, g, [V]))
@@ -242,8 +245,11 @@ def _trajectory(sys: MechanicalSystem, cs: Optional[ConstraintSet], rows) -> Tra
 
 
 def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
+    """Refuse initial data off the constraints, or constraints whose declared
+    scleronomy fails at the initial state."""
     if cs is None:
         return
+    cs.require_declared_scleronomy(init.t, init.x, init.v, "initial state")
     phi0 = float(np.abs(cs.phi(init.t, init.x, init.v)).max(initial=0.0))
     if phi0 > tol:
         raise OffManifoldError(f"initial phi residual {phi0:.6g} exceeds {tol}")
@@ -278,36 +284,37 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     ``(q, p, a)``: the state to continue from (a caller may project it) and
     its acceleration, which is the next step's first stage.  RK4 calls
     ``accel`` 3 times per step, Dormand-Prince 6 times per attempt.
+
+    Both methods march the flat state y = (q, p) with slopes k = (p, a), the
+    same elementwise operations as on q and p apart; ``accel`` and
+    ``record`` get views of y.
     """
     t_stop = t_end - 1e-12 * max(1.0, abs(t_end))  # absorbs round-off in t
+    m = q.size
+    y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
+
+    def rhs(tt, yy):
+        return np.concatenate((yy[m:], accel(tt, yy[:m], yy[m:])))
+
     if cfg.method == "rk4-fixed":
         while t < t_stop:
             h = min(cfg.dt, t_end - t)
-            k1q, k1p = p, a
-            q2, p2 = q + 0.5 * h * k1q, p + 0.5 * h * k1p
-            k2q, k2p = p2, accel(t + 0.5 * h, q2, p2)
-            q3, p3 = q + 0.5 * h * k2q, p + 0.5 * h * k2p
-            k3q, k3p = p3, accel(t + 0.5 * h, q3, p3)
-            q4, p4 = q + h * k3q, p + h * k3p
-            k4q, k4p = p4, accel(t + h, q4, p4)
-            q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-            p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            # k + k is 2 * k exactly
+            y = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
             t = t + h
-            q, p, a = record(t, q, p)
+            q, p, a = record(t, y[:m], y[m:])
+            y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
         return
 
     # rk45-adaptive (Dormand-Prince, local extrapolation)
-    y = np.concatenate([q, p])
-    m = q.size
-
-    def rhs(tt, yy):
-        return np.concatenate([yy[m:], accel(tt, yy[:m], yy[m:])])
-
     h = cfg.dt
     tol = cfg.tolerance
     while t < t_stop:
         h = min(h, t_end - t)
-        ks = [np.concatenate([y[m:], a])]
+        ks = [k1]
         for i in range(1, 7):
             yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
             ks.append(rhs(t + _DP_C[i] * h, yi))
@@ -318,7 +325,7 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
         if err <= 1.0:
             t = t + h
             q, p, a = record(t, y5[:m], y5[m:])
-            y = np.concatenate([q, p])
+            y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         if h < 1e-14:

@@ -26,7 +26,7 @@ from .constraints import (
     regular_svd,
     require_regular,
 )
-from .smooth import Array, SmoothMap, State, central_differences, time_difference
+from .smooth import Array, SmoothMap, State, central_differences, shaped, time_difference
 from .system import MechanicalSystem
 
 
@@ -95,13 +95,13 @@ def _solve_multipliers(
     """
     f = sys.force(t, x, v)
     B, drift = cs.jet(t, x, v)
-    W = B @ sys.mass.inverse
-    rhs = drift + W @ f
+    W = np.dot(B, sys.mass.inverse)
+    rhs = drift + np.dot(W, f)
     if real is None:
-        M = W @ B.T
+        M = np.dot(W, B.T)
         return f, B, B, -_chol_solve(M, rhs, t), M, drift
-    S = np.asarray(real.S.value(t, x, v), float).reshape(cs.n, cs.dim)
-    M = W @ S.T
+    S = shaped(real.S.value(t, x, v), (cs.n, cs.dim))
+    M = np.dot(W, S.T)
     regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
     return f, B, S, -np.linalg.solve(M, rhs), M, drift
 
@@ -152,24 +152,24 @@ class Reparametrization:
     jac_v: Optional[Callable] = None
 
     def __call__(self, t, x, v, z):
-        return np.asarray(self.value(t, x, v, z), float).reshape(self.n)
+        return shaped(self.value(t, x, v, z), (self.n,))
 
     def d_z(self, t, x, v, z):
-        return np.asarray(self.jac_z(t, x, v, z), float).reshape(self.n, self.n)
+        return shaped(self.jac_z(t, x, v, z), (self.n, self.n))
 
     def d_t(self, t, x, v, z):
         if self.jac_t is not None:
-            return np.asarray(self.jac_t(t, x, v, z), float).reshape(self.n)
+            return shaped(self.jac_t(t, x, v, z), (self.n,))
         return time_difference(lambda tt: self(tt, x, v, z), t)
 
     def d_x(self, t, x, v, z):
         if self.jac_x is not None:
-            return np.asarray(self.jac_x(t, x, v, z), float).reshape(self.n, x.size)
+            return shaped(self.jac_x(t, x, v, z), (self.n, x.size))
         return central_differences(lambda xx: self(t, xx, v, z), x)
 
     def d_v(self, t, x, v, z):
         if self.jac_v is not None:
-            return np.asarray(self.jac_v(t, x, v, z), float).reshape(self.n, v.size)
+            return shaped(self.jac_v(t, x, v, z), (self.n, v.size))
         return central_differences(lambda vv: self(t, x, vv, z), v, "v")
 
     @classmethod

@@ -69,6 +69,16 @@ def _field(doc: Dict, where: str, key: str, default=None, convert=float):
     return value
 
 
+def _integer(doc: Dict, where: str, key: str, default=None, lo: int = 0) -> int:
+    """A :func:`_field` that must be an integer >= ``lo``; an integral float
+    such as 3.0 counts, a fraction such as 2.5 or a boolean does not."""
+    value = _field(doc, where, key, default)
+    raw = doc.get(key, default)
+    if isinstance(raw, bool) or not value.is_integer() or value < lo:
+        raise ScenarioError([f"{where}.{key} must be an integer >= {lo}, got {raw!r}"])
+    return int(value)
+
+
 def _floats(raw) -> np.ndarray:
     return np.asarray(raw, float)
 
@@ -112,7 +122,7 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
         return ForceField.zero(m)
     if kind == "uniform-gravity":
         g0 = _field(doc, "force", "g0")
-        axis = _field(doc, "force", "axis", convert=int)
+        axis = _integer(doc, "force", "axis")
         if not 0 <= axis < m:
             raise ScenarioError([f"force.axis {axis} is out of range for m={m}"])
         e = np.zeros(m)
@@ -202,7 +212,8 @@ def knife_edge_constraints() -> ConstraintSet:
         return np.array([0.0, 0.0, v[0] * math.cos(th) + v[1] * math.sin(th)]).reshape(1, 3)
 
     return ConstraintSet.affine(
-        dim=3, a=lambda t, x: np.zeros(1), A=A, jac_t=jac_t, jac_x=jac_x, n=1
+        dim=3, a=lambda t, x: np.zeros(1), A=A, jac_t=jac_t, jac_x=jac_x, n=1,
+        scleronomic=True,
     )
 
 
@@ -212,7 +223,7 @@ def _make_constraints(doc: Optional[Dict], m: int) -> Optional[ConstraintSet]:
     kind = doc["type"]
     if kind == "sphere":
         radius = _field(doc, "constraint", "radius", 1.0)
-        return lift_holonomic(sphere_generator(radius, m), m)
+        return lift_holonomic(sphere_generator(radius, m), m, scleronomic=True)
     if kind == "rotating-line":
         if m != 2:
             raise ScenarioError(["rotating-line constraint needs m = 2"])
@@ -453,7 +464,7 @@ def _integrator_from_doc(doc: Dict) -> IntegratorConfig:
         tolerance=_field(doc, "integrator", "tolerance", 1e-9),
         projection=doc.get("projection", "off"),
         projection_tol=_field(doc, "integrator", "projection_tol", 1e-12),
-        projection_max_iter=_field(doc, "integrator", "projection_max_iter", 20, int),
+        projection_max_iter=_integer(doc, "integrator", "projection_max_iter", 20, lo=1),
     )
 
 

@@ -19,6 +19,25 @@ import numpy as np
 FD_BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 
 Array = np.ndarray
+_FLOAT = np.dtype(float)
+
+
+def shaped(out, shape: tuple) -> Array:
+    """``np.asarray(out, float).reshape(shape)``, or ``out`` itself when it
+    already is a float64 ndarray of that shape (of one axis, for shape (-1,)).
+
+    The one guard on what an evaluator returns: a map that builds its array
+    in the declared shape skips the conversion, any other output takes it,
+    numpy's errors included.  Either way the result may share memory with
+    the evaluator's array.
+    """
+    # `is` on the dtype: a float64 dtype other than numpy's own instance
+    # only takes the conversion
+    if type(out) is np.ndarray and out.dtype is _FLOAT and (
+        out.shape == shape or (shape == (-1,) and out.ndim == 1)
+    ):
+        return out
+    return np.asarray(out, dtype=float).reshape(shape)
 
 
 def _fd_step(coord: float) -> float:
@@ -79,7 +98,7 @@ class SmoothMap:
     jac_v: Optional[Callable[[float, Array, Array], Array]] = None
 
     def __call__(self, t: float, x: Array, v: Array) -> Array:
-        out = np.asarray(self.value(t, x, v), dtype=float).reshape(-1)
+        out = shaped(self.value(t, x, v), (-1,))
         if out.size != self.dim:
             raise ValueError(
                 f"declared output dimension {self.dim}, evaluator returned {out.size}"
@@ -93,17 +112,17 @@ class SmoothMap:
 
     def d_t(self, t: float, x: Array, v: Array) -> Array:
         if self.jac_t is not None:
-            return np.asarray(self.jac_t(t, x, v), dtype=float).reshape(self.dim)
+            return shaped(self.jac_t(t, x, v), (self.dim,))
         return fd_jacobian(self, State(t, x, v), "t").reshape(self.dim)
 
     def d_x(self, t: float, x: Array, v: Array) -> Array:
         if self.jac_x is not None:
-            return np.asarray(self.jac_x(t, x, v), dtype=float).reshape(self.dim, x.size)
+            return shaped(self.jac_x(t, x, v), (self.dim, x.size))
         return fd_jacobian(self, State(t, x, v), "x")
 
     def d_v(self, t: float, x: Array, v: Array) -> Array:
         if self.jac_v is not None:
-            return np.asarray(self.jac_v(t, x, v), dtype=float).reshape(self.dim, v.size)
+            return shaped(self.jac_v(t, x, v), (self.dim, v.size))
         return fd_jacobian(self, State(t, x, v), "v")
 
 
@@ -171,29 +190,27 @@ class ConfigurationMap:
     d_xx: Optional[Callable[[float, Array], Array]] = None
 
     def __call__(self, t: float, x: Array) -> Array:
-        return np.asarray(self.value(t, x), dtype=float).reshape(self.dim)
+        return shaped(self.value(t, x), (self.dim,))
 
     def grad_t(self, t: float, x: Array) -> Array:
-        return np.asarray(self.d_t(t, x), dtype=float).reshape(self.dim)
+        return shaped(self.d_t(t, x), (self.dim,))
 
     def grad_x(self, t: float, x: Array) -> Array:
-        return np.asarray(self.d_x(t, x), dtype=float).reshape(self.dim, x.size)
+        return shaped(self.d_x(t, x), (self.dim, x.size))
 
     def grad_tt(self, t: float, x: Array) -> Array:
         if self.d_tt is not None:
-            return np.asarray(self.d_tt(t, x), dtype=float).reshape(self.dim)
+            return shaped(self.d_tt(t, x), (self.dim,))
         return time_difference(lambda tt: self.grad_t(tt, x), t)
 
     def grad_tx(self, t: float, x: Array) -> Array:
         # d/dx of g_t, an n-by-m matrix
         if self.d_tx is not None:
-            return np.asarray(self.d_tx(t, x), dtype=float).reshape(self.dim, x.size)
+            return shaped(self.d_tx(t, x), (self.dim, x.size))
         return central_differences(lambda xx: self.grad_t(t, xx), x)
 
     def grad_xx(self, t: float, x: Array) -> Array:
         # d/dx of g_x, an n-by-m-by-m tensor; [i, j, k] = d^2 g_i / dx_j dx_k
         if self.d_xx is not None:
-            return np.asarray(self.d_xx(t, x), dtype=float).reshape(
-                self.dim, x.size, x.size
-            )
+            return shaped(self.d_xx(t, x), (self.dim, x.size, x.size))
         return central_differences(lambda xx: self.grad_x(t, xx), x)

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .smooth import Array, EvaluationError, State
+from .smooth import Array, EvaluationError, State, shaped
 
 SPD_SYMMETRY_TOL = 1e-12
 
@@ -107,7 +107,7 @@ class ForceField:
     potential: Optional[Callable[[float, Array], float]] = None
 
     def __call__(self, t: float, x: Array, v: Array) -> Array:
-        out = np.asarray(self.value(t, x, v), dtype=float).reshape(-1)
+        out = shaped(self.value(t, x, v), (-1,))
         if out.size != self.dim:
             raise ValueError(
                 f"force field declared dimension {self.dim}, got {out.size}"

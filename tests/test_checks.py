@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from constrained_dynamics import integrate_first_kind
 from constrained_dynamics.checks import (
     DEFAULT_THRESHOLDS,
     Report,
@@ -214,3 +215,36 @@ def test_trajectory_checks_equal_the_written_out_formulas(pendulum, run):
     assert entries[1].name == "first-integral-rate"
     assert entries[1].value == rate
     assert check_gde(pendulum, traj, DEFAULT_THRESHOLDS)[0].value == gde
+
+
+# ---------------------------------------------------------------------------
+# scleronomy is declared: the declaration picks the energy check, and a
+# declaration that a sampled phi_t contradicts is refused
+
+
+def _declared(sc, scleronomic):
+    import dataclasses
+
+    cs = dataclasses.replace(sc.constraints, scleronomic=scleronomic)
+    return dataclasses.replace(sc, constraints=cs)
+
+
+def test_declaration_decides_scleronomy(pendulum, rotating_wire):
+    from constrained_dynamics.checks import _is_scleronomic
+
+    assert _is_scleronomic(pendulum) and not _is_scleronomic(rotating_wire)
+    # a sphere not declared scleronomic is treated as possibly rheonomic,
+    # although its phi_t vanishes
+    assert not _is_scleronomic(_declared(pendulum, False))
+
+
+def test_false_scleronomy_declaration_is_refused_by_name(rotating_wire):
+    from constrained_dynamics.checks import check_energy
+
+    sc = _declared(rotating_wire, True)
+    traj = integrate_first_kind(
+        rotating_wire.system, rotating_wire.constraints, rotating_wire.initial, 0.1,
+        rotating_wire.integrator,
+    )
+    with pytest.raises(ValueError, match="scenario 'rotating-wire-bead'.*declared scleronomic"):
+        check_energy(sc, traj, DEFAULT_THRESHOLDS)

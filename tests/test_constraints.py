@@ -306,3 +306,16 @@ def test_holonomic_set_needs_its_generator(circle_lift):
 
     with pytest.raises(ValueError, match="needs its generator"):
         dataclasses.replace(circle_lift, generator=None)
+
+
+def test_scleronomy_is_declared_by_the_catalog_and_dropped_by_reparametrize(all_scenarios):
+    from constrained_dynamics import Reparametrization, reparametrize
+
+    declared = {sc.name: sc.constraints.scleronomic for sc in all_scenarios}
+    assert declared == {
+        "pendulum": True, "spherical-pendulum": True,
+        "rotating-wire-bead": False, "knife-edge": True,
+    }
+    cs = all_scenarios[0].constraints
+    assert not reparametrize(cs, Reparametrization.identity(cs.n)).scleronomic
+    assert not lift_holonomic(rotating_line_generator(1.0), 2).scleronomic

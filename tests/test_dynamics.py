@@ -180,6 +180,27 @@ def test_config_validation():
         IntegratorConfig(dt=-1e-3)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
+def test_projection_max_iter_must_be_a_positive_integer(max_iter):
+    with pytest.raises(ValueError, match="projection_max_iter must be an integer >= 1"):
+        IntegratorConfig(projection="positional", projection_max_iter=max_iter)
+
+
+def test_run_refuses_a_scleronomy_declaration_false_at_the_start(rotating_wire):
+    import dataclasses
+
+    from constrained_dynamics import GeneralizedState
+    from constrained_dynamics.generalized import pushforward_state
+
+    # a bead sliding along the turning line: phi_t = -omega w != 0
+    init = pushforward_state(rotating_wire.embedding, GeneralizedState(0.0, [1.0], [0.5]))
+    cs = dataclasses.replace(rotating_wire.constraints, scleronomic=True)
+    with pytest.raises(ValueError, match="initial state: constraints declared scleronomic"):
+        integrate_first_kind(rotating_wire.system, cs, init, 0.1)
+    # declared as it is, the same start runs
+    integrate_first_kind(rotating_wire.system, rotating_wire.constraints, init, 0.01)
+
+
 def test_csv_round_trip(pendulum):
     import csv
     import io

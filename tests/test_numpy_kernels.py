@@ -1,12 +1,13 @@
 """The engine's numpy Cholesky solve and Hermite resampler against the scipy
-routines they stand in for, a guard that the engine never loads scipy, and a
+routines they stand in for, a guard that the engine never loads scipy, a
 guard that it factors or solves matrices only where README's regularity
-table says.
+table says, and the multiplier kernels against their written-out formulas.
 
 scipy is a test dependency only, so it is imported inside the tests.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from constrained_dynamics import RegularityError
+from constrained_dynamics import RegularityError, catalog_scenario
 from constrained_dynamics.generalized import _hermite
-from constrained_dynamics.reactions import _chol_solve
+from constrained_dynamics.integrate import _accel_raw
+from constrained_dynamics.reactions import _chol_solve, _solve_multipliers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,3 +121,69 @@ def test_linalg_only_at_the_regularity_sites():
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     regularity = readme.split("## Regularity", 1)[1].split("\n## ", 1)[0]
     assert all(f"`{fn}`" in regularity for fn in LINALG_SITES)
+
+
+# ---------------------------------------------------------------------------
+# the multiplier kernels (np.dot, declared scleronomy) against the closed
+# form written out with `@` and every time term kept
+
+CATALOG = ["pendulum", "spherical-pendulum", "rotating-wire-bead", "knife-edge"]
+
+
+def _written_out_jet(cs, t, x, v):
+    if cs.is_holonomic:
+        g = cs.generator
+        gtx = g.grad_tx(t, x)
+        return g.grad_x(t, x), (g.grad_tt(t, x) + gtx @ v) + (gtx + v @ g.grad_xx(t, x)) @ v
+    phi = cs.phi
+    return phi.d_v(t, x, v), phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v
+
+
+def _sampled(name, count=200):
+    sc = catalog_scenario(name)
+    t, X, V = sc.sample_states(np.random.default_rng(29), count)
+    return sc, zip(t.tolist(), X, V)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_jet_and_multiplier_solve_match_the_written_out_formulas(name):
+    sc, states = _sampled(name)
+    sys, cs = sc.system, sc.constraints
+    Ginv = sys.mass.inverse
+    for t, x, v in states:
+        B, drift = _written_out_jet(cs, t, x, v)
+        jet = cs.jet(t, x, v)
+        assert np.array_equal(jet[0], B) and np.array_equal(jet[1], drift)
+        f = sys.force(t, x, v)
+        W = B @ Ginv
+        M = W @ B.T
+        lam = -_chol_solve(M, drift + W @ f, t)
+        got = _solve_multipliers(sys, cs, t, x, v)
+        for a, b in zip(got, (f, B, B, lam, M, drift)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(_accel_raw(sys, cs, t, x, v), Ginv @ (f + lam @ B))
+
+
+@pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum", "knife-edge"])
+def test_scleronomic_jet_equals_the_generic_jet(name):
+    sc, states = _sampled(name)
+    cs = sc.constraints
+    assert cs.scleronomic
+    generic = dataclasses.replace(cs, scleronomic=False)
+    for t, x, v in states:
+        for a, b in zip(cs.jet(t, x, v), generic.jet(t, x, v)):
+            assert np.array_equal(a, b)
+
+
+def test_scleronomic_holonomic_jet_makes_no_time_derivative_call():
+    sc = catalog_scenario("spherical-pendulum")
+    cs = sc.constraints
+
+    def refuse(t, x):
+        raise AssertionError("time derivative evaluated")
+
+    g = dataclasses.replace(cs.generator, d_t=refuse, d_tt=refuse, d_tx=refuse)
+    lean = dataclasses.replace(cs, generator=g)
+    s = sc.initial
+    for a, b in zip(lean.jet(s.t, s.x, s.v), cs.jet(s.t, s.x, s.v)):
+        assert np.array_equal(a, b)

@@ -312,6 +312,24 @@ def test_force_axis_out_of_range_is_typed():
     assert "force.axis" in _problems(_pendulum_doc(force={"axis": 5}))
 
 
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
+def test_projection_max_iter_must_be_a_positive_integer(max_iter):
+    doc = _pendulum_doc(integrator={"projection_max_iter": max_iter})
+    problem = _problems(doc)
+    assert problem == f"integrator.projection_max_iter must be an integer >= 1, got {max_iter!r}"
+
+
+def test_integral_float_projection_max_iter_is_read_as_an_integer():
+    sc = scenario_from_document(_pendulum_doc(integrator={"projection_max_iter": 3.0}))
+    assert sc.integrator.projection_max_iter == 3
+    assert type(sc.integrator.projection_max_iter) is int
+
+
+def test_fractional_force_axis_is_refused():
+    problem = _problems(_pendulum_doc(force={"axis": 0.5}))
+    assert problem == "force.axis must be an integer >= 0, got 0.5"
+
+
 def test_non_numeric_radius_is_typed():
     assert "constraint.radius" in _problems(_pendulum_doc(constraint={"radius": "a"}))
 

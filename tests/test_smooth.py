@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from constrained_dynamics import ConfigurationMap, SmoothMap, State, fd_jacobian
-from constrained_dynamics.smooth import EvaluationError, central_differences, time_difference
+from constrained_dynamics import (
+    ConfigurationMap,
+    Embedding,
+    ForceField,
+    Reparametrization,
+    SmoothMap,
+    State,
+    fd_jacobian,
+)
+from constrained_dynamics.smooth import (
+    EvaluationError,
+    central_differences,
+    shaped,
+    time_difference,
+)
 
 
 def test_fd_square_scalar():
@@ -106,3 +119,75 @@ def test_provenance_flag():
     )
     assert bare.provenance == "finite-difference"
     assert full.provenance == "analytic"
+
+
+# ---------------------------------------------------------------------------
+# the output guard: an exact float64 array passes as it is, anything else is
+# converted as np.asarray(out, float).reshape(shape) would, errors included
+
+
+def test_shaped_passes_an_exact_float_array_through():
+    a = np.arange(6.0).reshape(2, 3)
+    assert shaped(a, (2, 3)) is a
+    flat = np.arange(3.0)
+    assert shaped(flat, (-1,)) is flat
+
+
+@pytest.mark.parametrize(
+    "out, shape",
+    [
+        ([1.0, 2.0], (2,)),  # a list
+        (np.array([1, 2]), (2,)),  # int dtype
+        (np.array([[1.0, 2.0]]), (2,)),  # another shape of the same size
+        (np.array([[1.0], [2.0]]), (-1,)),
+        (np.float32([1.0, 2.0]), (1, 2)),
+    ],
+)
+def test_shaped_converts_anything_else(out, shape):
+    got = shaped(out, shape)
+    ref = np.asarray(out, dtype=float).reshape(shape)
+    assert got.dtype == np.float64 and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def _cmap(**maps):
+    base = dict(value=lambda t, x: np.zeros(1), d_t=lambda t, x: np.zeros(1),
+                d_x=lambda t, x: np.zeros((1, 2)))
+    return ConfigurationMap(dim=1, **{**base, **maps})
+
+
+def test_wrappers_convert_lists_and_int_arrays():
+    x, v = np.array([1.0, 2.0]), np.array([0.5, 0.0])
+    m = SmoothMap(dim=2, value=lambda t, x, v: [1, 2], jac_x=lambda t, x, v: np.eye(2, dtype=int))
+    for out in (m(0.0, x, v), m.d_x(0.0, x, v)):
+        assert out.dtype == np.float64
+    assert np.array_equal(m.d_x(0.0, x, v), np.eye(2))
+    g = _cmap(d_x=lambda t, x: [[3, 4]])
+    assert g.grad_x(0.0, x).dtype == np.float64 and g.grad_x(0.0, x).shape == (1, 2)
+    f = ForceField(dim=2, value=lambda t, x, v: [0, -1])
+    assert f(0.0, x, v).dtype == np.float64
+    emb = Embedding(dim=2, r=1, u=lambda t, y: [1, 0], u_t=lambda t, y: [0, 0],
+                    u_y=lambda t, y: [0, 1])
+    assert emb.d_y(0.0, np.zeros(1)).dtype == np.float64
+    rep = Reparametrization(n=1, value=lambda t, x, v, z: z, jac_z=lambda t, x, v, z: [[2]])
+    assert np.array_equal(rep.d_z(0.0, x, v, np.zeros(1)), np.array([[2.0]]))
+
+
+def test_wrappers_keep_their_shape_errors():
+    x, v = np.array([1.0, 2.0]), np.array([0.5, 0.0])
+    m = SmoothMap(dim=2, value=lambda t, x, v: [1.0, 2.0, 3.0],
+                  jac_x=lambda t, x, v: np.ones((2, 3)))
+    with pytest.raises(ValueError, match="declared output dimension 2, evaluator returned 3"):
+        m(0.0, x, v)
+    with pytest.raises(ValueError, match=r"cannot reshape array of size 6 into shape \(2,2\)"):
+        m.d_x(0.0, x, v)
+    g = _cmap(d_x=lambda t, x: np.ones(3))
+    with pytest.raises(ValueError, match=r"cannot reshape array of size 3 into shape \(1,2\)"):
+        g.grad_x(0.0, x)
+    f = ForceField(dim=2, value=lambda t, x, v: np.ones((1, 3)))
+    with pytest.raises(ValueError, match="force field declared dimension 2, got 3"):
+        f(0.0, x, v)
+    emb = Embedding(dim=2, r=1, u=lambda t, y: np.ones(2), u_t=lambda t, y: np.ones(2),
+                    u_y=lambda t, y: np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"cannot reshape array of size 4 into shape \(2,1\)"):
+        emb.d_y(0.0, np.zeros(1))
