@@ -51,14 +51,17 @@ class Embedding:
     """Chart u(t, y) : R x Y -> R^m with first and second derivatives.
 
     Second derivatives default to central differences of u_t and u_y;
-    catalog charts supply them analytically.  The domain is the box
+    catalog charts supply them analytically.  A chart with ``u_t=None``
+    declares that it does not depend on t: u_tt and u_ty must then be None
+    too, ``d_t``, ``d_tt`` and ``d_ty`` return zeros, and the second-kind
+    kernels leave out every term in them.  The domain is the box
     [domain_lo, domain_hi], unbounded where a bound is None.
     """
 
     dim: int  # m
     r: int
     u: Callable[[float, Array], Array]
-    u_t: Callable[[float, Array], Array]
+    u_t: Optional[Callable[[float, Array], Array]]  # None: u does not depend on t
     u_y: Callable[[float, Array], Array]  # (m, r)
     u_tt: Optional[Callable[[float, Array], Array]] = None
     u_ty: Optional[Callable[[float, Array], Array]] = None  # (m, r)
@@ -68,6 +71,13 @@ class Embedding:
     _box: Tuple[list, list] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.u_t is None:
+            given = [k for k in ("u_tt", "u_ty") if getattr(self, k) is not None]
+            if given:
+                raise ValueError(
+                    f"a chart without u_t does not depend on t; {' and '.join(given)} "
+                    "must be None too"
+                )
         # the domain box as float lists, so that in_domain makes no numpy call
         lo = -math.inf if self.domain_lo is None else self.domain_lo
         hi = math.inf if self.domain_hi is None else self.domain_hi
@@ -78,17 +88,23 @@ class Embedding:
         return shaped(self.u(t, y), (self.dim,))
 
     def d_t(self, t, y):
+        if self.u_t is None:
+            return np.zeros(self.dim)
         return shaped(self.u_t(t, y), (self.dim,))
 
     def d_y(self, t, y):
         return shaped(self.u_y(t, y), (self.dim, self.r))
 
     def d_tt(self, t, y):
+        if self.u_t is None:
+            return np.zeros(self.dim)
         if self.u_tt is not None:
             return shaped(self.u_tt(t, y), (self.dim,))
         return time_difference(lambda tt: self.d_t(tt, y), t)
 
     def d_ty(self, t, y):
+        if self.u_t is None:
+            return np.zeros((self.dim, self.r))
         if self.u_ty is not None:
             return shaped(self.u_ty(t, y), (self.dim, self.r))
         return time_difference(lambda tt: self.d_y(tt, y), t)
@@ -97,6 +113,11 @@ class Embedding:
         if self.u_yy is not None:
             return shaped(self.u_yy(t, y), (self.dim, self.r, self.r))
         return central_differences(lambda yy: self.d_y(t, yy), y, "y")
+
+    def velocity(self, t, y, w):
+        """v = u_t + u_y w at (t, y), by :func:`_chart_velocity`."""
+        Ut = None if self.u_t is None else self.d_t(t, y)
+        return _chart_velocity(Ut, self.d_y(t, y), w)
 
     def in_domain(self, y: Array) -> bool:
         """Whether lo <= y <= hi for every coordinate; a NaN y is in no domain."""
@@ -119,16 +140,27 @@ class Embedding:
 
 
 def _chart_jet(emb: Embedding, t: float, y: Array):
-    """(u, u_t, u_y, u_tt, u_ty, u_yy) at (t, y): one call of each chart map."""
+    """(u, u_t, u_y, u_tt, u_ty, u_yy) at (t, y): one call of each chart map.
+    A chart without u_t makes three calls and has None in the time slots."""
+    if emb.u_t is None:
+        return emb.value(t, y), None, emb.d_y(t, y), None, None, emb.d_yy(t, y)
     return (
         emb.value(t, y), emb.d_t(t, y), emb.d_y(t, y),
         emb.d_tt(t, y), emb.d_ty(t, y), emb.d_yy(t, y),
     )
 
 
-def _force_row(f: ForceField, t: float, u: Array, u_t: Array, u_y: Array, w: Array) -> Array:
+def _chart_velocity(Ut: Optional[Array], Uy: Array, w: Array) -> Array:
+    """v = u_t + u_y w; u_y w alone when u_t is None."""
+    Uyw = np.dot(Uy, w)
+    return Uyw if Ut is None else Ut + Uyw
+
+
+def _force_row(
+    f: ForceField, t: float, u: Array, u_t: Optional[Array], u_y: Array, w: Array
+) -> Array:
     """Q = f(t, u, u_t + u_y w) u_y, the force row pulled back through the chart."""
-    return f(t, u, u_t + u_y @ w) @ u_y
+    return np.dot(f(t, u, _chart_velocity(u_t, u_y, w)), u_y)
 
 
 _METRIC = "chart metric M2 = u_y^T G u_y"
@@ -181,8 +213,7 @@ def pushforward_state(emb: Embedding, gs: GeneralizedState) -> State:
     if not emb.in_domain(gs.y):
         raise emb.domain_error(gs.t, gs.y)
     x = emb.value(gs.t, gs.y)
-    v = emb.d_t(gs.t, gs.y) + emb.d_y(gs.t, gs.y) @ gs.w
-    return State(t=gs.t, x=x, v=v)
+    return State(t=gs.t, x=x, v=emb.velocity(gs.t, gs.y, gs.w))
 
 
 @dataclass(frozen=True)
@@ -241,22 +272,30 @@ def _lagrange_terms(G: Array, jet, w: Array):
     formed on its own and none is cancelled against another, so [L] built
     from them is the Lagrangian derivative, not the pushed-forward Newton
     law it equals.
+
+    For a chart without u_t (None in the jet's time slots), D = u_yy w,
+    L_y = D^T (G u_y w), and bdot, which is zero, is None.
     """
     _, Ut, Uy, Utt, Uty, Uyy = jet
-    GUy = G @ Uy
-    GUt = G @ Ut
-    D = Uty + Uyy @ w
-    GUyw = GUy @ w
-    M2dot_w = D.T @ GUyw + GUy.T @ (D @ w)
-    bdot = (Utt + Uty @ w) @ GUy + GUt @ D
-    L_y = D.T @ (GUt + GUyw)
-    return Uy.T @ GUy, M2dot_w, bdot, L_y
+    GUy = np.dot(G, Uy)
+    GUyw = np.dot(GUy, w)
+    # np.dot matches @ bit for bit on these 1-D and 2-D operands, not on u_yy
+    D = Uyy @ w if Ut is None else Uty + Uyy @ w
+    M2dot_w = np.dot(D.T, GUyw) + np.dot(GUy.T, np.dot(D, w))
+    M2 = np.dot(Uy.T, GUy)
+    if Ut is None:
+        return M2, M2dot_w, None, np.dot(D.T, GUyw)
+    GUt = np.dot(G, Ut)
+    bdot = np.dot(Utt + np.dot(Uty, w), GUy) + np.dot(GUt, D)
+    return M2, M2dot_w, bdot, np.dot(D.T, GUt + GUyw)
 
 
 def _bracket(terms, a: Array) -> Array:
-    """[L] = M2 a + M2dot w + bdot - L_y from the terms (M2, M2dot w, bdot, L_y)."""
+    """[L] = M2 a + M2dot w + bdot - L_y from the terms (M2, M2dot w, bdot, L_y),
+    without bdot when it is None."""
     M2, M2dot_w, bdot, L_y = terms
-    return M2 @ a + M2dot_w + bdot - L_y
+    head = M2 @ a + M2dot_w
+    return (head if bdot is None else head + bdot) - L_y
 
 
 def lagrangian_derivative_from_pieces(
@@ -343,7 +382,7 @@ def second_kind_acceleration(
     M2, M2dot_w, bdot, L_y = _lagrange_terms(lag.mass.G, jet, w)
     Q = _force_row(f, t, *jet[:3], w)
     # the normal form keeps its own order of summation, not [L] at ydd = 0
-    rhs = Q - M2dot_w - bdot + L_y
+    rhs = (Q - M2dot_w if bdot is None else Q - M2dot_w - bdot) + L_y
     return _metric_solve(M2, rhs, t), Q
 
 
@@ -398,9 +437,10 @@ def pushforward_second_order(emb: Embedding, t: float, y: Array, w: Array, a: Ar
 
 def _pushforward_jet(jet, w: Array, a: Array):
     u, Ut, Uy, Utt, Uty, Uyy = jet
-    v = Ut + Uy @ w
-    xdd = Utt + 2.0 * Uty @ w + np.einsum("pij,i,j->p", Uyy, w, w) + Uy @ a
-    return u, v, xdd
+    curve = np.einsum("pij,i,j->p", Uyy, w, w)
+    if Utt is not None:
+        curve = Utt + 2.0 * Uty @ w + curve
+    return u, _chart_velocity(Ut, Uy, w), curve + Uy @ a
 
 
 def covariance_residual(
@@ -453,10 +493,12 @@ def _chart_invert(
     y = y0.copy()
     r = emb.value(t, y) - x if r0 is None else r0
     G = mass.G
-    obj = float(r @ G @ r)
+    obj = None  # r^T G r, formed once a step is needed
     for _ in range(max_iter):
         if np.abs(r).max() <= tol:
             break
+        if obj is None:
+            obj = float(r @ G @ r)
         J = emb.d_y(t, y)
         JG = J.T @ G
         step = _metric_solve(JG @ J, JG @ r, t)
@@ -539,7 +581,7 @@ def match_trajectories(
     max_inv = 0.0
     for t, x, v, y, w in zip(times, traj_x.positions, traj_x.velocities, Ys, Ws):
         r0 = emb.value(t, y) - x
-        v_pred = emb.d_t(t, y) + emb.d_y(t, y) @ w
+        v_pred = emb.velocity(t, y, w)
         sup_x = max(sup_x, float(np.abs(r0).max()))
         sup_v = max(sup_v, float(np.abs(v - v_pred).max()))
         _, resid = _chart_invert(emb, mass, t, x, y, r0)

@@ -28,6 +28,12 @@ class ProjectionError(RuntimeError):
     """Gauss-Newton projection failed to converge."""
 
 
+def require_iteration_count(n, name: str) -> None:
+    """Refuse an iteration count ``n`` that is not an integer >= 1 (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4-fixed"
@@ -46,9 +52,7 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        n = self.projection_max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"projection_max_iter must be an integer >= 1, got {n!r}")
+        require_iteration_count(self.projection_max_iter, "projection_max_iter")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +170,12 @@ def project_to_manifold(
     Position: Gauss-Newton with the minimal correction in the G-metric.
     Velocity: G-orthogonal projection onto the affine set g_x v = -g_t.
     Both solve with the constraint Gram matrix g_x G^-1 g_x^T, so a
-    degenerate g_x raises :class:`RegularityError`.
+    degenerate g_x raises :class:`RegularityError`.  ``max_iter`` must be
+    an integer >= 1, as :class:`IntegratorConfig` requires of its count.
     """
     if not cs.is_holonomic:
         raise ValueError("projection requires a holonomic constraint set")
+    require_iteration_count(max_iter, "max_iter")
     g = cs.generator
     Ginv = mass.inverse
     t, x = s.t, s.x.copy()

@@ -49,14 +49,24 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario: " + "; ".join(self.problems))
 
 
+def _text_or_bool(raw) -> bool:
+    """Whether ``raw``, or an element of it in nested lists, is a str or a bool."""
+    if isinstance(raw, list):
+        return any(map(_text_or_bool, raw))
+    return isinstance(raw, (str, bool))
+
+
 def _field(doc: Dict, where: str, key: str, default=None, convert=float):
     """``doc[key]`` through ``convert``; a missing, unreadable or non-finite
     value (JSON's ``NaN``, ``Infinity``, an overflowing ``1e400`` or an
     integer beyond the float range) is a ScenarioError naming the field as
-    ``where.key``."""
+    ``where.key``.  A string or a boolean, alone or in a list, is not
+    numeric, although numpy would read ``"0.001"`` and ``true`` as numbers."""
     raw = doc.get(key, default)
     if raw is None:
         raise ScenarioError([f"{where}.{key} is missing"])
+    if _text_or_bool(raw):
+        raise ScenarioError([f"{where}.{key} is not numeric: {raw!r}"])
     try:
         finite = bool(np.isfinite(np.asarray(raw, float)).all())
         value = convert(raw) if finite else None
@@ -72,9 +82,9 @@ def _field(doc: Dict, where: str, key: str, default=None, convert=float):
 def _integer(doc: Dict, where: str, key: str, default=None, lo: int = 0) -> int:
     """A :func:`_field` that must be an integer >= ``lo``; an integral float
     such as 3.0 counts, a fraction such as 2.5 or a boolean does not."""
-    value = _field(doc, where, key, default)
     raw = doc.get(key, default)
-    if isinstance(raw, bool) or not value.is_integer() or value < lo:
+    value = None if isinstance(raw, bool) else _field(doc, where, key, default)
+    if value is None or not value.is_integer() or value < lo:
         raise ScenarioError([f"{where}.{key} must be an integer >= {lo}, got {raw!r}"])
     return int(value)
 
@@ -255,10 +265,8 @@ def circle_embedding(radius: float) -> Embedding:
         dim=2,
         r=1,
         u=u,
-        u_t=lambda t, y: np.zeros(2),
+        u_t=None,  # does not depend on t
         u_y=u_y,
-        u_tt=lambda t, y: np.zeros(2),
-        u_ty=lambda t, y: np.zeros((2, 1)),
         u_yy=u_yy,
     )
 
@@ -295,10 +303,8 @@ def sphere_polar_embedding(radius: float, pole_margin: float = 0.02) -> Embeddin
         dim=3,
         r=2,
         u=u,
-        u_t=lambda t, y: np.zeros(3),
+        u_t=None,  # does not depend on t
         u_y=u_y,
-        u_tt=lambda t, y: np.zeros(3),
-        u_ty=lambda t, y: np.zeros((3, 2)),
         u_yy=u_yy,
         domain_lo=np.array([pole_margin, -np.inf]),
         domain_hi=np.array([np.pi - pole_margin, np.inf]),
@@ -411,7 +417,7 @@ class Scenario:
             V = np.empty((count, m))
             for i, ti in enumerate(t[:, 0].tolist()):
                 X[i] = emb.value(ti, Y[i])
-                V[i] = emb.d_t(ti, Y[i]) + emb.d_y(ti, Y[i]) @ W[i]
+                V[i] = emb.velocity(ti, Y[i], W[i])
         elif cs is None:
             t, X, V = uniform_rows(rng, count, span_t, (-2.0, 2.0, m), (-2.0, 2.0, m))
         elif cs.structure in ("affine", "holonomic"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ def test_project_reports_failure(circle_lift):
     s = State(0.0, np.array([5.0, 5.0]), np.zeros(2))
     with pytest.raises(ProjectionError):
         project_to_manifold(s, circle_lift, MassMatrix(np.eye(2)), max_iter=1)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
+def test_project_refuses_a_bad_iteration_count(pendulum, max_iter):
+    # the initial state is on the manifold; the count is refused before any work
+    want = re.escape(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    with pytest.raises(ValueError, match=want):
+        project_to_manifold(
+            pendulum.initial, pendulum.constraints, pendulum.system.mass, max_iter=max_iter
+        )
 
 
 def test_config_validation():

@@ -54,6 +54,15 @@ def test_pushforward_respects_domain():
             pushforward_state(emb, GeneralizedState(0.7, np.array(y), np.zeros(2)))
 
 
+@pytest.mark.parametrize("given", [("u_tt",), ("u_ty",), ("u_tt", "u_ty")])
+def test_chart_without_u_t_refuses_time_maps(given):
+    from dataclasses import replace
+
+    maps = {name: (lambda t, y: np.zeros(2)) for name in given}
+    with pytest.raises(ValueError, match=" and ".join(given) + " must be None"):
+        replace(circle_embedding(1.0), **maps)
+
+
 def test_decompose_circle():
     # M2 = 1, b = 0, T0 = 0 for the unit circle with unit mass
     emb = circle_embedding(1.0)
@@ -224,7 +233,7 @@ def test_embedding_fallback_failure_reports_stencil():
 
     from constrained_dynamics.smooth import EvaluationError
 
-    emb = circle_embedding(1.0)
+    emb = rotating_line_embedding(0.7)
 
     def u_t(t, y):
         if t > 0.5:
@@ -510,13 +519,25 @@ def test_decompose_T_nan_chart_raises_chart_error():
 
 
 _CHART_MAPS = ("u", "u_t", "u_y", "u_tt", "u_ty", "u_yy")
+# the maps a chart has: a time-independent chart has no u_t, u_tt or u_ty
+_MAPS_OF = {
+    "pendulum": ("u", "u_y", "u_yy"),
+    "spherical": ("u", "u_y", "u_yy"),
+    "rotating_wire": _CHART_MAPS,
+}
+# a second-order jet (t, y, w, a) inside each chart
+_JET_OF = {
+    "spherical": (0.3, np.array([0.9, 0.4]), np.ones(2), np.array([0.2, -0.1])),
+    "rotating_wire": (0.3, np.array([1.2]), np.array([0.5]), np.array([0.3])),
+}
 
 
 def _counted_chart(emb):
-    """emb with every chart map wrapped to count its calls, and the counts."""
+    """emb with every chart map it has wrapped to count its calls, and the counts."""
     from dataclasses import replace
 
-    calls = dict.fromkeys(_CHART_MAPS, 0)
+    names = [name for name in _CHART_MAPS if getattr(emb, name) is not None]
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(emb, name)
@@ -527,14 +548,16 @@ def _counted_chart(emb):
 
         return call
 
-    return replace(emb, **{name: counted(name) for name in _CHART_MAPS}), calls
+    return replace(emb, **{name: counted(name) for name in names}), calls
 
 
-def test_second_kind_acceleration_evaluates_each_chart_map_once(spherical):
-    emb, calls = _counted_chart(spherical.embedding)
-    lag = pullback_lagrangian(emb, spherical.system.mass)
-    second_kind_acceleration(lag, spherical.system.force, 0.3, np.array([0.9, 0.4]), np.ones(2))
-    assert calls == dict.fromkeys(_CHART_MAPS, 1)
+def test_second_kind_acceleration_evaluates_each_chart_map_once(spherical, rotating_wire):
+    for name, sc in (("spherical", spherical), ("rotating_wire", rotating_wire)):
+        emb, calls = _counted_chart(sc.embedding)
+        lag = pullback_lagrangian(emb, sc.system.mass)
+        t, y, w, _ = _JET_OF[name]
+        second_kind_acceleration(lag, sc.system.force, t, y, w)
+        assert calls == dict.fromkeys(_MAPS_OF[name], 1)
 
 
 def test_integrate_second_kind_chart_calls_per_step(pendulum):
@@ -544,18 +567,18 @@ def test_integrate_second_kind_chart_calls_per_step(pendulum):
     )
     steps = len(traj) - 1
     assert steps == 20
-    # 4 accelerations per step, one jet of 6 maps each; Q comes with them
-    assert sum(calls.values()) == 6 + 24 * steps
+    # 4 accelerations per step, one jet of the circle's 3 maps each; Q comes
+    # with them
+    assert calls == dict.fromkeys(_MAPS_OF["pendulum"], 1 + 4 * steps)
 
 
-def test_covariance_residual_evaluates_each_chart_map_once(spherical):
-    emb, calls = _counted_chart(spherical.embedding)
-    sys = spherical.system
-    res = covariance_residual(
-        emb, sys.mass, sys.force, 0.3, np.array([0.9, 0.4]), np.ones(2), np.array([0.2, -0.1])
-    )
-    assert res < 1e-12
-    assert calls == dict.fromkeys(_CHART_MAPS, 1)
+def test_covariance_residual_evaluates_each_chart_map_once(spherical, rotating_wire):
+    for name, sc in (("spherical", spherical), ("rotating_wire", rotating_wire)):
+        emb, calls = _counted_chart(sc.embedding)
+        sys = sc.system
+        res = covariance_residual(emb, sys.mass, sys.force, *_JET_OF[name])
+        assert res < 1e-12
+        assert calls == dict.fromkeys(_MAPS_OF[name], 1)
 
 
 def test_chart_invert_off_image_stops_at_best_point():

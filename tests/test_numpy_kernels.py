@@ -1,7 +1,8 @@
 """The engine's numpy Cholesky solve and Hermite resampler against the scipy
 routines they stand in for, a guard that the engine never loads scipy, a
 guard that it factors or solves matrices only where README's regularity
-table says, and the multiplier kernels against their written-out formulas.
+table says, and the multiplier and second-kind kernels against their
+written-out formulas.
 
 scipy is a test dependency only, so it is imported inside the tests.
 """
@@ -16,10 +17,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from constrained_dynamics import RegularityError, catalog_scenario
-from constrained_dynamics.generalized import _hermite
+from constrained_dynamics import (
+    RegularityError,
+    catalog_scenario,
+    covariance_residual,
+    lagrangian_derivative,
+    pullback_lagrangian,
+)
+from constrained_dynamics.generalized import (
+    _chart_jet,
+    _force_row,
+    _hermite,
+    _lagrange_terms,
+    _metric_solve,
+    _pushforward_jet,
+    second_kind_acceleration,
+)
 from constrained_dynamics.integrate import _accel_raw
 from constrained_dynamics.reactions import _chol_solve, _solve_multipliers
+from constrained_dynamics.scenarios import uniform_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,3 +203,88 @@ def test_scleronomic_holonomic_jet_makes_no_time_derivative_call():
     s = sc.initial
     for a, b in zip(lean.jet(s.t, s.x, s.v), cs.jet(s.t, s.x, s.v)):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the second-kind kernels (np.dot, charts without u_t) against the formulas
+# written out with `@` and every time term kept
+
+CHARTS = ["pendulum", "spherical-pendulum", "rotating-wire-bead"]
+
+
+def _chart_jets(sc, count=200):
+    """``count`` sampled (t, y, w, a) inside the scenario's chart."""
+    r = sc.embedding.r
+    t, Y, W, A = uniform_rows(
+        np.random.default_rng(31), count,
+        (0.0, 3.0, 1), (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
+    )
+    return zip(t[:, 0].tolist(), Y, W, A)
+
+
+def _written_out_terms(G, emb, t, y, w):
+    Ut, Uy = emb.d_t(t, y), emb.d_y(t, y)
+    Utt, Uty, Uyy = emb.d_tt(t, y), emb.d_ty(t, y), emb.d_yy(t, y)
+    GUy, GUt = G @ Uy, G @ Ut
+    D = Uty + Uyy @ w
+    GUyw = GUy @ w
+    M2dot_w = D.T @ GUyw + GUy.T @ (D @ w)
+    bdot = (Utt + Uty @ w) @ GUy + GUt @ D
+    return Uy.T @ GUy, M2dot_w, bdot, D.T @ (GUt + GUyw)
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_second_kind_kernels_match_the_written_out_formulas(name):
+    sc = catalog_scenario(name)
+    emb, mass, f = sc.embedding, sc.system.mass, sc.system.force
+    lag = pullback_lagrangian(emb, mass)
+    for t, y, w, _ in _chart_jets(sc):
+        M2, M2dot_w, bdot, L_y = _written_out_terms(mass.G, emb, t, y, w)
+        jet = _chart_jet(emb, t, y)
+        got = _lagrange_terms(mass.G, jet, w)
+        assert np.array_equal(got[0], M2) and np.array_equal(got[1], M2dot_w)
+        assert np.array_equal(got[3], L_y)
+        if emb.u_t is None:  # left out, as it is zero
+            assert got[2] is None and not bdot.any()
+        else:
+            assert np.array_equal(got[2], bdot)
+        u, Uy = emb.value(t, y), emb.d_y(t, y)
+        Q = f(t, u, emb.d_t(t, y) + Uy @ w) @ Uy
+        assert np.array_equal(_force_row(f, t, *jet[:3], w), Q)
+        ydd, got_Q = second_kind_acceleration(lag, f, t, y, w)
+        assert np.array_equal(ydd, _metric_solve(M2, Q - M2dot_w - bdot + L_y, t))
+        assert np.array_equal(got_Q, Q)
+
+
+def _with_zero_time_maps(emb):
+    """The chart with explicit zero u_t, u_tt and u_ty maps."""
+    m, r = emb.dim, emb.r
+    return dataclasses.replace(
+        emb,
+        u_t=lambda t, y: np.zeros(m),
+        u_tt=lambda t, y: np.zeros(m),
+        u_ty=lambda t, y: np.zeros((m, r)),
+    )
+
+
+@pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum"])
+def test_time_independent_chart_equals_its_zero_time_map_form(name):
+    sc = catalog_scenario(name)
+    mass, f = sc.system.mass, sc.system.force
+    lean = sc.embedding
+    assert lean.u_t is None
+    full = _with_zero_time_maps(lean)
+
+    def outputs(emb, t, y, w, a):
+        lag = pullback_lagrangian(emb, mass)
+        return (
+            *second_kind_acceleration(lag, f, t, y, w),
+            covariance_residual(emb, mass, f, t, y, w, a),
+            lagrangian_derivative(lag, t, y, w, a),
+            *_pushforward_jet(_chart_jet(emb, t, y), w, a),
+        )
+
+    for jet in _chart_jets(sc):
+        for a, b in zip(outputs(lean, *jet), outputs(full, *jet), strict=True):
+            # ==, so that an exact zero of either sign agrees
+            assert np.array_equal(a, b)

@@ -344,6 +344,28 @@ def test_non_numeric_initial_y_is_typed():
     assert "initial.y" in _problems(_pendulum_doc(initial={"y": ["a"]}))
 
 
+@pytest.mark.parametrize(
+    "sections, problem",
+    [
+        ({"integrator": {"dt": "0.001"}}, "integrator.dt is not numeric: '0.001'"),
+        ({"integrator": {"dt": True}}, "integrator.dt is not numeric: True"),
+        (
+            {"integrator": {"projection_max_iter": " 3 "}},
+            "integrator.projection_max_iter is not numeric: ' 3 '",
+        ),
+        (
+            {"mass": {"matrix": [["1", "0"], ["0", "1"]]}},
+            "mass.matrix is not numeric: [['1', '0'], ['0', '1']]",
+        ),
+        ({"initial": {"y": [True]}}, "initial.y is not numeric: [True]"),
+    ],
+    ids=["quoted-dt", "boolean-dt", "quoted-count", "quoted-matrix", "boolean-vector-entry"],
+)
+def test_quoted_number_or_boolean_is_not_numeric(sections, problem):
+    # numpy reads "0.001" and true as numbers; a scenario document may not
+    assert problem in _problems(_pendulum_doc(**sections))
+
+
 def test_unknown_check_name_rejected():
     msgs = _problems(_pendulum_doc(checks=["energyy", "first-integral"]))
     assert "energyy" in msgs and "known" in msgs and "energy" in msgs
@@ -493,7 +515,10 @@ def _close(got, want):
 )
 def test_catalog_chart_derivatives_match_central_differences(make, lo, hi):
     emb = make()
-    assert None not in (emb.u_tt, emb.u_ty, emb.u_yy)  # analytic, not the fallback
+    # analytic, not the fallback; a chart without u_t has no time maps, and
+    # the differences below hold its zero time derivatives to u itself
+    assert emb.u_yy is not None
+    assert emb.u_t is None or None not in (emb.u_tt, emb.u_ty)
     rng = np.random.default_rng(71)
     for _ in range(20):
         t = float(rng.uniform(0.0, 3.0))
