@@ -11,27 +11,20 @@ from .system import (
     MechanicalSystem,
     build_point_mass_matrix,
     check_spd,
-    energy,
 )
 from .constraints import (
     ConstraintSet,
-    ManifoldResidual,
     RegularityError,
     VirtualBasis,
     check_regularity,
-    constraint_jacobians,
-    eval_constraints,
     lift_holonomic,
-    manifold_residual,
     virtual_basis,
 )
 from .reactions import (
     ReactionResult,
     Realization,
     Reparametrization,
-    gram_matrix,
     invariance_report,
-    multipliers,
     reaction,
     reparametrize,
     virtual_work,
@@ -52,14 +45,11 @@ from .generalized import (
     GeneralizedTrajectory,
     covariance_residual,
     decompose_T,
-    generalized_forces,
     integrate_second_kind,
     lagrangian_derivative,
-    lagrangian_derivative_from_pieces,
     match_trajectories,
     pullback_lagrangian,
     pushforward_state,
-    random_polynomial_chart,
 )
 from .scenarios import Scenario, ScenarioError, catalog_scenario, parse_scenario, write_scenario
 
@@ -72,7 +62,6 @@ __all__ = [
     "GeneralizedState",
     "GeneralizedTrajectory",
     "IntegratorConfig",
-    "ManifoldResidual",
     "MassMatrix",
     "MechanicalSystem",
     "OffManifoldError",
@@ -91,29 +80,20 @@ __all__ = [
     "catalog_scenario",
     "check_regularity",
     "check_spd",
-    "constraint_jacobians",
     "covariance_residual",
     "decompose_T",
-    "energy",
-    "eval_constraints",
     "fd_jacobian",
     "gde_residual",
-    "generalized_forces",
-    "gram_matrix",
     "integrate_first_kind",
     "integrate_second_kind",
     "invariance_report",
     "lagrangian_derivative",
-    "lagrangian_derivative_from_pieces",
     "lift_holonomic",
-    "manifold_residual",
     "match_trajectories",
-    "multipliers",
     "parse_scenario",
     "project_to_manifold",
     "pullback_lagrangian",
     "pushforward_state",
-    "random_polynomial_chart",
     "reaction",
     "reparametrize",
     "virtual_basis",

@@ -8,7 +8,7 @@ Thresholds are the documented defaults; callers may override any of them
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -187,6 +187,11 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
         np.random.default_rng(23), count,
         (0.0, 3.0, 1), (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
     )
+    # both sides of the identity use the chart as declared, so a false
+    # u_t=None would pass unseen
+    emb.require_declared_time_independence(
+        float(t[0, 0]), Y[0], f"covariance check of scenario {sc.name!r}"
+    )
     worst = 0.0
     for i, ti in enumerate(t[:, 0].tolist()):
         worst = max(
@@ -232,16 +237,23 @@ def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]
     return entries
 
 
+def _report(sc: Scenario, t_end: float, thresholds, **stamp) -> Tuple[Report, Dict]:
+    """An empty report stamped with the run settings (and ``stamp``), and
+    DEFAULT_THRESHOLDS updated with ``thresholds``."""
+    th = dict(DEFAULT_THRESHOLDS)
+    th.update(thresholds or {})
+    integ = sc.integrator
+    head = {"version": __version__, "t_end": t_end, "method": integ.method, "dt": integ.dt}
+    return Report(scenario=sc.name, stamp={**head, **stamp}), th
+
+
 def check_scenario(
     sc: Scenario,
     t_end: float = 10.0,
     thresholds: Optional[Dict[str, float]] = None,
 ) -> Report:
     """Run every check the scenario requests and assemble the report."""
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
-
+    report, th = _report(sc, t_end, thresholds, projection=sc.integrator.projection)
     traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
 
     runners: Dict[str, Callable[[], List[ReportEntry]]] = {
@@ -252,37 +264,16 @@ def check_scenario(
         "covariance": lambda: check_covariance(sc, th),
         "energy": lambda: check_energy(sc, traj, th),
     }
-    results = [fn() for name, fn in runners.items() if name in sc.checks]
-
-    report = Report(
-        scenario=sc.name,
-        stamp={
-            "version": __version__,
-            "t_end": t_end,
-            "method": sc.integrator.method,
-            "dt": sc.integrator.dt,
-            "projection": sc.integrator.projection,
-        },
-    )
-    for group in results:
-        report.entries.extend(group)
+    for name, fn in runners.items():
+        if name in sc.checks:
+            report.entries.extend(fn())
     return report
 
 
 def compare_embeddings_report(
     sc: Scenario, t_end: float = 10.0, thresholds: Optional[Dict[str, float]] = None
 ) -> Report:
-    th = dict(DEFAULT_THRESHOLDS)
-    if thresholds:
-        th.update(thresholds)
-    report = Report(
-        scenario=sc.name,
-        stamp={
-            "version": __version__,
-            "t_end": t_end,
-            "method": sc.integrator.method,
-            "dt": sc.integrator.dt,
-        },
-    )
+    """The first/second-kind equivalence report; its stamp has no projection."""
+    report, th = _report(sc, t_end, thresholds)
     report.entries.extend(check_equivalence(sc, th, t_end=t_end))
     return report

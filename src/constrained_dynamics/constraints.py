@@ -17,7 +17,9 @@ import numpy as np
 from .smooth import Array, ConfigurationMap, SmoothMap, State
 
 RANK_TOL_FACTOR = 1e-8
-SCLERONOMY_TOL = 1e-12  # largest |phi_t| a set declared scleronomic may show
+# largest |phi_t| of a set declared scleronomic, and largest |u(t + tau, y) -
+# u(t, y)| of a chart declared time-independent
+SCLERONOMY_TOL = 1e-12
 
 
 class RegularityError(RuntimeError):
@@ -191,20 +193,22 @@ class ConstraintSet:
 def lift_holonomic(g: ConfigurationMap, dim: int, scleronomic: bool = False) -> ConstraintSet:
     """Differential lift phi = g_t(t,x) + g_x(t,x) v of a geometric constraint.
 
-    ker phi_v = ker g_x by construction.  Rejects generators that turn out
-    to depend on v (probed at random points).  ``scleronomic`` declares that
-    g does not depend on t.
+    ker phi_v = ker g_x by construction.  ``scleronomic`` declares that g
+    does not depend on t.  g is probed at three seeded points (t, x) in
+    [-1, 1]: that shows only that it takes (t, x) and returns g.dim values
+    there.  A generator that fails the probe raises ValueError naming t.
     """
     rng = np.random.default_rng(0)
     for _ in range(3):
         t = float(rng.uniform(-1, 1))
         x = rng.uniform(-1, 1, dim)
         try:
-            val = g(t, x)
-        except TypeError as exc:
-            raise ValueError("holonomic generator must be a map of (t, x) only") from exc
-        if val.size != g.dim:
-            raise ValueError("generator output dimension mismatch")
+            g(t, x)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"holonomic generator g must take (t, x) and return an array of "
+                f"size {g.dim}; at t={t} it failed: {exc}"
+            ) from exc
 
     n = g.dim
 
@@ -228,20 +232,6 @@ def lift_holonomic(g: ConfigurationMap, dim: int, scleronomic: bool = False) -> 
         dim=dim, n=n, phi=phi, structure="holonomic", affine_a=a, affine_A=A, generator=g,
         scleronomic=scleronomic,
     )
-
-
-def eval_constraints(cs: ConstraintSet, s: State) -> Array:
-    if s.dim != cs.dim:
-        raise ValueError(f"state dimension {s.dim} != constraint dimension {cs.dim}")
-    return cs.phi(s.t, s.x, s.v)
-
-
-def constraint_jacobians(cs: ConstraintSet, s: State):
-    """(phi_t, phi_x, phi_v) at the state, analytic when available."""
-    if s.dim != cs.dim:
-        raise ValueError(f"state dimension {s.dim} != constraint dimension {cs.dim}")
-    t, x, v = s.t, s.x, s.v
-    return cs.phi.d_t(t, x, v), cs.phi.d_x(t, x, v), cs.phi.d_v(t, x, v)
 
 
 @dataclass(frozen=True)
@@ -270,10 +260,6 @@ class VirtualBasis:
     Xi: Array
     state: State
 
-    @property
-    def dof(self) -> int:
-        return self.Xi.shape[1]
-
 
 def _fix_signs(Q: Array) -> Array:
     """A C-contiguous copy of the (..., m, d) stack Q with every column
@@ -298,21 +284,3 @@ def virtual_basis(cs: ConstraintSet, s: State) -> VirtualBasis:
     B = cs.phi.d_v(s.t, s.x, s.v)
     return VirtualBasis(Xi=_fix_signs(_kernel_basis(B, cs.n, s.t)), state=s)
 
-
-@dataclass(frozen=True)
-class ManifoldResidual:
-    g_norm: float
-    gdot_norm: float
-
-
-def manifold_residual(cs: ConstraintSet, s: State) -> ManifoldResidual:
-    """(||g||_inf, ||g_t + g_x v||_inf) — membership residuals for W."""
-    if not cs.is_holonomic:
-        raise ValueError("manifold_residual requires a holonomic constraint set")
-    g = cs.generator
-    gv = g(s.t, s.x)
-    gdot = g.grad_t(s.t, s.x) + g.grad_x(s.t, s.x) @ s.v
-    return ManifoldResidual(
-        g_norm=float(np.abs(gv).max()) if gv.size else 0.0,
-        gdot_norm=float(np.abs(gdot).max()) if gdot.size else 0.0,
-    )

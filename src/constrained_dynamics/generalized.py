@@ -20,13 +20,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .constraints import require_regular
+from .constraints import SCLERONOMY_TOL, require_regular
 from .integrate import IntegratorConfig, Trajectory, _csv, _march
 from .smooth import Array, State, central_differences, shaped, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem
 
 
 _SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+_TIME_SHIFTS = (1e-3, 0.7, 3.1)  # the shifts tau at which u_t=None is checked
 
 
 class ChartError(RuntimeError):
@@ -54,7 +55,8 @@ class Embedding:
     catalog charts supply them analytically.  A chart with ``u_t=None``
     declares that it does not depend on t: u_tt and u_ty must then be None
     too, ``d_t``, ``d_tt`` and ``d_ty`` return zeros, and the second-kind
-    kernels leave out every term in them.  The domain is the box
+    kernels leave out every term in them (see
+    :meth:`require_declared_time_independence`).  The domain is the box
     [domain_lo, domain_hi], unbounded where a bound is None.
     """
 
@@ -83,6 +85,22 @@ class Embedding:
         hi = math.inf if self.domain_hi is None else self.domain_hi
         box = tuple(np.broadcast_to(np.asarray(b, float), self.r).tolist() for b in (lo, hi))
         object.__setattr__(self, "_box", box)
+
+    def require_declared_time_independence(self, t: float, y: Array, where: str) -> None:
+        """Refuse, with a ValueError naming ``where`` and tau, a chart declared
+        time-independent (``u_t=None``) whose |u(t + tau, y) - u(t, y)|
+        exceeds SCLERONOMY_TOL at one of the fixed shifts tau."""
+        if self.u_t is not None:
+            return
+        u0 = self.value(t, y)
+        for tau in _TIME_SHIFTS:
+            gap = float(np.abs(self.value(t + tau, y) - u0).max())
+            if gap > SCLERONOMY_TOL:
+                raise ValueError(
+                    f"{where}: chart declared time-independent (u_t=None) has "
+                    f"|u(t + tau, y) - u(t, y)| = {gap:.3e} > {SCLERONOMY_TOL:g} "
+                    f"at t={t}, tau={tau}"
+                )
 
     def value(self, t, y):
         return shaped(self.u(t, y), (self.dim,))
@@ -246,16 +264,6 @@ def decompose_T(lag: PullbackLagrangian, t: float, y) -> Tuple[Array, Array, flo
     return M2, b, T0
 
 
-def _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w):
-    """(M2dot, bdot, L_y): the total time derivatives of M2 and b along the
-    velocity w, and the row dL/dy."""
-    r = w.size
-    M2dot = dM2_dt + (w @ dM2_dy.reshape(r, r * r)).reshape(r, r)
-    bdot = db_dt + w @ db_dy
-    L_y = 0.5 * ((w @ dM2_dy) @ w) + db_dy @ w + dT0_dy
-    return M2dot, bdot, L_y
-
-
 def _lagrange_terms(G: Array, jet, w: Array):
     """(M2, M2dot w, bdot, L_y) of the pullback Lagrangian at the chart jet
     of :func:`_chart_jet` and the velocity w: the metric, the total time
@@ -298,25 +306,6 @@ def _bracket(terms, a: Array) -> Array:
     return (head if bdot is None else head + bdot) - L_y
 
 
-def lagrangian_derivative_from_pieces(
-    M2: Array,
-    dM2_dt: Array,
-    dM2_dy: Array,
-    db_dt: Array,
-    db_dy: Array,
-    dT0_dy: Array,
-    w: Array,
-    a: Array,
-) -> Array:
-    """[L] for any Lagrangian of the form 1/2 w^T M2 w + b w + T0.
-
-    ``dM2_dy[k]`` is the y^k-derivative of M2, ``db_dy[k]`` the y^k-derivative
-    of the row b.  M2 may be singular (e.g. a pure total derivative, M2 = 0).
-    """
-    M2dot, bdot, L_y = _along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w)
-    return _bracket((M2, M2dot @ w, bdot, L_y), a)
-
-
 def lagrangian_derivative(lag: PullbackLagrangian, t: float, y, w, a) -> Array:
     """Row [L] = d/dt(dL/dw) - dL/dy at the second-order jet (t, y, w, a)."""
     y = np.asarray(y, float).reshape(-1)
@@ -327,17 +316,6 @@ def lagrangian_derivative(lag: PullbackLagrangian, t: float, y, w, a) -> Array:
 
 def pullback_lagrangian(emb: Embedding, mass: MassMatrix) -> PullbackLagrangian:
     return PullbackLagrangian(emb=emb, mass=mass)
-
-
-def generalized_forces(emb: Embedding, f: ForceField) -> Callable[[float, Array, Array], Array]:
-    """Q(t, y, w) = f(t, u, u_t + u_y w) u_y, the chart pullback of the force row."""
-
-    def Q(t, y, w):
-        y = np.asarray(y, float).reshape(-1)
-        w = np.asarray(w, float).reshape(-1)
-        return _force_row(f, t, emb.value(t, y), emb.d_t(t, y), emb.d_y(t, y), w)
-
-    return Q
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +375,8 @@ def integrate_second_kind(
     system's force field pulled back through it.
 
     Aborts with :class:`ChartError` naming t when the solution leaves the
-    chart domain or turns NaN, or the metric degenerates.
+    chart domain or turns NaN, or the metric degenerates.  A chart declared
+    time-independent is checked at the initial point first.
 
     Evaluations per step: 4 calls of :func:`second_kind_acceleration`, each
     of which evaluates the chart jet once; the acceleration and Q recorded
@@ -408,6 +387,7 @@ def integrate_second_kind(
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")
+    emb.require_declared_time_independence(init.t, init.y, "integrate_second_kind")
     lag = pullback_lagrangian(emb, sys.mass)
 
     def accel_and_Q(t, y, w):
@@ -428,11 +408,6 @@ def integrate_second_kind(
     r = init.y.size
     t, Y, W, A, Q = np.split(np.array(rows), np.cumsum([1, r, r, r]), axis=1)
     return GeneralizedTrajectory(t[:, 0].copy(), Y.copy(), W.copy(), A.copy(), Q.copy())
-
-
-def pushforward_second_order(emb: Embedding, t: float, y: Array, w: Array, a: Array):
-    """(x, v, xdd) of the chart jet (t, y, w, a) in ambient coordinates."""
-    return _pushforward_jet(_chart_jet(emb, t, y), w, a)
 
 
 def _pushforward_jet(jet, w: Array, a: Array):
@@ -588,54 +563,3 @@ def match_trajectories(
         max_inv = max(max_inv, resid)
     return MatchReport(sup_position=sup_x, sup_velocity=sup_v, max_inversion_residual=max_inv)
 
-
-def random_polynomial_chart(rng: np.random.Generator, m: int, r: int) -> Embedding:
-    """Random degree-<=3 polynomial chart with analytic derivatives.
-
-    u_p(t, y) = a + c1 t + c2 t^2 + B y + t D y + 1/2 y^T Q_p y + k_p (w_p . y)^3
-    with coefficients scaled so rank u_y = r holds with overwhelming
-    probability near the origin.
-    """
-    a0 = rng.uniform(-1, 1, m)
-    c1 = rng.uniform(-1, 1, m)
-    c2 = 0.5 * rng.uniform(-1, 1, m)
-    B = rng.uniform(-1, 1, (m, r)) + np.eye(m, r) * 2.0
-    D = 0.3 * rng.uniform(-1, 1, (m, r))
-    Qp = 0.3 * rng.uniform(-1, 1, (m, r, r))
-    Qp = 0.5 * (Qp + np.transpose(Qp, (0, 2, 1)))
-    kp = 0.1 * rng.uniform(-1, 1, m)
-    wp = rng.uniform(-1, 1, (m, r))
-
-    def u(t, y):
-        lin = wp @ y
-        return (
-            a0
-            + c1 * t
-            + c2 * t * t
-            + B @ y
-            + t * (D @ y)
-            + 0.5 * np.einsum("pij,i,j->p", Qp, y, y)
-            + kp * lin**3
-        )
-
-    def u_t(t, y):
-        return c1 + 2.0 * c2 * t + D @ y
-
-    def u_y(t, y):
-        lin = wp @ y
-        return B + t * D + np.einsum("pij,j->pi", Qp, y) + 3.0 * (kp * lin**2)[:, None] * wp
-
-    def u_tt(t, y):
-        return 2.0 * c2
-
-    def u_ty(t, y):
-        return D
-
-    def u_yy(t, y):
-        lin = wp @ y
-        cubic = 6.0 * (kp * lin)[:, None, None] * np.einsum("pi,pj->pij", wp, wp)
-        return Qp + cubic
-
-    return Embedding(
-        dim=m, r=r, u=u, u_t=u_t, u_y=u_y, u_tt=u_tt, u_ty=u_ty, u_yy=u_yy
-    )

@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 from .constraints import ConstraintSet, RegularityError, _kernel_basis
-from .reactions import Realization, _chol_solve, _gram, _solve_multipliers
+from .reactions import Realization, _chol_solve, _solve_multipliers
 from .smooth import Array, State, require_finite_state
 from .system import MechanicalSystem
 
@@ -184,7 +184,7 @@ def project_to_manifold(
         if np.abs(r).max(initial=0.0) <= tol:
             break
         J = g.grad_x(t, x)
-        x = x - Ginv @ J.T @ _chol_solve(_gram(J, Ginv)[1], r, t)
+        x = x - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, r, t)
     else:
         raise ProjectionError(
             f"position projection did not reach tol={tol} in {max_iter} iterations "
@@ -194,7 +194,7 @@ def project_to_manifold(
     if velocity:
         J = g.grad_x(t, x)
         defect = g.grad_t(t, x) + J @ v
-        v = v - Ginv @ J.T @ _chol_solve(_gram(J, Ginv)[1], defect, t)
+        v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, defect, t)
     return State(t=t, x=x, v=v)
 
 

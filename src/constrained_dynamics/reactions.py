@@ -40,22 +40,11 @@ class ReactionResult:
     state: State
 
 
-def _gram(B: Array, Ginv: Array) -> Tuple[Array, Array]:
-    """(W, W B^T) with W = B G^-1: the constraint Gram matrix B G^-1 B^T."""
-    W = B @ Ginv
-    return W, W @ B.T
-
-
-def gram_matrix(cs: ConstraintSet, mass, s: State) -> Array:
-    """phi_v G^-1 phi_v^T, the SPD kernel of the multiplier solve."""
-    return _gram(cs.phi.d_v(s.t, s.x, s.v), mass.inverse)[1]
-
-
 _GRAM = "constraint Gram matrix"
 
 
 def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
-    """gram^-1 rhs for a Gram matrix from :func:`_gram`, whose Cholesky
+    """gram^-1 rhs for a Gram matrix B G^-1 B^T, whose Cholesky
     pivots must pass the regularity rule with floor 0 (positivity).  A 1x1
     matrix is its own pivot."""
     if gram.shape[0] == 1:
@@ -110,13 +99,6 @@ def _ideal_reaction(sys: MechanicalSystem, cs: ConstraintSet, t, x, v) -> Tuple[
     """(phi_v, N) of the ideal reaction N = Lambda phi_v at (t, x, v)."""
     _, B, _, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
     return B, lam @ B
-
-
-def multipliers(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
-    """Multiplier row Lambda; defined at any regular state, on-manifold or not."""
-    if cs is None:
-        return np.zeros(0)
-    return _solve_multipliers(sys, cs, s.t, s.x, s.v)[3]
 
 
 def reaction(
@@ -209,7 +191,12 @@ class Reparametrization:
 
 
 def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
-    """The constraint set psi(t,x,v) = U(t,x,v, phi(t,x,v)) with chain-rule Jacobians."""
+    """The constraint set psi(t,x,v) = U(t,x,v, phi(t,x,v)) with chain-rule Jacobians.
+
+    U is probed at three seeded states (t, x, v) in [-1, 1]: that shows
+    only that U(., 0) vanishes and U_z(., 0) is regular there.  A failed
+    probe raises ValueError.
+    """
     if rep.n != cs.n:
         raise ValueError("reparametrization output count must equal constraint count")
     rng = np.random.default_rng(1)

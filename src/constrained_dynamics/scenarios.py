@@ -398,7 +398,8 @@ class Scenario:
         SVD of A(t, x) gives both the least-norm solution of A v = -a and the
         kernel basis.  The failures are tested in this order, each naming
         the earliest state that fails: a y outside the chart domain
-        (ChartError), an A that fails the regularity rule
+        (ChartError), a chart declared time-independent that moves with t
+        at the first state (ValueError), an A that fails the regularity rule
         (:class:`RegularityError`), a non-finite state (ValueError).
         """
         m, emb, cs = self.dim, self.embedding, self.constraints
@@ -413,6 +414,7 @@ class Scenario:
             if outside.any():
                 i = int(np.argmax(outside))
                 raise emb.domain_error(float(t[i, 0]), Y[i])
+            emb.require_declared_time_independence(float(t[0, 0]), Y[0], f"scenario {self.name!r}")
             X = np.empty((count, m))
             V = np.empty((count, m))
             for i, ti in enumerate(t[:, 0].tolist()):

@@ -105,11 +105,6 @@ class SmoothMap:
             )
         return out
 
-    @property
-    def provenance(self) -> str:
-        have_all = all(j is not None for j in (self.jac_t, self.jac_x, self.jac_v))
-        return "analytic" if have_all else "finite-difference"
-
     def d_t(self, t: float, x: Array, v: Array) -> Array:
         if self.jac_t is not None:
             return shaped(self.jac_t(t, x, v), (self.dim,))

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .smooth import Array, EvaluationError, State, shaped
+from .smooth import Array, EvaluationError, shaped
 
 SPD_SYMMETRY_TOL = 1e-12
 
@@ -51,7 +51,6 @@ class MassMatrix:
     """Constant symmetric positive definite mass matrix."""
 
     G: Array
-    point_masses: Optional[tuple] = None
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -75,9 +74,6 @@ class MassMatrix:
     def inverse(self) -> Array:
         return self._Ginv
 
-    def solve(self, rhs: Array) -> Array:
-        return self._Ginv @ rhs
-
 
 def build_point_mass_matrix(masses) -> MassMatrix:
     """diag(m1, m1, m1, ..., m_nu, m_nu, m_nu) for nu point masses in R^3."""
@@ -88,7 +84,7 @@ def build_point_mass_matrix(masses) -> MassMatrix:
         if not (m > 0.0):
             raise ValueError(f"mass {i} must be positive (got {m})")
     diag = np.repeat(np.asarray(masses, dtype=float), 3)
-    return MassMatrix(G=np.diag(diag), point_masses=tuple(masses))
+    return MassMatrix(G=np.diag(diag))
 
 
 @dataclass(frozen=True)
@@ -142,14 +138,3 @@ class MechanicalSystem:
     def dim(self) -> int:
         return self.mass.dim
 
-
-def energy(sys: MechanicalSystem, s: State):
-    """Kinetic energy T = 1/2 v^T G v, plus V when the force is potential.
-
-    Returns (T, V) with V None for non-potential forces.
-    """
-    T = 0.5 * float(s.v @ (sys.mass.G @ s.v))
-    V = None
-    if sys.force.potential is not None:
-        V = float(sys.force.potential(s.t, s.x))
-    return T, V

@@ -18,10 +18,8 @@ from constrained_dynamics import (
     gde_residual,
     integrate_first_kind,
     integrate_second_kind,
-    lagrangian_derivative_from_pieces,
     match_trajectories,
     pullback_lagrangian,
-    random_polynomial_chart,
     reaction,
     virtual_basis,
     virtual_work,
@@ -29,6 +27,7 @@ from constrained_dynamics import (
 from constrained_dynamics.checks import reparametrization_families
 from constrained_dynamics.reactions import invariance_report
 from constrained_dynamics.system import check_spd
+from oracles import lagrangian_derivative_from_pieces, random_polynomial_chart
 
 
 def _verdict(label: str, ok: bool):

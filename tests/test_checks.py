@@ -248,3 +248,22 @@ def test_false_scleronomy_declaration_is_refused_by_name(rotating_wire):
     )
     with pytest.raises(ValueError, match="scenario 'rotating-wire-bead'.*declared scleronomic"):
         check_energy(sc, traj, DEFAULT_THRESHOLDS)
+
+
+def test_false_time_independence_is_refused_by_the_covariance_check(rotating_wire, pendulum):
+    import dataclasses
+
+    from constrained_dynamics.checks import check_covariance
+
+    emb = dataclasses.replace(rotating_wire.embedding, u_t=None, u_tt=None, u_ty=None)
+    sc = dataclasses.replace(rotating_wire, embedding=emb)
+    # both sides of the identity use the declared chart, so the identity
+    # alone would pass
+    with pytest.raises(
+        ValueError,
+        match=r"^covariance check of scenario 'rotating-wire-bead': chart declared "
+        r"time-independent \(u_t=None\) .* tau=0\.001$",
+    ):
+        check_covariance(sc, DEFAULT_THRESHOLDS)
+    # a chart that is time-independent passes the check
+    assert check_covariance(pendulum, DEFAULT_THRESHOLDS)[0].passed

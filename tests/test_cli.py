@@ -79,6 +79,21 @@ def test_compare_embeddings(tmp_path, capsys):
     assert "[PASS] chart-inversion" in out
 
 
+@pytest.mark.parametrize("command", ["check-invariants", "compare-embeddings"])
+def test_false_time_independence_exit_code(tmp_path, capsys, monkeypatch, command):
+    import dataclasses
+
+    from constrained_dynamics import catalog_scenario, cli
+
+    sc = catalog_scenario("rotating-wire-bead")
+    sc.embedding = dataclasses.replace(sc.embedding, u_t=None, u_tt=None, u_ty=None)
+    monkeypatch.setattr(cli, "_load_scenario", lambda token: sc)
+    rc = main([command, "rotating-wire-bead", "--t-end", "0.1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "chart declared time-independent (u_t=None)" in err and "tau=0.001" in err
+
+
 def test_compare_embeddings_nonholonomic(capsys):
     rc = main(["compare-embeddings", "knife-edge", "--t-end", "0.5"])
     assert rc == 1

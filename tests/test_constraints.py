@@ -7,10 +7,7 @@ from constrained_dynamics import (
     RegularityError,
     State,
     check_regularity,
-    constraint_jacobians,
-    eval_constraints,
     lift_holonomic,
-    manifold_residual,
     virtual_basis,
 )
 from constrained_dynamics.scenarios import (
@@ -19,32 +16,41 @@ from constrained_dynamics.scenarios import (
 )
 
 
+def _phi(cs, s):
+    return cs.phi(s.t, s.x, s.v)
+
+
+def _jacobians(cs, s):
+    """(phi_t, phi_x, phi_v) at the state s."""
+    return cs.phi.d_t(s.t, s.x, s.v), cs.phi.d_x(s.t, s.x, s.v), cs.phi.d_v(s.t, s.x, s.v)
+
+
 def test_pendulum_lift_tangent_velocity(circle_lift):
     s = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
-    assert abs(eval_constraints(circle_lift, s)[0]) < 1e-15
+    assert abs(_phi(circle_lift, s)[0]) < 1e-15
 
 
 def test_pendulum_lift_normal_velocity(circle_lift):
     s = State(0.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]))
-    assert abs(eval_constraints(circle_lift, s)[0] - (-1.0)) < 1e-15
+    assert abs(_phi(circle_lift, s)[0] - (-1.0)) < 1e-15
 
 
 def test_knife_edge_value():
     cs = knife_edge_constraints()
     s = State(0.0, np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0]))
-    assert abs(eval_constraints(cs, s)[0] - (-1.0)) < 1e-15
+    assert abs(_phi(cs, s)[0] - (-1.0)) < 1e-15
 
 
 def test_affine_phi_v_is_A_exactly():
     cs = knife_edge_constraints()
     s = State(0.0, np.array([0.5, -0.3, 0.7]), np.array([1.0, 2.0, 3.0]))
-    _, _, phi_v = constraint_jacobians(cs, s)
+    _, _, phi_v = _jacobians(cs, s)
     assert np.array_equal(phi_v, np.array([[np.sin(0.7), -np.cos(0.7), 0.0]]))
 
 
 def test_pendulum_lift_jacobians(circle_lift):
     s = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.5]))
-    phi_t, phi_x, phi_v = constraint_jacobians(circle_lift, s)
+    phi_t, phi_x, phi_v = _jacobians(circle_lift, s)
     assert np.abs(phi_v - np.array([[0.0, -1.0]])).max() < 1e-14
     assert np.abs(phi_x - np.array([[2.0, 0.5]])).max() < 1e-14
     assert abs(phi_t[0]) < 1e-14
@@ -53,7 +59,7 @@ def test_pendulum_lift_jacobians(circle_lift):
 def test_rotating_wire_lift_jacobians():
     cs = lift_holonomic(rotating_line_generator(1.0), 2)
     s = State(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    phi_t, phi_x, phi_v = constraint_jacobians(cs, s)
+    phi_t, phi_x, phi_v = _jacobians(cs, s)
     # phi = -omega (x cos wt + y sin wt) - vx sin wt + vy cos wt
     assert np.abs(phi_v - np.array([[0.0, 1.0]])).max() < 1e-14
     # phi_t = g_tt + g_tx v vanishes here; phi_x = g_tx since g is linear in x
@@ -144,7 +150,28 @@ def test_lift_coordinate_plane():
     )
     cs = lift_holonomic(g, 2)
     s = State(0.0, np.array([0.3, 0.4]), np.array([1.5, -0.5]))
-    assert abs(eval_constraints(cs, s)[0] - 1.5) < 1e-14
+    assert abs(_phi(cs, s)[0] - 1.5) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "value, why",
+    [
+        (lambda t, x: x, "cannot reshape array of size 2"),
+        (lambda t, x, v: x[:1], "missing 1 required positional argument"),
+    ],
+    ids=["wrong-size", "takes-v"],
+)
+def test_lift_refuses_a_generator_that_fails_the_probe(value, why):
+    # the probe shows only that g takes (t, x) and returns g.dim values
+    g = ConfigurationMap(
+        dim=1, value=value, d_t=lambda t, x: np.zeros(1), d_x=lambda t, x: np.eye(1, x.size)
+    )
+    with pytest.raises(
+        ValueError,
+        match=r"^holonomic generator g must take \(t, x\) and return an array of size 1; "
+        r"at t=-?0\.\d+ it failed: .*" + why,
+    ):
+        lift_holonomic(g, 2)
 
 
 def test_lift_rotating_wire_value():
@@ -155,32 +182,7 @@ def test_lift_rotating_wire_value():
         - v[0] * np.sin(t)
         + v[1] * np.cos(t)
     )
-    assert abs(eval_constraints(cs, State(t, x, v))[0] - expected) < 1e-14
-
-
-def test_manifold_residual_on_manifold(circle_lift):
-    s = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
-    res = manifold_residual(circle_lift, s)
-    assert res.g_norm < 1e-15 and res.gdot_norm < 1e-15
-
-
-def test_manifold_residual_off_sphere(circle_lift):
-    s = State(0.0, np.array([0.0, -1.1]), np.array([2.0, 0.0]))
-    res = manifold_residual(circle_lift, s)
-    assert abs(res.g_norm - 0.105) < 1e-12
-
-
-def test_manifold_residual_velocity_defect(circle_lift):
-    s = State(0.0, np.array([0.0, -1.0]), np.array([0.0, 1.0]))
-    res = manifold_residual(circle_lift, s)
-    assert res.g_norm < 1e-15
-    assert abs(res.gdot_norm - 1.0) < 1e-14
-
-
-def test_manifold_residual_rejects_nonholonomic():
-    cs = knife_edge_constraints()
-    with pytest.raises(ValueError):
-        manifold_residual(cs, State(0.0, np.zeros(3), np.zeros(3)))
+    assert abs(cs.phi(t, x, v)[0] - expected) < 1e-14
 
 
 def _principal_angle(A, B):

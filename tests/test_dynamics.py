@@ -13,8 +13,6 @@ from constrained_dynamics import (
     State,
     acceleration,
     catalog_scenario,
-    constraint_jacobians,
-    energy,
     gde_residual,
     integrate_first_kind,
     lift_holonomic,
@@ -521,9 +519,9 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
     Returns (columns, rejected steps).  The columns are those of
     :class:`Trajectory`, each computed per sample on its own: Lambda and N
     from a fresh ``reaction`` call (of the realization ``real`` when given),
-    the gde residual from the public ``gde_residual``, the energy from
-    ``energy``, phi, g and |f| from their maps and d(phi)/dt from
-    ``constraint_jacobians``.
+    the gde residual from the public ``gde_residual``, the energy as
+    1/2 v^T G v plus the potential, phi, g and |f| from their maps and
+    d(phi)/dt as the sum phi_t + phi_x v + phi_v xdd of phi's Jacobians.
     """
     if real is None:
         def accel(t, x, v):
@@ -531,7 +529,7 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
     else:
         def accel(t, x, v):
             res = reaction(sys, cs, State(t, x, v), real=real)
-            return sys.mass.solve(sys.force(t, x, v) + res.N)
+            return sys.mass.inverse @ (sys.force(t, x, v) + res.N)
 
     rows = []
     rejected = 0
@@ -543,14 +541,16 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
         s = State(t, x, v)
         xdd = accel(t, x, v)
         rx = reaction(sys, cs, s, real=real)
-        T, V = energy(sys, s)
+        T = 0.5 * float(s.v @ (sys.mass.G @ s.v))
+        V = None if sys.force.potential is None else float(sys.force.potential(t, s.x))
         g_norm, phi_norm, rate = None, 0.0, 0.0
         if cs is not None:
             phi_norm = norm(cs.phi(t, s.x, s.v))
             if cs.is_holonomic:
                 g_norm = norm(cs.generator(t, s.x))
-            phi_t, phi_x, phi_v = constraint_jacobians(cs, s)
-            rate = norm(phi_t + phi_x @ s.v + phi_v @ xdd)
+            phi = cs.phi
+            rate = norm(phi.d_t(t, s.x, s.v) + phi.d_x(t, s.x, s.v) @ s.v
+                        + phi.d_v(t, s.x, s.v) @ xdd)
         rows.append((
             t, s.x, s.v, rx.Lambda, rx.N, xdd, g_norm, phi_norm,
             gde_residual(sys, cs, s, xdd), T + (V or 0.0),

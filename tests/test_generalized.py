@@ -10,19 +10,17 @@ from constrained_dynamics import (
     catalog_scenario,
     covariance_residual,
     decompose_T,
-    generalized_forces,
     integrate_first_kind,
     integrate_second_kind,
     lagrangian_derivative,
-    lagrangian_derivative_from_pieces,
     match_trajectories,
     pullback_lagrangian,
     pushforward_state,
-    random_polynomial_chart,
 )
 from constrained_dynamics.generalized import (
     GeneralizedTrajectory,
-    pushforward_second_order,
+    _chart_jet,
+    _pushforward_jet,
     second_kind_acceleration,
 )
 from constrained_dynamics.scenarios import (
@@ -30,6 +28,7 @@ from constrained_dynamics.scenarios import (
     rotating_line_embedding,
     sphere_polar_embedding,
 )
+from oracles import along_velocity, lagrangian_derivative_from_pieces, random_polynomial_chart
 
 
 def test_pushforward_circle_bottom():
@@ -180,10 +179,11 @@ def test_generalized_forces_gravity_on_circle():
 
     emb = circle_embedding(1.0)
     f = ForceField(dim=2, value=lambda t, x, v: np.array([0.0, -10.0]))
-    Q = generalized_forces(emb, f)
+    lag = pullback_lagrangian(emb, MassMatrix(np.eye(2)))
     # u = (sin th, -cos th), u_y = (cos th, sin th): Q = -10 sin th
     th = 0.8
-    assert abs(Q(0.0, np.array([th]), np.zeros(1))[0] - (-10.0 * np.sin(th))) < 1e-12
+    _, Q = second_kind_acceleration(lag, f, 0.0, np.array([th]), np.zeros(1))
+    assert abs(Q[0] - (-10.0 * np.sin(th))) < 1e-12
 
 
 def test_second_kind_pendulum_acceleration(pendulum):
@@ -228,6 +228,27 @@ def test_second_kind_refuses_adaptive_method(pendulum):
         )
 
 
+def test_second_kind_refuses_a_false_time_independence(rotating_wire, pendulum):
+    from dataclasses import replace
+
+    cfg = IntegratorConfig(dt=1e-2)
+    # the rotating line moves with t: declared without u_t, the bead would
+    # stay at radius 1 instead of cosh t
+    emb = replace(rotating_wire.embedding, u_t=None, u_tt=None, u_ty=None)
+    with pytest.raises(
+        ValueError,
+        match=r"^integrate_second_kind: chart declared time-independent .* tau=0\.001$",
+    ):
+        integrate_second_kind(
+            emb, rotating_wire.system, rotating_wire.initial_generalized, 0.5, cfg
+        )
+    # a chart that moves only from t = 0.5 on fails at the first shift past it
+    circle = pendulum.embedding
+    late = replace(circle, u=lambda t, y: circle.u(t, y) * (1.0 + max(0.0, t - 0.5)))
+    with pytest.raises(ValueError, match=r"at t=0\.0, tau=0\.7$"):
+        integrate_second_kind(late, pendulum.system, pendulum.initial_generalized, 0.1, cfg)
+
+
 def test_embedding_fallback_failure_reports_stencil():
     from dataclasses import replace
 
@@ -252,7 +273,7 @@ def test_pushforward_second_order_chain_rule():
     y = rng.uniform(-0.3, 0.3, 2)
     w = rng.uniform(-0.5, 0.5, 2)
     a = rng.uniform(-0.5, 0.5, 2)
-    x, v, xdd = pushforward_second_order(emb, t, y, w, a)
+    x, v, xdd = _pushforward_jet(_chart_jet(emb, t, y), w, a)
     # FD oracle: differentiate the pushforward velocity along the jet path
     h = 1e-5
 
@@ -337,7 +358,11 @@ def _reference_second_kind(emb, sys, init, t_end, cfg):
     """Second-kind RK4 written out plainly: every stage and every recorded
     sample calls second_kind_acceleration afresh."""
     lag = pullback_lagrangian(emb, sys.mass)
-    Q = generalized_forces(emb, sys.force)
+
+    def Q(t, y, w):
+        # f(t, u, u_t + u_y w) u_y
+        u_y = emb.d_y(t, y)
+        return sys.force(t, emb.value(t, y), emb.d_t(t, y) + u_y @ w) @ u_y
 
     def accel(t, y, w):
         return second_kind_acceleration(lag, sys.force, t, y, w)[0]
@@ -450,7 +475,7 @@ def _reference_terms(lag, t, y, w):
 def test_derivative_pieces_match_per_coordinate_loops(r):
     # the w-contracted kernel against every y-derivative of (M2, b, T0)
     # built one coordinate at a time and contracted with w afterwards
-    from constrained_dynamics.generalized import _along_velocity, _chart_jet, _lagrange_terms
+    from constrained_dynamics.generalized import _lagrange_terms
 
     rng = np.random.default_rng(40 + r)
     for _ in range(20):
@@ -462,7 +487,7 @@ def test_derivative_pieces_match_per_coordinate_loops(r):
             _assert_close_in_norm(g, e)
         # the generic kernel of lagrangian_derivative_from_pieces, too
         pieces = _reference_derivative_pieces(lag, t, y)
-        M2dot, bdot, L_y = _along_velocity(*pieces[1:], w)
+        M2dot, bdot, L_y = along_velocity(*pieces[1:], w)
         _assert_close_in_norm(M2dot @ w, want[1])
         _assert_close_in_norm(bdot, want[2])
         _assert_close_in_norm(L_y, want[3])
@@ -568,8 +593,12 @@ def test_integrate_second_kind_chart_calls_per_step(pendulum):
     steps = len(traj) - 1
     assert steps == 20
     # 4 accelerations per step, one jet of the circle's 3 maps each; Q comes
-    # with them
-    assert calls == dict.fromkeys(_MAPS_OF["pendulum"], 1 + 4 * steps)
+    # with them.  The run-start check of u_t=None adds u at t0 and at each shift
+    from constrained_dynamics.generalized import _TIME_SHIFTS
+
+    want = dict.fromkeys(_MAPS_OF["pendulum"], 1 + 4 * steps)
+    want["u"] += 1 + len(_TIME_SHIFTS)
+    assert calls == want
 
 
 def test_covariance_residual_evaluates_each_chart_map_once(spherical, rotating_wire):

@@ -108,19 +108,6 @@ def test_state_invariants():
         State(0.0, np.array([]), np.array([]))
 
 
-def test_provenance_flag():
-    bare = SmoothMap(dim=1, value=lambda t, x, v: np.array([x[0]]))
-    full = SmoothMap(
-        dim=1,
-        value=lambda t, x, v: np.array([x[0]]),
-        jac_t=lambda t, x, v: np.zeros(1),
-        jac_x=lambda t, x, v: np.array([[1.0]]),
-        jac_v=lambda t, x, v: np.array([[0.0]]),
-    )
-    assert bare.provenance == "finite-difference"
-    assert full.provenance == "analytic"
-
-
 # ---------------------------------------------------------------------------
 # the output guard: an exact float64 array passes as it is, anything else is
 # converted as np.asarray(out, float).reshape(shape) would, errors included

@@ -8,7 +8,6 @@ from constrained_dynamics import (
     State,
     build_point_mass_matrix,
     check_spd,
-    energy,
 )
 from constrained_dynamics.scenarios import _make_force
 
@@ -69,21 +68,6 @@ def test_mass_matrix_rejects_asymmetric():
     assert verdict.symmetric is False and verdict.passed is False
     with pytest.raises(ValueError, match="symmetric=False"):
         MassMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-
-def test_energy_at_rest(pendulum):
-    s = State(0.0, np.array([0.0, -1.0]), np.zeros(2))
-    T, V = energy(pendulum.system, s)
-    assert T == 0.0
-
-
-def test_energy_point_mass():
-    mm = build_point_mass_matrix([2.0])
-    from constrained_dynamics import MechanicalSystem
-
-    sys = MechanicalSystem(mass=mm)
-    T, _ = energy(sys, State(0.0, np.zeros(3), np.array([3.0, 0.0, 0.0])))
-    assert abs(T - 9.0) < 1e-14
 
 
 def _catalog_forces(m, mass):
