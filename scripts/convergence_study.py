@@ -24,6 +24,8 @@ def main():
     args = ap.parse_args()
 
     sc = catalog_scenario(args.scenario)
+    if args.projection and (sc.constraints is None or not sc.constraints.is_holonomic):
+        ap.error(f"--projection needs a holonomic scenario; {sc.name!r} is not one")
     dts = [float(s) for s in args.dts.split(",")]
 
     print(f"scenario: {sc.name}, t_end = {args.t_end}")

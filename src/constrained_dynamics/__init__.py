@@ -36,7 +36,6 @@ from .integrate import (
     acceleration,
     gde_residual,
     integrate_first_kind,
-    project_to_manifold,
 )
 from .generalized import (
     ChartError,
@@ -91,7 +90,6 @@ __all__ = [
     "lift_holonomic",
     "match_trajectories",
     "parse_scenario",
-    "project_to_manifold",
     "pullback_lagrangian",
     "pushforward_state",
     "reaction",

@@ -129,7 +129,7 @@ class ConstraintSet:
                 f"> {SCLERONOMY_TOL:g} at t={t}"
             )
 
-    def jet(self, t: float, x: Array, v: Array) -> Tuple[Array, Array]:
+    def jet(self, t: float, x: Array, v: Array, phi_v: Optional[Array] = None) -> Tuple:
         """(phi_v, phi_t + phi_x v) at (t, x, v): the constraint terms of the
         multiplier solve.
 
@@ -139,15 +139,17 @@ class ConstraintSet:
         Jacobians.  Any other set takes them from phi.  A scleronomic set
         leaves out the terms it declares zero: the drift is (v g_xx) v, or
         phi_x v, which differs from the full sum at most in the sign of an
-        exact zero.
+        exact zero.  A holonomic set given ``phi_v``, its g_x at (t, x)
+        already evaluated, returns it and does not call g_x again.
         """
         if self.is_holonomic:
             g = self.generator
+            B = g.grad_x(t, x) if phi_v is None else phi_v
             if self.scleronomic:
-                return g.grad_x(t, x), np.dot(np.dot(v, g.grad_xx(t, x)), v)
+                return B, np.dot(np.dot(v, g.grad_xx(t, x)), v)
             gtx = g.grad_tx(t, x)
             drift = g.grad_tt(t, x) + np.dot(gtx, v)
-            return g.grad_x(t, x), drift + np.dot(gtx + np.dot(v, g.grad_xx(t, x)), v)
+            return B, drift + np.dot(gtx + np.dot(v, g.grad_xx(t, x)), v)
         phi = self.phi
         if self.scleronomic:
             return phi.d_v(t, x, v), np.dot(phi.d_x(t, x, v), v)

@@ -28,6 +28,9 @@ class ProjectionError(RuntimeError):
     """Gauss-Newton projection failed to converge."""
 
 
+_NEEDS_HOLONOMIC = "projection requires a holonomic constraint set"
+
+
 def require_iteration_count(n, name: str) -> None:
     """Refuse an iteration count ``n`` that is not an integer >= 1 (a bool is not one)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -174,11 +177,19 @@ def project_to_manifold(
     an integer >= 1, as :class:`IntegratorConfig` requires of its count.
     """
     if not cs.is_holonomic:
-        raise ValueError("projection requires a holonomic constraint set")
+        raise ValueError(_NEEDS_HOLONOMIC)
     require_iteration_count(max_iter, "max_iter")
+    x, v, _, _, _ = _project(cs, mass.inverse, s.t, s.x.copy(), s.v, tol, max_iter, velocity)
+    return State(t=s.t, x=x, v=v)
+
+
+def _project(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, velocity) -> tuple:
+    """(x, v, g, g_x, g_t) of :func:`project_to_manifold`'s projection of
+    (t, x, v), with g, g_x and g_t taken at the projected x: g is the
+    residual the Gauss-Newton loop last tested, g_x and g_t are evaluated
+    once after its last correction.  ``v`` is returned as given unless
+    ``velocity``."""
     g = cs.generator
-    Ginv = mass.inverse
-    t, x = s.t, s.x.copy()
     for _ in range(max_iter):
         r = g(t, x)
         if np.abs(r).max(initial=0.0) <= tol:
@@ -190,15 +201,13 @@ def project_to_manifold(
             f"position projection did not reach tol={tol} in {max_iter} iterations "
             f"(residual {np.abs(g(t, x)).max():.3e})"
         )
-    v = s.v
+    J, gt = g.grad_x(t, x), g.grad_t(t, x)
     if velocity:
-        J = g.grad_x(t, x)
-        defect = g.grad_t(t, x) + J @ v
-        v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, defect, t)
-    return State(t=t, x=x, v=v)
+        v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, gt + J @ v, t)
+    return x, v, r, J, gt
 
 
-def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
+def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> tuple:
     """(xdd, row) at a point the march accepted, from one multiplier solve.
 
     xdd = G^-1 (f^T + N^T) is the next step's first stage; the row is the
@@ -206,7 +215,9 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
     phi, g, V] (Lambda, phi_v, the drift, phi and g empty without
     constraints, g empty unless they are holonomic, V = 0 without a
     potential) that :func:`_trajectory` turns into columns.  Lambda, N and
-    xdd are those of the reaction ``real`` (ideal when None).
+    xdd are those of the reaction ``real`` (ideal when None).  ``gen`` is
+    the (g, g_x, g_t) that :func:`_project` took at (t, x), or None: the
+    row's g, the solve's phi_v and phi = g_t + g_x v then come from it.
     """
     require_finite_state(t, x, v)  # the State check, without building a State
     pot = sys.force.potential
@@ -215,11 +226,11 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None) -> tuple:
         f = sys.force(t, x, v)
         xdd = np.dot(sys.mass.inverse, f)
         return xdd, np.concatenate(([t], x, v, np.zeros(x.size), xdd, f, [V]))
-    f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real)
+    g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else ()), None, None)
+    f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real, gx)
     N = np.dot(lam, S)
     xdd = np.dot(sys.mass.inverse, f + N)
-    phi = cs.phi(t, x, v)
-    g = cs.generator(t, x) if cs.is_holonomic else ()
+    phi = cs.phi(t, x, v) if gen is None else gt + gx @ v  # the lift's value
     return xdd, np.concatenate(([t], x, v, lam, N, xdd, f, B.reshape(-1), drift, phi, g, [V]))
 
 
@@ -354,8 +365,13 @@ def integrate_first_kind(
     Evaluations per step: RK4 makes 3 right-hand-side evaluations per
     step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
     more, and its acceleration is the next step's first stage, so an RK4
-    step costs 4 in all.
+    step costs 4 in all.  On a holonomic set a sample evaluates g and g_t
+    once and g_x twice, or, when projected with k Gauss-Newton corrections,
+    g and g_x k + 1 times and g_t once.  Projection without a holonomic
+    ``cs`` is refused with a ValueError.
     """
+    if cfg.projection != "off" and (cs is None or not cs.is_holonomic):
+        raise ValueError(_NEEDS_HOLONOMIC)
     _check_initial(cs, init)
 
     def accel(t, x, v):
@@ -363,28 +379,24 @@ def integrate_first_kind(
 
     rows = []
 
-    def record(t, x, v):
-        xdd, row = _sample(sys, cs, t, x, v, real)
+    def record(t, x, v, gen=None):
+        xdd, row = _sample(sys, cs, t, x, v, real, gen)
         rows.append(row)
         return x, v, xdd
 
-    project = cfg.projection != "off" and cs is not None and cs.is_holonomic
-
     def project_and_record(t, x, v):
-        s = project_to_manifold(
-            State(t, x, v),
-            cs,
-            sys.mass,
-            tol=cfg.projection_tol,
-            max_iter=cfg.projection_max_iter,
-            velocity=cfg.projection == "positional+velocity",
+        require_finite_state(t, x, v)  # as at a sample, before any projection work
+        x, v, *gen = _project(
+            cs, sys.mass.inverse, t, x, v, cfg.projection_tol, cfg.projection_max_iter,
+            cfg.projection == "positional+velocity",
         )
-        return record(t, s.x, s.v)
+        return record(t, x, v, gen)
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
     try:
         _, _, a = record(t, x, v)
-        _march(accel, project_and_record if project else record, t, x, v, a, t_end, cfg)
+        step = record if cfg.projection == "off" else project_and_record
+        _march(accel, step, t, x, v, a, t_end, cfg)
     except Exception as exc:
         # a sample before the failure whose phi_v already failed the
         # regularity rule is the run's first failure

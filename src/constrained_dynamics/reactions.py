@@ -73,17 +73,19 @@ class Realization:
 
 
 def _solve_multipliers(
-    sys: MechanicalSystem, cs: ConstraintSet, t, x, v, real: Optional[Realization] = None
+    sys: MechanicalSystem, cs: ConstraintSet, t, x, v, real: Optional[Realization] = None,
+    phi_v: Optional[Array] = None,
 ):
     """(f, phi_v, S, Lambda, M, phi_t + phi_x v) at (t, x, v), with
     M = phi_v G^-1 S^T; S is phi_v, or ``real.S`` for a realization.
+    ``phi_v``, when given, is a holonomic set's g_x at (t, x).
 
     The one evaluation of the closed form: every consumer of multipliers
     takes the force, phi_v, the solve matrix and the acceleration-free part
     of d(phi)/dt from here.
     """
     f = sys.force(t, x, v)
-    B, drift = cs.jet(t, x, v)
+    B, drift = cs.jet(t, x, v, phi_v)
     W = np.dot(B, sys.mass.inverse)
     rhs = drift + np.dot(W, f)
     if real is None:

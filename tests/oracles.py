@@ -1,10 +1,13 @@
 """Independent oracles and fixtures that only the tests use: a random
-polynomial chart with analytic derivatives, and a generic Lagrangian
-derivative built from the pieces of 1/2 w^T M2 w + b w + T0."""
+polynomial chart with analytic derivatives, a generic Lagrangian
+derivative built from the pieces of 1/2 w^T M2 w + b w + T0, and the
+drift projection written out on its own."""
 
 import numpy as np
 
 from constrained_dynamics import Embedding
+from constrained_dynamics.integrate import ProjectionError
+from constrained_dynamics.reactions import _chol_solve
 
 
 def random_polynomial_chart(rng: np.random.Generator, m: int, r: int) -> Embedding:
@@ -78,3 +81,29 @@ def lagrangian_derivative_from_pieces(M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, 
     """
     M2dot, bdot, L_y = along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w)
     return M2 @ a + M2dot @ w + bdot - L_y
+
+
+def project(cs, mass, t, x, v, tol, max_iter, velocity):
+    """(x, v, k): the state (t, x, v) pulled back to W = {g = 0, g_t + g_x v = 0}
+    by k Gauss-Newton corrections in the G-metric, then, if ``velocity``, by
+    the G-orthogonal projection of v onto g_x v = -g_t.
+
+    The loop as the engine first wrote it: each map is evaluated where the
+    step needs it, and nothing is carried from one step to the next.
+    """
+    g = cs.generator
+    Ginv = mass.inverse
+    x = x.copy()
+    for k in range(max_iter):
+        r = g(t, x)
+        if np.abs(r).max(initial=0.0) <= tol:
+            break
+        J = g.grad_x(t, x)
+        x = x - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, r, t)
+    else:
+        raise ProjectionError(f"no convergence in {max_iter} iterations")
+    if velocity:
+        J = g.grad_x(t, x)
+        defect = g.grad_t(t, x) + J @ v
+        v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, defect, t)
+    return x, v, k

@@ -108,6 +108,19 @@ def test_compare_embeddings_unconstrained(free_particle_file, capsys):
     assert "nonholonomic" not in out
 
 
+@pytest.mark.parametrize("mode", ["positional", "positional+velocity"])
+@pytest.mark.parametrize("scenario", ["knife-edge", "free-particle"])
+def test_projection_without_holonomic_constraints_exit_code(
+    tmp_path, capsys, free_particle_file, scenario, mode
+):
+    token = str(free_particle_file) if scenario == "free-particle" else scenario
+    out = tmp_path / "out"
+    rc = main(["simulate", token, "--t-end", "0.05", "--projection", mode, "--out", str(out)])
+    assert rc == 2
+    assert "projection requires a holonomic constraint set" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_compare_embeddings_adaptive_method_refused(tmp_path, capsys):
     argv = ["compare-embeddings", "pendulum", "--t-end", "0.1", "--method", "rk45-adaptive"]
     rc = main(argv + ["--out", str(tmp_path)])

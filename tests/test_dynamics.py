@@ -16,7 +16,6 @@ from constrained_dynamics import (
     gde_residual,
     integrate_first_kind,
     lift_holonomic,
-    project_to_manifold,
     reaction,
 )
 from constrained_dynamics.integrate import (
@@ -26,7 +25,9 @@ from constrained_dynamics.integrate import (
     _DP_C,
     ProjectionError,
     Trajectory,
+    project_to_manifold,
 )
+from oracles import project
 
 
 def _free_system(dim=2, force=None):
@@ -163,6 +164,21 @@ def test_project_requires_holonomic(knife_edge):
     s = knife_edge.initial
     with pytest.raises(ValueError):
         project_to_manifold(s, knife_edge.constraints, knife_edge.system.mass)
+
+
+@pytest.mark.parametrize("mode", ["positional", "positional+velocity"])
+@pytest.mark.parametrize("run", ["knife-edge", "unconstrained"])
+def test_projected_run_refuses_a_set_that_is_not_holonomic(knife_edge, run, mode):
+    # refused before the first sample: not one force call
+    if run == "knife-edge":
+        sys, calls = _counting_force(knife_edge.system)
+        cs, init = knife_edge.constraints, knife_edge.initial
+    else:
+        sys, calls = _counting_force(_free_system())
+        cs, init = None, State(0.0, np.zeros(2), np.array([1.0, 5.0]))
+    with pytest.raises(ValueError, match="projection requires a holonomic constraint set"):
+        integrate_first_kind(sys, cs, init, 0.1, IntegratorConfig(dt=1e-2, projection=mode))
+    assert calls[0] == 0
 
 
 def test_project_reports_failure(circle_lift):
@@ -469,6 +485,91 @@ def test_multiplier_solve_reads_each_generator_map_once(pendulum, monkeypatch):
     assert calls["phi_jac"] == 0
 
 
+def _generator_calls(sc, cfg):
+    """Calls of g, g_x and g_t in one 0.2 s run of ``sc`` under ``cfg``, as
+    (before the first sample, in the stages, [one Counter per sample]).
+
+    A projected sample's calls are those of its projection and of the
+    sample that follows it.
+    """
+    import collections
+    import dataclasses
+
+    from constrained_dynamics import integrate
+
+    start, stages, samples = collections.Counter(), collections.Counter(), []
+    active = [start]
+
+    def counted(name, fn):
+        def wrapped(*args):
+            active[-1][name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def phase(mp, name, bucket):
+        fn = getattr(integrate, name)
+
+        def wrapped(*args):
+            active.append(bucket(args))
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+
+        mp.setattr(integrate, name, wrapped)
+
+    def new_sample():
+        samples.append(collections.Counter())
+        return samples[-1]
+
+    g = sc.constraints.generator
+    g = dataclasses.replace(
+        g, value=counted("g", g.value), d_x=counted("g_x", g.d_x), d_t=counted("g_t", g.d_t)
+    )
+    cs = lift_holonomic(g, sc.dim, scleronomic=sc.constraints.scleronomic)
+    start.clear()  # the lift's probe of g
+    with pytest.MonkeyPatch.context() as mp:
+        phase(mp, "_accel_raw", lambda args: stages)
+        phase(mp, "_project", lambda args: new_sample())
+        # _sample(sys, cs, t, x, v, real, gen): a sample handed a
+        # projection's maps continues that projection's count
+        phase(mp, "_sample", lambda args: new_sample() if args[6] is None else samples[-1])
+        traj = integrate_first_kind(sc.system, cs, sc.initial, 0.2, cfg)
+    assert len(samples) == len(traj) == 21
+    return start, stages, samples
+
+
+@pytest.mark.parametrize("mode", ["positional", "positional+velocity"])
+@pytest.mark.parametrize("name", ["pendulum", "rotating-wire-bead"])
+def test_projected_sample_reuses_the_projection_maps(name, mode):
+    # a projected sample with k Gauss-Newton corrections calls g and g_x
+    # k + 1 times and g_t once; the stages call what they call unprojected
+    import collections
+
+    sc = catalog_scenario(name)
+    cfg = IntegratorConfig(dt=1e-2, projection=mode)
+    ks = []
+    _reference_run(sc.system, sc.constraints, sc.initial, 0.2, cfg, corrections=ks)
+    assert len(ks) == 20 and sum(ks) > 0
+    plain = _generator_calls(sc, IntegratorConfig(dt=1e-2))
+    start, stages, samples = _generator_calls(sc, cfg)
+    assert (start, stages, samples[0]) == plain[:2] + (plain[2][0],)
+    for k, calls in zip(ks, samples[1:]):
+        assert calls == collections.Counter(g=k + 1, g_x=k + 1, g_t=1)
+    if name == "pendulum" and mode == "positional+velocity":
+        # one correction per step: 42 / 103 / 22 calls of g / g_x / g_t in
+        # all, against 22 / 103 / 22 unprojected, and 62 / 143 / 42 when the
+        # projection and the sample each evaluated their own
+        def totals(start, stages, samples):
+            total = sum(samples, start + stages)
+            return [total["g"], total["g_x"], total["g_t"]]
+
+        assert ks == [1] * 20
+        assert totals(*plain) == [22, 103, 22]
+        assert totals(start, stages, samples) == [42, 103, 22]
+
+
 def test_one_svd_per_run(pendulum, monkeypatch):
     # the kernel bases of every sample's gde residual come from one stacked SVD
     calls = [0]
@@ -512,9 +613,11 @@ def test_nonideal_accel_still_satisfies_constraint(pendulum):
 # ---------------------------------------------------------------------------
 # stage reuse: the integrators against plainly written reference loops
 
-def _reference_run(sys, cs, init, t_end, cfg, real=None):
+def _reference_run(sys, cs, init, t_end, cfg, real=None, corrections=None):
     """The first-kind loops written out plainly: every stage and every
-    recorded sample evaluates the right-hand side afresh.
+    recorded sample evaluates the right-hand side afresh.  A projected run
+    projects with :func:`oracles.project`, and appends each projection's
+    number of Gauss-Newton corrections to ``corrections`` when given.
 
     Returns (columns, rejected steps).  The columns are those of
     :class:`Trajectory`, each computed per sample on its own: Lambda and N
@@ -560,12 +663,13 @@ def _reference_run(sys, cs, init, t_end, cfg, real=None):
     def settle(t, x, v):
         if cfg.projection == "off":
             return x, v
-        s = project_to_manifold(
-            State(t, x, v), cs, sys.mass, tol=cfg.projection_tol,
-            max_iter=cfg.projection_max_iter,
-            velocity=cfg.projection == "positional+velocity",
+        x, v, k = project(
+            cs, sys.mass, t, x, v, cfg.projection_tol, cfg.projection_max_iter,
+            cfg.projection == "positional+velocity",
         )
-        return s.x, s.v
+        if corrections is not None:
+            corrections.append(k)
+        return x, v
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
     record(t, x, v)
@@ -628,6 +732,16 @@ def _assert_same_run(traj, columns):
         ("knife-edge", IntegratorConfig(dt=1e-2)),
         ("rotating-wire-bead", IntegratorConfig(dt=1e-2, projection="positional+velocity")),
         ("spherical-pendulum", IntegratorConfig(method="rk45-adaptive", dt=1e-2)),
+        # a scleronomic jet handed the projection's g_x
+        ("pendulum", IntegratorConfig(dt=1e-2, projection="positional")),
+        (
+            "spherical-pendulum",
+            IntegratorConfig(method="rk45-adaptive", dt=1e-2, projection="positional+velocity"),
+        ),
+        (
+            "rotating-wire-bead",
+            IntegratorConfig(method="rk45-adaptive", dt=1e-2, projection="positional"),
+        ),
     ],
 )
 def test_stage_reuse_is_bit_identical(name, cfg):

@@ -25,7 +25,6 @@ from constrained_dynamics import (
     decompose_T,
     integrate_first_kind,
     lift_holonomic,
-    project_to_manifold,
     pullback_lagrangian,
     reaction,
     reparametrize,
@@ -33,6 +32,7 @@ from constrained_dynamics import (
 )
 from constrained_dynamics.cli import main
 from constrained_dynamics.generalized import _chart_invert, second_kind_acceleration
+from constrained_dynamics.integrate import project_to_manifold
 from constrained_dynamics.reactions import _chol_solve
 from constrained_dynamics.scenarios import circle_embedding, sphere_polar_embedding
 from constrained_dynamics.smooth import EvaluationError

@@ -35,3 +35,13 @@ def test_convergence_study_observes_fourth_order():
     order = float(next(row for row in rows if len(row) == 4 and row[0] == "5.0e-03")[3])
     assert abs(order - 4.0) < 0.2
     assert "with positional+velocity projection:" in proc.stdout
+
+
+def test_convergence_study_refuses_projection_of_a_nonholonomic_scenario():
+    proc = _run(
+        "convergence_study.py", "--scenario", "knife-edge", "--t-end", "0.1", "--dts", "1e-2",
+        "--projection",
+    )
+    assert proc.returncode == 2
+    assert "--projection needs a holonomic scenario; 'knife-edge' is not one" in proc.stderr
+    assert proc.stdout == ""
