@@ -184,9 +184,10 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
     emb = sc.embedding
     r = emb.r
     t, Y, W, A = uniform_rows(
-        np.random.default_rng(23), count,
-        (0.0, 3.0, 1), (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
+        np.random.default_rng(23), count, (0.0, sc.sample_t_hi, 1),
+        (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
     )
+    emb.require_in_domain(t[:, 0], Y)
     # both sides of the identity use the chart as declared, so a false
     # u_t=None would pass unseen
     emb.require_declared_time_independence(

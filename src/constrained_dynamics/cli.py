@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,18 +40,19 @@ def _apply_flags(sc: Scenario, args) -> Scenario:
     return sc
 
 
-def _parse_tols(pairs):
-    out = {}
-    for p in pairs or []:
-        if "=" not in p:
-            raise SystemExit(f"--tol expects NAME=VALUE, got {p!r}")
-        name, val = p.split("=", 1)
-        if name not in DEFAULT_THRESHOLDS:
-            raise SystemExit(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(DEFAULT_THRESHOLDS))}"
-            )
-        out[name] = float(val)
-    return out
+def _tol(pair: str):
+    """(name, value) of one ``--tol NAME=VALUE``; argparse exits 2 on its error."""
+    name, eq, text = pair.partition("=")
+    if not eq or name not in DEFAULT_THRESHOLDS:
+        known = ", ".join(sorted(DEFAULT_THRESHOLDS))
+        raise argparse.ArgumentTypeError(f"expects NAME=VALUE, NAME one of {known}; got {pair!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{name} must be a finite number >= 0, got {text!r}")
+    return name, value
 
 
 def _outdir(args) -> Path:
@@ -110,7 +112,7 @@ def _emit_report(report, args) -> int:
 
 def cmd_check_invariants(args) -> int:
     sc = _apply_flags(_load_scenario(args.scenario), args)
-    report = check_scenario(sc, t_end=args.t_end, thresholds=_parse_tols(args.tol))
+    report = check_scenario(sc, t_end=args.t_end, thresholds=dict(args.tol or ()))
     return _emit_report(report, args)
 
 
@@ -120,7 +122,7 @@ def cmd_compare_embeddings(args) -> int:
         kind = "unconstrained system" if sc.unconstrained else "nonholonomic"
         print(f"scenario {sc.name!r} declares no embedding ({kind}); nothing to compare")
         return 1
-    report = compare_embeddings_report(sc, t_end=args.t_end, thresholds=_parse_tols(args.tol))
+    report = compare_embeddings_report(sc, t_end=args.t_end, thresholds=dict(args.tol or ()))
     return _emit_report(report, args)
 
 
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["off", "positional", "positional+velocity"],
             default=None,
         )
-        sp.add_argument("--tol", action="append", metavar="NAME=VALUE",
+        sp.add_argument("--tol", action="append", type=_tol, metavar="NAME=VALUE",
                         help="override a check threshold")
         sp.add_argument("--out", default=None, help="output directory")
 

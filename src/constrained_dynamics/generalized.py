@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .constraints import SCLERONOMY_TOL, require_regular
-from .integrate import IntegratorConfig, Trajectory, _csv, _march
+from .integrate import IntegratorConfig, Trajectory, _csv, _march, require_horizon
 from .smooth import Array, State, central_differences, shaped, time_difference
 from .system import ForceField, MassMatrix, MechanicalSystem
 
@@ -142,19 +142,26 @@ class Embedding:
         lo, hi = self._box
         return all(a <= yi <= b for a, yi, b in zip(lo, y.tolist(), hi))
 
-    def domain_error(self, t: float, y: Array) -> ChartError:
-        """The ChartError for a y outside the domain at time t, naming the
-        first coordinate that is out and the bound it misses."""
+    def require_in_domain(self, t, Y: Array) -> None:
+        """Refuse a stack ``Y`` (k, r) of points at times ``t`` (k,) with a row
+        that :meth:`in_domain` would refuse: the ChartError names the earliest
+        such row, its first coordinate that is out and the bound it misses."""
         lo, hi = self._box
-        for i, (a, yi, b) in enumerate(zip(lo, y.tolist(), hi)):
-            if not a <= yi <= b:
-                if yi < a:
+        inside = ((Y >= lo) & (Y <= hi)).all(axis=1)
+        if inside.all():
+            return
+        i = int(np.argmin(inside))
+        for j, (a, yj, b) in enumerate(zip(lo, Y[i].tolist(), hi)):
+            if not a <= yj <= b:
+                if yj < a:
                     miss = f"< lower bound {a}"
-                elif yi > b:
+                elif yj > b:
                     miss = f"> upper bound {b}"
                 else:  # NaN compares false with both bounds
                     miss = "is not a number"
-                return ChartError(f"y={y} outside the chart domain at t={t}: y[{i}]={yi} {miss}")
+                raise ChartError(
+                    f"y={Y[i]} outside the chart domain at t={float(t[i])}: y[{j}]={yj} {miss}"
+                )
 
 
 def _chart_jet(emb: Embedding, t: float, y: Array):
@@ -228,8 +235,7 @@ def _metric_solve(M2: Array, rhs: Array, t: float) -> Array:
 
 def pushforward_state(emb: Embedding, gs: GeneralizedState) -> State:
     """x = u(t, y), v = u_t + u_y w."""
-    if not emb.in_domain(gs.y):
-        raise emb.domain_error(gs.t, gs.y)
+    emb.require_in_domain([gs.t], gs.y[None])
     x = emb.value(gs.t, gs.y)
     return State(t=gs.t, x=x, v=emb.velocity(gs.t, gs.y, gs.w))
 
@@ -384,6 +390,7 @@ def integrate_second_kind(
     step's first stage.  Each sample is recorded as one flat float64 row
     [t, y, w, a, Q], split into the columns once when the run ends.
     """
+    require_horizon(init.t, t_end)
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")

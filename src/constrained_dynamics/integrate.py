@@ -37,6 +37,12 @@ def require_iteration_count(n, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def require_horizon(t0, t_end) -> None:
+    """Refuse a ``t_end`` that is not finite or not later than the initial ``t0``."""
+    if not (math.isfinite(t_end) and t_end > t0):
+        raise ValueError(f"t_end must be finite and later than the initial t={t0}, got {t_end!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "rk4-fixed"
@@ -160,35 +166,22 @@ def _gde(G: Array, B: Optional[Array], F: Array, XDD: Array, times) -> Array:
     return np.abs(R).max(axis=1)
 
 
-def project_to_manifold(
-    s: State,
-    cs: ConstraintSet,
-    mass,
-    tol: float = 1e-12,
-    max_iter: int = 20,
-    velocity: bool = True,
-) -> State:
-    """Pull a drifted state back to W = {g = 0, g_t + g_x v = 0}.
+def project_to_manifold(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, velocity) -> tuple:
+    """Pull a drifted (t, x, v) back to W = {g = 0, g_t + g_x v = 0}; return
+    (x, v, g, g_x, g_t) with g, g_x and g_t taken at the projected x.
 
-    Position: Gauss-Newton with the minimal correction in the G-metric.
-    Velocity: G-orthogonal projection onto the affine set g_x v = -g_t.
-    Both solve with the constraint Gram matrix g_x G^-1 g_x^T, so a
-    degenerate g_x raises :class:`RegularityError`.  ``max_iter`` must be
-    an integer >= 1, as :class:`IntegratorConfig` requires of its count.
+    Position: Gauss-Newton with the minimal correction in the metric G
+    (``Ginv`` is G^-1); g is the residual the loop last tested.  Velocity,
+    when ``velocity``: G-orthogonal projection onto the affine set
+    g_x v = -g_t, with g_x and g_t evaluated once after the last correction;
+    otherwise ``v`` is returned as given.  Both solve with the constraint
+    Gram matrix g_x G^-1 g_x^T, so a degenerate g_x raises
+    :class:`RegularityError`.  ``cs`` must be holonomic and ``max_iter`` an
+    integer >= 1, as :class:`IntegratorConfig` requires of its count.
     """
     if not cs.is_holonomic:
         raise ValueError(_NEEDS_HOLONOMIC)
     require_iteration_count(max_iter, "max_iter")
-    x, v, _, _, _ = _project(cs, mass.inverse, s.t, s.x.copy(), s.v, tol, max_iter, velocity)
-    return State(t=s.t, x=x, v=v)
-
-
-def _project(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, velocity) -> tuple:
-    """(x, v, g, g_x, g_t) of :func:`project_to_manifold`'s projection of
-    (t, x, v), with g, g_x and g_t taken at the projected x: g is the
-    residual the Gauss-Newton loop last tested, g_x and g_t are evaluated
-    once after its last correction.  ``v`` is returned as given unless
-    ``velocity``."""
     g = cs.generator
     for _ in range(max_iter):
         r = g(t, x)
@@ -216,8 +209,9 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> t
     constraints, g empty unless they are holonomic, V = 0 without a
     potential) that :func:`_trajectory` turns into columns.  Lambda, N and
     xdd are those of the reaction ``real`` (ideal when None).  ``gen`` is
-    the (g, g_x, g_t) that :func:`_project` took at (t, x), or None: the
-    row's g, the solve's phi_v and phi = g_t + g_x v then come from it.
+    the (g, g_x, g_t) that :func:`project_to_manifold` took at (t, x), or
+    None: the row's g, the solve's phi_v and phi = g_t + g_x v then come
+    from it.
     """
     require_finite_state(t, x, v)  # the State check, without building a State
     pot = sys.force.potential
@@ -370,6 +364,7 @@ def integrate_first_kind(
     g and g_x k + 1 times and g_t once.  Projection without a holonomic
     ``cs`` is refused with a ValueError.
     """
+    require_horizon(init.t, t_end)
     if cfg.projection != "off" and (cs is None or not cs.is_holonomic):
         raise ValueError(_NEEDS_HOLONOMIC)
     _check_initial(cs, init)
@@ -386,7 +381,7 @@ def integrate_first_kind(
 
     def project_and_record(t, x, v):
         require_finite_state(t, x, v)  # as at a sample, before any projection work
-        x, v, *gen = _project(
+        x, v, *gen = project_to_manifold(
             cs, sys.mass.inverse, t, x, v, cfg.projection_tol, cfg.projection_max_iter,
             cfg.projection == "positional+velocity",
         )

@@ -408,12 +408,7 @@ class Scenario:
             t, Y, W = uniform_rows(
                 rng, count, span_t, (self.sample_y_lo, self.sample_y_hi, emb.r), (-2.0, 2.0, emb.r)
             )
-            lo = -np.inf if emb.domain_lo is None else emb.domain_lo
-            hi = np.inf if emb.domain_hi is None else emb.domain_hi
-            outside = ((Y < lo) | (Y > hi)).any(axis=1)
-            if outside.any():
-                i = int(np.argmax(outside))
-                raise emb.domain_error(float(t[i, 0]), Y[i])
+            emb.require_in_domain(t[:, 0], Y)
             emb.require_declared_time_independence(float(t[0, 0]), Y[0], f"scenario {self.name!r}")
             X = np.empty((count, m))
             V = np.empty((count, m))

@@ -267,3 +267,34 @@ def test_false_time_independence_is_refused_by_the_covariance_check(rotating_wir
         check_covariance(sc, DEFAULT_THRESHOLDS)
     # a chart that is time-independent passes the check
     assert check_covariance(pendulum, DEFAULT_THRESHOLDS)[0].passed
+
+
+def test_covariance_check_refuses_a_sample_box_outside_the_chart_domain(spherical):
+    import dataclasses
+
+    from constrained_dynamics.checks import check_covariance, check_virtual_work
+    from constrained_dynamics.generalized import ChartError
+
+    # the polar chart's domain stops 0.02 short of each pole; every sampled
+    # check refuses the box with the same rule before evaluating the chart
+    sc = dataclasses.replace(spherical, sample_y_lo=np.array([-0.5, -np.pi]))
+    for check in (check_virtual_work, check_covariance):
+        with pytest.raises(ChartError, match=r"outside the chart domain .* < lower bound 0\.02$"):
+            check(sc, DEFAULT_THRESHOLDS)
+
+
+def test_covariance_check_draws_t_from_the_scenario_span(spherical, monkeypatch):
+    import dataclasses
+
+    from constrained_dynamics import checks
+
+    times = []
+
+    def residual(emb, mass, force, t, y, w, a):
+        times.append(t)
+        return 0.0
+
+    monkeypatch.setattr(checks, "covariance_residual", residual)
+    sc = dataclasses.replace(spherical, sample_t_hi=0.5)
+    assert checks.check_covariance(sc, DEFAULT_THRESHOLDS)[0].passed
+    assert len(times) == 200 and 0.0 <= min(times) and max(times) < 0.5

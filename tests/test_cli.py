@@ -54,13 +54,49 @@ def test_check_invariants_tol_override_fails(tmp_path, capsys):
 
 
 def test_unknown_tol_name_rejected(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(
             [
                 "check-invariants", "pendulum", "--t-end", "0.1",
                 "--tol", "no-such-check=1", "--out", str(tmp_path),
             ]
         )
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "pair, says",
+    [
+        ("energy=nan", "energy must be a finite number >= 0, got 'nan'"),
+        ("energy=inf", "energy must be a finite number >= 0, got 'inf'"),
+        ("energy=abc", "energy must be a finite number >= 0, got 'abc'"),
+        # the energy-nonconservation check passes when the change exceeds
+        # its threshold, so a negative one would pass it by fiat
+        ("energy-nonconservation=-1", "must be a finite number >= 0, got '-1'"),
+        ("energy", "expects NAME=VALUE"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check-invariants", "compare-embeddings"])
+def test_bad_tol_is_a_usage_error(tmp_path, capsys, command, pair, says):
+    # exit 2 is bad input; 1 would read as a failed check, 0 as a pass
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "rotating-wire-bead", "--t-end", "0.1", "--tol", pair, "--out", str(out)])
+    assert exc.value.code == 2
+    assert says in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, t_end",
+    [("check-invariants", "nan"), ("simulate", "-1"), ("compare-embeddings", "nan"),
+     ("simulate", "inf")],
+)
+def test_horizon_that_gives_no_run_exit_code(tmp_path, capsys, command, t_end):
+    rc = main([command, "pendulum", "--t-end", t_end, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "t_end must be finite and later than the initial t=0.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_scenario_exit_code(capsys):

@@ -141,9 +141,16 @@ def test_gde_residual_along_trajectory(all_scenarios):
         assert traj.max_diag("gde_residual") < 1e-10
 
 
+def _projected_state(s, cs, mass, max_iter=20):
+    """The State that project_to_manifold reaches from ``s``, position and
+    velocity projected to tol 1e-12."""
+    x, v, *_ = project_to_manifold(cs, mass.inverse, s.t, s.x, s.v, 1e-12, max_iter, True)
+    return State(s.t, x, v)
+
+
 def test_project_to_manifold_radial(circle_lift):
     s = State(0.0, np.array([0.0, -1.2]), np.array([2.0, 0.3]))
-    proj = project_to_manifold(s, circle_lift, MassMatrix(np.eye(2)))
+    proj = _projected_state(s, circle_lift, MassMatrix(np.eye(2)))
     assert abs(np.linalg.norm(proj.x) - 1.0) < 1e-12
     assert abs(proj.x @ proj.v) < 1e-12
     # equal masses: the positional correction is purely radial
@@ -153,8 +160,8 @@ def test_project_to_manifold_radial(circle_lift):
 def test_project_respects_metric(circle_lift):
     # unequal masses tilt the minimal correction away from the Euclidean one
     s = State(0.0, np.array([0.6, -1.2]), np.zeros(2))
-    heavy_x = project_to_manifold(s, circle_lift, MassMatrix(np.diag([100.0, 1.0])))
-    even = project_to_manifold(s, circle_lift, MassMatrix(np.eye(2)))
+    heavy_x = _projected_state(s, circle_lift, MassMatrix(np.diag([100.0, 1.0])))
+    even = _projected_state(s, circle_lift, MassMatrix(np.eye(2)))
     assert abs(np.linalg.norm(heavy_x.x) - 1.0) < 1e-12
     # the heavy-x metric should move x[0] less than the Euclidean projection
     assert abs(heavy_x.x[0] - s.x[0]) < abs(even.x[0] - s.x[0])
@@ -163,7 +170,7 @@ def test_project_respects_metric(circle_lift):
 def test_project_requires_holonomic(knife_edge):
     s = knife_edge.initial
     with pytest.raises(ValueError):
-        project_to_manifold(s, knife_edge.constraints, knife_edge.system.mass)
+        _projected_state(s, knife_edge.constraints, knife_edge.system.mass)
 
 
 @pytest.mark.parametrize("mode", ["positional", "positional+velocity"])
@@ -184,7 +191,7 @@ def test_projected_run_refuses_a_set_that_is_not_holonomic(knife_edge, run, mode
 def test_project_reports_failure(circle_lift):
     s = State(0.0, np.array([5.0, 5.0]), np.zeros(2))
     with pytest.raises(ProjectionError):
-        project_to_manifold(s, circle_lift, MassMatrix(np.eye(2)), max_iter=1)
+        _projected_state(s, circle_lift, MassMatrix(np.eye(2)), max_iter=1)
 
 
 @pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
@@ -192,7 +199,7 @@ def test_project_refuses_a_bad_iteration_count(pendulum, max_iter):
     # the initial state is on the manifold; the count is refused before any work
     want = re.escape(f"max_iter must be an integer >= 1, got {max_iter!r}")
     with pytest.raises(ValueError, match=want):
-        project_to_manifold(
+        _projected_state(
             pendulum.initial, pendulum.constraints, pendulum.system.mass, max_iter=max_iter
         )
 
@@ -531,7 +538,7 @@ def _generator_calls(sc, cfg):
     start.clear()  # the lift's probe of g
     with pytest.MonkeyPatch.context() as mp:
         phase(mp, "_accel_raw", lambda args: stages)
-        phase(mp, "_project", lambda args: new_sample())
+        phase(mp, "project_to_manifold", lambda args: new_sample())
         # _sample(sys, cs, t, x, v, real, gen): a sample handed a
         # projection's maps continues that projection's count
         phase(mp, "_sample", lambda args: new_sample() if args[6] is None else samples[-1])
@@ -826,6 +833,18 @@ def _counting_force(sys):
 
     force = dataclasses.replace(sys.force, value=value)
     return MechanicalSystem(mass=sys.mass, force=force), calls
+
+
+@pytest.mark.parametrize("mode", ["off", "positional+velocity"])
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0])
+def test_first_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end, mode):
+    # refused before the first sample: not one force call
+    sys, calls = _counting_force(pendulum.system)
+    cfg = IntegratorConfig(projection=mode)
+    want = f"t_end must be finite and later than the initial t=0.0, got {t_end!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        integrate_first_kind(sys, pendulum.constraints, pendulum.initial, t_end, cfg)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("realization", [False, True], ids=["ideal", "realization"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -787,3 +789,23 @@ def test_domain_follows_dataclass_replace():
     assert not replace(emb, domain_lo=np.array([0.5, -np.inf])).in_domain(y)
     assert not replace(emb, domain_hi=np.array([np.pi, 6.0])).in_domain(y)
     assert circle_embedding(1.0).in_domain(np.array([1e300]))
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0])
+def test_second_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end):
+    import dataclasses
+
+    calls = []
+    force, inner = pendulum.system.force, pendulum.system.force.value
+    force = dataclasses.replace(force, value=lambda t, x, v: calls.append(t) or inner(t, x, v))
+    sys = dataclasses.replace(pendulum.system, force=force)
+    # the counter sees a run's force calls
+    integrate_second_kind(pendulum.embedding, sys, pendulum.initial_generalized, 0.01)
+    assert calls
+    calls.clear()
+    want = f"t_end must be finite and later than the initial t=0.0, got {t_end!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        integrate_second_kind(
+            pendulum.embedding, sys, pendulum.initial_generalized, t_end, IntegratorConfig()
+        )
+    assert calls == []

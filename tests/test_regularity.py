@@ -84,7 +84,7 @@ def _gram_2x2(kind):
 def _projection(kind):
     # off the circle, so the position step must solve with the Gram matrix
     x = np.zeros(2) if kind == "singular" else np.array([0.0, -1.1])
-    project_to_manifold(State(0.5, x, np.ones(2)), _circle(kind), MassMatrix(np.eye(2)))
+    project_to_manifold(_circle(kind), np.eye(2), 0.5, x, np.ones(2), 1e-12, 20, True)
 
 
 def _realization(kind):
