@@ -82,7 +82,9 @@ def cmd_reactions(args) -> int:
         vals = [float(z) for z in args.state.split(",")]
         m = sc.dim
         if len(vals) != 2 * m:
-            raise SystemExit(f"--state expects {2 * m} comma-separated values (x then v)")
+            raise ValueError(
+                f"--state expects {2 * m} comma-separated values (x then v), got {len(vals)}"
+            )
         s = State(t=args.t, x=np.array(vals[:m]), v=np.array(vals[m:]))
     else:
         s = sc.initial

@@ -146,14 +146,14 @@ class ConstraintSet:
             g = self.generator
             B = g.grad_x(t, x) if phi_v is None else phi_v
             if self.scleronomic:
-                return B, np.dot(np.dot(v, g.grad_xx(t, x)), v)
+                return B, v.dot(g.grad_xx(t, x)).dot(v)
             gtx = g.grad_tx(t, x)
-            drift = g.grad_tt(t, x) + np.dot(gtx, v)
-            return B, drift + np.dot(gtx + np.dot(v, g.grad_xx(t, x)), v)
+            drift = g.grad_tt(t, x) + gtx.dot(v)
+            return B, drift + (gtx + v.dot(g.grad_xx(t, x))).dot(v)
         phi = self.phi
         if self.scleronomic:
-            return phi.d_v(t, x, v), np.dot(phi.d_x(t, x, v), v)
-        return phi.d_v(t, x, v), phi.d_t(t, x, v) + np.dot(phi.d_x(t, x, v), v)
+            return phi.d_v(t, x, v), phi.d_x(t, x, v).dot(v)
+        return phi.d_v(t, x, v), phi.d_t(t, x, v) + phi.d_x(t, x, v).dot(v)
 
     @classmethod
     def general(cls, dim: int, phi: SmoothMap) -> "ConstraintSet":

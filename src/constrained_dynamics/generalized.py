@@ -177,7 +177,7 @@ def _chart_jet(emb: Embedding, t: float, y: Array):
 
 def _chart_velocity(Ut: Optional[Array], Uy: Array, w: Array) -> Array:
     """v = u_t + u_y w; u_y w alone when u_t is None."""
-    Uyw = np.dot(Uy, w)
+    Uyw = Uy.dot(w)
     return Uyw if Ut is None else Ut + Uyw
 
 
@@ -185,7 +185,7 @@ def _force_row(
     f: ForceField, t: float, u: Array, u_t: Optional[Array], u_y: Array, w: Array
 ) -> Array:
     """Q = f(t, u, u_t + u_y w) u_y, the force row pulled back through the chart."""
-    return np.dot(f(t, u, _chart_velocity(u_t, u_y, w)), u_y)
+    return f(t, u, _chart_velocity(u_t, u_y, w)).dot(u_y)
 
 
 _METRIC = "chart metric M2 = u_y^T G u_y"
@@ -291,17 +291,18 @@ def _lagrange_terms(G: Array, jet, w: Array):
     L_y = D^T (G u_y w), and bdot, which is zero, is None.
     """
     _, Ut, Uy, Utt, Uty, Uyy = jet
-    GUy = np.dot(G, Uy)
-    GUyw = np.dot(GUy, w)
-    # np.dot matches @ bit for bit on these 1-D and 2-D operands, not on u_yy
+    GUy = G.dot(Uy)
+    GUyw = GUy.dot(w)
+    # ndarray.dot matches @ bit for bit on these 1-D and 2-D operands, not
+    # on the 3-D u_yy, which keeps @
     D = Uyy @ w if Ut is None else Uty + Uyy @ w
-    M2dot_w = np.dot(D.T, GUyw) + np.dot(GUy.T, np.dot(D, w))
-    M2 = np.dot(Uy.T, GUy)
+    M2dot_w = D.T.dot(GUyw) + GUy.T.dot(D.dot(w))
+    M2 = Uy.T.dot(GUy)
     if Ut is None:
-        return M2, M2dot_w, None, np.dot(D.T, GUyw)
-    GUt = np.dot(G, Ut)
-    bdot = np.dot(Utt + np.dot(Uty, w), GUy) + np.dot(GUt, D)
-    return M2, M2dot_w, bdot, np.dot(D.T, GUt + GUyw)
+        return M2, M2dot_w, None, D.T.dot(GUyw)
+    GUt = G.dot(Ut)
+    bdot = (Utt + Uty.dot(w)).dot(GUy) + GUt.dot(D)
+    return M2, M2dot_w, bdot, D.T.dot(GUt + GUyw)
 
 
 def _bracket(terms, a: Array) -> Array:
@@ -406,7 +407,7 @@ def integrate_second_kind(
 
     def record(t, y, w):
         a, Q = accel_and_Q(t, y, w)
-        rows.append(np.concatenate(([t], y, w, a, Q)))
+        rows.append(np.array([t, *y.tolist(), *w.tolist(), *a.tolist(), *Q.tolist()]))
         return y, w, a
 
     t, y, w = init.t, init.y.copy(), init.w.copy()

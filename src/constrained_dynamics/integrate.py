@@ -29,6 +29,7 @@ class ProjectionError(RuntimeError):
 
 
 _NEEDS_HOLONOMIC = "projection requires a holonomic constraint set"
+_EMPTY = np.zeros(0)  # the g of a sample on constraints that are not holonomic
 
 
 def require_iteration_count(n, name: str) -> None:
@@ -37,10 +38,20 @@ def require_iteration_count(n, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
 
 
+def _stop_time(t_end: float) -> float:
+    """The last t from which :func:`_march` takes a step: ``t_end`` less a
+    margin of 1e-12 max(1, |t_end|) that absorbs round-off in t."""
+    return t_end - 1e-12 * max(1.0, abs(t_end))
+
+
 def require_horizon(t0, t_end) -> None:
-    """Refuse a ``t_end`` that is not finite or not later than the initial ``t0``."""
-    if not (math.isfinite(t_end) and t_end > t0):
-        raise ValueError(f"t_end must be finite and later than the initial t={t0}, got {t_end!r}")
+    """Refuse a ``t_end`` that is not finite, or that leaves the initial ``t0``
+    at or past the march's stop time, where a run would be one sample."""
+    if not (math.isfinite(t_end) and t0 < _stop_time(t_end)):
+        raise ValueError(
+            f"t_end must be finite and later than the initial t={t0}, got {t_end!r} "
+            f"(the march stops 1e-12 max(1, |t_end|) short of t_end)"
+        )
 
 
 @dataclass(frozen=True)
@@ -132,9 +143,9 @@ def _csv(cols: List[str], template: str, body: Array) -> str:
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
     # hot path: no State construction, no ReactionResult packaging
     if cs is None:
-        return np.dot(sys.mass.inverse, sys.force(t, x, v))
+        return sys.mass.inverse.dot(sys.force(t, x, v))
     f, _, S, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, real)
-    return np.dot(sys.mass.inverse, f + np.dot(lam, S))
+    return sys.mass.inverse.dot(f + lam.dot(S))
 
 
 def acceleration(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
@@ -210,22 +221,33 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> t
     potential) that :func:`_trajectory` turns into columns.  Lambda, N and
     xdd are those of the reaction ``real`` (ideal when None).  ``gen`` is
     the (g, g_x, g_t) that :func:`project_to_manifold` took at (t, x), or
-    None: the row's g, the solve's phi_v and phi = g_t + g_x v then come
-    from it.
+    None: the row's g, the solve's phi_v and g_t then come from it.
+
+    A holonomic set's phi is the lift g_t + g_x v of its generator, formed
+    here with the lift's operations from the solve's g_x, so a sample calls
+    g, g_x and g_t once each when it is not projected.
     """
     require_finite_state(t, x, v)  # the State check, without building a State
     pot = sys.force.potential
     V = 0.0 if pot is None else float(pot(t, x))
     if cs is None:
         f = sys.force(t, x, v)
-        xdd = np.dot(sys.mass.inverse, f)
-        return xdd, np.concatenate(([t], x, v, np.zeros(x.size), xdd, f, [V]))
-    g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else ()), None, None)
+        xdd = sys.mass.inverse.dot(f)
+        N = [0.0] * x.size
+        return xdd, np.array([t, *x.tolist(), *v.tolist(), *N, *xdd.tolist(), *f.tolist(), V])
+    g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else _EMPTY), None, None)
     f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real, gx)
-    N = np.dot(lam, S)
-    xdd = np.dot(sys.mass.inverse, f + N)
-    phi = cs.phi(t, x, v) if gen is None else gt + gx @ v  # the lift's value
-    return xdd, np.concatenate(([t], x, v, lam, N, xdd, f, B.reshape(-1), drift, phi, g, [V]))
+    N = lam.dot(S)
+    xdd = sys.mass.inverse.dot(f + N)
+    if cs.is_holonomic:
+        phi = (cs.generator.grad_t(t, x) if gt is None else gt) + B @ v  # the lift's value
+    else:
+        phi = cs.phi(t, x, v)
+    # one array from a flat list of floats: cheaper than concatenating 12 pieces
+    return xdd, np.array([
+        t, *x.tolist(), *v.tolist(), *lam.tolist(), *N.tolist(), *xdd.tolist(), *f.tolist(),
+        *B.ravel().tolist(), *drift.tolist(), *phi.tolist(), *g.tolist(), V,
+    ])
 
 
 def _trajectory(sys: MechanicalSystem, cs: Optional[ConstraintSet], rows) -> Trajectory:
@@ -287,6 +309,16 @@ _DP_B4 = np.array(
 )
 
 
+def _recorded(record, t, y: Array, m: int) -> tuple:
+    """(y, k1) to continue from after ``record(t, q, p)`` on the views q, p of
+    y: y itself unless record returned other arrays (a projected step)."""
+    q, p = y[:m], y[m:]
+    q2, p2, a = record(t, q, p)
+    if q2 is not q or p2 is not p:
+        y = np.concatenate((q2, p2))
+    return y, np.concatenate((p2, a))
+
+
 def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     """Integrate the second-order system q'' = accel(t, q, p), p = q', from
     (t, q, p) to ``t_end`` with ``cfg.method``; ``a`` is accel(t, q, p).
@@ -300,7 +332,7 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     same elementwise operations as on q and p apart; ``accel`` and
     ``record`` get views of y.
     """
-    t_stop = t_end - 1e-12 * max(1.0, abs(t_end))  # absorbs round-off in t
+    t_stop = _stop_time(t_end)
     m = q.size
     y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
 
@@ -316,8 +348,7 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
             # k + k is 2 * k exactly
             y = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
             t = t + h
-            q, p, a = record(t, y[:m], y[m:])
-            y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
+            y, k1 = _recorded(record, t, y, m)
         return
 
     # rk45-adaptive (Dormand-Prince, local extrapolation)
@@ -335,8 +366,7 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
         err = float(np.abs(y5 - y4).max()) / scale
         if err <= 1.0:
             t = t + h
-            q, p, a = record(t, y5[:m], y5[m:])
-            y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
+            y, k1 = _recorded(record, t, y5, m)
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         if h < 1e-14:
@@ -359,9 +389,9 @@ def integrate_first_kind(
     Evaluations per step: RK4 makes 3 right-hand-side evaluations per
     step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
     more, and its acceleration is the next step's first stage, so an RK4
-    step costs 4 in all.  On a holonomic set a sample evaluates g and g_t
-    once and g_x twice, or, when projected with k Gauss-Newton corrections,
-    g and g_x k + 1 times and g_t once.  Projection without a holonomic
+    step costs 4 in all.  On a holonomic set a sample evaluates g, g_x and
+    g_t once each, or, when projected with k Gauss-Newton corrections, g and
+    g_x k + 1 times and g_t once.  Projection without a holonomic
     ``cs`` is refused with a ValueError.
     """
     require_horizon(init.t, t_end)

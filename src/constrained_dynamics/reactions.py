@@ -86,13 +86,13 @@ def _solve_multipliers(
     """
     f = sys.force(t, x, v)
     B, drift = cs.jet(t, x, v, phi_v)
-    W = np.dot(B, sys.mass.inverse)
-    rhs = drift + np.dot(W, f)
+    W = B.dot(sys.mass.inverse)
+    rhs = drift + W.dot(f)
     if real is None:
-        M = np.dot(W, B.T)
+        M = W.dot(B.T)
         return f, B, B, -_chol_solve(M, rhs, t), M, drift
     S = shaped(real.S.value(t, x, v), (cs.n, cs.dim))
-    M = np.dot(W, S.T)
+    M = W.dot(S.T)
     regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
     return f, B, S, -np.linalg.solve(M, rhs), M, drift
 

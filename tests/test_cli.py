@@ -27,8 +27,22 @@ def test_reactions_json_dump(capsys):
 
 
 def test_reactions_wrong_state_length(capsys):
-    with pytest.raises(SystemExit):
-        main(["reactions", "pendulum", "--state", "1,2,3"])
+    # exit 2 is bad input; 1 would read as a failed check
+    rc = main(["reactions", "pendulum", "--state", "1,2,3"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert "--state expects 4 comma-separated values (x then v), got 3" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize(
+    "state, says", [("1,abc,0,0", "could not convert"), ("0,-1,nan,0", "must be finite")]
+)
+def test_reactions_bad_state_value_exit_code(capsys, state, says):
+    rc = main(["reactions", "pendulum", "--state", state])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert says in out.err and out.out == ""
 
 
 def test_check_invariants_passes(tmp_path, capsys):
@@ -90,7 +104,7 @@ def test_bad_tol_is_a_usage_error(tmp_path, capsys, command, pair, says):
 @pytest.mark.parametrize(
     "command, t_end",
     [("check-invariants", "nan"), ("simulate", "-1"), ("compare-embeddings", "nan"),
-     ("simulate", "inf")],
+     ("simulate", "inf"), ("check-invariants", "1e-13"), ("compare-embeddings", "1e-13")],
 )
 def test_horizon_that_gives_no_run_exit_code(tmp_path, capsys, command, t_end):
     rc = main([command, "pendulum", "--t-end", t_end, "--out", str(tmp_path)])

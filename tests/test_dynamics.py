@@ -550,8 +550,10 @@ def _generator_calls(sc, cfg):
 @pytest.mark.parametrize("mode", ["positional", "positional+velocity"])
 @pytest.mark.parametrize("name", ["pendulum", "rotating-wire-bead"])
 def test_projected_sample_reuses_the_projection_maps(name, mode):
-    # a projected sample with k Gauss-Newton corrections calls g and g_x
-    # k + 1 times and g_t once; the stages call what they call unprojected
+    # an unprojected sample calls g, g_x and g_t once each, its phi = g_t +
+    # g_x v taking the solve's g_x; a projected sample with k Gauss-Newton
+    # corrections calls g and g_x k + 1 times and g_t once; the stages call
+    # what they call unprojected
     import collections
 
     sc = catalog_scenario(name)
@@ -560,21 +562,22 @@ def test_projected_sample_reuses_the_projection_maps(name, mode):
     _reference_run(sc.system, sc.constraints, sc.initial, 0.2, cfg, corrections=ks)
     assert len(ks) == 20 and sum(ks) > 0
     plain = _generator_calls(sc, IntegratorConfig(dt=1e-2))
+    assert all(calls == collections.Counter(g=1, g_x=1, g_t=1) for calls in plain[2])
     start, stages, samples = _generator_calls(sc, cfg)
     assert (start, stages, samples[0]) == plain[:2] + (plain[2][0],)
     for k, calls in zip(ks, samples[1:]):
         assert calls == collections.Counter(g=k + 1, g_x=k + 1, g_t=1)
     if name == "pendulum" and mode == "positional+velocity":
-        # one correction per step: 42 / 103 / 22 calls of g / g_x / g_t in
-        # all, against 22 / 103 / 22 unprojected, and 62 / 143 / 42 when the
+        # one correction per step: 42 / 102 / 22 calls of g / g_x / g_t in
+        # all, against 22 / 82 / 22 unprojected, and 62 / 122 / 42 when the
         # projection and the sample each evaluated their own
         def totals(start, stages, samples):
             total = sum(samples, start + stages)
             return [total["g"], total["g_x"], total["g_t"]]
 
         assert ks == [1] * 20
-        assert totals(*plain) == [22, 103, 22]
-        assert totals(start, stages, samples) == [42, 103, 22]
+        assert totals(*plain) == [22, 82, 22]
+        assert totals(start, stages, samples) == [42, 102, 22]
 
 
 def test_one_svd_per_run(pendulum, monkeypatch):
@@ -836,7 +839,7 @@ def _counting_force(sys):
 
 
 @pytest.mark.parametrize("mode", ["off", "positional+velocity"])
-@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0, 1e-13, 1e-12])
 def test_first_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end, mode):
     # refused before the first sample: not one force call
     sys, calls = _counting_force(pendulum.system)
@@ -845,6 +848,15 @@ def test_first_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end, mode):
     with pytest.raises(ValueError, match=re.escape(want)):
         integrate_first_kind(sys, pendulum.constraints, pendulum.initial, t_end, cfg)
     assert calls[0] == 0
+
+
+def test_first_kind_runs_a_horizon_just_past_the_round_off_margin(pendulum):
+    # the march stops 1e-12 max(1, |t_end|) short of t_end, so from t = 0 a
+    # t_end of 2e-12 is one step of 2e-12
+    traj = integrate_first_kind(
+        pendulum.system, pendulum.constraints, pendulum.initial, 2e-12, IntegratorConfig()
+    )
+    assert traj.times.tolist() == [0.0, 2e-12]
 
 
 @pytest.mark.parametrize("realization", [False, True], ids=["ideal", "realization"])

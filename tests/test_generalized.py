@@ -791,7 +791,7 @@ def test_domain_follows_dataclass_replace():
     assert circle_embedding(1.0).in_domain(np.array([1e300]))
 
 
-@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("t_end", [np.nan, np.inf, -1.0, 0.0, 1e-13, 1e-12])
 def test_second_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end):
     import dataclasses
 

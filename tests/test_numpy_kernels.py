@@ -1,8 +1,8 @@
 """The engine's numpy Cholesky solve and Hermite resampler against the scipy
 routines they stand in for, a guard that the engine never loads scipy, a
 guard that it factors or solves matrices only where README's regularity
-table says, and the multiplier and second-kind kernels against their
-written-out formulas.
+table says, a guard that it calls no np.dot, and the multiplier and
+second-kind kernels against their written-out formulas.
 
 scipy is a test dependency only, so it is imported inside the tests.
 """
@@ -139,8 +139,40 @@ def test_linalg_only_at_the_regularity_sites():
     assert all(f"`{fn}`" in regularity for fn in LINALG_SITES)
 
 
+def _module_dot_uses(tree):
+    """Line numbers of every ``np.dot``/``numpy.dot`` call and ``from numpy import dot``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found.extend(node.lineno for a in node.names if a.name == "dot")
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dot"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_tiny_products_skip_the_array_function_dispatcher():
+    # numpy's module functions go through the __array_function__ dispatcher
+    # (NEP 18) before they reach C; ndarray.dot calls the same matrix product
+    # without it, which on the 1xm and mxm operands of the per-step kernels
+    # is a measurable share of their cost
+    uses = []
+    for path in sorted((SRC / "constrained_dynamics").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += [(path.name, line) for line in _module_dot_uses(tree)]
+    assert uses == []
+    # the guard sees each spelling
+    probe = "import numpy as np\nfrom numpy import dot\nnp.dot(a, b)\nnumpy.dot(a, b)\na.dot(b)\n"
+    assert sorted(_module_dot_uses(ast.parse(probe))) == [2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
-# the multiplier kernels (np.dot, declared scleronomy) against the closed
+# the multiplier kernels (ndarray.dot, declared scleronomy) against the closed
 # form written out with `@` and every time term kept
 
 CATALOG = ["pendulum", "spherical-pendulum", "rotating-wire-bead", "knife-edge"]
@@ -206,7 +238,7 @@ def test_scleronomic_holonomic_jet_makes_no_time_derivative_call():
 
 
 # ---------------------------------------------------------------------------
-# the second-kind kernels (np.dot, charts without u_t) against the formulas
+# the second-kind kernels (ndarray.dot, charts without u_t) against the formulas
 # written out with `@` and every time term kept
 
 CHARTS = ["pendulum", "spherical-pendulum", "rotating-wire-bead"]
