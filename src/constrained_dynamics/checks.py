@@ -155,10 +155,10 @@ def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry
     B, N = map(np.array, zip(*(
         _ideal_reaction(sc.system, cs, ti, x, v) for ti, x, v in zip(t.tolist(), X, V)
     )))
-    # one stacked SVD for every kernel basis; N[i] @ Xi[i] row by row, on
+    # one stacked SVD for every kernel basis; N[i] Xi[i] row by row, on
     # C-contiguous Xi[i], gives the bits of the per-state product
     Xi = _fix_signs(_kernel_basis(B, cs.n, t))
-    work = np.array([np.abs(N[i] @ Xi[i]).max() for i in range(t.size)])
+    work = np.array([np.abs(N[i].dot(Xi[i])).max() for i in range(t.size)])
     worst = np.max(work / (1.0 + np.abs(N).max(axis=1)), initial=0.0)
     return [_entry("virtual-work", worst, thresholds["virtual-work"])]
 

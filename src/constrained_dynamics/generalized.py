@@ -440,7 +440,8 @@ def covariance_residual(
     The ambient Lagrangian derivative (G xdd)^T is pushed through u_y and
     compared against the chart-side [L] built from the terms of
     :func:`_lagrange_terms`; with a force field both sides subtract their
-    force rows.
+    force rows.  The force is evaluated once, at the pushed-forward (t, x, v),
+    which is also where the chart's force row Q = f u_y takes it.
     """
     y = np.asarray(y, float).reshape(-1)
     w = np.asarray(w, float).reshape(-1)
@@ -448,11 +449,11 @@ def covariance_residual(
     jet = _chart_jet(emb, t, y)
     x, v, xdd = _pushforward_jet(jet, w, a)
     ambient_row = xdd @ mass.G
-    if f is not None:
-        ambient_row = ambient_row - f(t, x, v)
     chart_row = _bracket(_lagrange_terms(mass.G, jet, w), a)
     if f is not None:
-        chart_row = chart_row - _force_row(f, t, *jet[:3], w)
+        fx = f(t, x, v)
+        ambient_row = ambient_row - fx
+        chart_row = chart_row - fx.dot(jet[2])
     return float(np.abs(ambient_row @ jet[2] - chart_row).max())
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constraints import ConstraintSet, RegularityError, _kernel_basis
 from .reactions import Realization, _chol_solve, _solve_multipliers
-from .smooth import Array, State, require_finite_state
+from .smooth import Array, EvaluationError, State, require_finite_state
 from .system import MechanicalSystem
 
 
@@ -199,7 +199,7 @@ def project_to_manifold(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, 
         if np.abs(r).max(initial=0.0) <= tol:
             break
         J = g.grad_x(t, x)
-        x = x - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, r, t)
+        x = x - Ginv.dot(J.T).dot(_chol_solve(J.dot(Ginv).dot(J.T), r, t))
     else:
         raise ProjectionError(
             f"position projection did not reach tol={tol} in {max_iter} iterations "
@@ -207,7 +207,7 @@ def project_to_manifold(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, 
         )
     J, gt = g.grad_x(t, x), g.grad_t(t, x)
     if velocity:
-        v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, gt + J @ v, t)
+        v = v - Ginv.dot(J.T).dot(_chol_solve(J.dot(Ginv).dot(J.T), gt + J.dot(v), t))
     return x, v, r, J, gt
 
 
@@ -236,11 +236,12 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> t
         N = [0.0] * x.size
         return xdd, np.array([t, *x.tolist(), *v.tolist(), *N, *xdd.tolist(), *f.tolist(), V])
     g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else _EMPTY), None, None)
-    f, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real, gx)
+    f = sys.force(t, x, v)
+    _, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real, cs.jet(t, x, v, gx), f)
     N = lam.dot(S)
     xdd = sys.mass.inverse.dot(f + N)
     if cs.is_holonomic:
-        phi = (cs.generator.grad_t(t, x) if gt is None else gt) + B @ v  # the lift's value
+        phi = (cs.generator.grad_t(t, x) if gt is None else gt) + B.dot(v)  # the lift's value
     else:
         phi = cs.phi(t, x, v)
     # one array from a flat list of floats: cheaper than concatenating 12 pieces
@@ -331,6 +332,11 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     Both methods march the flat state y = (q, p) with slopes k = (p, a), the
     same elementwise operations as on q and p apart; ``accel`` and
     ``record`` get views of y.
+
+    An :class:`EvaluationError` from a stage or a sample is raised again as
+    one, its message followed by where it arose: RK4 stage 2-4,
+    Dormand-Prince stage 2-7 or the sample, of the step from the last
+    accepted (t, q, p).
     """
     t_stop = _stop_time(t_end)
     m = q.size
@@ -342,13 +348,20 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     if cfg.method == "rk4-fixed":
         while t < t_stop:
             h = min(cfg.dt, t_end - t)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            # k + k is 2 * k exactly
-            y = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            try:
+                stage = 2
+                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+                stage = 3
+                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+                stage = 4
+                k4 = rhs(t + h, y + h * k3)
+                stage = None
+                # k + k is 2 * k exactly
+                y_next = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+                y, k1 = _recorded(record, t + h, y_next, m)
+            except EvaluationError as exc:
+                raise _failed_step(exc, "RK4", stage, t, y, m) from exc
             t = t + h
-            y, k1 = _recorded(record, t, y, m)
         return
 
     # rk45-adaptive (Dormand-Prince, local extrapolation)
@@ -357,20 +370,36 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     while t < t_stop:
         h = min(h, t_end - t)
         ks = [k1]
-        for i in range(1, 7):
-            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
-            ks.append(rhs(t + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = tol * (1.0 + np.abs(y5).max())
-        err = float(np.abs(y5 - y4).max()) / scale
-        if err <= 1.0:
-            t = t + h
-            y, k1 = _recorded(record, t, y5, m)
+        try:
+            for i in range(1, 7):
+                yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
+                ks.append(rhs(t + _DP_C[i] * h, yi))
+            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+            y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+            scale = tol * (1.0 + np.abs(y5).max())
+            err = float(np.abs(y5 - y4).max()) / scale
+            if err <= 1.0:
+                y, k1 = _recorded(record, t + h, y5, m)
+                t = t + h
+        except EvaluationError as exc:
+            stage = len(ks) + 1 if len(ks) < 7 else None
+            raise _failed_step(exc, "Dormand-Prince", stage, t, y, m) from exc
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         if h < 1e-14:
             raise RuntimeError(f"adaptive step collapsed at t={t}")
+
+
+def _failed_step(exc: EvaluationError, method: str, stage, t: float, y: Array, m: int):
+    """``exc`` (an :class:`EvaluationError`) with the place of the failure
+    appended to its message: ``method``'s stage ``stage``, or the sample
+    when ``stage`` is None, of the step from the last accepted state t,
+    y = (q, p)."""
+    where = "the sample" if stage is None else f"{method} stage {stage}"
+    return EvaluationError(
+        f"{exc} (in {where} of the step from the last accepted state t={t}, "
+        f"position {y[:m].tolist()}, velocity {y[m:].tolist()})"
+    )
 
 
 def integrate_first_kind(

@@ -74,18 +74,21 @@ class Realization:
 
 def _solve_multipliers(
     sys: MechanicalSystem, cs: ConstraintSet, t, x, v, real: Optional[Realization] = None,
-    phi_v: Optional[Array] = None,
+    jet: Optional[Tuple[Array, Array]] = None, f: Optional[Array] = None,
 ):
     """(f, phi_v, S, Lambda, M, phi_t + phi_x v) at (t, x, v), with
     M = phi_v G^-1 S^T; S is phi_v, or ``real.S`` for a realization.
-    ``phi_v``, when given, is a holonomic set's g_x at (t, x).
+    ``jet``, when given, is the (phi_v, phi_t + phi_x v) of the constraints
+    at (t, x, v), and ``f``, when given, the force there: the solve then
+    evaluates neither again.
 
     The one evaluation of the closed form: every consumer of multipliers
     takes the force, phi_v, the solve matrix and the acceleration-free part
     of d(phi)/dt from here.
     """
-    f = sys.force(t, x, v)
-    B, drift = cs.jet(t, x, v, phi_v)
+    if f is None:
+        f = sys.force(t, x, v)
+    B, drift = cs.jet(t, x, v) if jet is None else jet
     W = B.dot(sys.mass.inverse)
     rhs = drift + W.dot(f)
     if real is None:
@@ -97,10 +100,14 @@ def _solve_multipliers(
     return f, B, S, -np.linalg.solve(M, rhs), M, drift
 
 
-def _ideal_reaction(sys: MechanicalSystem, cs: ConstraintSet, t, x, v) -> Tuple[Array, Array]:
-    """(phi_v, N) of the ideal reaction N = Lambda phi_v at (t, x, v)."""
-    _, B, _, lam, _, _ = _solve_multipliers(sys, cs, t, x, v)
-    return B, lam @ B
+def _ideal_reaction(
+    sys: MechanicalSystem, cs: ConstraintSet, t, x, v,
+    jet: Optional[Tuple[Array, Array]] = None, f: Optional[Array] = None,
+) -> Tuple[Array, Array]:
+    """(phi_v, N) of the ideal reaction N = Lambda phi_v at (t, x, v);
+    ``jet`` and ``f`` as for :func:`_solve_multipliers`."""
+    _, B, _, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, jet=jet, f=f)
+    return B, lam.dot(B)
 
 
 def reaction(
@@ -219,18 +226,25 @@ def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
 
     def jac_t(t, x, v):
         z = phi(t, x, v)
-        return rep.d_t(t, x, v, z) + rep.d_z(t, x, v, z) @ phi.d_t(t, x, v)
+        return _chain_rule(rep.d_t(t, x, v, z), rep.d_z(t, x, v, z), phi.d_t(t, x, v))
 
     def jac_x(t, x, v):
         z = phi(t, x, v)
-        return rep.d_x(t, x, v, z) + rep.d_z(t, x, v, z) @ phi.d_x(t, x, v)
+        return _chain_rule(rep.d_x(t, x, v, z), rep.d_z(t, x, v, z), phi.d_x(t, x, v))
 
     def jac_v(t, x, v):
         z = phi(t, x, v)
-        return rep.d_v(t, x, v, z) + rep.d_z(t, x, v, z) @ phi.d_v(t, x, v)
+        return _chain_rule(rep.d_v(t, x, v, z), rep.d_z(t, x, v, z), phi.d_v(t, x, v))
 
     psi = SmoothMap(dim=cs.n, value=value, jac_t=jac_t, jac_x=jac_x, jac_v=jac_v)
     return ConstraintSet(dim=cs.dim, n=cs.n, phi=psi, structure="general")
+
+
+def _chain_rule(U_s: Array, U_z: Array, phi_s: Array) -> Array:
+    """psi_s = U_s + U_z phi_s: the partial of psi = U(t, x, v, phi(t, x, v))
+    in one slot s of t, x and v, from U's partials U_s and U_z at z = phi
+    and phi's partial phi_s."""
+    return U_s + U_z.dot(phi_s)
 
 
 def invariance_report(
@@ -245,21 +259,36 @@ def invariance_report(
     """max ||N_phi - N_psi||_inf over the on-manifold states (t[i], X[i],
     V[i]) and the representations psi = U(phi) of every U in ``reps``.
 
-    The reaction is representation-independent only on phi = 0, so a state
-    violating ||phi||_inf <= tol is rejected.  The on-manifold test and
-    N_phi are computed once per state, whatever the number of families.
+    Every U first passes :func:`reparametrize`'s probes.  The reaction is
+    representation-independent only on phi = 0, so a state violating
+    ||phi||_inf <= tol is rejected.  Each state evaluates phi, phi_t, phi_x,
+    phi_v and the force once, whatever the number of families, and each
+    family U_z, U_t, U_x and U_v once: psi's partials follow from phi's by
+    :func:`_chain_rule`, with the operations of ``reparametrize``'s
+    Jacobians, and both reactions come from the one multiplier solve.
     """
-    psi_sets = [reparametrize(cs, rep) for rep in reps]
+    for rep in reps:
+        reparametrize(cs, rep)
+    phi = cs.phi
     worst = 0.0
     for ti, x, v in zip(np.asarray(t, float).tolist(), X, V):
-        resid = float(np.abs(cs.phi(ti, x, v)).max(initial=0.0))
+        z = phi(ti, x, v)
+        resid = float(np.abs(z).max(initial=0.0))
         if resid > on_manifold_tol:
             raise ValueError(
                 f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
             )
-        N_phi = _ideal_reaction(sys, cs, ti, x, v)[1]
-        for psi_set in psi_sets:
-            N_psi = _ideal_reaction(sys, psi_set, ti, x, v)[1]
+        f = sys.force(ti, x, v)
+        phi_t, phi_x, phi_v = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
+        # phi's own jet, equal to ConstraintSet.jet's but for the sign of an
+        # exact zero where a holonomic or scleronomic set reads it otherwise
+        N_phi = _ideal_reaction(sys, cs, ti, x, v, (phi_v, phi_t + phi_x.dot(v)), f)[1]
+        for rep in reps:
+            U_z = rep.d_z(ti, x, v, z)
+            psi_t = _chain_rule(rep.d_t(ti, x, v, z), U_z, phi_t)
+            psi_x = _chain_rule(rep.d_x(ti, x, v, z), U_z, phi_x)
+            psi_v = _chain_rule(rep.d_v(ti, x, v, z), U_z, phi_v)
+            N_psi = _ideal_reaction(sys, cs, ti, x, v, (psi_v, psi_t + psi_x.dot(v)), f)[1]
             worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
     return worst
 

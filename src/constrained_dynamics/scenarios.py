@@ -137,10 +137,10 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
             raise ScenarioError([f"force.axis {axis} is out of range for m={m}"])
         e = np.zeros(m)
         e[axis] = 1.0
-        w = mass.G @ e  # per-coordinate weights m_i g0
+        w = mass.G.dot(e)  # per-coordinate weights m_i g0
         fvec = -g0 * w
         return ForceField(
-            dim=m, value=lambda t, x, v: fvec, potential=lambda t, x: g0 * float(w @ x)
+            dim=m, value=lambda t, x, v: fvec, potential=lambda t, x: g0 * float(w.dot(x))
         )
     if kind == "linear-spring":
         k = _field(doc, "force", "k")
@@ -148,7 +148,7 @@ def _make_force(doc: Dict, mass: MassMatrix) -> ForceField:
         return ForceField(
             dim=m,
             value=lambda t, x, v: -k * (x - anchor),
-            potential=lambda t, x: 0.5 * k * float((x - anchor) @ (x - anchor)),
+            potential=lambda t, x: 0.5 * k * float((x - anchor).dot(x - anchor)),
         )
     raise ScenarioError([f"unknown force type {kind!r}"])
 
@@ -161,7 +161,7 @@ def sphere_generator(radius: float, m: int) -> ConfigurationMap:
     hess = np.eye(m).reshape(1, m, m)  # constant; callers never write to it
     return ConfigurationMap(
         dim=1,
-        value=lambda t, x: np.array([0.5 * (x @ x - r2)]),
+        value=lambda t, x: np.array([0.5 * (x.dot(x) - r2)]),
         d_t=lambda t, x: np.zeros(1),
         d_x=lambda t, x: x.reshape(1, m),
         d_tt=lambda t, x: np.zeros(1),

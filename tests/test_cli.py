@@ -225,6 +225,34 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["Lambda"] == [-14.0]
 
 
+def _run_module(*argv):
+    """``python -m constrained_dynamics.cli`` in a fresh process, with this
+    checkout's src first on the import path."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "constrained_dynamics.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_module_entry_point_exit_codes():
+    # the exit status a shell sees, which main()'s return value only implies
+    proc = _run_module("reactions", "pendulum", "--state", "0,-1,2,0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["Lambda"] == [-14.0]
+    proc = _run_module("check-invariants", "pendulum", "--tol", "energy=-1")
+    assert proc.returncode == 2
+    assert "energy must be a finite number >= 0, got '-1'" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_malformed_scenario_file_exit_code(tmp_path, capsys):
     doc = {
         "name": "bad-axis",

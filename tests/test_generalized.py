@@ -612,6 +612,25 @@ def test_covariance_residual_evaluates_each_chart_map_once(spherical, rotating_w
         assert calls == dict.fromkeys(_MAPS_OF[name], 1)
 
 
+def test_covariance_residual_evaluates_the_force_once(spherical, rotating_wire):
+    # x = u and v = u_t + u_y w serve both the ambient row and the chart's
+    # force row Q = f u_y
+    from dataclasses import replace
+
+    for name, sc in (("spherical", spherical), ("rotating_wire", rotating_wire)):
+        calls = []
+        inner = sc.system.force.value
+
+        def value(t, x, v):
+            calls.append(t)
+            return inner(t, x, v)
+
+        force = replace(sc.system.force, value=value)
+        res = covariance_residual(sc.embedding, sc.system.mass, force, *_JET_OF[name])
+        assert res < 1e-12
+        assert len(calls) == 1
+
+
 def test_chart_invert_off_image_stops_at_best_point():
     # x lies 1e-9 off the sphere radially: the best point is y itself, with
     # residual 1e-9 max|u(y)|; no step can lower it further

@@ -171,6 +171,43 @@ def test_tiny_products_skip_the_array_function_dispatcher():
     assert sorted(_module_dot_uses(ast.parse(probe))) == [2, 3, 4]
 
 
+# the functions whose products are all ndarray.dot, per module: the per-step
+# and per-sample kernels, the sampled checks' per-state work and the catalog
+# maps they call.  u_yy w keeps `@` (in generalized.py), as .dot changes the
+# bits of its 3-D product.
+DOT_ONLY = {
+    "integrate.py": {"_accel_raw", "project_to_manifold", "_sample"},
+    "reactions.py": {"_solve_multipliers", "_ideal_reaction", "_chain_rule", "invariance_report"},
+    "checks.py": {"check_virtual_work"},
+    "scenarios.py": {"_make_force", "sphere_generator"},
+}
+
+
+def _matmul_sites(tree, names):
+    """(function, line) of every `@` or `@=` inside the functions ``names``."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            found += [
+                (fn.name, node.lineno)
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            ]
+    return found
+
+
+def test_per_state_kernels_write_no_matmul_operator():
+    sites = []
+    for module, names in DOT_ONLY.items():
+        tree = ast.parse((SRC / "constrained_dynamics" / module).read_text(encoding="utf-8"))
+        assert names <= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        sites += [(module, *site) for site in _matmul_sites(tree, names)]
+    assert sites == []
+    # the guard sees both spellings, in nested lambdas too
+    probe = "def f(a, b):\n    g = lambda: a @ b\n    a @= b\n    return a.dot(b)\n"
+    assert sorted(_matmul_sites(ast.parse(probe), {"f"})) == [("f", 2), ("f", 3)]
+
+
 # ---------------------------------------------------------------------------
 # the multiplier kernels (ndarray.dot, declared scleronomy) against the closed
 # form written out with `@` and every time term kept
@@ -208,6 +245,11 @@ def test_jet_and_multiplier_solve_match_the_written_out_formulas(name):
         lam = -_chol_solve(M, drift + W @ f, t)
         got = _solve_multipliers(sys, cs, t, x, v)
         for a, b in zip(got, (f, B, B, lam, M, drift)):
+            assert np.array_equal(a, b)
+        # a caller's jet and force are taken as they are
+        given = _solve_multipliers(sys, cs, t, x, v, jet=(B, drift), f=f)
+        assert given[0] is f and given[1] is B and given[5] is drift
+        for a, b in zip(given, got):
             assert np.array_equal(a, b)
         assert np.array_equal(_accel_raw(sys, cs, t, x, v), Ginv @ (f + lam @ B))
 

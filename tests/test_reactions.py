@@ -277,3 +277,108 @@ def test_linear_mix_requires_square():
     # its one singular value, sqrt(3), would pass the regularity rule
     with pytest.raises(ValueError, match=r"must be square, got shape \(1, 3\)"):
         Reparametrization.linear(np.ones((1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# invariance_report forms psi's jet from phi's by the chain rule; it must
+# keep reparametrize's probes, the psi solve's regularity test and the
+# on-manifold test, and give the bits of the reactions of reparametrize's sets
+
+
+def _families(n):
+    from constrained_dynamics.checks import reparametrization_families
+
+    return [rep for _, rep in reparametrization_families(n, np.random.default_rng(17))]
+
+
+def test_invariance_report_equals_the_reactions_of_reparametrized_sets(all_scenarios):
+    rng = np.random.default_rng(19)
+    for sc in all_scenarios:
+        cs = sc.constraints
+        reps = _families(cs.n)
+        psi_sets = [reparametrize(cs, rep) for rep in reps]
+        t, X, V = sc.sample_states(rng, 20)
+        worst = 0.0
+        for s in map(State, t, X, V):
+            N_phi = reaction(sc.system, cs, s).N
+            for psi_set in psi_sets:
+                N_psi = reaction(sc.system, psi_set, s).N
+                worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
+        assert invariance_report(sc.system, cs, reps, t, X, V) == worst
+
+
+def test_invariance_report_runs_the_reparametrize_probes(pendulum, pendulum_bottom):
+    bad = Reparametrization(
+        n=1, value=lambda t, x, v, z: z + 1.0, jac_z=lambda t, x, v, z: np.eye(1)
+    )
+    s = pendulum_bottom
+    with pytest.raises(ValueError, match=r"U\(t, x, v, 0\) must vanish"):
+        invariance_report(pendulum.system, pendulum.constraints, [bad], [s.t], [s.x], [s.v])
+
+
+def test_invariance_report_refuses_a_degenerate_psi_gram_matrix(pendulum, pendulum_bottom):
+    # U = (t - 2) z passes the probes, where t lies in [-1, 1], and has
+    # U_z = 0 at t = 2: psi_v = 0 there, and so is psi's Gram matrix
+    rep = Reparametrization(
+        n=1,
+        value=lambda t, x, v, z: (t - 2.0) * np.asarray(z, float),
+        jac_z=lambda t, x, v, z: np.array([[t - 2.0]]),
+        jac_t=lambda t, x, v, z: np.asarray(z, float),
+        jac_x=lambda t, x, v, z: np.zeros((1, 2)),
+        jac_v=lambda t, x, v, z: np.zeros((1, 2)),
+    )
+    s = pendulum_bottom
+    args = (pendulum.system, pendulum.constraints, [rep])
+    assert invariance_report(*args, [1.0], [s.x], [s.v]) < 1e-12
+    with pytest.raises(RegularityError, match=r"constraint Gram matrix is degenerate at t=2\.0 ") as err:
+        invariance_report(*args, [1.0, 2.0], [s.x, s.x], [s.v, s.v])
+    assert err.value.t == 2.0
+
+
+def test_invariance_report_off_manifold_message(pendulum):
+    off = State(0.25, np.array([0.0, -1.0]), np.array([2.0, 0.5]))
+    with pytest.raises(
+        ValueError, match=r"^state at t=0\.25 is off-manifold \(\|\|phi\|\|=5\.000e-01 > 1e-10\)$"
+    ):
+        invariance_report(
+            pendulum.system, pendulum.constraints, _families(1), [off.t], [off.x], [off.v]
+        )
+
+
+def _counting(fn, counts, key):
+    def wrapped(*args):
+        counts[key] = counts.get(key, 0) + 1
+        return fn(*args)
+
+    return wrapped
+
+
+def test_invariance_report_evaluates_each_map_once_per_state(pendulum):
+    import dataclasses
+
+    counts = {}
+    cs = pendulum.constraints
+    phi = dataclasses.replace(
+        cs.phi, **{k: _counting(getattr(cs.phi, k), counts, k)
+                   for k in ("value", "jac_t", "jac_x", "jac_v")}
+    )
+    cs = dataclasses.replace(cs, phi=phi)
+    force = pendulum.system.force
+    sys = MechanicalSystem(
+        mass=pendulum.system.mass,
+        force=dataclasses.replace(force, value=_counting(force.value, counts, "force")),
+    )
+    reps = [
+        dataclasses.replace(rep, jac_z=_counting(rep.jac_z, counts, "U_z"))
+        for rep in _families(cs.n)
+    ]
+    t, X, V = pendulum.sample_states(np.random.default_rng(5), 30)
+    per_run = []
+    for k in (10, 30):  # the difference leaves out reparametrize's probes
+        counts.clear()
+        invariance_report(sys, cs, reps, t[:k], X[:k], V[:k])
+        per_run.append(dict(counts))
+    per_state = {key: (per_run[1][key] - per_run[0].get(key, 0)) / 20 for key in per_run[1]}
+    assert per_state == {
+        "value": 1, "jac_t": 1, "jac_x": 1, "jac_v": 1, "force": 1, "U_z": len(reps),
+    }

@@ -5,6 +5,7 @@ raise its own typed error, naming the matrix and t, never a bare
 ``LinAlgError``; ``check_regularity`` returns a failed verdict instead.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from constrained_dynamics import (
     check_regularity,
     decompose_T,
     integrate_first_kind,
+    integrate_second_kind,
     lift_holonomic,
     pullback_lagrangian,
     reaction,
@@ -196,8 +198,96 @@ def test_nan_force_at_inner_stage_is_named_at_its_stage_time(pendulum):
     # the first NaN force, which must be named there and not blamed later on
     # the Gram matrix of a NaN stage state
     sc = _nan_force_pendulum(pendulum)
-    with pytest.raises(EvaluationError, match=r"force field .* non-finite at t=0\.045$"):
+    with pytest.raises(
+        EvaluationError,
+        match=r"force field .* non-finite at t=0\.045 \(in RK4 stage 2 of the step from the "
+        r"last accepted state t=0\.04, position \[.*\], velocity \[.*\]\)$",
+    ):
         integrate_first_kind(sc.system, sc.constraints, sc.initial, 0.2, IntegratorConfig(dt=1e-2))
+
+
+def _force_nan_after(sc, t_from):
+    """The force of ``sc``, NaN at every t > ``t_from``."""
+    inner = sc.system.force.value
+
+    def value(t, x, v):
+        return np.full(sc.dim, NAN) if t > t_from else inner(t, x, v)
+
+    return MechanicalSystem(mass=sc.system.mass, force=replace(sc.system.force, value=value))
+
+
+def _last_accepted(message):
+    """(t, position, velocity) that the march's message names as the last
+    accepted state."""
+    tail = message.split("last accepted state t=", 1)[1]
+    t, rest = tail.split(", position ", 1)
+    x, v = rest.rstrip(")").split(", velocity ")
+    return float(t), json.loads(x), json.loads(v)
+
+
+def test_first_kind_nan_force_names_stage_and_last_accepted_state(pendulum):
+    # dt = 0.01: the step from t = 0.01 takes its second stage at t = 0.015
+    sys = _force_nan_after(pendulum, 0.0105)
+    cfg = IntegratorConfig(dt=0.01)
+    head = "force field f(t, x, v) is non-finite at t=0.015 "
+    with pytest.raises(EvaluationError) as err:
+        integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.2, cfg)
+    msg = str(err.value)
+    assert msg.startswith(head + "(in RK4 stage 2 of the step from the last accepted state t=0.01,")
+    assert isinstance(err.value.__cause__, EvaluationError)
+    assert str(err.value.__cause__) == head.rstrip()
+    before = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.01, cfg)
+    assert _last_accepted(msg) == (0.01, before.positions[-1].tolist(), before.velocities[-1].tolist())
+
+
+def test_second_kind_nan_force_names_stage_and_last_accepted_state(pendulum):
+    sys = _force_nan_after(pendulum, 0.0105)
+    cfg = IntegratorConfig(dt=0.01)
+    init = pendulum.initial_generalized
+    with pytest.raises(EvaluationError) as err:
+        integrate_second_kind(pendulum.embedding, sys, init, 0.2, cfg)
+    msg = str(err.value)
+    assert msg.startswith(
+        "force field f(t, x, v) is non-finite at t=0.015 "
+        "(in RK4 stage 2 of the step from the last accepted state t=0.01,"
+    )
+    before = integrate_second_kind(pendulum.embedding, sys, init, 0.01, cfg)
+    assert _last_accepted(msg) == (0.01, before.y[-1].tolist(), before.w[-1].tolist())
+
+
+def test_dormand_prince_nan_force_names_its_stage(pendulum):
+    # the first attempt, h = 0.01 from t = 0, takes stage 5 at t = 8/9 h
+    sys = _force_nan_after(pendulum, 0.0085)
+    cfg = IntegratorConfig(dt=0.01, method="rk45-adaptive")
+    with pytest.raises(
+        EvaluationError,
+        match=r"non-finite at t=0\.00888+\d* \(in Dormand-Prince stage 5 of the step from the "
+        r"last accepted state t=0\.0, ",
+    ):
+        integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.2, cfg)
+
+
+def test_nan_force_at_a_sample_names_the_sample(pendulum):
+    # the initial sample and the first step's three stages take the force
+    # four times; the fifth call is the sample at t = 0.01
+    calls = []
+    inner = pendulum.system.force.value
+
+    def value(t, x, v):
+        calls.append(t)
+        return np.full(2, NAN) if len(calls) == 5 else inner(t, x, v)
+
+    sys = MechanicalSystem(
+        mass=pendulum.system.mass, force=replace(pendulum.system.force, value=value)
+    )
+    with pytest.raises(
+        EvaluationError,
+        match=r"non-finite at t=0\.01 \(in the sample of the step from the last accepted "
+        r"state t=0\.0, position \[0\.0, -1\.0\], velocity \[2\.0, 0\.0\]\)$",
+    ):
+        integrate_first_kind(
+            sys, pendulum.constraints, pendulum.initial, 0.2, IntegratorConfig(dt=0.01)
+        )
 
 
 def test_simulate_exits_2_on_nan_force(pendulum, monkeypatch, tmp_path, capsys):

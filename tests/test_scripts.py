@@ -45,3 +45,28 @@ def test_convergence_study_refuses_projection_of_a_nonholonomic_scenario():
     assert proc.returncode == 2
     assert "--projection needs a holonomic scenario; 'knife-edge' is not one" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_output_digests_repeat_and_cover_every_op():
+    # each op writes to a fresh temporary directory, so equal stdout digests
+    # of two runs also show that the directory is normalised
+    runs = [_run("output_digests.py", "--t-end", "0.05") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    labels = {line.split("  ")[1] for line in lines}
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    holonomic = ("pendulum", "spherical-pendulum", "rotating-wire-bead")
+    for name in holonomic + ("knife-edge",):
+        horizon = f"{name} {{}} --t-end 0.05"
+        ops = [horizon.format(cmd) for cmd in ("check-invariants", "compare-embeddings")]
+        for method in ("rk4-fixed", "rk45-adaptive"):
+            modes = ("off", "positional", "positional+velocity") if name in holonomic else ("off",)
+            ops += [horizon.format("simulate") + f" --method {method} --projection {mode}"
+                    for mode in modes]
+        assert set(ops) | {f"{name} reactions"} <= labels
+        # a simulate op hashes its CSV next to its stdout
+        assert any(line.endswith(f"  {name}_trajectory.csv") for line in lines)
+    # 6 simulate ops and 3 others on a holonomic scenario, 2 and 3 on the knife edge
+    assert len(labels) == 3 * 9 + 5
