@@ -382,7 +382,8 @@ def integrate_second_kind(
     system's force field pulled back through it.
 
     Aborts with :class:`ChartError` naming t when the solution leaves the
-    chart domain or turns NaN, or the metric degenerates.  A chart declared
+    chart domain or turns NaN, or the metric degenerates; a non-finite
+    initial w is refused with a ValueError.  A chart declared
     time-independent is checked at the initial point first.
 
     Evaluations per step: 4 calls of :func:`second_kind_acceleration`, each
@@ -392,6 +393,8 @@ def integrate_second_kind(
     [t, y, w, a, Q], split into the columns once when the run ends.
     """
     require_horizon(init.t, t_end)
+    if not all(map(math.isfinite, init.w.tolist())):  # a non-finite y is a ChartError
+        raise ValueError(f"initial velocity w must be finite at t={init.t}")
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")

@@ -135,9 +135,9 @@ class Trajectory:
 
 
 def _csv(cols: List[str], template: str, body: Array) -> str:
-    """Header line plus one ``template % row`` line per row of ``body``."""
-    lines = [",".join(cols)] + [template % tuple(row) for row in body.tolist()]
-    return "\n".join(lines) + "\n"
+    """Header line plus one ``template % row`` line per row of ``body``, by one ``%``."""
+    rows = ((template + "\n") * body.shape[0]) % tuple(body.ravel().tolist())
+    return ",".join(cols) + "\n" + rows
 
 
 def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
@@ -294,7 +294,7 @@ def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
 _DP_A = [
     [],
     [1 / 5],
@@ -304,20 +304,20 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 
 
-def _recorded(record, t, y: Array, m: int) -> tuple:
-    """(y, k1) to continue from after ``record(t, q, p)`` on the views q, p of
-    y: y itself unless record returned other arrays (a projected step)."""
-    q, p = y[:m], y[m:]
-    q2, p2, a = record(t, q, p)
-    if q2 is not q or p2 is not p:
-        y = np.concatenate((q2, p2))
-    return y, np.concatenate((p2, a))
+def _combine(y: list, h: float, coeffs, ks) -> list:
+    """y + h (0 + c_1 k_1 + c_2 k_2 + ...) per entry, added in row order: the
+    builtin sum of floats is compensated from Python 3.12 on."""
+    out = []
+    for yj, kj in zip(y, zip(*ks)):
+        acc = 0
+        for c, k in zip(coeffs, kj):
+            acc = acc + c * k
+        out.append(yj + h * acc)
+    return out
 
 
 def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
@@ -329,77 +329,88 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     its acceleration, which is the next step's first stage.  RK4 calls
     ``accel`` 3 times per step, Dormand-Prince 6 times per attempt.
 
-    Both methods march the flat state y = (q, p) with slopes k = (p, a), the
-    same elementwise operations as on q and p apart; ``accel`` and
-    ``record`` get views of y.
+    Both methods march y = (q, p) and the slopes k = (p, a) as lists of
+    Python floats: on 2m <= 6 entries numpy's dispatch costs more than the
+    arithmetic.  A float is the IEEE double an array entry is, and each
+    entry takes the array expression's operations in its order, so every
+    state has the bits arrays would give.  ``accel`` and ``record`` get
+    arrays built from y.
 
-    An :class:`EvaluationError` from a stage or a sample is raised again as
-    one, its message followed by where it arose: RK4 stage 2-4,
-    Dormand-Prince stage 2-7 or the sample, of the step from the last
-    accepted (t, q, p).
+    An :class:`EvaluationError` from a stage or a sample, or for a
+    Dormand-Prince attempt with a non-finite y5 or error estimate, names
+    where it arose (RK4 stage 2-4, Dormand-Prince stage 2-7, the error test
+    or the sample) in the step from the last accepted (t, q, p).
     """
+    # floats, so that a numpy scalar t, t_end, dt or tolerance leaves none in y
+    t, t_end, dt, tol = float(t), float(t_end), float(cfg.dt), float(cfg.tolerance)
     t_stop = _stop_time(t_end)
     m = q.size
-    y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
+    y, k1 = q.tolist() + p.tolist(), p.tolist() + a.tolist()
 
     def rhs(tt, yy):
-        return np.concatenate((yy[m:], accel(tt, yy[:m], yy[m:])))
+        return yy[m:] + accel(tt, np.array(yy[:m]), np.array(yy[m:])).tolist()
+
+    def recorded(tt, yy):  # yy itself unless record returns other arrays (a projected step)
+        qq, pp = np.array(yy[:m]), np.array(yy[m:])
+        try:
+            q2, p2, aa = record(tt, qq, pp)
+        except EvaluationError as exc:
+            raise failed(exc, "the sample") from exc
+        if q2 is not qq or p2 is not pp:
+            yy = q2.tolist() + p2.tolist()
+        return yy, yy[m:] + aa.tolist()
+
+    def failed(exc, where):  # exc, naming where in the step from the last accepted (t, y)
+        return EvaluationError(
+            f"{exc} (in {where} of the step from the last accepted state t={t}, "
+            f"position {y[:m]}, velocity {y[m:]})"
+        )
 
     if cfg.method == "rk4-fixed":
         while t < t_stop:
-            h = min(cfg.dt, t_end - t)
+            h = min(dt, t_end - t)
+            hh, h6 = 0.5 * h, h / 6.0
             try:
-                stage = 2
-                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-                stage = 3
-                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-                stage = 4
-                k4 = rhs(t + h, y + h * k3)
-                stage = None
-                # k + k is 2 * k exactly
-                y_next = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-                y, k1 = _recorded(record, t + h, y_next, m)
+                where = "RK4 stage 2"
+                k2 = rhs(t + hh, [yj + hh * kj for yj, kj in zip(y, k1)])
+                where = "RK4 stage 3"
+                k3 = rhs(t + hh, [yj + hh * kj for yj, kj in zip(y, k2)])
+                where = "RK4 stage 4"
+                k4 = rhs(t + h, [yj + h * kj for yj, kj in zip(y, k3)])
             except EvaluationError as exc:
-                raise _failed_step(exc, "RK4", stage, t, y, m) from exc
+                raise failed(exc, where) from exc
+            # k + k is 2 * k exactly
+            y, k1 = recorded(t + h, [
+                yj + h6 * (((a1 + (a2 + a2)) + (a3 + a3)) + a4)
+                for yj, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+            ])
             t = t + h
         return
 
     # rk45-adaptive (Dormand-Prince, local extrapolation)
-    h = cfg.dt
-    tol = cfg.tolerance
+    h = dt
     while t < t_stop:
         h = min(h, t_end - t)
         ks = [k1]
         try:
             for i in range(1, 7):
-                yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
-                ks.append(rhs(t + _DP_C[i] * h, yi))
-            y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            scale = tol * (1.0 + np.abs(y5).max())
-            err = float(np.abs(y5 - y4).max()) / scale
-            if err <= 1.0:
-                y, k1 = _recorded(record, t + h, y5, m)
-                t = t + h
+                ks.append(rhs(t + _DP_C[i] * h, _combine(y, h, _DP_A[i], ks)))
         except EvaluationError as exc:
-            stage = len(ks) + 1 if len(ks) < 7 else None
-            raise _failed_step(exc, "Dormand-Prince", stage, t, y, m) from exc
+            raise failed(exc, f"Dormand-Prince stage {len(ks) + 1}") from exc
+        y5 = _combine(y, h, _DP_B5, ks)
+        diff = [abs(a5 - a4) for a5, a4 in zip(y5, _combine(y, h, _DP_B4, ks))]
+        # Python's max, unlike ndarray.max, does not carry a NaN through
+        if not all(map(math.isfinite, y5 + diff)):
+            msg = f"non-finite y5 or error estimate in the attempt at t={t}, h={h}"
+            raise failed(EvaluationError(msg), "the error test")
+        err = max(diff) / (tol * (1.0 + max(map(abs, y5))))
+        if err <= 1.0:
+            y, k1 = recorded(t + h, y5)
+            t = t + h
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
         if h < 1e-14:
             raise RuntimeError(f"adaptive step collapsed at t={t}")
-
-
-def _failed_step(exc: EvaluationError, method: str, stage, t: float, y: Array, m: int):
-    """``exc`` (an :class:`EvaluationError`) with the place of the failure
-    appended to its message: ``method``'s stage ``stage``, or the sample
-    when ``stage`` is None, of the step from the last accepted state t,
-    y = (q, p)."""
-    where = "the sample" if stage is None else f"{method} stage {stage}"
-    return EvaluationError(
-        f"{exc} (in {where} of the step from the last accepted state t={t}, "
-        f"position {y[:m].tolist()}, velocity {y[m:].tolist()})"
-    )
 
 
 def integrate_first_kind(

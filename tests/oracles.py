@@ -1,12 +1,13 @@
 """Independent oracles and fixtures that only the tests use: a random
 polynomial chart with analytic derivatives, a generic Lagrangian
-derivative built from the pieces of 1/2 w^T M2 w + b w + T0, and the
-drift projection written out on its own."""
+derivative built from the pieces of 1/2 w^T M2 w + b w + T0, the
+drift projection written out on its own, and the RK4 / Dormand-Prince
+march on numpy arrays."""
 
 import numpy as np
 
 from constrained_dynamics import Embedding
-from constrained_dynamics.integrate import ProjectionError
+from constrained_dynamics.integrate import ProjectionError, _stop_time
 from constrained_dynamics.reactions import _chol_solve
 
 
@@ -107,3 +108,78 @@ def project(cs, mass, t, x, v, tol, max_iter, velocity):
         defect = g.grad_t(t, x) + J @ v
         v = v - Ginv @ J.T @ _chol_solve(J @ Ginv @ J.T, defect, t)
     return x, v, k
+
+
+# Dormand-Prince 5(4) tableau, as the array march took it
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def _recorded(record, t, y, m: int) -> tuple:
+    """(y, k1) to continue from after ``record(t, q, p)`` on the views q, p of
+    y: y itself unless record returned other arrays (a projected step)."""
+    q, p = y[:m], y[m:]
+    q2, p2, a = record(t, q, p)
+    if q2 is not q or p2 is not p:
+        y = np.concatenate((q2, p2))
+    return y, np.concatenate((p2, a))
+
+
+def march(accel, record, t, q, p, a, t_end, cfg) -> None:
+    """The engine's ``integrate._march`` as it was written on numpy arrays:
+    the flat state y = (q, p) and slopes k = (p, a) are arrays, and each
+    stage is one array expression.  The engine's list march must give every
+    stage state and sample of this one bit for bit.  Errors propagate as
+    raised; the engine's naming of the failed stage is not part of it.
+    """
+    t_stop = _stop_time(t_end)
+    m = q.size
+    y, k1 = np.concatenate((q, p)), np.concatenate((p, a))
+
+    def rhs(tt, yy):
+        return np.concatenate((yy[m:], accel(tt, yy[:m], yy[m:])))
+
+    if cfg.method == "rk4-fixed":
+        while t < t_stop:
+            h = min(cfg.dt, t_end - t)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            # k + k is 2 * k exactly
+            y_next = y + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            y, k1 = _recorded(record, t + h, y_next, m)
+            t = t + h
+        return
+
+    # rk45-adaptive (Dormand-Prince, local extrapolation)
+    h = cfg.dt
+    tol = cfg.tolerance
+    while t < t_stop:
+        h = min(h, t_end - t)
+        ks = [k1]
+        for i in range(1, 7):
+            yi = y + h * sum(c * k for c, k in zip(_DP_A[i], ks))
+            ks.append(rhs(t + _DP_C[i] * h, yi))
+        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
+        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
+        scale = tol * (1.0 + np.abs(y5).max())
+        err = float(np.abs(y5 - y4).max()) / scale
+        if err <= 1.0:
+            y, k1 = _recorded(record, t + h, y5, m)
+            t = t + h
+        factor = 0.9 * (err + 1e-16) ** (-0.2)
+        h = h * min(5.0, max(0.2, factor))
+        if h < 1e-14:
+            raise RuntimeError(f"adaptive step collapsed at t={t}")

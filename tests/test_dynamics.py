@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from constrained_dynamics import (
     ConstraintSet,
@@ -25,8 +27,10 @@ from constrained_dynamics.integrate import (
     _DP_C,
     ProjectionError,
     Trajectory,
+    _march,
     project_to_manifold,
 )
+from oracles import march as array_march
 from oracles import project
 
 
@@ -770,6 +774,62 @@ def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
     columns, rejected = _reference_run(sys, cs, init, 1.0, cfg)
     assert rejected >= 1
     _assert_same_run(traj, columns)
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _linear_runs(draw):
+    """(K, C, q0, p0, dt, t_end) of a linear system a = -K q - C p with
+    m = 1-3; t_end lies part way into an RK4 step of dt."""
+    m = draw(st.integers(1, 3))
+
+    def entries(n):
+        return np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+
+    K, C = entries(m * m).reshape(m, m), entries(m * m).reshape(m, m)
+    dt = draw(st.floats(0.05, 0.3))
+    t_end = dt * (draw(st.integers(1, 5)) + draw(st.floats(0.1, 0.9)))
+    return K, C, entries(m), entries(m), dt, t_end
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    run=_linear_runs(),
+    tolerance=st.sampled_from([1e-4, 1e-7]),
+    projected=st.sampled_from(["off", "position", "velocity", "both"]),
+)
+def test_list_march_matches_the_array_march_bit_for_bit(method, run, tolerance, projected):
+    # every stage state and every sample, -0.0 included; a projected step
+    # hands back a new array for q, for p (when q already met the
+    # tolerance) or for both
+    K, C, q0, p0, dt, t_end = run
+    cfg = IntegratorConfig(method=method, dt=dt, tolerance=tolerance)
+
+    def trace(march):
+        log = []
+
+        def accel(t, q, p):
+            log.append((float(t), q.tobytes(), p.tobytes()))
+            return -K.dot(q) - C.dot(p)
+
+        def record(t, q, p):
+            if projected in ("position", "both"):
+                q = q - 1e-3 * q
+            if projected in ("velocity", "both"):
+                p = p - 1e-3 * p
+            a = -K.dot(q) - C.dot(p)
+            log.append(("sample", float(t), q.tobytes(), p.tobytes(), a.tobytes()))
+            return q, p, a
+
+        march(accel, record, 0.0, q0.copy(), p0.copy(), -K.dot(q0) - C.dot(p0), t_end, cfg)
+        return log
+
+    log = trace(_march)
+    assert log == trace(array_march)
+    assert log[-1][1] == pytest.approx(t_end, abs=1e-12)
 
 
 def _blend(cs):

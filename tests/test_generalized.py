@@ -828,3 +828,25 @@ def test_second_kind_refuses_a_horizon_that_gives_no_run(pendulum, t_end):
             pendulum.embedding, sys, pendulum.initial_generalized, t_end, IntegratorConfig()
         )
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["pendulum", "rotating-wire-bead"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_second_kind_refuses_a_non_finite_initial_velocity(name, bad):
+    # refused before any force call, not blamed on a later stage that left
+    # the chart domain or on a math domain error of the chart
+    import dataclasses
+
+    sc = catalog_scenario(name)
+    calls = []
+    force, inner = sc.system.force, sc.system.force.value
+    force = dataclasses.replace(force, value=lambda t, x, v: calls.append(t) or inner(t, x, v))
+    sys = dataclasses.replace(sc.system, force=force)
+    init = sc.initial_generalized
+    w = init.w.copy()
+    w[-1] = bad
+    with pytest.raises(ValueError, match=r"^initial velocity w must be finite at t=0\.0$"):
+        integrate_second_kind(
+            sc.embedding, sys, GeneralizedState(init.t, init.y, w), 0.1, IntegratorConfig(dt=0.01)
+        )
+    assert calls == []

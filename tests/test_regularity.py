@@ -267,6 +267,25 @@ def test_dormand_prince_nan_force_names_its_stage(pendulum):
         integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 0.2, cfg)
 
 
+def test_dormand_prince_refuses_a_non_finite_attempt(rotating_wire):
+    # g_tt NaN from t = 0.05 makes the acceleration NaN with a finite force;
+    # the attempt from t = 0.01 with h = 0.05 reaches it at its last stages,
+    # and is refused by name, not rejected until the step collapses
+    g = rotating_wire.constraints.generator
+    g = replace(g, d_tt=lambda t, x, d_tt=g.d_tt: np.full(1, NAN) if t >= 0.05 else d_tt(t, x))
+    cs = lift_holonomic(g, 2)
+    cfg = IntegratorConfig(method="rk45-adaptive", dt=0.01)
+    with pytest.raises(EvaluationError) as err:
+        integrate_first_kind(rotating_wire.system, cs, rotating_wire.initial, 0.2, cfg)
+    msg = str(err.value)
+    assert msg.startswith(
+        "non-finite y5 or error estimate in the attempt at t=0.01, h=0.05 "
+        "(in the error test of the step from the last accepted state t=0.01,"
+    )
+    before = integrate_first_kind(rotating_wire.system, cs, rotating_wire.initial, 0.01, cfg)
+    assert _last_accepted(msg) == (0.01, before.positions[-1].tolist(), before.velocities[-1].tolist())
+
+
 def test_nan_force_at_a_sample_names_the_sample(pendulum):
     # the initial sample and the first step's three stages take the force
     # four times; the fifth call is the sample at t = 0.01
