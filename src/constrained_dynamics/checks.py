@@ -16,7 +16,7 @@ from . import __version__
 from .constraints import _fix_signs, _kernel_basis
 from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
-from .reactions import Reparametrization, _ideal_reaction, invariance_report
+from .reactions import Reparametrization, _multiplier_solver, invariance_report
 from .scenarios import Scenario, uniform_rows
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
@@ -152,9 +152,13 @@ def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry
         return _skipped("virtual-work", "unconstrained system")
     cs = sc.constraints
     t, X, V = sc.sample_states(np.random.default_rng(11), count)
-    B, N = map(np.array, zip(*(
-        _ideal_reaction(sc.system, cs, ti, x, v) for ti, x, v in zip(t.tolist(), X, V)
-    )))
+    solve = _multiplier_solver(sc.system, cs)
+
+    def ideal(ti, x, v):  # (phi_v, N = Lambda phi_v) at one state
+        _, phi_v, _, lam, _, _ = solve(ti, x, v)
+        return phi_v, lam.dot(phi_v)
+
+    B, N = map(np.array, zip(*(ideal(ti, x, v) for ti, x, v in zip(t.tolist(), X, V))))
     # one stacked SVD for every kernel basis; N[i] Xi[i] row by row, on
     # C-contiguous Xi[i], gives the bits of the per-state product
     Xi = _fix_signs(_kernel_basis(B, cs.n, t))

@@ -217,8 +217,9 @@ def _metric_solve(M2: Array, rhs: Array, t: float) -> Array:
     """
     r = M2.shape[0]
     if r == 1:
-        m = M2[0, 0]
-        require_regular(m, m, 1e-12, _METRIC, t, ChartError)
+        m = M2.item()
+        if not 1e-12 < m < math.inf:  # the rule at 1e-12 for lo = hi = m
+            require_regular(m, m, 1e-12, _METRIC, t, ChartError)
         return rhs / m
     if r == 2:
         (a, _), (b, d) = M2.tolist()

@@ -8,6 +8,7 @@ the diagnostic columns are computed from those rows once, when it ends.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -15,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .constraints import ConstraintSet, RegularityError, _kernel_basis
-from .reactions import Realization, _chol_solve, _solve_multipliers
+from .reactions import Realization, _chol_solve, _multiplier_solver
 from .smooth import Array, EvaluationError, State, require_finite_state
 from .system import MechanicalSystem
 
@@ -140,17 +141,16 @@ def _csv(cols: List[str], template: str, body: Array) -> str:
     return ",".join(cols) + "\n" + rows
 
 
-def _accel_raw(sys: MechanicalSystem, cs: Optional[ConstraintSet], t, x, v, real=None) -> Array:
+def _accel_raw(solve, Ginv: Array, t, x, v) -> Array:
+    """xdd = G^-1 (f^T + N^T) at (t, x, v) from one call of a multiplier ``solve``."""
     # hot path: no State construction, no ReactionResult packaging
-    if cs is None:
-        return sys.mass.inverse.dot(sys.force(t, x, v))
-    f, _, S, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, real)
-    return sys.mass.inverse.dot(f + lam.dot(S))
+    f, _, S, lam, _, _ = solve(t, x, v)
+    return Ginv.dot(f) if S is None else Ginv.dot(f + lam.dot(S))
 
 
 def acceleration(sys: MechanicalSystem, cs: Optional[ConstraintSet], s: State) -> Array:
     """xdd = G^-1 (f^T + N^T); free dynamics when no constraints."""
-    return _accel_raw(sys, cs, s.t, s.x, s.v)
+    return _accel_raw(_multiplier_solver(sys, cs), sys.mass.inverse, s.t, s.x, s.v)
 
 
 def gde_residual(sys: MechanicalSystem, cs: ConstraintSet, s: State, xdd: Array) -> float:
@@ -211,15 +211,16 @@ def project_to_manifold(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, 
     return x, v, r, J, gt
 
 
-def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> tuple:
-    """(xdd, row) at a point the march accepted, from one multiplier solve.
+def _sample(sys, cs, t, x, v, solve, gen=None) -> tuple:
+    """(xdd, row) at a point the march accepted, from one call of the run's
+    multiplier solver ``solve`` (:func:`reactions._multiplier_solver`).
 
     xdd = G^-1 (f^T + N^T) is the next step's first stage; the row is the
     flat float64 record [t, x, v, Lambda, N, xdd, f, phi_v, phi_t + phi_x v,
     phi, g, V] (Lambda, phi_v, the drift, phi and g empty without
     constraints, g empty unless they are holonomic, V = 0 without a
     potential) that :func:`_trajectory` turns into columns.  Lambda, N and
-    xdd are those of the reaction ``real`` (ideal when None).  ``gen`` is
+    xdd are those of the reaction ``solve`` was built for.  ``gen`` is
     the (g, g_x, g_t) that :func:`project_to_manifold` took at (t, x), or
     None: the row's g, the solve's phi_v and g_t then come from it.
 
@@ -237,7 +238,7 @@ def _sample(sys, cs, t, x, v, real: Optional[Realization] = None, gen=None) -> t
         return xdd, np.array([t, *x.tolist(), *v.tolist(), *N, *xdd.tolist(), *f.tolist(), V])
     g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else _EMPTY), None, None)
     f = sys.force(t, x, v)
-    _, B, S, lam, _, drift = _solve_multipliers(sys, cs, t, x, v, real, cs.jet(t, x, v, gx), f)
+    _, B, S, lam, _, drift = solve(t, x, v, cs.jet(t, x, v, gx), f)
     N = lam.dot(S)
     xdd = sys.mass.inverse.dot(f + N)
     if cs.is_holonomic:
@@ -425,6 +426,8 @@ def integrate_first_kind(
 
     N is the ideal reaction, or that of the realization ``real``; the
     diagnostics are measured against the declared constraint set either way.
+    The run builds one :func:`reactions._multiplier_solver`, and every
+    stage (:func:`_accel_raw`) and every sample solves with it.
 
     Evaluations per step: RK4 makes 3 right-hand-side evaluations per
     step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
@@ -439,20 +442,20 @@ def integrate_first_kind(
         raise ValueError(_NEEDS_HOLONOMIC)
     _check_initial(cs, init)
 
-    def accel(t, x, v):
-        return _accel_raw(sys, cs, t, x, v, real)
-
+    Ginv, solve = sys.mass.inverse, _multiplier_solver(sys, cs, real)
+    # read at run start, so a rebound _accel_raw (a tracer's span) sees every stage
+    accel = functools.partial(_accel_raw, solve, Ginv)
     rows = []
 
     def record(t, x, v, gen=None):
-        xdd, row = _sample(sys, cs, t, x, v, real, gen)
+        xdd, row = _sample(sys, cs, t, x, v, solve, gen)
         rows.append(row)
         return x, v, xdd
 
     def project_and_record(t, x, v):
         require_finite_state(t, x, v)  # as at a sample, before any projection work
         x, v, *gen = project_to_manifold(
-            cs, sys.mass.inverse, t, x, v, cfg.projection_tol, cfg.projection_max_iter,
+            cs, Ginv, t, x, v, cfg.projection_tol, cfg.projection_max_iter,
             cfg.projection == "positional+velocity",
         )
         return record(t, x, v, gen)

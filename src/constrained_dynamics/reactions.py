@@ -16,7 +16,7 @@ make phi_v G^-1 S^T regular in its singular values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -43,14 +43,15 @@ class ReactionResult:
 _GRAM = "constraint Gram matrix"
 
 
-def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
-    """gram^-1 rhs for a Gram matrix B G^-1 B^T, whose Cholesky
-    pivots must pass the regularity rule with floor 0 (positivity).  A 1x1
-    matrix is its own pivot."""
+def _chol_solve(gram: Array, rhs: Array, t: float, sign: float = 1.0) -> Array:
+    """sign gram^-1 rhs (``sign`` 1 or -1) for a Gram matrix B G^-1 B^T, whose Cholesky
+    pivots must pass the regularity rule with floor 0.  A 1x1 matrix is its own pivot,
+    tested as a float, 0 < g < inf, and rhs / (sign g) has the bits of sign (rhs / g)."""
     if gram.shape[0] == 1:
-        g = gram[0, 0]
-        require_regular(g, g, 0.0, _GRAM, t)
-        return rhs / g
+        g = gram.item()
+        if not 0.0 < g < np.inf:
+            require_regular(g, g, 0.0, _GRAM, t)
+        return rhs / (sign * g)
     try:
         c = np.linalg.cholesky(gram)
         pivots = np.diagonal(c)
@@ -58,7 +59,7 @@ def _chol_solve(gram: Array, rhs: Array, t: float) -> Array:
     except np.linalg.LinAlgError:  # the factorization stops at a pivot <= 0
         lo = hi = 0.0
     require_regular(lo, hi, 0.0, _GRAM, t)
-    return np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+    return sign * np.linalg.solve(c.T, np.linalg.solve(c, rhs))
 
 
 @dataclass(frozen=True)
@@ -72,42 +73,47 @@ class Realization:
     S: SmoothMap
 
 
-def _solve_multipliers(
-    sys: MechanicalSystem, cs: ConstraintSet, t, x, v, real: Optional[Realization] = None,
-    jet: Optional[Tuple[Array, Array]] = None, f: Optional[Array] = None,
-):
-    """(f, phi_v, S, Lambda, M, phi_t + phi_x v) at (t, x, v), with
-    M = phi_v G^-1 S^T; S is phi_v, or ``real.S`` for a realization.
-    ``jet``, when given, is the (phi_v, phi_t + phi_x v) of the constraints
-    at (t, x, v), and ``f``, when given, the force there: the solve then
-    evaluates neither again.
+def _realization_solve(M: Array, rhs: Array, t: float) -> Array:
+    """-M^-1 rhs for a realization matrix M whose singular values pass the rule at 1e-12."""
+    regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
+    return -np.linalg.solve(M, rhs)
+
+
+def _multiplier_solver(sys: MechanicalSystem, cs, real: Optional[Realization] = None) -> Callable:
+    """The multiplier solve of ``sys`` on ``cs``, with G^-1, the force, the
+    constraint jet and the reaction ``real`` (ideal when None) bound once.
+
+    ``solve(t, x, v, jet=None, f=None)`` returns (f, phi_v, S, Lambda, M,
+    phi_t + phi_x v) at (t, x, v), with M = phi_v G^-1 S^T; S is phi_v, or
+    ``real.S`` for a realization.  ``jet``, when given, is the (phi_v,
+    phi_t + phi_x v) of the constraints at (t, x, v), and ``f``, when given,
+    the force there: the solve then evaluates neither again.  A free system
+    (``cs`` None) has no multipliers: its solve returns f and five Nones.
 
     The one evaluation of the closed form: every consumer of multipliers
     takes the force, phi_v, the solve matrix and the acceleration-free part
-    of d(phi)/dt from here.
+    of d(phi)/dt from a solve built here, one per run or check.
     """
-    if f is None:
-        f = sys.force(t, x, v)
-    B, drift = cs.jet(t, x, v) if jet is None else jet
-    W = B.dot(sys.mass.inverse)
-    rhs = drift + W.dot(f)
-    if real is None:
-        M = W.dot(B.T)
-        return f, B, B, -_chol_solve(M, rhs, t), M, drift
-    S = shaped(real.S.value(t, x, v), (cs.n, cs.dim))
-    M = W.dot(S.T)
-    regular_svd(M, 1e-12, "realization matrix phi_v G^-1 S^T", t)
-    return f, B, S, -np.linalg.solve(M, rhs), M, drift
+    Ginv, force = sys.mass.inverse, sys.force
+    if cs is None:
+        return lambda t, x, v, jet=None, f=None: (force(t, x, v), None, None, None, None, None)
+    constraint_jet, S_shape = cs.jet, (cs.n, cs.dim)
+    S_value = None if real is None else real.S.value
 
+    def solve(t, x, v, jet=None, f=None):
+        if f is None:
+            f = force(t, x, v)
+        B, drift = constraint_jet(t, x, v) if jet is None else jet
+        W = B.dot(Ginv)
+        rhs = drift + W.dot(f)
+        if S_value is None:
+            M = W.dot(B.T)
+            return f, B, B, _chol_solve(M, rhs, t, -1.0), M, drift
+        S = shaped(S_value(t, x, v), S_shape)
+        M = W.dot(S.T)
+        return f, B, S, _realization_solve(M, rhs, t), M, drift
 
-def _ideal_reaction(
-    sys: MechanicalSystem, cs: ConstraintSet, t, x, v,
-    jet: Optional[Tuple[Array, Array]] = None, f: Optional[Array] = None,
-) -> Tuple[Array, Array]:
-    """(phi_v, N) of the ideal reaction N = Lambda phi_v at (t, x, v);
-    ``jet`` and ``f`` as for :func:`_solve_multipliers`."""
-    _, B, _, lam, _, _ = _solve_multipliers(sys, cs, t, x, v, jet=jet, f=f)
-    return B, lam.dot(B)
+    return solve
 
 
 def reaction(
@@ -123,7 +129,7 @@ def reaction(
         return ReactionResult(
             Lambda=np.zeros(0), N=np.zeros(sys.dim), gram=np.zeros((0, 0)), state=s
         )
-    _, _, S, lam, M, _ = _solve_multipliers(sys, cs, s.t, s.x, s.v, real)
+    _, _, S, lam, M, _ = _multiplier_solver(sys, cs, real)(s.t, s.x, s.v)
     return ReactionResult(Lambda=lam, N=lam @ S, gram=M, state=s)
 
 
@@ -265,11 +271,12 @@ def invariance_report(
     phi_v and the force once, whatever the number of families, and each
     family U_z, U_t, U_x and U_v once: psi's partials follow from phi's by
     :func:`_chain_rule`, with the operations of ``reparametrize``'s
-    Jacobians, and both reactions come from the one multiplier solve.
+    Jacobians, and both reactions come from the one multiplier solver that
+    the call builds.
     """
     for rep in reps:
         reparametrize(cs, rep)
-    phi = cs.phi
+    phi, solve = cs.phi, _multiplier_solver(sys, cs)
     worst = 0.0
     for ti, x, v in zip(np.asarray(t, float).tolist(), X, V):
         z = phi(ti, x, v)
@@ -282,13 +289,13 @@ def invariance_report(
         phi_t, phi_x, phi_v = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
         # phi's own jet, equal to ConstraintSet.jet's but for the sign of an
         # exact zero where a holonomic or scleronomic set reads it otherwise
-        N_phi = _ideal_reaction(sys, cs, ti, x, v, (phi_v, phi_t + phi_x.dot(v)), f)[1]
+        N_phi = solve(ti, x, v, (phi_v, phi_t + phi_x.dot(v)), f)[3].dot(phi_v)
         for rep in reps:
             U_z = rep.d_z(ti, x, v, z)
             psi_t = _chain_rule(rep.d_t(ti, x, v, z), U_z, phi_t)
             psi_x = _chain_rule(rep.d_x(ti, x, v, z), U_z, phi_x)
             psi_v = _chain_rule(rep.d_v(ti, x, v, z), U_z, phi_v)
-            N_psi = _ideal_reaction(sys, cs, ti, x, v, (psi_v, psi_t + psi_x.dot(v)), f)[1]
+            N_psi = solve(ti, x, v, (psi_v, psi_t + psi_x.dot(v)), f)[3].dot(psi_v)
             worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
     return worst
 

@@ -12,6 +12,7 @@ from constrained_dynamics import (
     MassMatrix,
     MechanicalSystem,
     OffManifoldError,
+    Reparametrization,
     State,
     acceleration,
     catalog_scenario,
@@ -484,8 +485,9 @@ def test_multiplier_solve_reads_each_generator_map_once(pendulum, monkeypatch):
         cs.phi, **{k: counted("phi_jac", getattr(cs.phi, k)) for k in ("jac_t", "jac_x", "jac_v")}
     )
     cs = dataclasses.replace(cs, phi=phi)
+    solver = integrate._multiplier_solver
     monkeypatch.setattr(
-        integrate, "_solve_multipliers", counted("solve", integrate._solve_multipliers)
+        integrate, "_multiplier_solver", lambda *args: counted("solve", solver(*args))
     )
     traj = integrate_first_kind(
         pendulum.system, cs, pendulum.initial, 0.2, IntegratorConfig(dt=1e-2)
@@ -494,6 +496,70 @@ def test_multiplier_solve_reads_each_generator_map_once(pendulum, monkeypatch):
     assert len(traj) == 21 and calls["solve"] == 81
     assert calls["d_tt"] == calls["d_tx"] == calls["d_xx"] == 81
     assert calls["phi_jac"] == 0
+
+
+def _counting_solvers(monkeypatch, module):
+    """The number of multiplier solvers ``module`` builds while the test runs,
+    and the calls of their solves, in a list [solvers, solves]."""
+    counts = [0, 0]
+    solver = module._multiplier_solver
+
+    def counted(*args, **kwargs):
+        counts[0] += 1
+        solve = solver(*args, **kwargs)
+
+        def counting_solve(*args, **kwargs):
+            counts[1] += 1
+            return solve(*args, **kwargs)
+
+        return counting_solve
+
+    monkeypatch.setattr(module, "_multiplier_solver", counted)
+    return counts
+
+
+@pytest.mark.parametrize("cfg", [
+    IntegratorConfig(dt=1e-2),
+    IntegratorConfig(dt=1e-2, method="rk45-adaptive"),
+    IntegratorConfig(dt=1e-2, projection="positional+velocity"),
+], ids=["rk4", "dp45", "projected"])
+def test_one_multiplier_solver_per_run(pendulum, cfg, monkeypatch):
+    # every stage and every sample of a run solves with the solver the run
+    # built at its start
+    from constrained_dynamics import integrate
+
+    counts = _counting_solvers(monkeypatch, integrate)
+    stages = [0]
+    accel = integrate._accel_raw
+
+    def counted(*args):
+        stages[0] += 1
+        return accel(*args)
+
+    monkeypatch.setattr(integrate, "_accel_raw", counted)
+    traj = integrate_first_kind(pendulum.system, pendulum.constraints, pendulum.initial, 0.2, cfg)
+    assert counts == [1, stages[0] + len(traj)]
+
+
+def test_one_multiplier_solver_per_check(pendulum):
+    from constrained_dynamics import checks, reactions
+
+    sc = pendulum
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _counting_solvers(mp, reactions)
+        reaction(sc.system, sc.constraints, sc.initial)
+    assert counts == [1, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _counting_solvers(mp, checks)
+        checks.check_virtual_work(sc, checks.DEFAULT_THRESHOLDS, count=50)
+    assert counts == [1, 50]
+    t, X, V = sc.sample_states(np.random.default_rng(3), 20)
+    reps = [Reparametrization.identity(1), Reparametrization.linear([[2.0]])]
+    with pytest.MonkeyPatch.context() as mp:
+        counts = _counting_solvers(mp, reactions)
+        reactions.invariance_report(sc.system, sc.constraints, reps, t, X, V)
+    # one solve for phi and one per family at each state
+    assert counts == [1, 20 * 3]
 
 
 def _generator_calls(sc, cfg):

@@ -9,6 +9,7 @@ scipy is a test dependency only, so it is imported inside the tests.
 
 import ast
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,9 +17,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from constrained_dynamics import (
+    ConstraintSet,
+    ForceField,
+    MassMatrix,
+    MechanicalSystem,
+    Realization,
     RegularityError,
+    SmoothMap,
     catalog_scenario,
     covariance_residual,
     lagrangian_derivative,
@@ -34,7 +43,7 @@ from constrained_dynamics.generalized import (
     second_kind_acceleration,
 )
 from constrained_dynamics.integrate import _accel_raw
-from constrained_dynamics.reactions import _chol_solve, _solve_multipliers
+from constrained_dynamics.reactions import _chol_solve, _multiplier_solver
 from constrained_dynamics.scenarios import uniform_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,7 +108,7 @@ def test_cli_import_loads_no_scipy():
 
 # the functions of README's "Regularity" table that factor or solve
 LINALG_SITES = {
-    "regular_svd", "_chol_solve", "_solve_multipliers", "_regular_metric", "check_spd",
+    "regular_svd", "_chol_solve", "_realization_solve", "_regular_metric", "check_spd",
 }
 GUARDED = {"svd", "eigh", "cholesky", "solve", "matrix_rank", "lstsq"}
 
@@ -177,7 +186,7 @@ def test_tiny_products_skip_the_array_function_dispatcher():
 # bits of its 3-D product.
 DOT_ONLY = {
     "integrate.py": {"_accel_raw", "project_to_manifold", "_sample"},
-    "reactions.py": {"_solve_multipliers", "_ideal_reaction", "_chain_rule", "invariance_report"},
+    "reactions.py": {"_multiplier_solver", "_chain_rule", "invariance_report"},
     "checks.py": {"check_virtual_work"},
     "scenarios.py": {"_make_force", "sphere_generator"},
 }
@@ -234,7 +243,7 @@ def _sampled(name, count=200):
 def test_jet_and_multiplier_solve_match_the_written_out_formulas(name):
     sc, states = _sampled(name)
     sys, cs = sc.system, sc.constraints
-    Ginv = sys.mass.inverse
+    Ginv, solve = sys.mass.inverse, _multiplier_solver(sys, cs)
     for t, x, v in states:
         B, drift = _written_out_jet(cs, t, x, v)
         jet = cs.jet(t, x, v)
@@ -243,15 +252,75 @@ def test_jet_and_multiplier_solve_match_the_written_out_formulas(name):
         W = B @ Ginv
         M = W @ B.T
         lam = -_chol_solve(M, drift + W @ f, t)
-        got = _solve_multipliers(sys, cs, t, x, v)
+        got = solve(t, x, v)
         for a, b in zip(got, (f, B, B, lam, M, drift)):
             assert np.array_equal(a, b)
         # a caller's jet and force are taken as they are
-        given = _solve_multipliers(sys, cs, t, x, v, jet=(B, drift), f=f)
+        given = solve(t, x, v, jet=(B, drift), f=f)
         assert given[0] is f and given[1] is B and given[5] is drift
         for a, b in zip(given, got):
             assert np.array_equal(a, b)
-        assert np.array_equal(_accel_raw(sys, cs, t, x, v), Ginv @ (f + lam @ B))
+        assert np.array_equal(_accel_raw(solve, Ginv, t, x, v), Ginv @ (f + lam @ B))
+
+
+@st.composite
+def _multiplier_problems(draw, m, n, realized):
+    """(sys, cs, real, t, x, v, f, B, drift, S) away from the catalog: a
+    non-diagonal m x m SPD G, n constraints and random phi_v, phi_t, phi_x
+    and f; S is phi_v (real None), or a realization's when ``realized``."""
+    # every entry from one list of floats in [-1, 1], taken in order
+    size = 1 + m * (m + 3) + n * (2 * m + 1) + (n * m if realized else 0)
+    entries = iter(draw(st.lists(
+        st.floats(-1.0, 1.0, allow_subnormal=False), min_size=size, max_size=size
+    )))
+
+    def mat(*shape):
+        return np.array([next(entries) for _ in range(math.prod(shape))]).reshape(shape)
+
+    A = mat(m, m)
+    G = A @ A.T + np.eye(m) + np.full((m, m), 0.25)  # the last term is PSD, not diagonal
+    B = np.eye(n, m) + 0.3 * mat(n, m)  # full rank: the n x n block is regular
+    phi_t, phi_x, f = mat(n), mat(n, m), 3.0 * mat(m)
+    t, x, v = next(entries), mat(m), mat(m)
+    phi = SmoothMap(
+        dim=n, value=lambda t, x, v: np.zeros(n), jac_t=lambda t, x, v: phi_t,
+        jac_x=lambda t, x, v: phi_x, jac_v=lambda t, x, v: B,
+    )
+    cs = ConstraintSet.general(m, phi)
+    sys = MechanicalSystem(MassMatrix(G), ForceField(m, lambda t, x, v: f))
+    S, real = B, None
+    if realized:
+        S = B + 0.5 * mat(n, m)
+        assume(np.linalg.cond(B @ sys.mass.inverse @ S.T) < 1e6)
+        real = Realization(SmoothMap(dim=n, value=lambda t, x, v: S))
+    return sys, cs, real, t, x, v, f, B, phi_t + phi_x @ v, S
+
+
+@pytest.mark.parametrize("realized", [False, True], ids=["ideal", "realization"])
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_multiplier_solver_matches_the_closed_form_on_random_systems(m, n, realized, data):
+    # Lambda^T = -(phi_v G^-1 S^T)^-1 (phi_t + phi_x v + phi_v G^-1 f^T),
+    # written out with `@`, bit for bit
+    sys, cs, real, t, x, v, f, B, drift, S = data.draw(_multiplier_problems(m, n, realized))
+    Ginv = sys.mass.inverse
+    W = B @ Ginv
+    rhs = drift + W @ f
+    M = W @ S.T
+    if real is not None:
+        lam = -np.linalg.solve(M, rhs)
+    elif cs.n == 1:
+        lam = -(rhs / M[0, 0])
+    else:
+        c = np.linalg.cholesky(M)
+        lam = -np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+    solve = _multiplier_solver(sys, cs, real)
+    # through its own evaluation of the force and the jet, and given them
+    for got in (solve(t, x, v), solve(t, x, v, jet=(B, drift), f=f)):
+        for a, b in zip(got, (f, B, S, lam, M, drift)):
+            assert a.tobytes() == b.tobytes()
+    assert _accel_raw(solve, Ginv, t, x, v).tobytes() == (Ginv @ (f + lam @ S)).tobytes()
 
 
 @pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum", "knife-edge"])

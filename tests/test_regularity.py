@@ -33,7 +33,7 @@ from constrained_dynamics import (
     virtual_basis,
 )
 from constrained_dynamics.cli import main
-from constrained_dynamics.generalized import _chart_invert, second_kind_acceleration
+from constrained_dynamics.generalized import _chart_invert, _metric_solve, second_kind_acceleration
 from constrained_dynamics.integrate import project_to_manifold
 from constrained_dynamics.reactions import _chol_solve
 from constrained_dynamics.scenarios import circle_embedding, sphere_polar_embedding
@@ -339,3 +339,43 @@ def test_stacked_svd_raises_for_its_earliest_failure():
     for i, M in enumerate(mats):
         Ui, si, Vti = np.linalg.svd(M)
         assert np.array_equal(U[i], Ui) and np.array_equal(s[i], si) and np.array_equal(Vt[i], Vti)
+
+
+# the 1x1 sites test their pivot as a float; each verdict must be the one the
+# rule gives on the numpy scalar those sites read before
+PIVOTS = [
+    0.0, -0.0, -1.0, 5e-324, 1e-300, float(np.nextafter(1e-12, 0)), 1e-12,
+    float(np.nextafter(1e-12, 1)), 1.0, 1e308, float("inf"), float("-inf"), NAN,
+]
+ONE_BY_ONE = {
+    "_chol_solve": (_chol_solve, 0.0, "constraint Gram matrix", RegularityError),
+    "_metric_solve": (_metric_solve, 1e-12, "chart metric M2 = u_y^T G u_y", ChartError),
+}
+
+
+def _verdict(call):
+    """None if ``call()`` returns, else its exception's type, message and,
+    for a RegularityError, repr of its sigma_min and t."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc), repr(getattr(exc, "sigma_min", None)), getattr(exc, "t", None)
+    return None
+
+
+@pytest.mark.parametrize("site", sorted(ONE_BY_ONE))
+@pytest.mark.parametrize("pivot", PIVOTS, ids=repr)
+def test_1x1_pivot_verdict_equals_the_rule(site, pivot):
+    from constrained_dynamics.constraints import require_regular
+
+    solve, tol, what, error = ONE_BY_ONE[site]
+    g = np.float64(pivot)
+    rhs = np.array([0.1, -7.3, 1e300, -0.0])
+    expected = _verdict(lambda: require_regular(g, g, tol, what, 0.5, error))
+    with np.errstate(over="ignore"):  # 1e300 / 1e-12 is inf either way
+        assert _verdict(lambda: solve(np.array([[pivot]]), rhs, 0.5)) == expected
+        if expected is None:
+            assert solve(np.array([[pivot]]), rhs, 0.5).tobytes() == (rhs / g).tobytes()
+            if site == "_chol_solve":  # the ideal multiplier solve folds its sign in
+                got = _chol_solve(np.array([[pivot]]), rhs, 0.5, -1.0)
+                assert got.tobytes() == (-(rhs / g)).tobytes()

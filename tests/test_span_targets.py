@@ -60,9 +60,8 @@ REACHED_BY = {
         "checks.check_gde", "checks.check_reparametrization", "checks.check_covariance",
         "checks.check_energy", "generalized.covariance_residual", "reactions.invariance_report",
     ),
-    # the checks never call reaction: check_virtual_work solves through
-    # reactions._ideal_reaction and the reparametrization check through
-    # invariance_report's stacked kernel
+    # the checks never call reaction: check_virtual_work and invariance_report
+    # each solve through one reactions._multiplier_solver of their own
     "reactions": ("reactions.reaction",),
 }
 # targets that no CLI op reaches, by design
@@ -123,3 +122,8 @@ def test_the_engine_reaches_every_span_target(tmp_path, monkeypatch):
         calls.clear()
         assert main([op, *argv]) == 0
         assert [t for t in REACHED_BY[op] if calls[t] == 0] == [], op
+        if op == "simulate":
+            # every RK4 stage goes through the rebound name: 3 per step of
+            # the 10, so that a solver bound past the tracer's rebinding
+            # cannot leave integrate.accel_us reading 0
+            assert calls["integrate._accel_raw"] == 3 * 10
