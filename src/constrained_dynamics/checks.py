@@ -16,7 +16,12 @@ from . import __version__
 from .constraints import _fix_signs, _kernel_basis
 from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
-from .reactions import Reparametrization, _multiplier_solver, invariance_report
+from .reactions import (
+    Reparametrization,
+    _raise_earlier_failure,
+    _stacked_solve,
+    invariance_report,
+)
 from .scenarios import Scenario, uniform_rows
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
@@ -152,17 +157,24 @@ def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry
         return _skipped("virtual-work", "unconstrained system")
     cs = sc.constraints
     t, X, V = sc.sample_states(np.random.default_rng(11), count)
-    solve = _multiplier_solver(sc.system, cs)
-
-    def ideal(ti, x, v):  # (phi_v, N = Lambda phi_v) at one state
-        _, phi_v, _, lam, _, _ = solve(ti, x, v)
-        return phi_v, lam.dot(phi_v)
-
-    B, N = map(np.array, zip(*(ideal(ti, x, v) for ti, x, v in zip(t.tolist(), X, V))))
-    # one stacked SVD for every kernel basis; N[i] Xi[i] row by row, on
-    # C-contiguous Xi[i], gives the bits of the per-state product
-    Xi = _fix_signs(_kernel_basis(B, cs.n, t))
-    work = np.array([np.abs(N[i].dot(Xi[i])).max() for i in range(t.size)])
+    force, jet, Ginv = sc.system.force, cs.jet, sc.system.mass.inverse
+    k, n, m = t.size, cs.n, cs.dim
+    # every state's force and jet (phi_v, phi_t + phi_x v), written in place
+    F, drift, B = np.empty((k, m)), np.empty((k, n)), np.empty((k, n, m))
+    i = 0
+    try:
+        for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
+            F[i] = force(ti, x, v)
+            B[i], drift[i] = jet(ti, x, v)
+    except Exception as exc:  # the solves of the states before i come first
+        _raise_earlier_failure(
+            exc, lambda: i and _stacked_solve(Ginv, B[:i], drift[:i], F[:i], t[:i])
+        )
+        raise
+    _, N = _stacked_solve(Ginv, B, drift, F, t)
+    # one stacked SVD for every kernel basis, and N Xi for every state at once
+    Xi = _fix_signs(_kernel_basis(B, n, t))
+    work = np.abs((N[:, None, :] @ Xi)[:, 0]).max(axis=1)
     worst = np.max(work / (1.0 + np.abs(N).max(axis=1)), initial=0.0)
     return [_entry("virtual-work", worst, thresholds["virtual-work"])]
 

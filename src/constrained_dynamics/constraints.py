@@ -52,6 +52,14 @@ def require_regular(lo, hi, tol: float, what: str, t: Optional[float], error=Reg
     raise RegularityError(msg, float(lo), t) if error is RegularityError else error(msg)
 
 
+def require_regular_stack(lo, hi, tol: float, what: str, times, error=RegularityError):
+    """:func:`require_regular` for k matrices at once: ``lo``, ``hi`` and
+    ``times`` hold one entry per matrix, and the earliest matrix that fails
+    the rule raises."""
+    i = int(np.argmin(lo > tol * np.maximum(1.0, hi)))  # the first failure, or the first of all
+    require_regular(lo[i], hi[i], tol, what, float(times[i]), error)
+
+
 def regular_svd(M: Array, tol: float, what: str, t, error=RegularityError):
     """(U, s, Vt), the full SVD of M, once its singular values pass
     :func:`require_regular`.  LAPACK's SVD does not converge on a NaN entry,
@@ -69,11 +77,8 @@ def regular_svd(M: Array, tol: float, what: str, t, error=RegularityError):
         for Mi, ti in zip(M, t):  # one unfactorable matrix fails the stack
             regular_svd(Mi, tol, what, float(ti), error)
         raise
-    lo, hi = s[..., -1], s[..., 0]
-    if stack:  # the first matrix that fails, or the first of all
-        i = int(np.argmin(lo > tol * np.maximum(1.0, hi)))
-        lo, hi, t = lo[i], hi[i], float(t[i])
-    require_regular(lo, hi, tol, what, t, error)
+    check = require_regular_stack if stack else require_regular
+    check(s[..., -1], s[..., 0], tol, what, t, error)
     return U, s, Vt
 
 

@@ -321,6 +321,11 @@ def _combine(y: list, h: float, coeffs, ks) -> list:
     return out
 
 
+def _stalled(t: float, h: float) -> RuntimeError:
+    """The error of a step h that rounds t + h back to t: the march would not advance."""
+    return RuntimeError(f"a step of h={h} does not advance t={t}")
+
+
 def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     """Integrate the second-order system q'' = accel(t, q, p), p = q', from
     (t, q, p) to ``t_end`` with ``cfg.method``; ``a`` is accel(t, q, p).
@@ -340,7 +345,9 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     An :class:`EvaluationError` from a stage or a sample, or for a
     Dormand-Prince attempt with a non-finite y5 or error estimate, names
     where it arose (RK4 stage 2-4, Dormand-Prince stage 2-7, the error test
-    or the sample) in the step from the last accepted (t, q, p).
+    or the sample) in the step from the last accepted (t, q, p).  A step h
+    below half an ulp of t, for which t + h == t, raises RuntimeError
+    naming t and h before any stage: the march would not advance.
     """
     # floats, so that a numpy scalar t, t_end, dt or tolerance leaves none in y
     t, t_end, dt, tol = float(t), float(t_end), float(cfg.dt), float(cfg.tolerance)
@@ -370,6 +377,8 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     if cfg.method == "rk4-fixed":
         while t < t_stop:
             h = min(dt, t_end - t)
+            if t + h == t:
+                raise _stalled(t, h)
             hh, h6 = 0.5 * h, h / 6.0
             try:
                 where = "RK4 stage 2"
@@ -392,6 +401,8 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     h = dt
     while t < t_stop:
         h = min(h, t_end - t)
+        if t + h == t:
+            raise _stalled(t, h)
         ks = [k1]
         try:
             for i in range(1, 7):

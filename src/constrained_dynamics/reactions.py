@@ -23,8 +23,10 @@ import numpy as np
 from .constraints import (
     ConstraintSet,
     VirtualBasis,
+    RegularityError,
     regular_svd,
     require_regular,
+    require_regular_stack,
 )
 from .smooth import Array, SmoothMap, State, central_differences, shaped, time_difference
 from .system import MechanicalSystem
@@ -43,23 +45,41 @@ class ReactionResult:
 _GRAM = "constraint Gram matrix"
 
 
-def _chol_solve(gram: Array, rhs: Array, t: float, sign: float = 1.0) -> Array:
+def _chol_solve(gram: Array, rhs: Array, t, sign: float = 1.0) -> Array:
     """sign gram^-1 rhs (``sign`` 1 or -1) for a Gram matrix B G^-1 B^T, whose Cholesky
     pivots must pass the regularity rule with floor 0.  A 1x1 matrix is its own pivot,
-    tested as a float, 0 < g < inf, and rhs / (sign g) has the bits of sign (rhs / g)."""
-    if gram.shape[0] == 1:
+    tested as a float, 0 < g < inf, and rhs / (sign g) has the bits of sign (rhs / g).
+
+    ``gram`` may also be a (k, n, n) stack, with rhs (k, n) and the k times ``t``:
+    one stacked test and solve with the bits of k single ones, and the earliest
+    matrix that fails the rule raises.
+    """
+    stack = gram.ndim == 3
+    if gram.shape[-1] == 1:
+        if stack:
+            g = gram[:, :, 0]
+            require_regular_stack(g[:, 0], g[:, 0], 0.0, _GRAM, t)
+            return rhs / (sign * g)
         g = gram.item()
         if not 0.0 < g < np.inf:
             require_regular(g, g, 0.0, _GRAM, t)
         return rhs / (sign * g)
     try:
         c = np.linalg.cholesky(gram)
-        pivots = np.diagonal(c)
-        lo, hi = pivots.min(), pivots.max()
+        pivots = np.diagonal(c, axis1=-2, axis2=-1)
+        lo, hi = pivots.min(axis=-1), pivots.max(axis=-1)
     except np.linalg.LinAlgError:  # the factorization stops at a pivot <= 0
+        if stack:  # one unfactorable matrix fails the stack
+            for gi, ri, ti in zip(gram, rhs, t):
+                _chol_solve(gi, ri, float(ti))
+            raise
         lo = hi = 0.0
-    require_regular(lo, hi, 0.0, _GRAM, t)
-    return sign * np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+    if not stack:
+        require_regular(lo, hi, 0.0, _GRAM, t)
+        return sign * np.linalg.solve(c.T, np.linalg.solve(c, rhs))
+    require_regular_stack(lo, hi, 0.0, _GRAM, t)
+    cT = c.swapaxes(1, 2)
+    return sign * np.linalg.solve(cT, np.linalg.solve(c, rhs[:, :, None]))[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -114,6 +134,35 @@ def _multiplier_solver(sys: MechanicalSystem, cs, real: Optional[Realization] = 
         return f, B, S, _realization_solve(M, rhs, t), M, drift
 
     return solve
+
+
+def _stacked_solve(Ginv: Array, B: Array, drift: Array, F: Array, t: Array) -> tuple:
+    """(Lambda, N = Lambda phi_v) of the ideal reaction at k states at once, from
+    the (k, n, m), (k, n) and (k, m) stacks of phi_v, phi_t + phi_x v and the
+    force at the k times ``t``.
+
+    Each stacked `@` takes a state's product with the operations of the
+    ndarray.dot of :func:`_multiplier_solver`, so every row has the bits of
+    that per-state solve, but for the sign of an entry of N whose product
+    Lambda_j phi_v[j, l] underflows to zero (+0.0 here, -0.0 there).  The
+    earliest state whose Gram matrix fails the rule raises.  A per-step
+    caller keeps the per-state solve: on one state the stacked one costs
+    several times as much.
+    """
+    W = B @ Ginv
+    rhs = drift + (W @ F[:, :, None])[:, :, 0]
+    lam = _chol_solve(W @ B.swapaxes(1, 2), rhs, t, -1.0)
+    return lam, (lam[:, None, :] @ B)[:, 0]
+
+
+def _raise_earlier_failure(exc: Exception, deferred: Callable[[], object]) -> None:
+    """Raise from ``exc`` the :class:`RegularityError` of ``deferred()``: the
+    stacked regularity tests of the states before ``exc``, which a per-state
+    loop would have made, and failed, first.  Return when they pass."""
+    try:
+        deferred()
+    except RegularityError as first:
+        raise first from exc
 
 
 def reaction(
@@ -249,8 +298,14 @@ def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
 def _chain_rule(U_s: Array, U_z: Array, phi_s: Array) -> Array:
     """psi_s = U_s + U_z phi_s: the partial of psi = U(t, x, v, phi(t, x, v))
     in one slot s of t, x and v, from U's partials U_s and U_z at z = phi
-    and phi's partial phi_s."""
-    return U_s + U_z.dot(phi_s)
+    and phi's partial phi_s, at one state or for a stack of k states.  In
+    the t slot U_s and phi_s are vectors of n entries, or (k, n) stacks.
+
+    `@` gives a stack's rows the bits of one state's.
+    """
+    if phi_s.ndim < U_z.ndim:  # the t slot, taken as one column
+        return U_s + (U_z @ phi_s[..., None])[..., 0]
+    return U_s + U_z @ phi_s
 
 
 def invariance_report(
@@ -269,35 +324,75 @@ def invariance_report(
     representation-independent only on phi = 0, so a state violating
     ||phi||_inf <= tol is rejected.  Each state evaluates phi, phi_t, phi_x,
     phi_v and the force once, whatever the number of families, and each
-    family U_z, U_t, U_x and U_v once: psi's partials follow from phi's by
-    :func:`_chain_rule`, with the operations of ``reparametrize``'s
-    Jacobians, and both reactions come from the one multiplier solver that
-    the call builds.
+    family U_z, U_t, U_x and U_v once, in state order.  Then psi's partials
+    follow from phi's by :func:`_chain_rule`, with the operations of
+    ``reparametrize``'s Jacobians, and every reaction comes from one
+    :func:`_stacked_solve`, ordered as a per-state loop solves: by state,
+    and at a state phi before the families, in their order.  So a failing
+    Gram matrix raises for the earliest such solve, and a map that fails
+    raises only after the solves that such a loop finishes before it pass.
     """
     for rep in reps:
         reparametrize(cs, rep)
-    phi, solve = cs.phi, _multiplier_solver(sys, cs)
-    worst = 0.0
-    for ti, x, v in zip(np.asarray(t, float).tolist(), X, V):
-        z = phi(ti, x, v)
-        resid = float(np.abs(z).max(initial=0.0))
-        if resid > on_manifold_tol:
-            raise ValueError(
-                f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
-            )
-        f = sys.force(ti, x, v)
-        phi_t, phi_x, phi_v = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
+    phi, force, Ginv = cs.phi, sys.force, sys.mass.inverse
+    t, V = np.asarray(t, float), np.asarray(V, float)
+    k, n, m, nf = min(t.size, len(X), len(V)), cs.n, cs.dim, len(reps)
+    if k == 0:
+        return 0.0
+    # every state's maps, written in place: f and phi's partials, and U's per
+    # family; zeros, as a failing state's unevaluated maps pass through the
+    # stacked chain rule before its solves are cut to the finished ones
+    f, phi_t = np.zeros((k, m)), np.zeros((k, n))
+    phi_x, phi_v = np.zeros((k, n, m)), np.zeros((k, n, m))
+    U_z, U_t = np.zeros((nf, k, n, n)), np.zeros((nf, k, n))
+    U_x, U_v = np.zeros((nf, k, n, m)), np.zeros((nf, k, n, m))
+
+    def reactions(states, solves=None):
+        """N of the first ``solves`` (all when None) of the solves at the
+        first ``states`` states, in state order and at a state phi's first."""
+        v = V[:states, :, None]
         # phi's own jet, equal to ConstraintSet.jet's but for the sign of an
         # exact zero where a holonomic or scleronomic set reads it otherwise
-        N_phi = solve(ti, x, v, (phi_v, phi_t + phi_x.dot(v)), f)[3].dot(phi_v)
-        for rep in reps:
-            U_z = rep.d_z(ti, x, v, z)
-            psi_t = _chain_rule(rep.d_t(ti, x, v, z), U_z, phi_t)
-            psi_x = _chain_rule(rep.d_x(ti, x, v, z), U_z, phi_x)
-            psi_v = _chain_rule(rep.d_v(ti, x, v, z), U_z, phi_v)
-            N_psi = solve(ti, x, v, (psi_v, psi_t + psi_x.dot(v)), f)[3].dot(psi_v)
-            worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
-    return worst
+        B, drift = [phi_v[:states]], [phi_t[:states] + (phi_x[:states] @ v)[:, :, 0]]
+        for j in range(nf):
+            Uz = U_z[j, :states]
+            psi_x = _chain_rule(U_x[j, :states], Uz, phi_x[:states])
+            B.append(_chain_rule(U_v[j, :states], Uz, phi_v[:states]))
+            drift.append(_chain_rule(U_t[j, :states], Uz, phi_t[:states]) + (psi_x @ v)[:, :, 0])
+        return _stacked_solve(
+            Ginv, np.stack(B, 1).reshape(-1, n, m)[:solves],
+            np.stack(drift, 1).reshape(-1, n)[:solves], np.repeat(f[:states], 1 + nf, 0)[:solves],
+            np.repeat(t[:states], 1 + nf)[:solves],
+        )[1]
+
+    i = solved = 0  # the state, and the number of its solves whose maps are all evaluated
+    try:
+        for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
+            solved = 0
+            z = phi(ti, x, v)
+            resid = float(np.abs(z).max(initial=0.0))
+            if resid > on_manifold_tol:
+                raise ValueError(
+                    f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
+                )
+            f[i] = force(ti, x, v)
+            phi_t[i], phi_x[i], phi_v[i] = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
+            for j, rep in enumerate(reps):
+                solved = j + 1  # phi's solve and those of the families before j
+                U_z[j, i], U_t[j, i], U_x[j, i], U_v[j, i] = (
+                    rep.d_z(ti, x, v, z), rep.d_t(ti, x, v, z), rep.d_x(ti, x, v, z),
+                    rep.d_v(ti, x, v, z),
+                )
+    except Exception as exc:
+        # the solves a per-state loop finishes before the failure: those of
+        # the states before i, and the first ``solved`` at i
+        done = i * (1 + nf) + solved
+        _raise_earlier_failure(exc, lambda: done and reactions(i + 1, done))
+        raise
+    N = reactions(k).reshape(k, 1 + nf, m)
+    # over the states and families a NaN difference is passed over, as the
+    # per-state max(worst, nan) passes over it
+    return float(np.fmax.reduce(np.abs(N[:, 1:] - N[:, :1]).max(axis=2).ravel(), initial=0.0))
 
 
 def virtual_work(res: ReactionResult, basis: VirtualBasis) -> float:

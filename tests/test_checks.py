@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from constrained_dynamics import integrate_first_kind
+from constrained_dynamics import RegularityError, integrate_first_kind
 from constrained_dynamics.checks import (
     DEFAULT_THRESHOLDS,
     Report,
@@ -11,6 +13,7 @@ from constrained_dynamics.checks import (
     reparametrization_families,
 )
 from constrained_dynamics.scenarios import parse_scenario
+from constrained_dynamics.smooth import EvaluationError
 
 
 def test_report_text_layout():
@@ -298,3 +301,60 @@ def test_covariance_check_draws_t_from_the_scenario_span(spherical, monkeypatch)
     sc = dataclasses.replace(spherical, sample_t_hi=0.5)
     assert checks.check_covariance(sc, DEFAULT_THRESHOLDS)[0].passed
     assert len(times) == 200 and 0.0 <= min(times) and max(times) < 0.5
+
+
+def _faulty_pendulum(pendulum, force_nan_at, gx_scale):
+    """(scenario, sampled times) of the virtual-work check on the pendulum,
+    with its force NaN at the sampled state ``force_nan_at`` and its g_x
+    scaled by s at the state i of ``gx_scale`` = (i, s): by 0 the Gram
+    matrix is zero there, by 1e-9 phi_v fails the 1e-8 rank rule while the
+    Gram matrix (floor 0) passes."""
+    import dataclasses
+
+    from constrained_dynamics import ForceField, MechanicalSystem, lift_holonomic
+
+    t = pendulum.sample_states(np.random.default_rng(11), 4)[0].tolist()
+    sys, cs = pendulum.system, pendulum.constraints
+    f, g = sys.force, cs.generator
+    f_at = None if force_nan_at is None else t[force_nan_at]
+    g_at, scale = t[gx_scale[0]], gx_scale[1]
+
+    def force(tt, x, v):
+        return np.full(2, np.nan) if tt == f_at else f.value(tt, x, v)
+
+    def d_x(tt, x):
+        return (scale if tt == g_at else 1.0) * g.d_x(tt, x)
+
+    sc = dataclasses.replace(
+        pendulum,
+        system=MechanicalSystem(mass=sys.mass, force=ForceField(2, force, f.potential)),
+        constraints=lift_holonomic(dataclasses.replace(g, d_x=d_x), 2, cs.scleronomic),
+    )
+    return sc, t
+
+
+_GRAM = (RegularityError, r"^constraint Gram matrix is degenerate at t={} ")
+_RANK = (RegularityError, r"^constraint Jacobian phi_v is degenerate at t={} ")
+_FORCE = (EvaluationError, r"^force field f\(t, x, v\) is non-finite at t={}$")
+
+
+@pytest.mark.parametrize("force_nan_at, gx_scale, fails, state", [
+    # a zero Gram matrix at state 0 before a NaN force at state 1, and the reverse
+    (1, (0, 0.0), _GRAM, 0),
+    (0, (1, 0.0), _FORCE, 0),
+    # phi_v's rank is tested after every solve: a NaN force at state 2
+    # outranks a rank failure at state 0
+    (2, (0, 1e-9), _FORCE, 2),
+    (None, (0, 1e-9), _RANK, 0),
+])
+def test_virtual_work_check_fails_as_a_per_state_loop(
+    pendulum, force_nan_at, gx_scale, fails, state
+):
+    from constrained_dynamics.checks import check_virtual_work
+
+    (error, message), (sc, t) = fails, _faulty_pendulum(pendulum, force_nan_at, gx_scale)
+    with pytest.raises(Exception, match=message.format(re.escape(str(t[state])))) as err:
+        check_virtual_work(sc, DEFAULT_THRESHOLDS, count=4)
+    assert err.type is error
+    if error is RegularityError:
+        assert err.value.t == t[state]

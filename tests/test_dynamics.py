@@ -542,6 +542,8 @@ def test_one_multiplier_solver_per_run(pendulum, cfg, monkeypatch):
 
 
 def test_one_multiplier_solver_per_check(pendulum):
+    # reaction solves its one state with a per-state solver; the sampled
+    # checks make no per-state solve, and solve all their states at once
     from constrained_dynamics import checks, reactions
 
     sc = pendulum
@@ -549,17 +551,28 @@ def test_one_multiplier_solver_per_check(pendulum):
         counts = _counting_solvers(mp, reactions)
         reaction(sc.system, sc.constraints, sc.initial)
     assert counts == [1, 1]
-    with pytest.MonkeyPatch.context() as mp:
-        counts = _counting_solvers(mp, checks)
-        checks.check_virtual_work(sc, checks.DEFAULT_THRESHOLDS, count=50)
-    assert counts == [1, 50]
     t, X, V = sc.sample_states(np.random.default_rng(3), 20)
     reps = [Reparametrization.identity(1), Reparametrization.linear([[2.0]])]
-    with pytest.MonkeyPatch.context() as mp:
-        counts = _counting_solvers(mp, reactions)
-        reactions.invariance_report(sc.system, sc.constraints, reps, t, X, V)
-    # one solve for phi and one per family at each state
-    assert counts == [1, 20 * 3]
+    runs = [
+        lambda: checks.check_virtual_work(sc, checks.DEFAULT_THRESHOLDS, count=50),
+        lambda: reactions.invariance_report(sc.system, sc.constraints, reps, t, X, V),
+    ]
+    for run, states in zip(runs, [50, 20 * (1 + len(reps))]):
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _counting_solvers(mp, reactions)
+            stacked = []
+            solve = reactions._stacked_solve
+
+            def counted(Ginv, B, *args):
+                stacked.append(len(B))
+                return solve(Ginv, B, *args)
+
+            for module in (checks, reactions):
+                mp.setattr(module, "_stacked_solve", counted)
+            run()
+        # invariance_report stacks phi's solve and each family's at every state
+        assert counts == [0, 0] and stacked == [states]
+    assert not hasattr(checks, "_multiplier_solver")
 
 
 def _generator_calls(sc, cfg):
@@ -983,6 +996,49 @@ def test_first_kind_runs_a_horizon_just_past_the_round_off_margin(pendulum):
         pendulum.system, pendulum.constraints, pendulum.initial, 2e-12, IntegratorConfig()
     )
     assert traj.times.tolist() == [0.0, 2e-12]
+
+
+class _Unending(Exception):
+    """Raised by a march's ``record`` once it has taken more samples than the run can have."""
+
+
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_a_step_that_does_not_advance_t_is_refused(method):
+    # one ulp of t = 1e6 is 1.16e-10, so t + 1e-11 == t: without the refusal
+    # the RK4 march records samples at t = 1e6 without end
+    samples = []
+
+    def record(t, q, p):
+        samples.append(t)
+        if len(samples) > 10:
+            raise _Unending
+        return q, p, -q
+
+    cfg = IntegratorConfig(method=method, dt=1e-11)
+    one = np.ones(1)
+    with pytest.raises(RuntimeError, match=r"^a step of h=1e-11 does not advance t=1000000\.0$"):
+        _march(lambda t, q, p: -q, record, 1e6, one, 0 * one, -one, 1e6 + 1e-3, cfg)
+    assert samples == []
+
+
+def test_first_kind_run_far_from_t0_refuses_a_step_below_an_ulp(pendulum):
+    import dataclasses
+
+    f, calls = pendulum.system.force, [0]
+
+    def force(t, x, v):  # 10 steps of 4 calls need 41; without the refusal, no end
+        calls[0] += 1
+        if calls[0] > 1000:
+            raise _Unending
+        return f.value(t, x, v)
+
+    sys = dataclasses.replace(pendulum.system, force=dataclasses.replace(f, value=force))
+    s = pendulum.initial
+    start = State(1e6, s.x, s.v)  # the pendulum is scleronomic: still on the manifold
+    run = (sys, pendulum.constraints, start, 1e6 + 1e-3)
+    assert len(integrate_first_kind(*run, IntegratorConfig(dt=1e-4))) == 11
+    with pytest.raises(RuntimeError, match=r"h=1e-11 does not advance t=1000000\.0"):
+        integrate_first_kind(*run, IntegratorConfig(dt=1e-11))
 
 
 @pytest.mark.parametrize("realization", [False, True], ids=["ideal", "realization"])

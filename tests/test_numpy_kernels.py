@@ -43,7 +43,12 @@ from constrained_dynamics.generalized import (
     second_kind_acceleration,
 )
 from constrained_dynamics.integrate import _accel_raw
-from constrained_dynamics.reactions import _chol_solve, _multiplier_solver
+from constrained_dynamics.reactions import (
+    _chain_rule,
+    _chol_solve,
+    _multiplier_solver,
+    _stacked_solve,
+)
 from constrained_dynamics.scenarios import uniform_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -181,13 +186,13 @@ def test_tiny_products_skip_the_array_function_dispatcher():
 
 
 # the functions whose products are all ndarray.dot, per module: the per-step
-# and per-sample kernels, the sampled checks' per-state work and the catalog
-# maps they call.  u_yy w keeps `@` (in generalized.py), as .dot changes the
-# bits of its 3-D product.
+# and per-sample kernels and the catalog maps they call.  u_yy w keeps `@`
+# (in generalized.py), as .dot changes the bits of its 3-D product.  The
+# sampled checks solve their states as stacks, whose `@` the bit-identity
+# test of the stacked solve holds to the per-state one.
 DOT_ONLY = {
     "integrate.py": {"_accel_raw", "project_to_manifold", "_sample"},
-    "reactions.py": {"_multiplier_solver", "_chain_rule", "invariance_report"},
-    "checks.py": {"check_virtual_work"},
+    "reactions.py": {"_multiplier_solver"},
     "scenarios.py": {"_make_force", "sphere_generator"},
 }
 
@@ -321,6 +326,74 @@ def test_multiplier_solver_matches_the_closed_form_on_random_systems(m, n, reali
         for a, b in zip(got, (f, B, S, lam, M, drift)):
             assert a.tobytes() == b.tobytes()
     assert _accel_raw(solve, Ginv, t, x, v).tobytes() == (Ginv @ (f + lam @ S)).tobytes()
+
+
+@st.composite
+def _stacked_problems(draw):
+    """(sys, t, B, drift, F, chain) at k = 1-8 states away from the catalog: a
+    non-diagonal m x m SPD G (m = 2-4), n = 1-2 constraints, and stacks of
+    phi_v, drift and force; ``chain`` holds (U_z, U_t, phi_t, U_x, phi_x)
+    stacks for the chain rule.  Entries are uniform in [-1, 1], or with
+    chance 0.1 each +0.0, -0.0 and +-1e-200, whose products underflow.  The
+    Gram matrix of one state may be zero or NaN."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, min(2, m - 1)))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mat(*shape):
+        special = rng.choice([0.0, -0.0, 1e-200, -1e-200], shape)
+        return np.where(rng.random(shape) < 0.4, special, rng.uniform(-1.0, 1.0, shape))
+
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    G = A @ A.T + np.eye(m) + np.full((m, m), 0.25)  # the last term is PSD, not diagonal
+    B = mat(k, n, m)
+    B[:, range(n), range(n)] += 2.0  # full rank, with the special entries off the diagonal
+    drift, F = mat(k, n), 3.0 * mat(k, m)
+    chain = mat(k, n, n), mat(k, n), mat(k, n), mat(k, n, m), mat(k, n, m)
+    fault = draw(st.sampled_from([None, 0.0, np.nan]))
+    if fault is not None:
+        B[draw(st.integers(0, k - 1))] = fault
+    t = 0.5 * np.arange(k) + draw(st.floats(-1.0, 1.0))
+    sys = MechanicalSystem(MassMatrix(G), ForceField(m, lambda t, x, v: np.zeros(m)))
+    return sys, t, B, drift, F, chain
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(problem=_stacked_problems())
+def test_stacked_solve_has_the_bits_of_the_per_state_solve(problem):
+    # the sampled checks' stacked solve and chain rule against the solve of
+    # _multiplier_solver, given each state's jet and force, and the chain
+    # rule of one state: the same bits, and the same first failure
+    sys, t, B, drift, F, (U_z, U_t, phi_t, U_x, phi_x) = problem
+    k, n, m = B.shape
+    phi = SmoothMap(dim=n, value=lambda t, x, v: np.zeros(n))
+    solve = _multiplier_solver(sys, ConstraintSet.general(m, phi))
+    x = np.zeros(m)
+
+    def per_state():
+        for i, ti in enumerate(t.tolist()):
+            lam = solve(ti, x, x, jet=(B[i], drift[i]), f=F[i])[3]
+            yield lam, lam.dot(B[i])
+
+    try:
+        want = list(per_state())
+    except RegularityError as exc:
+        with pytest.raises(RegularityError) as err:
+            _stacked_solve(sys.mass.inverse, B, drift, F, t)
+        assert (str(err.value), err.value.t) == (str(exc), exc.t)
+    else:
+        lam, N = _stacked_solve(sys.mass.inverse, B, drift, F, t)
+        assert [row.tobytes() for row in lam] == [w[0].tobytes() for w in want]
+        # a product Lambda_j phi_v[j, l] that underflows is -0.0 through the
+        # one-row ndarray.dot and +0.0 through `@`; + 0.0 maps -0.0 to +0.0
+        # and keeps every other bit
+        assert [(row + 0.0).tobytes() for row in N] == [(w[1] + 0.0).tobytes() for w in want]
+    for U_s, phi_s in ((U_t, phi_t), (U_x, phi_x)):
+        got = _chain_rule(U_s, U_z, phi_s)
+        assert [row.tobytes() for row in got] == [
+            _chain_rule(*one).tobytes() for one in zip(U_s, U_z, phi_s)
+        ]
 
 
 @pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum", "knife-edge"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from constrained_dynamics import (
     virtual_basis,
     virtual_work,
 )
+from constrained_dynamics.smooth import EvaluationError
 
 
 def test_pendulum_tension(pendulum, pendulum_bottom):
@@ -333,6 +336,75 @@ def test_invariance_report_refuses_a_degenerate_psi_gram_matrix(pendulum, pendul
     with pytest.raises(RegularityError, match=r"constraint Gram matrix is degenerate at t=2\.0 ") as err:
         invariance_report(*args, [1.0, 2.0], [s.x, s.x], [s.v, s.v])
     assert err.value.t == 2.0
+
+
+# invariance_report evaluates every state's maps before it solves; it must
+# fail as a per-state loop does, which solves phi and then each family at a
+# state before it moves on
+
+
+def _degenerate_at(t0, fail_x_at=None):
+    """U = (t - t0) z, which passes the probes (t in [-1, 1]) and whose psi
+    Gram matrix is zero at t = t0; its U_x raises EvaluationError at
+    t = ``fail_x_at``."""
+    def jac_x(t, x, v, z):
+        if t == fail_x_at:
+            raise EvaluationError(f"U_x failed at t={t}")
+        return np.zeros((1, 2))
+
+    return Reparametrization(
+        n=1,
+        value=lambda t, x, v, z: (t - t0) * np.asarray(z, float),
+        jac_z=lambda t, x, v, z: np.array([[t - t0]]),
+        jac_t=lambda t, x, v, z: np.asarray(z, float),
+        jac_x=jac_x,
+        jac_v=lambda t, x, v, z: np.zeros((1, 2)),
+    )
+
+
+def _nan_force_at(sys, t0):
+    from constrained_dynamics import ForceField
+
+    f = sys.force
+    value = lambda t, x, v: np.full(2, np.nan) if t == t0 else f.value(t, x, v)  # noqa: E731
+    return MechanicalSystem(mass=sys.mass, force=ForceField(2, value, f.potential))
+
+
+_GRAM = (RegularityError, r"^constraint Gram matrix is degenerate at t={} ")
+_FORCE = (EvaluationError, r"^force field f\(t, x, v\) is non-finite at t={}$")
+_OFF = (ValueError, r"^state at t={} is off-manifold")
+_U_X = (EvaluationError, r"^U_x failed at t={}$")
+
+
+@pytest.mark.parametrize("reps, force_nan_at, off_at, fails, at", [
+    # a degenerate psi Gram matrix at state 0 comes before a map fault at state 1
+    ([_degenerate_at(2.0)], 3.0, None, _GRAM, 2.0),
+    ([_degenerate_at(2.0)], None, 3.0, _GRAM, 2.0),
+    # and a map fault at state 0 before a degenerate Gram matrix at state 1
+    ([_degenerate_at(3.0)], 2.0, None, _FORCE, 2.0),
+    ([_degenerate_at(3.0)], None, 2.0, _OFF, 2.0),
+    # at one state the families solve in order: family 0's degenerate Gram
+    # matrix before family 1's U_x fault, and family 0's U_x fault before
+    # family 1's Gram matrix
+    ([_degenerate_at(3.0), _degenerate_at(9.0, fail_x_at=3.0)], None, None, _GRAM, 3.0),
+    ([_degenerate_at(9.0, fail_x_at=3.0), _degenerate_at(3.0)], None, None, _U_X, 3.0),
+    # the earliest state first, whatever the family
+    ([_degenerate_at(3.0), _degenerate_at(2.0)], None, None, _GRAM, 2.0),
+])
+def test_invariance_report_fails_as_a_per_state_loop(
+    pendulum, pendulum_bottom, reps, force_nan_at, off_at, fails, at
+):
+    error, message = fails
+    s = pendulum_bottom
+    sys = pendulum.system if force_nan_at is None else _nan_force_at(pendulum.system, force_nan_at)
+    t = [2.0, 3.0]
+    # v = (2, 0.5) at x = (0, -1): phi = 2 x.v = -1
+    V = [np.array([2.0, 0.5]) if ti == off_at else s.v for ti in t]
+    with pytest.raises(Exception, match=message.format(re.escape(str(at)))) as err:
+        invariance_report(sys, pendulum.constraints, reps, t, [s.x, s.x], V)
+    assert err.type is error
+    if error is RegularityError:
+        assert err.value.t == at
 
 
 def test_invariance_report_off_manifold_message(pendulum):

@@ -61,7 +61,7 @@ REACHED_BY = {
         "checks.check_energy", "generalized.covariance_residual", "reactions.invariance_report",
     ),
     # the checks never call reaction: check_virtual_work and invariance_report
-    # each solve through one reactions._multiplier_solver of their own
+    # each solve all their states in one reactions._stacked_solve
     "reactions": ("reactions.reaction",),
 }
 # targets that no CLI op reaches, by design
