@@ -4,7 +4,7 @@ structural identities."""
 
 __version__ = "0.1.0"
 
-from .smooth import ConfigurationMap, SmoothMap, State, fd_jacobian
+from .smooth import ConfigurationMap, SmoothMap, State
 from .system import (
     ForceField,
     MassMatrix,
@@ -26,7 +26,6 @@ from .reactions import (
     Reparametrization,
     invariance_report,
     reaction,
-    reparametrize,
     virtual_work,
 )
 from .integrate import (
@@ -81,7 +80,6 @@ __all__ = [
     "check_spd",
     "covariance_residual",
     "decompose_T",
-    "fd_jacobian",
     "gde_residual",
     "integrate_first_kind",
     "integrate_second_kind",
@@ -93,7 +91,6 @@ __all__ = [
     "pullback_lagrangian",
     "pushforward_state",
     "reaction",
-    "reparametrize",
     "virtual_basis",
     "virtual_work",
     "write_scenario",

@@ -2,8 +2,7 @@
 
 Holonomy is declared, never inferred: a holonomic set is built with
 :func:`lift_holonomic` from a geometric generator g(t, x), and the lift
-phi = g_t + g_x v carries analytic Jacobians whenever g supplies second
-derivatives.
+phi = g_t + g_x v takes its Jacobians from g's second derivatives.
 """
 
 from __future__ import annotations
@@ -170,16 +169,16 @@ class ConstraintSet:
         dim: int,
         a: Callable[[float, Array], Array],
         A: Callable[[float, Array], Array],
-        jac_t: Optional[Callable] = None,
-        jac_x: Optional[Callable] = None,
+        jac_t: Callable,
+        jac_x: Callable,
         n: Optional[int] = None,
         scleronomic: bool = False,
     ) -> "ConstraintSet":
         """Constraints linear in velocity, phi = a(t,x) + A(t,x) v.
 
-        phi_v = A exactly; phi_t and phi_x use the supplied analytic
-        Jacobians or fall back to central differences of phi.  ``scleronomic``
-        declares that a and A do not depend on t.
+        phi_v = A exactly; ``jac_t`` and ``jac_x`` are phi_t and phi_x, each
+        a map of (t, x, v).  ``scleronomic`` declares that a and A do not
+        depend on t.
         """
         if n is None:
             n = np.asarray(a(0.0, np.zeros(dim)), dtype=float).reshape(-1).size

@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import SCLERONOMY_TOL, require_regular
 from .integrate import IntegratorConfig, Trajectory, _csv, _march, require_horizon
-from .smooth import Array, State, central_differences, shaped, time_difference
+from .smooth import Array, State, shaped
 from .system import ForceField, MassMatrix, MechanicalSystem
 
 
@@ -49,13 +49,13 @@ class GeneralizedState:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Chart u(t, y) : R x Y -> R^m with first and second derivatives.
+    """Chart u(t, y) : R x Y -> R^m with its first and second derivatives.
 
-    Second derivatives default to central differences of u_t and u_y;
-    catalog charts supply them analytically.  A chart with ``u_t=None``
-    declares that it does not depend on t: u_tt and u_ty must then be None
-    too, ``d_t``, ``d_tt`` and ``d_ty`` return zeros, and the second-kind
-    kernels leave out every term in them (see
+    ``u_yy`` is required, and so are ``u_tt`` and ``u_ty`` when ``u_t`` is
+    given: a chart built without one raises ``TypeError`` naming it.  A
+    chart with ``u_t=None`` declares that it does not depend on t: u_tt and
+    u_ty must then be None too, ``d_t``, ``d_tt`` and ``d_ty`` return zeros,
+    and the second-kind kernels leave out every term in them (see
     :meth:`require_declared_time_independence`).  The domain is the box
     [domain_lo, domain_hi], unbounded where a bound is None.
     """
@@ -67,7 +67,7 @@ class Embedding:
     u_y: Callable[[float, Array], Array]  # (m, r)
     u_tt: Optional[Callable[[float, Array], Array]] = None
     u_ty: Optional[Callable[[float, Array], Array]] = None  # (m, r)
-    u_yy: Optional[Callable[[float, Array], Array]] = None  # (m, r, r)
+    u_yy: Callable[[float, Array], Array] = None  # (m, r, r); required, see __post_init__
     domain_lo: Optional[Array] = None
     domain_hi: Optional[Array] = None
     _box: Tuple[list, list] = field(init=False, repr=False, compare=False)
@@ -80,6 +80,10 @@ class Embedding:
                     f"a chart without u_t does not depend on t; {' and '.join(given)} "
                     "must be None too"
                 )
+        required = ("u_yy",) if self.u_t is None else ("u_tt", "u_ty", "u_yy")
+        missing = [k for k in required if getattr(self, k) is None]
+        if missing:
+            raise TypeError(f"Embedding needs {' and '.join(missing)}")
         # the domain box as float lists, so that in_domain makes no numpy call
         lo = -math.inf if self.domain_lo is None else self.domain_lo
         hi = math.inf if self.domain_hi is None else self.domain_hi
@@ -116,21 +120,15 @@ class Embedding:
     def d_tt(self, t, y):
         if self.u_t is None:
             return np.zeros(self.dim)
-        if self.u_tt is not None:
-            return shaped(self.u_tt(t, y), (self.dim,))
-        return time_difference(lambda tt: self.d_t(tt, y), t)
+        return shaped(self.u_tt(t, y), (self.dim,))
 
     def d_ty(self, t, y):
         if self.u_t is None:
             return np.zeros((self.dim, self.r))
-        if self.u_ty is not None:
-            return shaped(self.u_ty(t, y), (self.dim, self.r))
-        return time_difference(lambda tt: self.d_y(tt, y), t)
+        return shaped(self.u_ty(t, y), (self.dim, self.r))
 
     def d_yy(self, t, y):
-        if self.u_yy is not None:
-            return shaped(self.u_yy(t, y), (self.dim, self.r, self.r))
-        return central_differences(lambda yy: self.d_y(t, yy), y, "y")
+        return shaped(self.u_yy(t, y), (self.dim, self.r, self.r))
 
     def velocity(self, t, y, w):
         """v = u_t + u_y w at (t, y), by :func:`_chart_velocity`."""

@@ -1,5 +1,6 @@
 """Constraint reactions in closed form, ideal or of another realization,
-plus constraint-reparametrization machinery.
+and the check that the ideal reaction does not depend on how the
+constraints are written (psi = U(phi)).
 
 A reaction N = Lambda S acts along the rows of S(t, x, v).  Keeping the
 motion on phi = 0 fixes the multiplier row:
@@ -28,7 +29,7 @@ from .constraints import (
     require_regular,
     require_regular_stack,
 )
-from .smooth import Array, SmoothMap, State, central_differences, shaped, time_difference
+from .smooth import Array, State, shaped
 from .system import MechanicalSystem
 
 
@@ -86,11 +87,12 @@ def _chol_solve(gram: Array, rhs: Array, t, sign: float = 1.0) -> Array:
 class Realization:
     """Alternative reaction directions: rows of S(t, x, v) replace phi_v.
 
-    Valid wherever det(phi_v G^-1 S^T) != 0; with S = phi_v this reproduces
-    the ideal reaction exactly.
+    ``S`` maps (t, x, v) to the (n, m) matrix S, or to its n m entries in
+    row order.  Valid wherever det(phi_v G^-1 S^T) != 0; with S = phi_v this
+    reproduces the ideal reaction exactly.
     """
 
-    S: SmoothMap
+    S: Callable[[float, Array, Array], Array]
 
 
 def _realization_solve(M: Array, rhs: Array, t: float) -> Array:
@@ -118,7 +120,7 @@ def _multiplier_solver(sys: MechanicalSystem, cs, real: Optional[Realization] = 
     if cs is None:
         return lambda t, x, v, jet=None, f=None: (force(t, x, v), None, None, None, None, None)
     constraint_jet, S_shape = cs.jet, (cs.n, cs.dim)
-    S_value = None if real is None else real.S.value
+    S_value = None if real is None else real.S
 
     def solve(t, x, v, jet=None, f=None):
         if f is None:
@@ -193,9 +195,9 @@ class Reparametrization:
     n: int
     value: Callable[[float, Array, Array, Array], Array]
     jac_z: Callable[[float, Array, Array, Array], Array]
-    jac_t: Optional[Callable] = None
-    jac_x: Optional[Callable] = None
-    jac_v: Optional[Callable] = None
+    jac_t: Callable[[float, Array, Array, Array], Array]
+    jac_x: Callable[[float, Array, Array, Array], Array]
+    jac_v: Callable[[float, Array, Array, Array], Array]
 
     def __call__(self, t, x, v, z):
         return shaped(self.value(t, x, v, z), (self.n,))
@@ -204,19 +206,13 @@ class Reparametrization:
         return shaped(self.jac_z(t, x, v, z), (self.n, self.n))
 
     def d_t(self, t, x, v, z):
-        if self.jac_t is not None:
-            return shaped(self.jac_t(t, x, v, z), (self.n,))
-        return time_difference(lambda tt: self(tt, x, v, z), t)
+        return shaped(self.jac_t(t, x, v, z), (self.n,))
 
     def d_x(self, t, x, v, z):
-        if self.jac_x is not None:
-            return shaped(self.jac_x(t, x, v, z), (self.n, x.size))
-        return central_differences(lambda xx: self(t, xx, v, z), x)
+        return shaped(self.jac_x(t, x, v, z), (self.n, x.size))
 
     def d_v(self, t, x, v, z):
-        if self.jac_v is not None:
-            return shaped(self.jac_v(t, x, v, z), (self.n, v.size))
-        return central_differences(lambda vv: self(t, x, vv, z), v, "v")
+        return shaped(self.jac_v(t, x, v, z), (self.n, v.size))
 
     @classmethod
     def identity(cls, n: int) -> "Reparametrization":
@@ -254,13 +250,11 @@ class Reparametrization:
         )
 
 
-def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
-    """The constraint set psi(t,x,v) = U(t,x,v, phi(t,x,v)) with chain-rule Jacobians.
-
-    U is probed at three seeded states (t, x, v) in [-1, 1]: that shows
-    only that U(., 0) vanishes and U_z(., 0) is regular there.  A failed
-    probe raises ValueError.
-    """
+def _probe_reparametrization(cs: ConstraintSet, rep: Reparametrization) -> None:
+    """Refuse, with a ValueError, a U whose output count is not the constraint
+    count, or that fails at one of three seeded states (t, x, v) in [-1, 1]:
+    U(., 0) must vanish and U_z(., 0) must be regular there.  The probe
+    shows no more than that."""
     if rep.n != cs.n:
         raise ValueError("reparametrization output count must equal constraint count")
     rng = np.random.default_rng(1)
@@ -273,26 +267,6 @@ def reparametrize(cs: ConstraintSet, rep: Reparametrization) -> ConstraintSet:
             raise ValueError("U(t, x, v, 0) must vanish")
         Uz = rep.d_z(t, x, v, z0)
         regular_svd(Uz, 1e-10, "U_z(t, x, v, 0), which must be invertible,", t, ValueError)
-
-    phi = cs.phi
-
-    def value(t, x, v):
-        return rep(t, x, v, phi(t, x, v))
-
-    def jac_t(t, x, v):
-        z = phi(t, x, v)
-        return _chain_rule(rep.d_t(t, x, v, z), rep.d_z(t, x, v, z), phi.d_t(t, x, v))
-
-    def jac_x(t, x, v):
-        z = phi(t, x, v)
-        return _chain_rule(rep.d_x(t, x, v, z), rep.d_z(t, x, v, z), phi.d_x(t, x, v))
-
-    def jac_v(t, x, v):
-        z = phi(t, x, v)
-        return _chain_rule(rep.d_v(t, x, v, z), rep.d_z(t, x, v, z), phi.d_v(t, x, v))
-
-    psi = SmoothMap(dim=cs.n, value=value, jac_t=jac_t, jac_x=jac_x, jac_v=jac_v)
-    return ConstraintSet(dim=cs.dim, n=cs.n, phi=psi, structure="general")
 
 
 def _chain_rule(U_s: Array, U_z: Array, phi_s: Array) -> Array:
@@ -320,20 +294,20 @@ def invariance_report(
     """max ||N_phi - N_psi||_inf over the on-manifold states (t[i], X[i],
     V[i]) and the representations psi = U(phi) of every U in ``reps``.
 
-    Every U first passes :func:`reparametrize`'s probes.  The reaction is
+    Every U first passes :func:`_probe_reparametrization`.  The reaction is
     representation-independent only on phi = 0, so a state violating
     ||phi||_inf <= tol is rejected.  Each state evaluates phi, phi_t, phi_x,
     phi_v and the force once, whatever the number of families, and each
     family U_z, U_t, U_x and U_v once, in state order.  Then psi's partials
-    follow from phi's by :func:`_chain_rule`, with the operations of
-    ``reparametrize``'s Jacobians, and every reaction comes from one
-    :func:`_stacked_solve`, ordered as a per-state loop solves: by state,
-    and at a state phi before the families, in their order.  So a failing
-    Gram matrix raises for the earliest such solve, and a map that fails
-    raises only after the solves that such a loop finishes before it pass.
+    follow from phi's by :func:`_chain_rule`, and every reaction comes from
+    one :func:`_stacked_solve`, ordered as a per-state loop solves: by
+    state, and at a state phi before the families, in their order.  So a
+    failing Gram matrix raises for the earliest such solve, and a map that
+    fails raises only after the solves that such a loop finishes before it
+    pass.  A NaN reaction makes the result NaN.
     """
     for rep in reps:
-        reparametrize(cs, rep)
+        _probe_reparametrization(cs, rep)
     phi, force, Ginv = cs.phi, sys.force, sys.mass.inverse
     t, V = np.asarray(t, float), np.asarray(V, float)
     k, n, m, nf = min(t.size, len(X), len(V)), cs.n, cs.dim, len(reps)
@@ -390,9 +364,8 @@ def invariance_report(
         _raise_earlier_failure(exc, lambda: done and reactions(i + 1, done))
         raise
     N = reactions(k).reshape(k, 1 + nf, m)
-    # over the states and families a NaN difference is passed over, as the
-    # per-state max(worst, nan) passes over it
-    return float(np.fmax.reduce(np.abs(N[:, 1:] - N[:, :1]).max(axis=2).ravel(), initial=0.0))
+    # ndarray.max carries a NaN difference through, so a NaN reaction fails the check
+    return float(np.abs(N[:, 1:] - N[:, :1]).max(initial=0.0))
 
 
 def virtual_work(res: ReactionResult, basis: VirtualBasis) -> float:

@@ -1,22 +1,19 @@
-"""Smooth-map carriers with analytic Jacobians and a finite-difference fallback.
+"""Smooth-map carriers with their declared derivatives.
 
-Every map the engine consumes (constraint functions, realizations,
-reparametrizations, holonomic generators) is wrapped in one of the carrier
-types here so that downstream code never cares whether a derivative was
-supplied analytically or approximated numerically.
+Every constraint function and holonomic generator the engine consumes is
+wrapped in one of the carrier types here, together with the partial
+derivatives the closed-form reaction and the differential lift need.  Each
+derivative is a required field: a carrier built without one raises
+``TypeError`` naming it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-# Central-difference step: h = cbrt(eps) * max(1, |coordinate|), fixed so
-# fallback Jacobians are reproducible bit-for-bit on one platform.
-FD_BASE_STEP = float(np.cbrt(np.finfo(float).eps))
 
 Array = np.ndarray
 _FLOAT = np.dtype(float)
@@ -38,10 +35,6 @@ def shaped(out, shape: tuple) -> Array:
     ):
         return out
     return np.asarray(out, dtype=float).reshape(shape)
-
-
-def _fd_step(coord: float) -> float:
-    return FD_BASE_STEP * max(1.0, abs(coord))
 
 
 def require_finite_state(t: float, x: Array, v: Array) -> None:
@@ -79,23 +72,24 @@ class State:
 
 
 class EvaluationError(RuntimeError):
-    """Raised when an evaluator fails inside a finite-difference stencil, or
-    a force field returns a non-finite value."""
+    """Raised when a force field returns a non-finite value, or when a
+    Dormand-Prince attempt is not finite; a run raises it again naming the
+    stage of the step that failed."""
 
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """Map (t, x, v) -> R^k with optional analytic partial derivatives.
+    """Map (t, x, v) -> R^k with its partial derivatives.
 
     ``jac_t`` returns a k-vector, ``jac_x`` and ``jac_v`` return k-by-m
-    matrices.  Missing derivatives fall back to central differences.
+    matrices.
     """
 
     dim: int
     value: Callable[[float, Array, Array], Array]
-    jac_t: Optional[Callable[[float, Array, Array], Array]] = None
-    jac_x: Optional[Callable[[float, Array, Array], Array]] = None
-    jac_v: Optional[Callable[[float, Array, Array], Array]] = None
+    jac_t: Callable[[float, Array, Array], Array]
+    jac_x: Callable[[float, Array, Array], Array]
+    jac_v: Callable[[float, Array, Array], Array]
 
     def __call__(self, t: float, x: Array, v: Array) -> Array:
         out = shaped(self.value(t, x, v), (-1,))
@@ -106,83 +100,30 @@ class SmoothMap:
         return out
 
     def d_t(self, t: float, x: Array, v: Array) -> Array:
-        if self.jac_t is not None:
-            return shaped(self.jac_t(t, x, v), (self.dim,))
-        return fd_jacobian(self, State(t, x, v), "t").reshape(self.dim)
+        return shaped(self.jac_t(t, x, v), (self.dim,))
 
     def d_x(self, t: float, x: Array, v: Array) -> Array:
-        if self.jac_x is not None:
-            return shaped(self.jac_x(t, x, v), (self.dim, x.size))
-        return fd_jacobian(self, State(t, x, v), "x")
+        return shaped(self.jac_x(t, x, v), (self.dim, x.size))
 
     def d_v(self, t: float, x: Array, v: Array) -> Array:
-        if self.jac_v is not None:
-            return shaped(self.jac_v(t, x, v), (self.dim, v.size))
-        return fd_jacobian(self, State(t, x, v), "v")
-
-
-def _difference(fn, hi, lo, h: float, where: str):
-    try:
-        return (fn(hi) - fn(lo)) / (2.0 * h)
-    except Exception as exc:  # noqa: BLE001 - re-raise with stencil context
-        raise EvaluationError(f"evaluation failed {where}: {exc}") from exc
-
-
-def time_difference(fn: Callable[[float], Array], t: float) -> Array:
-    """(fn(t + h) - fn(t - h)) / 2h with h = _fd_step(t)."""
-    h = _fd_step(t)
-    return _difference(fn, t + h, t - h, h, f"at t = {t} +/- {h}")
-
-
-def central_differences(fn: Callable[[Array], Array], base: Array, name: str = "x") -> Array:
-    """(fn(base + h e_i) - fn(base - h e_i)) / 2h for every coordinate i,
-    stacked along a new last axis, with h = _fd_step(base[i]).
-
-    A failing evaluation raises :class:`EvaluationError` naming the stencil
-    as ``name[i]``.
-    """
-    slabs = []
-    for i in range(base.size):
-        h = _fd_step(base[i])
-        hi, lo = base.copy(), base.copy()
-        hi[i] += h
-        lo[i] -= h
-        slabs.append(_difference(fn, hi, lo, h, f"perturbing {name}[{i}] by {h}"))
-    return np.stack(slabs, axis=-1)
-
-
-def fd_jacobian(m: SmoothMap, state: State, slot: str) -> Array:
-    """Central-difference Jacobian of ``m`` at ``state`` w.r.t. one slot.
-
-    ``slot`` is one of ``"t"``, ``"x"``, ``"v"``.  Returns a k-vector for the
-    time slot, a k-by-m matrix otherwise.
-    """
-    t, x, v = state.t, state.x, state.v
-    if slot == "t":
-        return time_difference(lambda tt: m(tt, x, v), t)
-    if slot == "x":
-        return central_differences(lambda xx: m(t, xx, v), x, "x")
-    if slot == "v":
-        return central_differences(lambda vv: m(t, x, vv), v, "v")
-    raise ValueError(f"unknown slot {slot!r}")
+        return shaped(self.jac_v(t, x, v), (self.dim, v.size))
 
 
 @dataclass(frozen=True)
 class ConfigurationMap:
-    """Map (t, x) -> R^n with first and (optionally) second derivatives.
+    """Map (t, x) -> R^n with its first and second derivatives.
 
-    Used for holonomic generators g(t, x), whose differential lift needs
-    g_tt, g_tx and g_xx to give the lifted constraint analytic Jacobians.
-    Second derivatives fall back to central differences of the first ones.
+    Used for holonomic generators g(t, x), whose differential lift takes
+    its Jacobians from g_tt, g_tx and g_xx.
     """
 
     dim: int
     value: Callable[[float, Array], Array]
     d_t: Callable[[float, Array], Array]
     d_x: Callable[[float, Array], Array]
-    d_tt: Optional[Callable[[float, Array], Array]] = None
-    d_tx: Optional[Callable[[float, Array], Array]] = None
-    d_xx: Optional[Callable[[float, Array], Array]] = None
+    d_tt: Callable[[float, Array], Array]
+    d_tx: Callable[[float, Array], Array]
+    d_xx: Callable[[float, Array], Array]
 
     def __call__(self, t: float, x: Array) -> Array:
         return shaped(self.value(t, x), (self.dim,))
@@ -194,18 +135,12 @@ class ConfigurationMap:
         return shaped(self.d_x(t, x), (self.dim, x.size))
 
     def grad_tt(self, t: float, x: Array) -> Array:
-        if self.d_tt is not None:
-            return shaped(self.d_tt(t, x), (self.dim,))
-        return time_difference(lambda tt: self.grad_t(tt, x), t)
+        return shaped(self.d_tt(t, x), (self.dim,))
 
     def grad_tx(self, t: float, x: Array) -> Array:
         # d/dx of g_t, an n-by-m matrix
-        if self.d_tx is not None:
-            return shaped(self.d_tx(t, x), (self.dim, x.size))
-        return central_differences(lambda xx: self.grad_t(t, xx), x)
+        return shaped(self.d_tx(t, x), (self.dim, x.size))
 
     def grad_xx(self, t: float, x: Array) -> Array:
         # d/dx of g_x, an n-by-m-by-m tensor; [i, j, k] = d^2 g_i / dx_j dx_k
-        if self.d_xx is not None:
-            return shaped(self.d_xx(t, x), (self.dim, x.size, x.size))
-        return central_differences(lambda xx: self.grad_x(t, xx), x)
+        return shaped(self.d_xx(t, x), (self.dim, x.size, x.size))

@@ -1,14 +1,36 @@
-"""Independent oracles and fixtures that only the tests use: a random
-polynomial chart with analytic derivatives, a generic Lagrangian
-derivative built from the pieces of 1/2 w^T M2 w + b w + T0, the
-drift projection written out on its own, and the RK4 / Dormand-Prince
+"""Independent oracles and fixtures that only the tests use: central
+differences, a random polynomial chart and generator with analytic
+derivatives, the reparametrized constraint set psi = U(phi), a generic
+Lagrangian derivative built from the pieces of 1/2 w^T M2 w + b w + T0,
+the drift projection written out on its own, and the RK4 / Dormand-Prince
 march on numpy arrays."""
 
 import numpy as np
 
-from constrained_dynamics import Embedding
+from constrained_dynamics import ConfigurationMap, ConstraintSet, Embedding, SmoothMap
 from constrained_dynamics.integrate import ProjectionError, _stop_time
 from constrained_dynamics.reactions import _chol_solve
+
+
+# central differences with one fixed step: the derivative oracle of the
+# tests that hold a map's declared derivatives to differences of the map one
+# order below them
+_H = 1e-5
+
+
+def t_diff(fn, t):
+    """(fn(t + h) - fn(t - h)) / 2h with h = 1e-5."""
+    return (fn(t + _H) - fn(t - _H)) / (2 * _H)
+
+
+def y_diff(fn, y):
+    """Central differences of fn along each coordinate of y, stacked last."""
+    cols = []
+    for i in range(y.size):
+        e = np.zeros(y.size)
+        e[i] = _H
+        cols.append((fn(y + e) - fn(y - e)) / (2 * _H))
+    return np.stack(cols, axis=-1)
 
 
 def random_polynomial_chart(rng: np.random.Generator, m: int, r: int) -> Embedding:
@@ -61,6 +83,67 @@ def random_polynomial_chart(rng: np.random.Generator, m: int, r: int) -> Embeddi
     return Embedding(
         dim=m, r=r, u=u, u_t=u_t, u_y=u_y, u_tt=u_tt, u_ty=u_ty, u_yy=u_yy
     )
+
+
+def random_polynomial_generator(rng: np.random.Generator, m: int, n: int) -> ConfigurationMap:
+    """Random rheonomic polynomial generator g : R x R^m -> R^n with
+    analytic derivatives up to second order.
+
+    g_i(t, x) = a + c t + d t^2 + B x + t D x + t^2 E x + 1/2 x^T Q_i x + k_i (w_i . x)^3
+    """
+    a, c, d = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), 0.5 * rng.uniform(-1, 1, n)
+    B = rng.uniform(-1, 1, (n, m)) + np.eye(n, m) * 2.0
+    D, E = 0.3 * rng.uniform(-1, 1, (n, m)), 0.2 * rng.uniform(-1, 1, (n, m))
+    Q = 0.3 * rng.uniform(-1, 1, (n, m, m))
+    Q = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
+    k, w = 0.1 * rng.uniform(-1, 1, n), rng.uniform(-1, 1, (n, m))
+
+    def value(t, x):
+        return (
+            a + c * t + d * t * t + B @ x + t * (D @ x) + t * t * (E @ x)
+            + 0.5 * np.einsum("pij,i,j->p", Q, x, x) + k * (w @ x) ** 3
+        )
+
+    def d_x(t, x):
+        cubic = 3.0 * (k * (w @ x) ** 2)[:, None] * w
+        return B + t * D + t * t * E + np.einsum("pij,j->pi", Q, x) + cubic
+
+    def d_xx(t, x):
+        return Q + 6.0 * (k * (w @ x))[:, None, None] * np.einsum("pi,pj->pij", w, w)
+
+    return ConfigurationMap(
+        dim=n,
+        value=value,
+        d_t=lambda t, x: c + 2.0 * d * t + D @ x + 2.0 * t * (E @ x),
+        d_x=d_x,
+        d_tt=lambda t, x: 2.0 * d + 2.0 * (E @ x),
+        d_tx=lambda t, x: D + 2.0 * t * E,
+        d_xx=d_xx,
+    )
+
+
+def reparametrized(cs, rep):
+    """The constraint set psi(t, x, v) = U(t, x, v, phi(t, x, v)) of the
+    reparametrization ``rep``, whose Jacobians psi_s = U_s + U_z phi_s are
+    written out at one state: the per-state reference for the stacked
+    chain rule of the engine's reparametrization check."""
+    phi = cs.phi
+
+    def chain_rule(U_s, phi_s):
+        def jac(t, x, v):
+            z = phi(t, x, v)
+            return U_s(t, x, v, z) + rep.d_z(t, x, v, z) @ phi_s(t, x, v)
+
+        return jac
+
+    psi = SmoothMap(
+        dim=cs.n,
+        value=lambda t, x, v: rep(t, x, v, phi(t, x, v)),
+        jac_t=chain_rule(rep.d_t, phi.d_t),
+        jac_x=chain_rule(rep.d_x, phi.d_x),
+        jac_v=chain_rule(rep.d_v, phi.d_v),
+    )
+    return ConstraintSet.general(cs.dim, psi)
 
 
 def along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w):

@@ -10,7 +10,6 @@ from constrained_dynamics import (
     IntegratorConfig,
     MassMatrix,
     Realization,
-    SmoothMap,
     State,
     catalog_scenario,
     covariance_residual,
@@ -224,9 +223,7 @@ def test_10_realizations(pendulum):
     sys, cs = pendulum.system, pendulum.constraints
     rng = np.random.default_rng(106)
     ideal_gap = 0.0
-    exact = Realization(
-        S=SmoothMap(dim=cs.dim, value=lambda t, x, v: cs.phi.d_v(t, x, v).reshape(-1))
-    )
+    exact = Realization(S=lambda t, x, v: cs.phi.d_v(t, x, v))
     for s in map(State, *pendulum.sample_states(rng, 50)):
         a = reaction(sys, cs, s)
         b = reaction(sys, cs, s, real=exact)
@@ -237,7 +234,7 @@ def test_10_realizations(pendulum):
         S[0, 0] += 0.5
         return S.reshape(-1)
 
-    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    real = Realization(S=blend)
     traj = integrate_first_kind(
         sys, cs, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3), real=real
     )

@@ -179,7 +179,6 @@ def _pendulum_run(sc, run):
     from constrained_dynamics import (
         IntegratorConfig,
         Realization,
-        SmoothMap,
         integrate_first_kind,
     )
 
@@ -196,7 +195,7 @@ def _pendulum_run(sc, run):
         S[0, 0] += 0.5
         return S.reshape(-1)
 
-    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    real = Realization(S=blend)
     return integrate_first_kind(sc.system, cs, sc.initial, 0.5, cfg, real=real)
 
 
@@ -358,3 +357,18 @@ def test_virtual_work_check_fails_as_a_per_state_loop(
     assert err.type is error
     if error is RegularityError:
         assert err.value.t == t[state]
+
+
+def test_reparametrization_check_fails_on_a_nan_phi_t(pendulum):
+    # a NaN phi_t makes every reaction NaN; the check's maximum carries the
+    # NaN through, as the virtual-work check's does, and the entry fails
+    import dataclasses
+
+    from constrained_dynamics.checks import check_reparametrization
+
+    assert check_reparametrization(pendulum, DEFAULT_THRESHOLDS)[0].passed
+    cs = pendulum.constraints
+    phi = dataclasses.replace(cs.phi, jac_t=lambda t, x, v: np.full(1, np.nan))
+    sc = dataclasses.replace(pendulum, constraints=dataclasses.replace(cs, phi=phi))
+    [entry] = check_reparametrization(sc, DEFAULT_THRESHOLDS)
+    assert np.isnan(entry.value) and not entry.passed

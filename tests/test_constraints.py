@@ -14,6 +14,7 @@ from constrained_dynamics.scenarios import (
     knife_edge_constraints,
     rotating_line_generator,
 )
+from oracles import random_polynomial_generator, reparametrized
 
 
 def _phi(cs, s):
@@ -141,12 +142,21 @@ def test_virtual_basis_deterministic(circle_lift):
     assert a.tobytes() == b.tobytes()
 
 
+# the second derivatives of a generator linear in x and free of t
+_LINEAR = dict(
+    d_tt=lambda t, x: np.zeros(1),
+    d_tx=lambda t, x: np.zeros((1, x.size)),
+    d_xx=lambda t, x: np.zeros((1, x.size, x.size)),
+)
+
+
 def test_lift_coordinate_plane():
     g = ConfigurationMap(
         dim=1,
         value=lambda t, x: x[:1],
         d_t=lambda t, x: np.zeros(1),
         d_x=lambda t, x: np.eye(1, x.size),
+        **_LINEAR,
     )
     cs = lift_holonomic(g, 2)
     s = State(0.0, np.array([0.3, 0.4]), np.array([1.5, -0.5]))
@@ -164,7 +174,8 @@ def test_lift_coordinate_plane():
 def test_lift_refuses_a_generator_that_fails_the_probe(value, why):
     # the probe shows only that g takes (t, x) and returns g.dim values
     g = ConfigurationMap(
-        dim=1, value=value, d_t=lambda t, x: np.zeros(1), d_x=lambda t, x: np.eye(1, x.size)
+        dim=1, value=value, d_t=lambda t, x: np.zeros(1), d_x=lambda t, x: np.eye(1, x.size),
+        **_LINEAR,
     )
     with pytest.raises(
         ValueError,
@@ -241,7 +252,13 @@ def test_basis_orthonormal_and_annihilated(all_scenarios):
 def test_n_must_be_less_than_m():
     from constrained_dynamics import SmoothMap
 
-    phi = SmoothMap(dim=2, value=lambda t, x, v: v[:2])
+    phi = SmoothMap(
+        dim=2,
+        value=lambda t, x, v: v[:2],
+        jac_t=lambda t, x, v: np.zeros(2),
+        jac_x=lambda t, x, v: np.zeros((2, 2)),
+        jac_v=lambda t, x, v: np.eye(2),
+    )
     with pytest.raises(ValueError):
         ConstraintSet.general(2, phi)
 
@@ -268,19 +285,19 @@ def test_virtual_basis_regularity_error_fields(circle_lift):
 
 
 def _jet_sets():
-    import dataclasses
-
-    from constrained_dynamics import Reparametrization, reparametrize
+    from constrained_dynamics import Reparametrization
     from constrained_dynamics.scenarios import sphere_generator
 
-    bare = dataclasses.replace(sphere_generator(1.3, 3), d_tt=None, d_tx=None, d_xx=None)
     return {
         "sphere-2": lift_holonomic(sphere_generator(1.0, 2), 2),
         "sphere-3": lift_holonomic(sphere_generator(1.4, 3), 3),
         "rotating-line": lift_holonomic(rotating_line_generator(1.7), 2),
-        "finite-difference": lift_holonomic(bare, 3),
+        # off the catalog: n = 2, rheonomic
+        "random-polynomial": lift_holonomic(
+            random_polynomial_generator(np.random.default_rng(74), 3, 2), 3
+        ),
         "knife-edge": knife_edge_constraints(),
-        "reparametrized": reparametrize(
+        "reparametrized": reparametrized(
             lift_holonomic(rotating_line_generator(0.6), 2),
             Reparametrization.componentwise(1, np.sinh, np.cosh),
         ),
@@ -310,14 +327,10 @@ def test_holonomic_set_needs_its_generator(circle_lift):
         dataclasses.replace(circle_lift, generator=None)
 
 
-def test_scleronomy_is_declared_by_the_catalog_and_dropped_by_reparametrize(all_scenarios):
-    from constrained_dynamics import Reparametrization, reparametrize
-
+def test_scleronomy_is_declared_by_the_catalog(all_scenarios):
     declared = {sc.name: sc.constraints.scleronomic for sc in all_scenarios}
     assert declared == {
         "pendulum": True, "spherical-pendulum": True,
         "rotating-wire-bead": False, "knife-edge": True,
     }
-    cs = all_scenarios[0].constraints
-    assert not reparametrize(cs, Reparametrization.identity(cs.n)).scleronomic
     assert not lift_holonomic(rotating_line_generator(1.0), 2).scleronomic

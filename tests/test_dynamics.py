@@ -681,7 +681,7 @@ def test_one_svd_per_run(pendulum, monkeypatch):
 
 
 def test_nonideal_accel_still_satisfies_constraint(pendulum):
-    from constrained_dynamics import Realization, SmoothMap
+    from constrained_dynamics import Realization
 
     cs = pendulum.constraints
 
@@ -690,7 +690,7 @@ def test_nonideal_accel_still_satisfies_constraint(pendulum):
         S[0, 0] += 0.5
         return S.reshape(-1)
 
-    real = Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    real = Realization(S=blend)
     traj = integrate_first_kind(
         pendulum.system, cs, pendulum.initial, 1.0, IntegratorConfig(dt=1e-3), real=real
     )
@@ -914,14 +914,14 @@ def test_list_march_matches_the_array_march_bit_for_bit(method, run, tolerance, 
 def _blend(cs):
     """phi_v with 0.5 added to its (0, 0) entry: a non-ideal realization
     that stays regular along the pendulum run."""
-    from constrained_dynamics import Realization, SmoothMap
+    from constrained_dynamics import Realization
 
     def blend(t, x, v):
         S = cs.phi.d_v(t, x, v).copy()
         S[0, 0] += 0.5
         return S.reshape(-1)
 
-    return Realization(S=SmoothMap(dim=cs.n * cs.dim, value=blend))
+    return Realization(S=blend)
 
 
 def test_stage_reuse_bit_identical_with_realization(pendulum):

@@ -251,23 +251,6 @@ def test_second_kind_refuses_a_false_time_independence(rotating_wire, pendulum):
         integrate_second_kind(late, pendulum.system, pendulum.initial_generalized, 0.1, cfg)
 
 
-def test_embedding_fallback_failure_reports_stencil():
-    from dataclasses import replace
-
-    from constrained_dynamics.smooth import EvaluationError
-
-    emb = rotating_line_embedding(0.7)
-
-    def u_t(t, y):
-        if t > 0.5:
-            raise FloatingPointError("blew up")
-        return emb.u_t(t, y)
-
-    bare = replace(emb, u_t=u_t, u_tt=None)
-    with pytest.raises(EvaluationError, match=r"t = 0\.5 \+/-"):
-        bare.d_tt(0.5, np.array([0.1]))
-
-
 def test_pushforward_second_order_chain_rule():
     rng = np.random.default_rng(23)
     emb = random_polynomial_chart(rng, m=3, r=2)

@@ -297,7 +297,7 @@ def _multiplier_problems(draw, m, n, realized):
     if realized:
         S = B + 0.5 * mat(n, m)
         assume(np.linalg.cond(B @ sys.mass.inverse @ S.T) < 1e6)
-        real = Realization(SmoothMap(dim=n, value=lambda t, x, v: S))
+        real = Realization(lambda t, x, v: S)
     return sys, cs, real, t, x, v, f, B, phi_t + phi_x @ v, S
 
 
@@ -367,7 +367,10 @@ def test_stacked_solve_has_the_bits_of_the_per_state_solve(problem):
     # rule of one state: the same bits, and the same first failure
     sys, t, B, drift, F, (U_z, U_t, phi_t, U_x, phi_x) = problem
     k, n, m = B.shape
-    phi = SmoothMap(dim=n, value=lambda t, x, v: np.zeros(n))
+    phi = SmoothMap(
+        dim=n, value=lambda t, x, v: np.zeros(n), jac_t=lambda t, x, v: np.zeros(n),
+        jac_x=lambda t, x, v: np.zeros((n, m)), jac_v=lambda t, x, v: np.zeros((n, m)),
+    )
     solve = _multiplier_solver(sys, ConstraintSet.general(m, phi))
     x = np.zeros(m)
 

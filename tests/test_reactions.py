@@ -15,11 +15,19 @@ from constrained_dynamics import (
     invariance_report,
     lift_holonomic,
     reaction,
-    reparametrize,
     virtual_basis,
     virtual_work,
 )
+from constrained_dynamics.reactions import _probe_reparametrization
 from constrained_dynamics.smooth import EvaluationError
+from oracles import reparametrized, y_diff
+
+# the t, x and v partials of a U of one output on R^2 that depends on z alone
+_Z_ONLY = dict(
+    jac_t=lambda t, x, v, z: np.zeros(1),
+    jac_x=lambda t, x, v, z: np.zeros((1, 2)),
+    jac_v=lambda t, x, v, z: np.zeros((1, 2)),
+)
 
 
 def test_pendulum_tension(pendulum, pendulum_bottom):
@@ -60,7 +68,13 @@ def test_gram_matrix_scales_with_inverse_mass(circle_lift, pendulum_bottom):
 
 def test_constraint_set_rejects_no_constraints():
     # an unconstrained system is written as None, never as an empty set
-    phi = SmoothMap(dim=0, value=lambda t, x, v: np.zeros(0))
+    phi = SmoothMap(
+        dim=0,
+        value=lambda t, x, v: np.zeros(0),
+        jac_t=lambda t, x, v: np.zeros(0),
+        jac_x=lambda t, x, v: np.zeros((0, 2)),
+        jac_v=lambda t, x, v: np.zeros((0, 2)),
+    )
     with pytest.raises(ValueError, match="n=0"):
         ConstraintSet.general(2, phi)
 
@@ -133,14 +147,12 @@ def _tangent_blend_realization(cs, weight=0.5):
         S[0, 0] += weight
         return S.reshape(-1)
 
-    return Realization(S=SmoothMap(dim=cs.n * cs.dim, value=value))
+    return Realization(S=value)
 
 
 def test_realization_ideal_directions_recover_ideal(pendulum, pendulum_bottom):
     cs = pendulum.constraints
-    real = Realization(
-        S=SmoothMap(dim=cs.dim, value=lambda t, x, v: cs.phi.d_v(t, x, v).reshape(-1))
-    )
+    real = Realization(S=lambda t, x, v: cs.phi.d_v(t, x, v))
     ideal = reaction(pendulum.system, cs, pendulum_bottom)
     alt = reaction(pendulum.system, cs, pendulum_bottom, real=real)
     assert np.abs(alt.N - ideal.N).max() < 1e-12
@@ -149,9 +161,7 @@ def test_realization_ideal_directions_recover_ideal(pendulum, pendulum_bottom):
 
 def test_realization_singular_pairing_raises(pendulum, pendulum_bottom):
     # S = (1, 0) at x = (0, -1): phi_v G^-1 S^T = 0 exactly
-    real = Realization(
-        S=SmoothMap(dim=2, value=lambda t, x, v: np.array([1.0, 0.0]))
-    )
+    real = Realization(S=lambda t, x, v: np.array([1.0, 0.0]))
     with pytest.raises(RegularityError):
         reaction(pendulum.system, pendulum.constraints, pendulum_bottom, real=real)
 
@@ -191,9 +201,10 @@ def test_reparametrize_rejects_nonvanishing():
         n=1,
         value=lambda t, x, v, z: z + 1.0,
         jac_z=lambda t, x, v, z: np.eye(1),
+        **_Z_ONLY,
     )
     with pytest.raises(ValueError, match="vanish"):
-        reparametrize(cs, bad)
+        _probe_reparametrization(cs, bad)
 
 
 def test_reparametrize_rejects_degenerate_jacobian(circle_lift):
@@ -201,17 +212,16 @@ def test_reparametrize_rejects_degenerate_jacobian(circle_lift):
         n=1,
         value=lambda t, x, v, z: z**3,
         jac_z=lambda t, x, v, z: np.diag(3.0 * np.atleast_1d(z) ** 2),
+        **_Z_ONLY,
     )
     with pytest.raises(ValueError, match="invertible"):
-        reparametrize(circle_lift, bad)
+        _probe_reparametrization(circle_lift, bad)
 
 
 def test_reparametrized_jacobians_chain_rule(circle_lift):
     rep = Reparametrization.componentwise(1, np.expm1, np.exp)
-    psi_set = reparametrize(circle_lift, rep)
+    psi = reparametrized(circle_lift, rep).phi
     rng = np.random.default_rng(12)
-    from constrained_dynamics import fd_jacobian
-
     for _ in range(20):
         theta = rng.uniform(-np.pi, np.pi)
         s = State(
@@ -219,10 +229,10 @@ def test_reparametrized_jacobians_chain_rule(circle_lift):
             np.array([np.sin(theta), -np.cos(theta)]) * rng.uniform(0.5, 1.5),
             rng.uniform(-2, 2, 2),
         )
-        Jx = psi_set.phi.d_x(s.t, s.x, s.v)
-        Jv = psi_set.phi.d_v(s.t, s.x, s.v)
-        assert np.abs(Jx - fd_jacobian(psi_set.phi, s, "x")).max() < 1e-6
-        assert np.abs(Jv - fd_jacobian(psi_set.phi, s, "v")).max() < 1e-6
+        Jx = psi.d_x(s.t, s.x, s.v)
+        Jv = psi.d_v(s.t, s.x, s.v)
+        assert np.abs(Jx - y_diff(lambda x: psi(s.t, x, s.v), s.x)).max() < 1e-6
+        assert np.abs(Jv - y_diff(lambda v: psi(s.t, s.x, v), s.v)).max() < 1e-6
 
 
 def test_invariance_scaling_by_two(pendulum, pendulum_bottom):
@@ -264,7 +274,7 @@ def test_reactions_differ_off_manifold(pendulum):
         jac_x=lambda t, x, v, z: np.array([[2.0 * x[0] * z[0], 0.0]]),
         jac_v=lambda t, x, v, z: np.zeros((1, 2)),
     )
-    psi_set = reparametrize(pendulum.constraints, rep)
+    psi_set = reparametrized(pendulum.constraints, rep)
     off = State(0.0, np.array([0.5, -1.0]), np.array([2.0, 0.5]))
     N_phi = reaction(pendulum.system, pendulum.constraints, off).N
     N_psi = reaction(pendulum.system, psi_set, off).N
@@ -284,8 +294,8 @@ def test_linear_mix_requires_square():
 
 # ---------------------------------------------------------------------------
 # invariance_report forms psi's jet from phi's by the chain rule; it must
-# keep reparametrize's probes, the psi solve's regularity test and the
-# on-manifold test, and give the bits of the reactions of reparametrize's sets
+# keep the probes of U, the psi solve's regularity test and the on-manifold
+# test, and give the bits of the reactions of the oracle's psi sets
 
 
 def _families(n):
@@ -299,7 +309,7 @@ def test_invariance_report_equals_the_reactions_of_reparametrized_sets(all_scena
     for sc in all_scenarios:
         cs = sc.constraints
         reps = _families(cs.n)
-        psi_sets = [reparametrize(cs, rep) for rep in reps]
+        psi_sets = [reparametrized(cs, rep) for rep in reps]
         t, X, V = sc.sample_states(rng, 20)
         worst = 0.0
         for s in map(State, t, X, V):
@@ -312,7 +322,7 @@ def test_invariance_report_equals_the_reactions_of_reparametrized_sets(all_scena
 
 def test_invariance_report_runs_the_reparametrize_probes(pendulum, pendulum_bottom):
     bad = Reparametrization(
-        n=1, value=lambda t, x, v, z: z + 1.0, jac_z=lambda t, x, v, z: np.eye(1)
+        n=1, value=lambda t, x, v, z: z + 1.0, jac_z=lambda t, x, v, z: np.eye(1), **_Z_ONLY
     )
     s = pendulum_bottom
     with pytest.raises(ValueError, match=r"U\(t, x, v, 0\) must vanish"):
@@ -446,7 +456,7 @@ def test_invariance_report_evaluates_each_map_once_per_state(pendulum):
     ]
     t, X, V = pendulum.sample_states(np.random.default_rng(5), 30)
     per_run = []
-    for k in (10, 30):  # the difference leaves out reparametrize's probes
+    for k in (10, 30):  # the difference leaves out the probes of U
         counts.clear()
         invariance_report(sys, cs, reps, t[:k], X[:k], V[:k])
         per_run.append(dict(counts))

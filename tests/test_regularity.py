@@ -20,7 +20,6 @@ from constrained_dynamics import (
     Realization,
     RegularityError,
     Reparametrization,
-    SmoothMap,
     State,
     check_regularity,
     decompose_T,
@@ -29,13 +28,12 @@ from constrained_dynamics import (
     lift_holonomic,
     pullback_lagrangian,
     reaction,
-    reparametrize,
     virtual_basis,
 )
 from constrained_dynamics.cli import main
 from constrained_dynamics.generalized import _chart_invert, _metric_solve, second_kind_acceleration
 from constrained_dynamics.integrate import project_to_manifold
-from constrained_dynamics.reactions import _chol_solve
+from constrained_dynamics.reactions import _chol_solve, _probe_reparametrization
 from constrained_dynamics.scenarios import circle_embedding, sphere_polar_embedding
 from constrained_dynamics.smooth import EvaluationError
 from constrained_dynamics.system import ForceField
@@ -91,17 +89,22 @@ def _projection(kind):
 
 def _realization(kind):
     S = np.array([1.0, 0.0]) if kind == "singular" else np.full(2, NAN)
-    real = Realization(S=SmoothMap(dim=2, value=lambda t, x, v: S))
+    real = Realization(S=lambda t, x, v: S)
     state = State(0.5, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
     reaction(_system(), _circle("singular"), state, real=real)
 
 
 def _reparametrize(kind):
+    """The probe that the reparametrization check runs on each U."""
     jac_z = (lambda t, x, v, z: np.diag(3.0 * np.atleast_1d(z) ** 2)) if kind == "singular" else (
         lambda t, x, v, z: np.full((1, 1), NAN)
     )
-    rep = Reparametrization(n=1, value=lambda t, x, v, z: np.asarray(z) ** 3, jac_z=jac_z)
-    reparametrize(_circle("singular"), rep)
+    zero = lambda t, x, v, z: np.zeros((1, x.size))  # noqa: E731
+    rep = Reparametrization(
+        n=1, value=lambda t, x, v, z: np.asarray(z) ** 3, jac_z=jac_z,
+        jac_t=lambda t, x, v, z: np.zeros(1), jac_x=zero, jac_v=zero,
+    )
+    _probe_reparametrization(_circle("singular"), rep)
 
 
 def _linear_mix(kind):

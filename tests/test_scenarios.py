@@ -30,6 +30,7 @@ from constrained_dynamics.scenarios import (
     sphere_generator,
     sphere_polar_embedding,
 )
+from oracles import random_polynomial_generator, t_diff, y_diff
 
 
 def test_catalog_names():
@@ -254,7 +255,10 @@ def _knife_edge_with_A(bad_A):
     def A(t, x):
         return bad_A if t > 1.0 else good(t, x)
 
-    cs = ConstraintSet.affine(dim=3, a=lambda t, x: np.zeros(1), A=A, n=1)
+    cs = ConstraintSet.affine(
+        dim=3, a=lambda t, x: np.zeros(1), A=A, jac_t=lambda t, x, v: np.zeros(1),
+        jac_x=lambda t, x, v: np.zeros((1, 3)), n=1,
+    )
     first_bad = next(t for t in sc.sample_states(np.random.default_rng(4), 50)[0] if t > 1.0)
     return dataclasses.replace(sc, constraints=cs), first_bad
 
@@ -479,24 +483,9 @@ def test_mutated_documents_raise_only_scenario_errors():
     parse_mutated()
 
 
-# every analytic derivative of the catalog charts and generators against
-# central differences of the map one order below it, at sampled points
-
-_H = 1e-5
-
-
-def _t_diff(fn, t):
-    return (fn(t + _H) - fn(t - _H)) / (2 * _H)
-
-
-def _y_diff(fn, y):
-    """Central differences of fn along each coordinate of y, stacked last."""
-    cols = []
-    for i in range(y.size):
-        e = np.zeros(y.size)
-        e[i] = _H
-        cols.append((fn(y + e) - fn(y - e)) / (2 * _H))
-    return np.stack(cols, axis=-1)
+# every analytic derivative of the catalog charts and generators, and of the
+# oracles' random polynomial generator, against central differences of the
+# map one order below it, at sampled points
 
 
 def _close(got, want):
@@ -515,20 +504,20 @@ def _close(got, want):
 )
 def test_catalog_chart_derivatives_match_central_differences(make, lo, hi):
     emb = make()
-    # analytic, not the fallback; a chart without u_t has no time maps, and
-    # the differences below hold its zero time derivatives to u itself
+    # a chart without u_t has no time maps, and the differences below hold
+    # its zero time derivatives to u itself
     assert emb.u_yy is not None
     assert emb.u_t is None or None not in (emb.u_tt, emb.u_ty)
     rng = np.random.default_rng(71)
     for _ in range(20):
         t = float(rng.uniform(0.0, 3.0))
         y = rng.uniform(lo, hi, emb.r)
-        _close(emb.d_t(t, y), _t_diff(lambda s: emb.value(s, y), t))
-        _close(emb.d_y(t, y), _y_diff(lambda z: emb.value(t, z), y))
-        _close(emb.d_tt(t, y), _t_diff(lambda s: emb.d_t(s, y), t))
-        _close(emb.d_ty(t, y), _t_diff(lambda s: emb.d_y(s, y), t))
-        _close(emb.d_ty(t, y), _y_diff(lambda z: emb.d_t(t, z), y))
-        _close(emb.d_yy(t, y), _y_diff(lambda z: emb.d_y(t, z), y))
+        _close(emb.d_t(t, y), t_diff(lambda s: emb.value(s, y), t))
+        _close(emb.d_y(t, y), y_diff(lambda z: emb.value(t, z), y))
+        _close(emb.d_tt(t, y), t_diff(lambda s: emb.d_t(s, y), t))
+        _close(emb.d_ty(t, y), t_diff(lambda s: emb.d_y(s, y), t))
+        _close(emb.d_ty(t, y), y_diff(lambda z: emb.d_t(t, z), y))
+        _close(emb.d_yy(t, y), y_diff(lambda z: emb.d_y(t, z), y))
 
 
 @pytest.mark.parametrize(
@@ -538,8 +527,10 @@ def test_catalog_chart_derivatives_match_central_differences(make, lo, hi):
         (lambda: lift_holonomic(sphere_generator(1.4, 3), 3), 3),
         (lambda: lift_holonomic(rotating_line_generator(1.7), 2), 2),
         (knife_edge_constraints, 3),
+        (lambda: lift_holonomic(
+            random_polynomial_generator(np.random.default_rng(74), 3, 2), 3), 3),
     ],
-    ids=["sphere-2", "sphere-3", "rotating-line", "knife-edge"],
+    ids=["sphere-2", "sphere-3", "rotating-line", "knife-edge", "random-polynomial"],
 )
 def test_catalog_generator_derivatives_match_central_differences(make, m):
     cs = make()
@@ -552,13 +543,13 @@ def test_catalog_generator_derivatives_match_central_differences(make, m):
         x = rng.uniform(-2.0, 2.0, m)
         v = rng.uniform(-2.0, 2.0, m)
         if g is not None:
-            _close(g.grad_t(t, x), _t_diff(lambda s: g(s, x), t))
-            _close(g.grad_x(t, x), _y_diff(lambda z: g(t, z), x))
-            _close(g.grad_tt(t, x), _t_diff(lambda s: g.grad_t(s, x), t))
-            _close(g.grad_tx(t, x), _y_diff(lambda z: g.grad_t(t, z), x))
-            _close(g.grad_xx(t, x), _y_diff(lambda z: g.grad_x(t, z), x))
+            _close(g.grad_t(t, x), t_diff(lambda s: g(s, x), t))
+            _close(g.grad_x(t, x), y_diff(lambda z: g(t, z), x))
+            _close(g.grad_tt(t, x), t_diff(lambda s: g.grad_t(s, x), t))
+            _close(g.grad_tx(t, x), y_diff(lambda z: g.grad_t(t, z), x))
+            _close(g.grad_xx(t, x), y_diff(lambda z: g.grad_x(t, z), x))
         # phi's Jacobians: a lift's, built from those derivatives, or the
         # knife edge's own
-        _close(phi.d_t(t, x, v), _t_diff(lambda s: phi(s, x, v), t))
-        _close(phi.d_x(t, x, v), _y_diff(lambda z: phi(t, z, v), x))
-        _close(phi.d_v(t, x, v), _y_diff(lambda z: phi(t, x, z), v))
+        _close(phi.d_t(t, x, v), t_diff(lambda s: phi(s, x, v), t))
+        _close(phi.d_x(t, x, v), y_diff(lambda z: phi(t, z, v), x))
+        _close(phi.d_v(t, x, v), y_diff(lambda z: phi(t, x, z), v))

@@ -1,102 +1,120 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from constrained_dynamics import (
     ConfigurationMap,
+    ConstraintSet,
     Embedding,
     ForceField,
     Reparametrization,
     SmoothMap,
     State,
-    fd_jacobian,
+    lift_holonomic,
 )
-from constrained_dynamics.smooth import (
-    EvaluationError,
-    central_differences,
-    shaped,
-    time_difference,
+from constrained_dynamics.scenarios import (
+    rotating_line_embedding,
+    sphere_generator,
+    sphere_polar_embedding,
 )
+from constrained_dynamics.smooth import shaped
 
 
-def test_fd_square_scalar():
-    m = SmoothMap(dim=1, value=lambda t, x, v: np.array([x[0] ** 2]))
-    s = State(0.0, np.array([3.0]), np.array([0.0]))
-    J = fd_jacobian(m, s, "x")
-    assert abs(J[0, 0] - 6.0) < 1e-9
+def _zero(*args):
+    return np.zeros(1)
 
 
-def test_fd_affine_exact_in_v():
-    A = np.array([[1.0, 2.0], [3.0, -4.0]])
-    a = np.array([0.5, -0.5])
-    m = SmoothMap(dim=2, value=lambda t, x, v: a + A @ v)
-    s = State(0.0, np.array([1.0, 1.0]), np.array([0.7, -0.2]))
-    J = fd_jacobian(m, s, "v")
-    assert np.abs(J - A).max() < 1e-9
+# a carrier of each kind with every derivative given, by its builder and the
+# keyword arguments that build it
+CARRIERS = {
+    "SmoothMap": (SmoothMap, dict(dim=1, value=_zero, jac_t=_zero, jac_x=_zero, jac_v=_zero)),
+    "ConfigurationMap": (ConfigurationMap, dict(
+        dim=1, value=_zero, d_t=_zero, d_x=_zero, d_tt=_zero, d_tx=_zero, d_xx=_zero,
+    )),
+    "Reparametrization": (Reparametrization, dict(
+        n=1, value=_zero, jac_z=_zero, jac_t=_zero, jac_x=_zero, jac_v=_zero,
+    )),
+    "ConstraintSet.affine": (ConstraintSet.affine, dict(
+        dim=2, a=_zero, A=_zero, jac_t=_zero, jac_x=_zero, n=1,
+    )),
+    "Embedding": (Embedding, dict(
+        dim=2, r=1, u=_zero, u_t=_zero, u_y=_zero, u_tt=_zero, u_ty=_zero, u_yy=_zero,
+    )),
+}
+DERIVATIVES = {
+    "SmoothMap": ("jac_t", "jac_x", "jac_v"),
+    "ConfigurationMap": ("d_t", "d_x", "d_tt", "d_tx", "d_xx"),
+    "Reparametrization": ("jac_z", "jac_t", "jac_x", "jac_v"),
+    "ConstraintSet.affine": ("jac_t", "jac_x"),
+    "Embedding": ("u_t", "u_y", "u_tt", "u_ty", "u_yy"),
+}
 
 
-def test_fd_pendulum_constraint_v_slot():
-    m = SmoothMap(dim=1, value=lambda t, x, v: np.array([x @ v]))
-    s = State(0.0, np.array([0.0, -1.0]), np.array([2.0, 0.0]))
-    J = fd_jacobian(m, s, "v")
-    assert np.abs(J - np.array([[0.0, -1.0]])).max() < 1e-9
+def _built(carrier, **maps):
+    """The complete carrier of CARRIERS with the fields ``maps`` in place."""
+    build, fields = CARRIERS[carrier]
+    return build(**{**fields, **maps})
 
 
-def test_fd_time_slot():
-    m = SmoothMap(dim=1, value=lambda t, x, v: np.array([np.sin(t) * x[0]]))
-    s = State(0.3, np.array([2.0]), np.array([0.0]))
-    d = fd_jacobian(m, s, "t")
-    assert abs(d[0] - 2.0 * np.cos(0.3)) < 1e-9
+@pytest.mark.parametrize(
+    "carrier, name", [(c, name) for c, names in DERIVATIVES.items() for name in names]
+)
+def test_a_carrier_without_a_derivative_is_refused_by_name(carrier, name):
+    build, fields = CARRIERS[carrier]
+    build(**fields)
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        build(**{k: f for k, f in fields.items() if k != name})
 
 
-def test_bad_slot_rejected():
-    m = SmoothMap(dim=1, value=lambda t, x, v: np.array([0.0]))
-    s = State(0.0, np.array([1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        fd_jacobian(m, s, "z")
+def test_a_chart_without_u_t_needs_no_time_derivatives():
+    _, fields = CARRIERS["Embedding"]
+    timeless = {**fields, "u_t": None, "u_tt": None, "u_ty": None}
+    emb = Embedding(**timeless)
+    assert np.array_equal(emb.d_tt(0.0, np.zeros(1)), np.zeros(2))
+    Embedding(**{k: f for k, f in timeless.items() if k not in ("u_tt", "u_ty")})
+    with pytest.raises(TypeError, match=r"^Embedding needs u_yy$"):
+        Embedding(**{**timeless, "u_yy": None})
+    with pytest.raises(TypeError, match=r"^Embedding needs u_tt and u_ty$"):
+        Embedding(**{**fields, "u_tt": None, "u_ty": None})
+
+
+def test_replace_wraps_every_map_of_a_catalog_chart_and_generator():
+    # the bench tracer swaps each map for a counting wrapper by field name,
+    # and passes None through for a time-independent chart's time maps
+    def wrapped(carrier, names):
+        called = set()
+
+        def counted(k, fn):
+            if fn is None:
+                return None
+            return lambda *args: called.add(k) or fn(*args)
+
+        return replace(carrier, **{k: counted(k, getattr(carrier, k)) for k in names}), called
+
+    t = 0.3
+    for emb, y in ((sphere_polar_embedding(1.2), np.array([0.4, 1.1])),
+                   (rotating_line_embedding(0.7), np.array([0.4]))):
+        names = ("u", "u_t", "u_y", "u_tt", "u_ty", "u_yy")
+        counted, called = wrapped(emb, names)
+        for k in ("value", "d_t", "d_y", "d_tt", "d_ty", "d_yy"):
+            assert np.array_equal(getattr(counted, k)(t, y), getattr(emb, k)(t, y))
+        assert called == {k for k in names if getattr(emb, k) is not None}
+    g = sphere_generator(1.3, 3)
+    names = ("value", "d_t", "d_x", "d_tt", "d_tx", "d_xx")
+    counted, called = wrapped(g, names)
+    x, v = np.array([0.3, -0.2, 0.9]), np.array([0.1, 0.5, -0.4])
+    lifts = lift_holonomic(counted, 3), lift_holonomic(g, 3)
+    assert np.array_equal(lifts[0].phi(t, x, v), lifts[1].phi(t, x, v))  # g_t + g_x v
+    for a, b in zip(lifts[0].jet(t, x, v), lifts[1].jet(t, x, v)):
+        assert np.array_equal(a, b)
+    assert called == set(names)
 
 
 def test_dimension_mismatch_detected():
-    m = SmoothMap(dim=2, value=lambda t, x, v: np.array([1.0]))
+    m = _built("SmoothMap", dim=2, value=lambda t, x, v: np.array([1.0]))
     with pytest.raises(ValueError, match="declared output dimension"):
         m(0.0, np.array([1.0]), np.array([1.0]))
-
-
-def test_evaluation_failure_reports_stencil():
-    def bad(t, x, v):
-        if x[0] > 1.0:
-            raise FloatingPointError("blew up")
-        return np.array([x[0]])
-
-    m = SmoothMap(dim=1, value=bad)
-    s = State(0.0, np.array([1.0]), np.array([0.0]))
-    with pytest.raises(EvaluationError, match=r"x\[0\]"):
-        fd_jacobian(m, s, "x")
-
-
-def test_second_derivative_fallback_failure_reports_stencil():
-    def d_x(t, x):
-        if x[1] > 2.0:
-            raise FloatingPointError("blew up")
-        return x.reshape(1, 2)
-
-    g = ConfigurationMap(
-        dim=1, value=lambda t, x: np.array([0.5 * x @ x]), d_t=lambda t, x: np.zeros(1), d_x=d_x
-    )
-    assert np.abs(g.grad_xx(0.0, np.array([1.0, 1.0]))[0] - np.eye(2)).max() < 1e-9
-    with pytest.raises(EvaluationError, match=r"x\[1\]"):
-        g.grad_xx(0.0, np.array([1.0, 2.0]))
-
-
-def test_stencils_match_the_written_out_differences():
-    fn = lambda z: np.array([np.sin(3.0 * z[0]) * z[1], z[0] ** 3])  # noqa: E731
-    base = np.array([0.4, -1.7])
-    h = [np.cbrt(np.finfo(float).eps) * max(1.0, abs(c)) for c in base]
-    cols = [(fn(base + h[i] * e) - fn(base - h[i] * e)) / (2.0 * h[i])
-            for i, e in enumerate(np.eye(2))]
-    assert np.array_equal(central_differences(fn, base), np.stack(cols, axis=1))
-    f = lambda t: np.array([np.cos(t), t * t])  # noqa: E731
-    ht = np.cbrt(np.finfo(float).eps) * 2.5
-    assert np.array_equal(time_difference(f, 2.5), (f(2.5 + ht) - f(2.5 - ht)) / (2.0 * ht))
 
 
 def test_state_invariants():
@@ -138,14 +156,13 @@ def test_shaped_converts_anything_else(out, shape):
 
 
 def _cmap(**maps):
-    base = dict(value=lambda t, x: np.zeros(1), d_t=lambda t, x: np.zeros(1),
-                d_x=lambda t, x: np.zeros((1, 2)))
-    return ConfigurationMap(dim=1, **{**base, **maps})
+    return _built("ConfigurationMap", **maps)
 
 
 def test_wrappers_convert_lists_and_int_arrays():
     x, v = np.array([1.0, 2.0]), np.array([0.5, 0.0])
-    m = SmoothMap(dim=2, value=lambda t, x, v: [1, 2], jac_x=lambda t, x, v: np.eye(2, dtype=int))
+    m = _built("SmoothMap", dim=2, value=lambda t, x, v: [1, 2],
+               jac_x=lambda t, x, v: np.eye(2, dtype=int))
     for out in (m(0.0, x, v), m.d_x(0.0, x, v)):
         assert out.dtype == np.float64
     assert np.array_equal(m.d_x(0.0, x, v), np.eye(2))
@@ -153,17 +170,17 @@ def test_wrappers_convert_lists_and_int_arrays():
     assert g.grad_x(0.0, x).dtype == np.float64 and g.grad_x(0.0, x).shape == (1, 2)
     f = ForceField(dim=2, value=lambda t, x, v: [0, -1])
     assert f(0.0, x, v).dtype == np.float64
-    emb = Embedding(dim=2, r=1, u=lambda t, y: [1, 0], u_t=lambda t, y: [0, 0],
-                    u_y=lambda t, y: [0, 1])
+    emb = _built("Embedding", u=lambda t, y: [1, 0], u_t=lambda t, y: [0, 0],
+                 u_y=lambda t, y: [0, 1])
     assert emb.d_y(0.0, np.zeros(1)).dtype == np.float64
-    rep = Reparametrization(n=1, value=lambda t, x, v, z: z, jac_z=lambda t, x, v, z: [[2]])
+    rep = _built("Reparametrization", value=lambda t, x, v, z: z, jac_z=lambda t, x, v, z: [[2]])
     assert np.array_equal(rep.d_z(0.0, x, v, np.zeros(1)), np.array([[2.0]]))
 
 
 def test_wrappers_keep_their_shape_errors():
     x, v = np.array([1.0, 2.0]), np.array([0.5, 0.0])
-    m = SmoothMap(dim=2, value=lambda t, x, v: [1.0, 2.0, 3.0],
-                  jac_x=lambda t, x, v: np.ones((2, 3)))
+    m = _built("SmoothMap", dim=2, value=lambda t, x, v: [1.0, 2.0, 3.0],
+               jac_x=lambda t, x, v: np.ones((2, 3)))
     with pytest.raises(ValueError, match="declared output dimension 2, evaluator returned 3"):
         m(0.0, x, v)
     with pytest.raises(ValueError, match=r"cannot reshape array of size 6 into shape \(2,2\)"):
@@ -174,7 +191,7 @@ def test_wrappers_keep_their_shape_errors():
     f = ForceField(dim=2, value=lambda t, x, v: np.ones((1, 3)))
     with pytest.raises(ValueError, match="force field declared dimension 2, got 3"):
         f(0.0, x, v)
-    emb = Embedding(dim=2, r=1, u=lambda t, y: np.ones(2), u_t=lambda t, y: np.ones(2),
-                    u_y=lambda t, y: np.ones((2, 2)))
+    emb = _built("Embedding", u=lambda t, y: np.ones(2), u_t=lambda t, y: np.ones(2),
+                 u_y=lambda t, y: np.ones((2, 2)))
     with pytest.raises(ValueError, match=r"cannot reshape array of size 4 into shape \(2,1\)"):
         emb.d_y(0.0, np.zeros(1))
