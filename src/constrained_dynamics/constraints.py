@@ -123,11 +123,12 @@ class ConstraintSet:
 
     def require_declared_scleronomy(self, t: float, x: Array, v: Array, where: str) -> None:
         """Refuse, with a ValueError naming ``where``, a set declared
-        scleronomic whose |phi_t| exceeds SCLERONOMY_TOL at (t, x, v)."""
+        scleronomic whose |phi_t| is not <= SCLERONOMY_TOL at (t, x, v): one
+        that exceeds it or is NaN."""
         if not self.scleronomic:
             return
         rate = float(np.abs(self.phi.d_t(t, x, v)).max(initial=0.0))
-        if rate > SCLERONOMY_TOL:
+        if not rate <= SCLERONOMY_TOL:
             raise ValueError(
                 f"{where}: constraints declared scleronomic have |phi_t| = {rate:.3e} "
                 f"> {SCLERONOMY_TOL:g} at t={t}"

@@ -92,14 +92,15 @@ class Embedding:
 
     def require_declared_time_independence(self, t: float, y: Array, where: str) -> None:
         """Refuse, with a ValueError naming ``where`` and tau, a chart declared
-        time-independent (``u_t=None``) whose |u(t + tau, y) - u(t, y)|
-        exceeds SCLERONOMY_TOL at one of the fixed shifts tau."""
+        time-independent (``u_t=None``) whose |u(t + tau, y) - u(t, y)| is
+        not <= SCLERONOMY_TOL, by exceeding it or being NaN, at one of the
+        fixed shifts tau."""
         if self.u_t is not None:
             return
         u0 = self.value(t, y)
         for tau in _TIME_SHIFTS:
             gap = float(np.abs(self.value(t + tau, y) - u0).max())
-            if gap > SCLERONOMY_TOL:
+            if not gap <= SCLERONOMY_TOL:
                 raise ValueError(
                     f"{where}: chart declared time-independent (u_t=None) has "
                     f"|u(t + tau, y) - u(t, y)| = {gap:.3e} > {SCLERONOMY_TOL:g} "
@@ -295,13 +296,15 @@ def _lagrange_terms(G: Array, jet, w: Array):
     # ndarray.dot matches @ bit for bit on these 1-D and 2-D operands, not
     # on the 3-D u_yy, which keeps @
     D = Uyy @ w if Ut is None else Uty + Uyy @ w
-    M2dot_w = D.T.dot(GUyw) + GUy.T.dot(D.dot(w))
+    DT = D.T
+    DT_GUyw = DT.dot(GUyw)  # without u_t, also L_y
+    M2dot_w = DT_GUyw + GUy.T.dot(D.dot(w))
     M2 = Uy.T.dot(GUy)
     if Ut is None:
-        return M2, M2dot_w, None, D.T.dot(GUyw)
+        return M2, M2dot_w, None, DT_GUyw
     GUt = G.dot(Ut)
     bdot = (Utt + Uty.dot(w)).dot(GUy) + GUt.dot(D)
-    return M2, M2dot_w, bdot, D.T.dot(GUt + GUyw)
+    return M2, M2dot_w, bdot, DT.dot(GUt + GUyw)
 
 
 def _bracket(terms, a: Array) -> Array:
@@ -383,7 +386,8 @@ def integrate_second_kind(
     Aborts with :class:`ChartError` naming t when the solution leaves the
     chart domain or turns NaN, or the metric degenerates; a non-finite
     initial w is refused with a ValueError.  A chart declared
-    time-independent is checked at the initial point first.
+    time-independent is checked at the initial point, once that point is
+    found inside the chart domain.
 
     Evaluations per step: 4 calls of :func:`second_kind_acceleration`, each
     of which evaluates the chart jet once; the acceleration and Q recorded
@@ -397,12 +401,19 @@ def integrate_second_kind(
     # Dormand-Prince on the chart fails the equivalence check (see README)
     if cfg.method != "rk4-fixed":
         raise NotImplementedError("second-kind integration uses the rk4-fixed method")
-    emb.require_declared_time_independence(init.t, init.y, "integrate_second_kind")
     lag = pullback_lagrangian(emb, sys.mass)
+
+    def outside(t, y):
+        return ChartError(f"trajectory left the chart domain at t={t}, y={y}")
+
+    # a NaN or outside y fails as such, and not as a NaN time shift of the chart
+    if not emb.in_domain(init.y):
+        raise outside(init.t, init.y)
+    emb.require_declared_time_independence(init.t, init.y, "integrate_second_kind")
 
     def accel_and_Q(t, y, w):
         if not emb.in_domain(y):
-            raise ChartError(f"trajectory left the chart domain at t={t}, y={y}")
+            raise outside(t, y)
         return second_kind_acceleration(lag, sys.force, t, y, w)
 
     rows = []
@@ -459,9 +470,12 @@ def covariance_residual(
     return float(np.abs(ambient_row @ jet[2] - chart_row).max())
 
 
+_INVERT_TOL = 1e-12  # |u(t, y) - x|_inf at which chart inversion stops
+
+
 def _chart_invert(
     emb: Embedding, mass: MassMatrix, t: float, x: Array, y0: Array,
-    r0: Optional[Array] = None, tol: float = 1e-12, max_iter: int = 20,
+    r0: Optional[Array] = None, tol: float = _INVERT_TOL, max_iter: int = 20,
 ) -> Tuple[Array, float]:
     """Solve u(t, y) = x by G-weighted Gauss-Newton from y0; returns (y, residual).
 
@@ -550,9 +564,15 @@ def match_trajectories(
 
     The first-kind grid is authoritative; (y, w) are resampled onto it by
     cubic Hermite interpolation.  Also inverts the chart per sample to report
-    u(t,y)=x solvability residuals: Gauss-Newton starts from the resampled
-    y(t_i), which already lies close to the answer, and reuses the residual
-    u(t_i, y(t_i)) - x_i that the position comparison computes.
+    u(t,y)=x solvability residuals.  The maps are evaluated sample by
+    sample, and the residuals r0 = u(t_i, y(t_i)) - x_i and the sups are
+    formed for all samples at once.  Gauss-Newton runs, in sample order,
+    only where |r0|_inf is not <= its tolerance, starting from the
+    resampled y(t_i), which already lies close to the answer, with that r0;
+    every other sample's inversion residual is its |r0|_inf, which is what
+    :func:`_chart_invert` returns before its first step.  A sample with a
+    NaN in r0 goes to :func:`_chart_invert` too, which raises; a NaN
+    velocity difference makes ``sup_velocity`` NaN.
     """
     if mass is None:
         mass = MassMatrix(np.eye(emb.dim))
@@ -561,16 +581,31 @@ def match_trajectories(
     Ys, Ws = _hermite(ty, traj_y.y, traj_y.w, times)
     if times[0] < ty[0] - 1e-12 or times[-1] > ty[-1] + 1e-12:
         raise ValueError("first-kind grid extends beyond the second-kind run")
+    X = traj_x.positions
 
-    sup_x = 0.0
-    sup_v = 0.0
-    max_inv = 0.0
-    for t, x, v, y, w in zip(times, traj_x.positions, traj_x.velocities, Ys, Ws):
-        r0 = emb.value(t, y) - x
-        v_pred = emb.velocity(t, y, w)
-        sup_x = max(sup_x, float(np.abs(r0).max()))
-        sup_v = max(sup_v, float(np.abs(v - v_pred).max()))
-        _, resid = _chart_invert(emb, mass, t, x, y, r0)
-        max_inv = max(max_inv, resid)
-    return MatchReport(sup_position=sup_x, sup_velocity=sup_v, max_inversion_residual=max_inv)
+    def inversion_residuals(R0: Array) -> Array:
+        """|u(t, y) - x|_inf after inverting the chart on the rows of R0 that miss."""
+        resid = np.abs(R0).max(axis=1)
+        for i in np.flatnonzero(~(resid <= _INVERT_TOL)).tolist():
+            resid[i] = _chart_invert(emb, mass, times[i], X[i], Ys[i], R0[i])[1]
+        return resid
 
+    U = np.empty((times.size, emb.dim))
+    V = np.empty((times.size, emb.dim))
+    i = 0
+    try:
+        for i, (t, y, w) in enumerate(zip(times, Ys, Ws)):
+            U[i] = emb.value(t, y)
+            V[i] = emb.velocity(t, y, w)
+    except Exception:
+        # the inversions a per-sample loop finishes before the failure come first
+        inversion_residuals(U[:i] - X[:i])
+        raise
+    R0 = U - X
+    resid = inversion_residuals(R0)
+    # ndarray.max carries a NaN through; the inversion has refused one in R0
+    return MatchReport(
+        sup_position=float(np.abs(R0).max(initial=0.0)),
+        sup_velocity=float(np.abs(traj_x.velocities - V).max(initial=0.0)),
+        max_inversion_residual=float(resid.max(initial=0.0)),
+    )

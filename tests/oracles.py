@@ -2,12 +2,14 @@
 differences, a random polynomial chart and generator with analytic
 derivatives, the reparametrized constraint set psi = U(phi), a generic
 Lagrangian derivative built from the pieces of 1/2 w^T M2 w + b w + T0,
-the drift projection written out on its own, and the RK4 / Dormand-Prince
-march on numpy arrays."""
+the second-kind terms and the trajectory match written out one product and
+one sample at a time, the drift projection written out on its own, and the
+RK4 / Dormand-Prince march on numpy arrays."""
 
 import numpy as np
 
 from constrained_dynamics import ConfigurationMap, ConstraintSet, Embedding, SmoothMap
+from constrained_dynamics.generalized import MatchReport, _chart_invert, _hermite
 from constrained_dynamics.integrate import ProjectionError, _stop_time
 from constrained_dynamics.reactions import _chol_solve
 
@@ -165,6 +167,42 @@ def lagrangian_derivative_from_pieces(M2, dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, 
     """
     M2dot, bdot, L_y = along_velocity(dM2_dt, dM2_dy, db_dt, db_dy, dT0_dy, w)
     return M2 @ a + M2dot @ w + bdot - L_y
+
+
+def lagrange_terms(G, jet, w):
+    """(M2, M2dot w, bdot, L_y) as ``generalized._lagrange_terms`` first
+    formed them: D^T is taken at each use, and on a chart without u_t the
+    product D^T (G u_y w) is formed twice, once in M2dot w and once as L_y.
+    The engine's terms must have the bits of these."""
+    _, Ut, Uy, Utt, Uty, Uyy = jet
+    GUy = G.dot(Uy)
+    GUyw = GUy.dot(w)
+    D = Uyy @ w if Ut is None else Uty + Uyy @ w
+    M2dot_w = D.T.dot(GUyw) + GUy.T.dot(D.dot(w))
+    M2 = Uy.T.dot(GUy)
+    if Ut is None:
+        return M2, M2dot_w, None, D.T.dot(GUyw)
+    GUt = G.dot(Ut)
+    bdot = (Utt + Uty.dot(w)).dot(GUy) + GUt.dot(D)
+    return M2, M2dot_w, bdot, D.T.dot(GUt + GUyw)
+
+
+def match_per_sample(traj_x, emb, traj_y, mass):
+    """``generalized.match_trajectories`` as a per-sample loop: the chart
+    maps, the residual r0 and the chart inversion of one sample before the
+    next, and running maxima.  The engine's report must equal this one, and
+    it must raise the same error first."""
+    times = traj_x.times
+    Ys, Ws = _hermite(traj_y.times, traj_y.y, traj_y.w, times)
+    sup_x = sup_v = max_inv = 0.0
+    for t, x, v, y, w in zip(times, traj_x.positions, traj_x.velocities, Ys, Ws):
+        r0 = emb.value(t, y) - x
+        v_pred = emb.velocity(t, y, w)
+        sup_x = max(sup_x, float(np.abs(r0).max()))
+        sup_v = max(sup_v, float(np.abs(v - v_pred).max()))
+        _, resid = _chart_invert(emb, mass, t, x, y, r0)
+        max_inv = max(max_inv, resid)
+    return MatchReport(sup_position=sup_x, sup_velocity=sup_v, max_inversion_residual=max_inv)
 
 
 def project(cs, mass, t, x, v, tol, max_iter, velocity):

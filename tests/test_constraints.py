@@ -334,3 +334,24 @@ def test_scleronomy_is_declared_by_the_catalog(all_scenarios):
         "rotating-wire-bead": False, "knife-edge": True,
     }
     assert not lift_holonomic(rotating_line_generator(1.0), 2).scleronomic
+
+
+def test_declared_scleronomy_refuses_a_nan_phi_t(pendulum):
+    # a NaN compares false with the tolerance, so the test is "not <="
+    import dataclasses
+
+    from constrained_dynamics.checks import check_scenario
+
+    cs = pendulum.constraints
+    phi = dataclasses.replace(cs.phi, jac_t=lambda t, x, v: np.full(1, np.nan))
+    nan_set = dataclasses.replace(cs, phi=phi)
+    s = pendulum.initial
+    cs.require_declared_scleronomy(s.t, s.x, s.v, "here")
+    with pytest.raises(
+        ValueError,
+        match=r"^here: constraints declared scleronomic have \|phi_t\| = nan > 1e-12 at t=0\.0$",
+    ):
+        nan_set.require_declared_scleronomy(s.t, s.x, s.v, "here")
+    # the property suite refuses it too, at the initial state of its run
+    with pytest.raises(ValueError, match=r"^initial state: .* \|phi_t\| = nan > "):
+        check_scenario(dataclasses.replace(pendulum, constraints=nan_set))

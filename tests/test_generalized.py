@@ -1,4 +1,7 @@
+import functools
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +33,12 @@ from constrained_dynamics.scenarios import (
     rotating_line_embedding,
     sphere_polar_embedding,
 )
-from oracles import along_velocity, lagrangian_derivative_from_pieces, random_polynomial_chart
+from oracles import (
+    along_velocity,
+    lagrangian_derivative_from_pieces,
+    match_per_sample,
+    random_polynomial_chart,
+)
 
 
 def test_pushforward_circle_bottom():
@@ -249,6 +257,20 @@ def test_second_kind_refuses_a_false_time_independence(rotating_wire, pendulum):
     late = replace(circle, u=lambda t, y: circle.u(t, y) * (1.0 + max(0.0, t - 0.5)))
     with pytest.raises(ValueError, match=r"at t=0\.0, tau=0\.7$"):
         integrate_second_kind(late, pendulum.system, pendulum.initial_generalized, 0.1, cfg)
+
+
+def test_declared_time_independence_refuses_a_nan_shift(pendulum):
+    # u is NaN at every t but 0: the gaps are NaN, which compare false with
+    # the tolerance, so the test is "not <="
+    circle = pendulum.embedding
+    emb = replace(circle, u=lambda t, y: circle.u(t, y) if t == 0.0 else np.full(2, np.nan))
+    y0 = pendulum.initial_generalized.y
+    circle.require_declared_time_independence(0.0, y0, "here")
+    with pytest.raises(
+        ValueError, match=r"^here: chart declared time-independent .* = nan > 1e-12 at t=0\.0, "
+        r"tau=0\.001$",
+    ):
+        emb.require_declared_time_independence(0.0, y0, "here")
 
 
 def test_pushforward_second_order_chain_rule():
@@ -681,6 +703,119 @@ def test_match_trajectories_inverts_from_resampled_point(pendulum, monkeypatch):
     rep = match_trajectories(first, pendulum.embedding, second, pendulum.system.mass)
     assert calls[0] <= 4 * len(first)
     assert rep.max_inversion_residual < 1e-7
+
+
+_CHART_SCENARIOS = ("pendulum", "spherical-pendulum", "rotating-wire-bead")
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_runs(name, dt, t_end=1.0):
+    """(scenario, first-kind run, second-kind run) of a catalog scenario at dt."""
+    sc = catalog_scenario(name)
+    cfg = IntegratorConfig(dt=dt)
+    first = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, cfg)
+    second = integrate_second_kind(sc.embedding, sc.system, sc.initial_generalized, t_end, cfg)
+    return sc, first, second
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", _CHART_SCENARIOS)
+def test_match_equals_the_per_sample_loop(name, dt):
+    sc, first, second = _chart_runs(name, dt)
+    got = match_trajectories(first, sc.embedding, second, sc.system.mass)
+    want = match_per_sample(first, sc.embedding, second, sc.system.mass)
+    assert got.sup_position == want.sup_position
+    assert got.sup_velocity == want.sup_velocity
+    assert got.max_inversion_residual == want.max_inversion_residual
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", _CHART_SCENARIOS)
+def test_match_inverts_exactly_the_samples_that_miss(name, dt, monkeypatch):
+    # Gauss-Newton is entered, in sample order and with that sample's r0,
+    # on the samples whose |u(t, y) - x|_inf is not <= the tolerance, and
+    # on no other
+    import constrained_dynamics.generalized as generalized
+
+    sc, first, second = _chart_runs(name, dt)
+    emb = sc.embedding
+    Ys, _ = generalized._hermite(second.times, second.y, second.w, first.times)
+    R0 = [emb.value(t, y) - x for t, x, y in zip(first.times, first.positions, Ys)]
+    miss = [i for i, r0 in enumerate(R0) if not np.abs(r0).max() <= generalized._INVERT_TOL]
+    if dt == 1e-2:  # the coarse grid drifts off the chart: the inversions run
+        assert miss
+    entered = []
+    inner = generalized._chart_invert
+
+    def recording(emb, mass, t, x, y0, r0):
+        entered.append((t, r0))
+        return inner(emb, mass, t, x, y0, r0)
+
+    monkeypatch.setattr(generalized, "_chart_invert", recording)
+    match_trajectories(first, emb, second, sc.system.mass)
+    assert [t for t, _ in entered] == [first.times[i] for i in miss]
+    assert all(np.array_equal(r0, R0[i]) for (_, r0), i in zip(entered, miss))
+
+
+@pytest.mark.parametrize("dt, t_end", [(5e-2, 1.0), (2e-2, 2.0)])
+def test_match_raises_the_per_sample_loops_chart_error(dt, t_end):
+    # the coarse first-kind run leaves the chart image by more than 1e-6
+    sc, first, second = _chart_runs("pendulum", dt, t_end)
+    args = (first, sc.embedding, second, sc.system.mass)
+    with pytest.raises(ChartError, match="chart inversion diverged at t=") as want:
+        match_per_sample(*args)
+    with pytest.raises(ChartError) as got:
+        match_trajectories(*args)
+    assert str(got.value) == str(want.value)
+
+
+class _MapFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fails_after", [0.3, 0.7])
+@pytest.mark.parametrize("field", ["u", "u_y"])
+def test_match_raises_the_earliest_failure_first(field, fails_after):
+    # the inversion at t = 0.5 diverges: a chart map that fails from t = 0.7
+    # on comes after it, one that fails from t = 0.3 on before it
+    sc, first, second = _chart_runs("pendulum", 5e-2)
+    inner = getattr(sc.embedding, field)
+
+    def failing(t, y):
+        if t > fails_after:
+            raise _MapFailure(f"{field} fails at t={t}")
+        return inner(t, y)
+
+    emb = replace(sc.embedding, **{field: failing})
+    args = (first, emb, second, sc.system.mass)
+    errors = []
+    for match in (match_per_sample, match_trajectories):
+        with pytest.raises((ChartError, _MapFailure)) as raised:
+            match(*args)
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (_MapFailure if fails_after < 0.5 else ChartError)
+
+
+def test_match_refuses_a_nan_position_and_carries_a_nan_velocity():
+    sc, first, second = _chart_runs("pendulum", 1e-2)
+    X, V = first.positions.copy(), first.velocities.copy()
+    X[7, 0] = np.nan
+    off = replace(first, positions=X)
+    args = (sc.embedding, second, sc.system.mass)
+    with pytest.raises(ChartError, match="residual nan") as want:
+        match_per_sample(off, *args)
+    with pytest.raises(ChartError) as got:
+        match_trajectories(off, *args)
+    assert str(got.value) == str(want.value)
+    # a NaN velocity difference reaches no inversion; the stacked maximum
+    # carries it, where a running max() dropped it
+    V[7, 1] = np.nan
+    rep = match_trajectories(replace(first, velocities=V), *args)
+    want = match_per_sample(replace(first, velocities=V), *args)
+    assert math.isnan(rep.sup_velocity) and not math.isnan(want.sup_velocity)
+    assert rep.sup_position == want.sup_position
+    assert rep.max_inversion_residual == want.max_inversion_residual
 
 
 def test_metric_solve_2x2_matches_dense_solve():

@@ -50,6 +50,7 @@ from constrained_dynamics.reactions import (
     _stacked_solve,
 )
 from constrained_dynamics.scenarios import uniform_rows
+from oracles import lagrange_terms, random_polynomial_chart
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -473,6 +474,36 @@ def test_second_kind_kernels_match_the_written_out_formulas(name):
         ydd, got_Q = second_kind_acceleration(lag, f, t, y, w)
         assert np.array_equal(ydd, _metric_solve(M2, Q - M2dot_w - bdot + L_y, t))
         assert np.array_equal(got_Q, Q)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bit patterns, so that -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    r=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    timed=st.booleans(),
+)
+def test_lagrange_terms_have_the_bits_of_the_written_out_terms(seed, r, extra, timed):
+    # random polynomial charts with r = 1-3 and m = r to r + 2, a random SPD
+    # mass matrix, and the time slots of the jet dropped for a chart without u_t
+    rng = np.random.default_rng(seed)
+    m = r + extra
+    emb = random_polynomial_chart(rng, m, r)
+    A = rng.uniform(-1, 1, (m, m))
+    G = A @ A.T + m * np.eye(m)
+    t = rng.uniform(-1, 1)
+    y, w = rng.uniform(-0.5, 0.5, r), rng.uniform(-2, 2, r)
+    jet = _chart_jet(emb, t, y)
+    if not timed:
+        jet = (jet[0], None, jet[2], None, None, jet[5])
+    got, want = _lagrange_terms(G, jet, w), lagrange_terms(G, jet, w)
+    assert (got[2] is None) == (want[2] is None) == (not timed)
+    assert all(g is e or _same_bits(g, e) for g, e in zip(got, want, strict=True))
 
 
 def _with_zero_time_maps(emb):

@@ -196,9 +196,11 @@ def test_sample_states_equal_the_per_state_sampler(all_scenarios, seed):
         assert rng_a.random() == rng_b.random(), sc.name
 
 
-def _nan_chart_after_one(sc):
+def _nan_chart_at_negative_azimuth(sc):
+    # NaN on part of the domain but at every t alike, so that the chart
+    # still passes its time-independence check at the first state
     emb = dataclasses.replace(
-        sc.embedding, u=lambda t, y, u=sc.embedding.u: u(t, y) * (np.nan if t > 1.0 else 1.0)
+        sc.embedding, u=lambda t, y, u=sc.embedding.u: u(t, y) * (np.nan if y[1] < 0.0 else 1.0)
     )
     return dataclasses.replace(sc, embedding=emb)
 
@@ -207,7 +209,7 @@ def _nan_chart_after_one(sc):
     "spoil, error",
     [
         (lambda sc: dataclasses.replace(sc, sample_y_lo=np.array([0.0, -np.pi])), ChartError),
-        (_nan_chart_after_one, ValueError),
+        (_nan_chart_at_negative_azimuth, ValueError),
     ],
     ids=["outside-chart-domain", "non-finite-state"],
 )
@@ -216,6 +218,22 @@ def test_sample_states_fail_as_the_per_state_sampler(spherical, spoil, error):
     with pytest.raises(error) as ref:
         _sample_one_by_one(sc, np.random.default_rng(2), 200)
     with pytest.raises(error, match=re.escape(str(ref.value))):
+        sc.sample_states(np.random.default_rng(2), 200)
+
+
+def test_sample_states_refuse_a_chart_that_turns_nan_in_time(spherical):
+    # declared time-independent, but NaN from t = 1 on: the NaN shift of
+    # u fails the declaration at the first state (t = 0.78), before any state
+    emb = spherical.embedding
+
+    def nan_late(t, y):
+        return emb.u(t, y) * (np.nan if t > 1.0 else 1.0)
+
+    sc = dataclasses.replace(spherical, embedding=dataclasses.replace(emb, u=nan_late))
+    with pytest.raises(
+        ValueError, match=r"^scenario 'spherical-pendulum': chart declared time-independent "
+        r".* = nan > 1e-12 at t=0\.78\d*, tau=0\.7$",
+    ):
         sc.sample_states(np.random.default_rng(2), 200)
 
 

@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs at a tiny horizon."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -70,3 +71,38 @@ def test_output_digests_repeat_and_cover_every_op():
         assert any(line.endswith(f"  {name}_trajectory.csv") for line in lines)
     # 6 simulate ops and 3 others on a holonomic scenario, 2 and 3 on the knife edge
     assert len(labels) == 3 * 9 + 5
+
+
+def _digest_lines(proc) -> dict:
+    """{op label and output: sha256} of an output_digests.py run."""
+    return {label: digest for digest, label in (ln.split("  ", 1) for ln in proc.stdout.splitlines())}
+
+
+def test_output_digests_pass_dt_to_every_op_that_takes_it():
+    # the step reaches simulate, check-invariants and compare-embeddings, and
+    # an op that ends in an error hashes its standard error: at dt 5e-2 the
+    # pendulum's first-kind run leaves the chart image by more than 1e-6
+    plain, coarse = (
+        _run("output_digests.py", "pendulum", "--t-end", "1", *dt) for dt in ([], ["--dt", "5e-2"])
+    )
+    for proc in (plain, coarse):
+        assert proc.returncode == 0, proc.stderr
+    plain, coarse = _digest_lines(plain), _digest_lines(coarse)
+
+    def ops(lines):
+        return {label.split("  ")[0] for label in lines}
+
+    with_dt = {op.replace(" --t-end 1.0", " --t-end 1.0 --dt 0.05") for op in ops(plain)}
+    assert ops(coarse) == with_dt and len(with_dt - ops(plain)) == 8
+    simulate = "pendulum simulate --t-end 1.0{} --method rk4-fixed --projection off"
+    csv = "  pendulum_trajectory.csv"
+    assert plain[simulate.format("") + csv] != coarse[simulate.format(" --dt 0.05") + csv]
+    error = (
+        "error (compare-embeddings pendulum): chart inversion diverged at "
+        "t=0.49999999999999994 (residual 1.243e-06); trajectory left the chart\n"
+    )
+    failed = "pendulum compare-embeddings --t-end 1.0 --dt 0.05"
+    assert coarse[f"{failed}  stdout (exit 2)"] == hashlib.sha256(b"").hexdigest()
+    assert coarse[f"{failed}  stderr"] == hashlib.sha256(error.encode()).hexdigest()
+    assert [label for label in coarse if label.endswith("stderr")] == [f"{failed}  stderr"]
+    assert not [label for label in plain if label.endswith("stderr")]
