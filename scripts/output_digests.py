@@ -21,17 +21,24 @@ writes to standard error, such as an op that ends in an error:
     <sha256>  <scenario> <op argv>  <file name | stdout (exit <code>) | stderr>
 
 Two runs of one commit print the same lines, so `diff` of the output of
-two commits names every output that moved.
+two commits names every output that moved.  The bits depend on Python and
+numpy; `--versions` prints their versions first, in one `#` line.  The
+tier-1 golden file `tests/data/output_digests.txt` is
+
+    scripts/output_digests.py --t-end 1 --dt 1e-2 --versions
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import platform
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from constrained_dynamics.cli import main as cdyn
 from constrained_dynamics.scenarios import CATALOG_NAMES, catalog_scenario, parse_scenario
@@ -77,6 +84,11 @@ def digests(token: str, t_end: float, dt: Optional[float] = None):
                 yield _sha(path.read_bytes()), f"{label}  {path.name}"
 
 
+def versions_line() -> str:
+    """The `#` line of the Python and numpy versions that the digests depend on."""
+    return f"# python {platform.python_version()}  numpy {np.__version__}"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("scenarios", nargs="*", default=list(CATALOG_NAMES),
@@ -84,7 +96,11 @@ def main():
     ap.add_argument("--t-end", type=float, default=1.0, help="horizon of every op but reactions")
     ap.add_argument("--dt", type=float, default=None,
                     help="step of every op but reactions (default: the scenario's)")
+    ap.add_argument("--versions", action="store_true",
+                    help="first print the Python and numpy versions, in one '#' line")
     args = ap.parse_args()
+    if args.versions:
+        print(versions_line())
     for token in args.scenarios:
         for digest, label in digests(token, args.t_end, args.dt):
             print(f"{digest}  {label}")
