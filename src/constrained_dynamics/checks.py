@@ -16,13 +16,9 @@ from . import __version__
 from .constraints import _fix_signs, _kernel_basis
 from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
-from .reactions import (
-    Reparametrization,
-    _raise_earlier_failure,
-    _stacked_solve,
-    invariance_report,
-)
+from .reactions import Reparametrization, _stacked_solve, invariance_report
 from .scenarios import Scenario, uniform_rows
+from .smooth import in_state_order
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
     "first-integral": 1e-6,
@@ -161,16 +157,11 @@ def check_virtual_work(sc: Scenario, thresholds, count=1000) -> List[ReportEntry
     k, n, m = t.size, cs.n, cs.dim
     # every state's force and jet (phi_v, phi_t + phi_x v), written in place
     F, drift, B = np.empty((k, m)), np.empty((k, n)), np.empty((k, n, m))
-    i = 0
-    try:
+    i = 0  # the solves of the states before a failing state i come first
+    with in_state_order(lambda: i and _stacked_solve(Ginv, B[:i], drift[:i], F[:i], t[:i])):
         for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
             F[i] = force(ti, x, v)
             B[i], drift[i] = jet(ti, x, v)
-    except Exception as exc:  # the solves of the states before i come first
-        _raise_earlier_failure(
-            exc, lambda: i and _stacked_solve(Ginv, B[:i], drift[:i], F[:i], t[:i])
-        )
-        raise
     _, N = _stacked_solve(Ginv, B, drift, F, t)
     # one stacked SVD for every kernel basis, and N Xi for every state at once
     Xi = _fix_signs(_kernel_basis(B, n, t))
@@ -209,13 +200,13 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
     emb.require_declared_time_independence(
         float(t[0, 0]), Y[0], f"covariance check of scenario {sc.name!r}"
     )
-    worst = 0.0
-    for i, ti in enumerate(t[:, 0].tolist()):
-        worst = max(
-            worst,
-            covariance_residual(emb, sc.system.mass, sc.system.force, ti, Y[i], W[i], A[i]),
-        )
-    return [_entry("covariance", worst, thresholds["covariance"])]
+    mass, force = sc.system.mass, sc.system.force
+    residuals = [
+        covariance_residual(emb, mass, force, ti, y, w, a)
+        for ti, y, w, a in zip(t[:, 0].tolist(), Y, W, A)
+    ]
+    # ndarray.max carries a NaN residual through, so a NaN fails the check
+    return [_entry("covariance", np.max(residuals, initial=0.0), thresholds["covariance"])]
 
 
 def check_energy(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:

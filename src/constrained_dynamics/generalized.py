@@ -22,7 +22,7 @@ import numpy as np
 
 from .constraints import SCLERONOMY_TOL, require_regular
 from .integrate import IntegratorConfig, Trajectory, _csv, _march, require_horizon
-from .smooth import Array, State, shaped
+from .smooth import Array, State, in_state_order, shaped
 from .system import ForceField, MassMatrix, MechanicalSystem
 
 
@@ -592,15 +592,11 @@ def match_trajectories(
 
     U = np.empty((times.size, emb.dim))
     V = np.empty((times.size, emb.dim))
-    i = 0
-    try:
+    i = 0  # the inversions of the samples before a failing sample i come first
+    with in_state_order(lambda: inversion_residuals(U[:i] - X[:i])):
         for i, (t, y, w) in enumerate(zip(times, Ys, Ws)):
             U[i] = emb.value(t, y)
             V[i] = emb.velocity(t, y, w)
-    except Exception:
-        # the inversions a per-sample loop finishes before the failure come first
-        inversion_residuals(U[:i] - X[:i])
-        raise
     R0 = U - X
     resid = inversion_residuals(R0)
     # ndarray.max carries a NaN through; the inversion has refused one in R0

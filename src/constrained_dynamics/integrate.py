@@ -15,9 +15,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .constraints import ConstraintSet, RegularityError, _kernel_basis
+from .constraints import ConstraintSet, _kernel_basis
 from .reactions import Realization, _chol_solve, _multiplier_solver
-from .smooth import Array, EvaluationError, State, require_finite_state
+from .smooth import Array, EvaluationError, State, in_state_order, require_finite_state
 from .system import MechanicalSystem
 
 
@@ -280,17 +280,17 @@ def _trajectory(sys: MechanicalSystem, cs: Optional[ConstraintSet], rows) -> Tra
 
 
 def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
-    """Refuse initial data off the constraints, or constraints whose declared
-    scleronomy fails at the initial state."""
+    """Refuse initial data off the constraints, a NaN residual included, or
+    constraints whose declared scleronomy fails at the initial state."""
     if cs is None:
         return
     cs.require_declared_scleronomy(init.t, init.x, init.v, "initial state")
     phi0 = float(np.abs(cs.phi(init.t, init.x, init.v)).max(initial=0.0))
-    if phi0 > tol:
+    if not phi0 <= tol:
         raise OffManifoldError(f"initial phi residual {phi0:.6g} exceeds {tol}")
     if cs.is_holonomic:
         g0 = float(np.abs(cs.generator(init.t, init.x)).max(initial=0.0))
-        if g0 > tol:
+        if not g0 <= tol:
             raise OffManifoldError(f"initial g residual {g0:.6g} exceeds {tol}")
 
 
@@ -472,17 +472,9 @@ def integrate_first_kind(
         return record(t, x, v, gen)
 
     t, x, v = init.t, init.x.copy(), init.v.copy()
-    try:
+    # a sample's phi_v failing the regularity rule before the failure comes first
+    with in_state_order(lambda: rows and _trajectory(sys, cs, rows)):
         _, _, a = record(t, x, v)
         step = record if cfg.projection == "off" else project_and_record
         _march(accel, step, t, x, v, a, t_end, cfg)
-    except Exception as exc:
-        # a sample before the failure whose phi_v already failed the
-        # regularity rule is the run's first failure
-        if rows:
-            try:
-                _trajectory(sys, cs, rows)
-            except RegularityError as first:
-                raise first from exc
-        raise
     return _trajectory(sys, cs, rows)

@@ -24,12 +24,11 @@ import numpy as np
 from .constraints import (
     ConstraintSet,
     VirtualBasis,
-    RegularityError,
     regular_svd,
     require_regular,
     require_regular_stack,
 )
-from .smooth import Array, State, shaped
+from .smooth import Array, State, in_state_order, shaped
 from .system import MechanicalSystem
 
 
@@ -155,16 +154,6 @@ def _stacked_solve(Ginv: Array, B: Array, drift: Array, F: Array, t: Array) -> t
     rhs = drift + (W @ F[:, :, None])[:, :, 0]
     lam = _chol_solve(W @ B.swapaxes(1, 2), rhs, t, -1.0)
     return lam, (lam[:, None, :] @ B)[:, 0]
-
-
-def _raise_earlier_failure(exc: Exception, deferred: Callable[[], object]) -> None:
-    """Raise from ``exc`` the :class:`RegularityError` of ``deferred()``: the
-    stacked regularity tests of the states before ``exc``, which a per-state
-    loop would have made, and failed, first.  Return when they pass."""
-    try:
-        deferred()
-    except RegularityError as first:
-        raise first from exc
 
 
 def reaction(
@@ -339,30 +328,24 @@ def invariance_report(
             np.repeat(t[:states], 1 + nf)[:solves],
         )[1]
 
-    i = solved = 0  # the state, and the number of its solves whose maps are all evaluated
-    try:
+    done = 0  # the solves whose maps are all evaluated, into a failing state
+    with in_state_order(lambda: done and reactions(done // (1 + nf) + 1, done)):
         for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
-            solved = 0
             z = phi(ti, x, v)
             resid = float(np.abs(z).max(initial=0.0))
-            if resid > on_manifold_tol:
+            if not resid <= on_manifold_tol:
                 raise ValueError(
                     f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
                 )
             f[i] = force(ti, x, v)
             phi_t[i], phi_x[i], phi_v[i] = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
+            done += 1
             for j, rep in enumerate(reps):
-                solved = j + 1  # phi's solve and those of the families before j
                 U_z[j, i], U_t[j, i], U_x[j, i], U_v[j, i] = (
                     rep.d_z(ti, x, v, z), rep.d_t(ti, x, v, z), rep.d_x(ti, x, v, z),
                     rep.d_v(ti, x, v, z),
                 )
-    except Exception as exc:
-        # the solves a per-state loop finishes before the failure: those of
-        # the states before i, and the first ``solved`` at i
-        done = i * (1 + nf) + solved
-        _raise_earlier_failure(exc, lambda: done and reactions(i + 1, done))
-        raise
+                done += 1
     N = reactions(k).reshape(k, 1 + nf, m)
     # ndarray.max carries a NaN difference through, so a NaN reaction fails the check
     return float(np.abs(N[:, 1:] - N[:, :1]).max(initial=0.0))

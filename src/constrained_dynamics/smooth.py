@@ -10,6 +10,7 @@ derivative is a required field: a carrier built without one raises
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,23 @@ def require_finite_state(t: float, x: Array, v: Array) -> None:
     # several times cheaper than np.isfinite
     if not all(map(math.isfinite, [t] + x.tolist() + v.tolist())):
         raise ValueError(f"state entries must be finite at t={t}")
+
+
+@contextmanager
+def in_state_order(deferred: Callable[[], object]):
+    """Fail as a per-state loop would: the block evaluates maps state by state,
+    and ``deferred()`` is the stacked verdict on the states it finished, which
+    such a loop makes first.  When the block raises, the verdict's failure is
+    raised from the block's exception; if the verdict passes, the block's own
+    exception propagates.  A block that succeeds never calls ``deferred``."""
+    try:
+        yield
+    except Exception as exc:
+        try:
+            deferred()
+        except Exception as first:
+            raise first from exc
+        raise
 
 
 @dataclass(frozen=True)

@@ -372,3 +372,20 @@ def test_reparametrization_check_fails_on_a_nan_phi_t(pendulum):
     sc = dataclasses.replace(pendulum, constraints=dataclasses.replace(cs, phi=phi))
     [entry] = check_reparametrization(sc, DEFAULT_THRESHOLDS)
     assert np.isnan(entry.value) and not entry.passed
+
+
+@pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum"])
+def test_covariance_check_fails_on_a_nan_residual(name):
+    # a NaN u_yy makes every residual NaN; the check's maximum carries the NaN
+    # through, where a running Python max would drop it and pass with 0.0
+    import dataclasses
+
+    from constrained_dynamics.checks import check_covariance
+    from constrained_dynamics.scenarios import catalog_scenario
+
+    sc = catalog_scenario(name)
+    assert check_covariance(sc, DEFAULT_THRESHOLDS)[0].passed
+    nan_yy = lambda t, y: np.full((sc.embedding.dim, y.size, y.size), np.nan)  # noqa: E731
+    sc = dataclasses.replace(sc, embedding=dataclasses.replace(sc.embedding, u_yy=nan_yy))
+    [entry] = check_covariance(sc, DEFAULT_THRESHOLDS)
+    assert np.isnan(entry.value) and not entry.passed

@@ -128,6 +128,21 @@ def test_off_manifold_initial_rejected(pendulum):
         integrate_first_kind(pendulum.system, pendulum.constraints, bad, 1.0)
 
 
+@pytest.mark.parametrize("name, field, residual", [
+    ("knife-edge", "phi", "phi"), ("pendulum", "generator", "g"),
+])
+def test_nan_initial_residual_rejected(name, field, residual):
+    # a NaN residual compares false with the tolerance, and is refused all the
+    # same; a holonomic set's phi is the lift of g_t and g_x, not of g
+    import dataclasses
+
+    sc = catalog_scenario(name)
+    nan = dataclasses.replace(getattr(sc.constraints, field), value=lambda *a: np.full(1, np.nan))
+    cs = dataclasses.replace(sc.constraints, **{field: nan})
+    with pytest.raises(OffManifoldError, match=rf"^initial {residual} residual nan exceeds 1e-08$"):
+        integrate_first_kind(sc.system, cs, sc.initial, 1.0)
+
+
 def test_gde_residual_vanishes_on_solution(pendulum, pendulum_bottom):
     a = acceleration(pendulum.system, pendulum.constraints, pendulum_bottom)
     assert gde_residual(pendulum.system, pendulum.constraints, pendulum_bottom, a) < 1e-13

@@ -797,6 +797,23 @@ def test_match_raises_the_earliest_failure_first(field, fails_after):
     assert errors[0][0] is (_MapFailure if fails_after < 0.5 else ChartError)
 
 
+def test_match_chains_an_earlier_chart_error_from_the_map_failure():
+    # the inversion at t = 0.5 diverges before u fails from t = 0.7 on: the
+    # ChartError is raised from the map's failure, as every stacked verdict is
+    sc, first, second = _chart_runs("pendulum", 5e-2)
+    inner = sc.embedding.u
+
+    def failing(t, y):
+        if t > 0.7:
+            raise _MapFailure(f"u fails at t={t}")
+        return inner(t, y)
+
+    emb = replace(sc.embedding, u=failing)
+    with pytest.raises(ChartError, match="chart inversion diverged at t=0.4999") as err:
+        match_trajectories(first, emb, second, sc.system.mass)
+    assert isinstance(err.value.__cause__, _MapFailure)
+
+
 def test_match_refuses_a_nan_position_and_carries_a_nan_velocity():
     sc, first, second = _chart_runs("pendulum", 1e-2)
     X, V = first.positions.copy(), first.velocities.copy()

@@ -417,6 +417,17 @@ def test_invariance_report_fails_as_a_per_state_loop(
         assert err.value.t == at
 
 
+def test_invariance_report_refuses_a_nan_phi(pendulum, pendulum_bottom):
+    import dataclasses
+
+    cs, s = pendulum.constraints, pendulum_bottom
+    nan = dataclasses.replace(cs.phi, value=lambda t, x, v: np.full(1, np.nan))
+    with pytest.raises(ValueError, match=r"^state at t=0\.0 is off-manifold \(\|\|phi\|\|=nan "):
+        invariance_report(
+            pendulum.system, dataclasses.replace(cs, phi=nan), _families(1), [s.t], [s.x], [s.v]
+        )
+
+
 def test_invariance_report_off_manifold_message(pendulum):
     off = State(0.25, np.array([0.0, -1.0]), np.array([2.0, 0.5]))
     with pytest.raises(

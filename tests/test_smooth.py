@@ -18,7 +18,7 @@ from constrained_dynamics.scenarios import (
     sphere_generator,
     sphere_polar_embedding,
 )
-from constrained_dynamics.smooth import shaped
+from constrained_dynamics.smooth import in_state_order, shaped
 
 
 def _zero(*args):
@@ -195,3 +195,30 @@ def test_wrappers_keep_their_shape_errors():
                  u_y=lambda t, y: np.ones((2, 2)))
     with pytest.raises(ValueError, match=r"cannot reshape array of size 4 into shape \(2,1\)"):
         emb.d_y(0.0, np.zeros(1))
+
+
+def test_in_state_order_raises_the_verdicts_failure_from_the_blocks():
+    def verdict():
+        raise ArithmeticError("an earlier state fails")
+
+    with pytest.raises(ArithmeticError, match="an earlier state fails") as err:
+        with in_state_order(verdict):
+            raise KeyError("a later state's map fails")
+    assert isinstance(err.value.__cause__, KeyError)
+    assert err.value.__cause__.args == ("a later state's map fails",)
+
+
+def test_in_state_order_lets_the_blocks_failure_through_when_the_verdict_passes():
+    calls, failure = [], KeyError("a map fails")
+    with pytest.raises(KeyError) as err:
+        with in_state_order(lambda: calls.append("verdict")):
+            raise failure
+    assert err.value is failure and err.value.__cause__ is None
+    assert calls == ["verdict"]
+
+
+def test_in_state_order_makes_no_verdict_on_a_block_that_succeeds():
+    calls = []
+    with in_state_order(lambda: calls.append("verdict")):
+        calls.append("block")
+    assert calls == ["block"]
