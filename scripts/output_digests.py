@@ -84,11 +84,6 @@ def digests(token: str, t_end: float, dt: Optional[float] = None):
                 yield _sha(path.read_bytes()), f"{label}  {path.name}"
 
 
-def versions_line() -> str:
-    """The `#` line of the Python and numpy versions that the digests depend on."""
-    return f"# python {platform.python_version()}  numpy {np.__version__}"
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("scenarios", nargs="*", default=list(CATALOG_NAMES),
@@ -100,7 +95,7 @@ def main():
                     help="first print the Python and numpy versions, in one '#' line")
     args = ap.parse_args()
     if args.versions:
-        print(versions_line())
+        print(f"# python {platform.python_version()}  numpy {np.__version__}")
     for token in args.scenarios:
         for digest, label in digests(token, args.t_end, args.dt):
             print(f"{digest}  {label}")

@@ -328,7 +328,7 @@ def invariance_report(
             np.repeat(t[:states], 1 + nf)[:solves],
         )[1]
 
-    done = 0  # the solves whose maps are all evaluated, into a failing state
+    done = 0  # the solves whose maps are all evaluated, which a per-state loop makes first
     with in_state_order(lambda: done and reactions(done // (1 + nf) + 1, done)):
         for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
             z = phi(ti, x, v)

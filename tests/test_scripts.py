@@ -124,13 +124,14 @@ def test_outputs_match_the_golden_digests():
     )
     proc = _run("output_digests.py", *GOLDEN_ARGS)
     assert proc.returncode == 0, proc.stderr
-    (head, *golden), (here, *now) = GOLDEN.read_text().splitlines(), proc.stdout.splitlines()
+    text = GOLDEN.read_text()
+    (head, *golden), (here, *now) = text.splitlines(), proc.stdout.splitlines()
     # the bits depend on the platform: other versions fail, they are not skipped
     assert here == head, (
         f"{GOLDEN.name} was written under {head[2:]!r}, this is {here[2:]!r}; "
         f"to pin this platform instead, regenerate it with: {regenerate}"
     )
-    before, after = _digest_lines(GOLDEN.read_text()), _digest_lines(proc.stdout)
+    before, after = _digest_lines(text), _digest_lines(proc.stdout)
     moved = [
         f"{label}: {before.get(label, '(absent)')} -> {after.get(label, '(absent)')}"
         for label in sorted(before.keys() | after.keys())
