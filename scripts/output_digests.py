@@ -21,24 +21,23 @@ writes to standard error, such as an op that ends in an error:
     <sha256>  <scenario> <op argv>  <file name | stdout (exit <code>) | stderr>
 
 Two runs of one commit print the same lines, so `diff` of the output of
-two commits names every output that moved.  The bits depend on Python and
-numpy; `--versions` prints their versions first, in one `#` line.  The
-tier-1 golden file `tests/data/output_digests.txt` is
+two commits names every output that moved.  The bits also depend on the
+platform: Python, numpy, its BLAS and the C library's libm.  The tier-1
+golden file `tests/data/output_digests.txt` holds the lines of
 
-    scripts/output_digests.py --t-end 1 --dt 1e-2 --versions
+    scripts/output_digests.py --t-end 1 --dt 1e-2
+
+under one `#` line that names the platform they were written on.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
-import platform
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from constrained_dynamics.cli import main as cdyn
 from constrained_dynamics.scenarios import CATALOG_NAMES, catalog_scenario, parse_scenario
@@ -91,11 +90,7 @@ def main():
     ap.add_argument("--t-end", type=float, default=1.0, help="horizon of every op but reactions")
     ap.add_argument("--dt", type=float, default=None,
                     help="step of every op but reactions (default: the scenario's)")
-    ap.add_argument("--versions", action="store_true",
-                    help="first print the Python and numpy versions, in one '#' line")
     args = ap.parse_args()
-    if args.versions:
-        print(f"# python {platform.python_version()}  numpy {np.__version__}")
     for token in args.scenarios:
         for digest, label in digests(token, args.t_end, args.dt):
             print(f"{digest}  {label}")

@@ -2,9 +2,12 @@
 
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,11 +77,8 @@ def test_output_digests_repeat_and_cover_every_op():
 
 
 def _digest_lines(text: str) -> dict:
-    """{op label and output: sha256} of the output of an output_digests.py run."""
-    return {
-        label: digest for digest, label in
-        (ln.split("  ", 1) for ln in text.splitlines() if not ln.startswith("#"))
-    }
+    """{op label and output: sha256} of the lines an output_digests.py run prints."""
+    return {label: digest for digest, label in (ln.split("  ", 1) for ln in text.splitlines())}
 
 
 def test_output_digests_pass_dt_to_every_op_that_takes_it():
@@ -112,26 +112,38 @@ def test_output_digests_pass_dt_to_every_op_that_takes_it():
 
 
 GOLDEN = ROOT / "tests" / "data" / "output_digests.txt"
-GOLDEN_ARGS = ("--t-end", "1", "--dt", "1e-2", "--versions")
+GOLDEN_ARGS = ("--t-end", "1", "--dt", "1e-2")
+
+
+def _platform_line() -> str:
+    """The `#` line that heads the golden file: what the bits depend on
+    besides the code. The sweep's subprocess runs this interpreter."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return (
+        f"# python {platform.python_version()}  numpy {np.__version__}  "
+        f"blas {blas.get('name', '?')} {blas.get('version', '?')}  "
+        f"libc {' '.join(platform.libc_ver()) or '?'}"
+    )
 
 
 def test_outputs_match_the_golden_digests():
     # every output of every op over the catalog, held to the committed digests:
     # at dt 1e-2 the chart scenarios' matches run Gauss-Newton too
+    here = _platform_line()
     regenerate = (
-        f"PYTHONPATH=src python scripts/output_digests.py {' '.join(GOLDEN_ARGS)} "
-        f"> {GOLDEN.relative_to(ROOT)}"
+        f"(echo '{here}'; PYTHONPATH=src python scripts/output_digests.py "
+        f"{' '.join(GOLDEN_ARGS)}) > {GOLDEN.relative_to(ROOT)}"
     )
-    proc = _run("output_digests.py", *GOLDEN_ARGS)
-    assert proc.returncode == 0, proc.stderr
-    text = GOLDEN.read_text()
-    (head, *golden), (here, *now) = text.splitlines(), proc.stdout.splitlines()
-    # the bits depend on the platform: other versions fail, they are not skipped
+    head, *golden = GOLDEN.read_text().splitlines()
+    # the bits depend on the platform: another one fails, it is not skipped
     assert here == head, (
         f"{GOLDEN.name} was written under {head[2:]!r}, this is {here[2:]!r}; "
         f"to pin this platform instead, regenerate it with: {regenerate}"
     )
-    before, after = _digest_lines(text), _digest_lines(proc.stdout)
+    proc = _run("output_digests.py", *GOLDEN_ARGS)
+    assert proc.returncode == 0, proc.stderr
+    now = proc.stdout.splitlines()
+    before, after = _digest_lines("\n".join(golden)), _digest_lines(proc.stdout)
     moved = [
         f"{label}: {before.get(label, '(absent)')} -> {after.get(label, '(absent)')}"
         for label in sorted(before.keys() | after.keys())
