@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from constrained_dynamics.checks import check_scenario, compare_embeddings_report
-from constrained_dynamics.scenarios import _catalog_documents, catalog_scenario
+from constrained_dynamics.scenarios import CATALOG_NAMES, catalog_scenario
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     args = ap.parse_args()
 
     all_ok = True
-    for name in sorted(_catalog_documents()):
+    for name in sorted(CATALOG_NAMES):
         sc = catalog_scenario(name)
         report = check_scenario(sc, t_end=args.t_end)
         print(report.to_text())

@@ -40,10 +40,8 @@ from pathlib import Path
 from typing import Optional
 
 from constrained_dynamics.cli import main as cdyn
+from constrained_dynamics.integrate import METHODS, PROJECTIONS
 from constrained_dynamics.scenarios import CATALOG_NAMES, catalog_scenario, parse_scenario
-
-METHODS = ("rk4-fixed", "rk45-adaptive")
-PROJECTIONS = ("off", "positional", "positional+velocity")
 
 
 def _ops(token: str, t_end: float, dt: Optional[float] = None):

@@ -140,7 +140,8 @@ def reparametrization_families(n: int, rng: np.random.Generator):
 def check_first_integral(sc: Scenario, traj: Trajectory, thresholds) -> List[ReportEntry]:
     if sc.unconstrained:
         return _skipped("first-integral", "unconstrained system")
-    value = max(traj.max_diag("phi_norm"), traj.max_diag("g_norm"))
+    # np.max carries a NaN of either column through, where Python's max drops it
+    value = np.max([traj.max_diag("phi_norm"), traj.max_diag("g_norm")])
     entries = [_entry("first-integral", value, thresholds["first-integral"])]
     # chain-rule d(phi)/dt along the integrated vector field, per accepted step
     rate = traj.max_diag("phi_rate")
@@ -237,7 +238,7 @@ def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]
         sc.embedding, sc.system, sc.initial_generalized, t_end, sc.integrator
     )
     rep = match_trajectories(traj_x, sc.embedding, traj_y, sc.system.mass)
-    value = max(rep.sup_position, rep.sup_velocity)
+    value = np.max([rep.sup_position, rep.sup_velocity])
     entries = [_entry("equivalence", value, thresholds["equivalence"])]
     entries.append(
         _entry("chart-inversion", rep.max_inversion_residual, thresholds["equivalence"])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import DEFAULT_THRESHOLDS, check_scenario, compare_embeddings_report
-from .integrate import integrate_first_kind
+from .integrate import METHODS, PROJECTIONS, integrate_first_kind
 from .reactions import reaction
 from .scenarios import Scenario, ScenarioError, catalog_scenario, parse_scenario
 from .smooth import State
@@ -29,15 +29,10 @@ def _load_scenario(token: str) -> Scenario:
 
 
 def _apply_flags(sc: Scenario, args) -> Scenario:
-    integ = sc.integrator
-    if args.dt is not None:
-        integ = replace(integ, dt=args.dt)
-    if args.method is not None:
-        integ = replace(integ, method=args.method)
-    if args.projection is not None:
-        integ = replace(integ, projection=args.projection)
-    sc.integrator = integ
-    return sc
+    """``sc`` with the integrator settings given on the command line."""
+    flags = {k: getattr(args, k) for k in ("dt", "method", "projection")}
+    given = {k: v for k, v in flags.items() if v is not None}
+    return replace(sc, integrator=replace(sc.integrator, **given))
 
 
 def _tol(pair: str):
@@ -138,12 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("scenario", help="catalog name or scenario JSON path")
         sp.add_argument("--t-end", type=float, default=t_end_default)
         sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--method", choices=["rk4-fixed", "rk45-adaptive"], default=None)
-        sp.add_argument(
-            "--projection",
-            choices=["off", "positional", "positional+velocity"],
-            default=None,
-        )
+        sp.add_argument("--method", choices=METHODS, default=None)
+        sp.add_argument("--projection", choices=PROJECTIONS, default=None)
         sp.add_argument("--tol", action="append", type=_tol, metavar="NAME=VALUE",
                         help="override a check threshold")
         sp.add_argument("--out", default=None, help="output directory")

@@ -85,11 +85,12 @@ def regular_svd(M: Array, tol: float, what: str, t, error=RegularityError):
 class ConstraintSet:
     """n differential constraints on an m-dimensional configuration.
 
-    ``structure`` is one of ``general``, ``affine`` (phi = a + A v) or
-    ``holonomic`` (phi = g_t + g_x v for a generator g).  A holonomic set's
-    phi is, by declaration, the lift of its ``generator``, and the multiplier
-    solve reads the generator (see :meth:`jet`); a phi that is not that lift
-    is built with :meth:`general`.
+    The kind of a set is read off the maps it holds.  A set with a
+    ``generator`` g is holonomic: its phi is, by declaration, the lift
+    g_t + g_x v, and the multiplier solve reads g (see :meth:`jet`); a phi
+    that is not that lift is built with :meth:`general`.  A set with
+    ``affine_a`` and ``affine_A``, a holonomic one included, is affine in v:
+    phi = a + A v.
 
     ``scleronomic`` declares that phi does not depend on t, so that phi_t,
     and for a holonomic set g_t, g_tt and g_tx, vanish identically; the
@@ -99,7 +100,6 @@ class ConstraintSet:
     dim: int
     n: int
     phi: SmoothMap
-    structure: str = "general"
     affine_a: Optional[Callable[[float, Array], Array]] = None
     affine_A: Optional[Callable[[float, Array], Array]] = None
     generator: Optional[ConfigurationMap] = None
@@ -112,14 +112,10 @@ class ConstraintSet:
             raise ValueError(f"need n < m, got n={self.n}, m={self.dim}")
         if self.phi is not None and self.phi.dim != self.n:
             raise ValueError("phi output dimension disagrees with n")
-        if self.structure not in ("general", "affine", "holonomic"):
-            raise ValueError(f"unknown structure tag {self.structure!r}")
-        if self.is_holonomic and self.generator is None:
-            raise ValueError("a holonomic constraint set needs its generator")
 
     @property
     def is_holonomic(self) -> bool:
-        return self.structure == "holonomic"
+        return self.generator is not None
 
     def require_declared_scleronomy(self, t: float, x: Array, v: Array, where: str) -> None:
         """Refuse, with a ValueError naming ``where``, a set declared
@@ -191,10 +187,7 @@ class ConstraintSet:
             jac_x=jac_x,
             jac_v=lambda t, x, v: A(t, x),
         )
-        return cls(
-            dim=dim, n=n, phi=phi, structure="affine", affine_a=a, affine_A=A,
-            scleronomic=scleronomic,
-        )
+        return cls(dim=dim, n=n, phi=phi, affine_a=a, affine_A=A, scleronomic=scleronomic)
 
 
 def lift_holonomic(g: ConfigurationMap, dim: int, scleronomic: bool = False) -> ConstraintSet:
@@ -236,8 +229,7 @@ def lift_holonomic(g: ConfigurationMap, dim: int, scleronomic: bool = False) -> 
     a = lambda t, x: g.grad_t(t, x)  # noqa: E731
     A = lambda t, x: g.grad_x(t, x)  # noqa: E731
     return ConstraintSet(
-        dim=dim, n=n, phi=phi, structure="holonomic", affine_a=a, affine_A=A, generator=g,
-        scleronomic=scleronomic,
+        dim=dim, n=n, phi=phi, affine_a=a, affine_A=A, generator=g, scleronomic=scleronomic
     )
 
 

@@ -55,19 +55,23 @@ def require_horizon(t0, t_end) -> None:
         )
 
 
+METHODS = ("rk4-fixed", "rk45-adaptive")
+PROJECTIONS = ("off", "positional", "positional+velocity")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4-fixed"
+    method: str = METHODS[0]
     dt: float = 1e-3
     tolerance: float = 1e-9  # local error tolerance, adaptive method only
-    projection: str = "off"  # off | positional | positional+velocity
+    projection: str = PROJECTIONS[0]
     projection_tol: float = 1e-12
     projection_max_iter: int = 20
 
     def __post_init__(self):
-        if self.method not in ("rk4-fixed", "rk45-adaptive"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.projection not in ("off", "positional", "positional+velocity"):
+        if self.projection not in PROJECTIONS:
             raise ValueError(f"unknown projection mode {self.projection!r}")
         for name in ("dt", "tolerance", "projection_tol"):
             value = getattr(self, name)

@@ -252,7 +252,7 @@ def _probe_reparametrization(cs: ConstraintSet, rep: Reparametrization) -> None:
         x = rng.uniform(-1, 1, cs.dim)
         v = rng.uniform(-1, 1, cs.dim)
         z0 = np.zeros(cs.n)
-        if np.abs(rep(t, x, v, z0)).max(initial=0.0) > 1e-10:
+        if not np.abs(rep(t, x, v, z0)).max(initial=0.0) <= 1e-10:  # a NaN fails too
             raise ValueError("U(t, x, v, 0) must vanish")
         Uz = rep.d_z(t, x, v, z0)
         regular_svd(Uz, 1e-10, "U_z(t, x, v, 0), which must be invertible,", t, ValueError)

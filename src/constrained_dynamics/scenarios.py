@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .generalized import ChartError, Embedding, GeneralizedState, pushforward_st
 from .integrate import IntegratorConfig, _check_initial
 from .smooth import ConfigurationMap, State
 from .system import ForceField, MassMatrix, MechanicalSystem, build_point_mass_matrix
-
-CATALOG_NAMES = ("pendulum", "spherical-pendulum", "rotating-wire-bead", "knife-edge")
 
 DEFAULT_CHECKS = [
     "first-integral",
@@ -346,23 +344,28 @@ def rotating_line_embedding(omega: float) -> Embedding:
     )
 
 
-def _make_embedding(doc: Optional[Dict]) -> Optional[Embedding]:
+def _make_embedding(doc: Optional[Dict]) -> Tuple:
+    """(chart, y_lo, y_hi): the declared chart with the box [y_lo, y_hi] of y
+    from which the property checks sample it, or three Nones for no chart."""
     if doc is None or doc.get("type", "none") == "none":
-        return None
+        return None, None, None
     kind = doc["type"]
     if kind == "circle":
-        return circle_embedding(_field(doc, "embedding", "radius", 1.0))
+        emb = circle_embedding(_field(doc, "embedding", "radius", 1.0))
+        return emb, np.array([-np.pi]), np.array([np.pi])
     if kind == "sphere-polar":
-        return sphere_polar_embedding(_field(doc, "embedding", "radius", 1.0))
+        emb = sphere_polar_embedding(_field(doc, "embedding", "radius", 1.0))
+        return emb, np.array([0.3, -np.pi]), np.array([np.pi - 0.3, np.pi])
     if kind == "rotating-line":
-        return rotating_line_embedding(_field(doc, "embedding", "omega", 1.0))
+        emb = rotating_line_embedding(_field(doc, "embedding", "omega", 1.0))
+        return emb, np.array([0.5]), np.array([2.0])
     raise ScenarioError([f"unknown embedding type {kind!r}"])
 
 
 # ---------------------------------------------------------------------------
 # the scenario object
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     system: MechanicalSystem
@@ -417,7 +420,7 @@ class Scenario:
                 V[i] = emb.velocity(ti, Y[i], W[i])
         elif cs is None:
             t, X, V = uniform_rows(rng, count, span_t, (-2.0, 2.0, m), (-2.0, 2.0, m))
-        elif cs.structure in ("affine", "holonomic"):
+        elif cs.affine_A is not None:
             n = cs.n
             t, X, C = uniform_rows(rng, count, span_t, (-2.0, 2.0, m), (-2.0, 2.0, m - n))
             a = np.empty((count, n))
@@ -461,14 +464,14 @@ def uniform_rows(rng: np.random.Generator, count: int, *spans) -> List[np.ndarra
 # document parsing
 
 def _integrator_from_doc(doc: Dict) -> IntegratorConfig:
-    return IntegratorConfig(
-        method=doc.get("method", "rk4-fixed"),
-        dt=_field(doc, "integrator", "dt", 1e-3),
-        tolerance=_field(doc, "integrator", "tolerance", 1e-9),
-        projection=doc.get("projection", "off"),
-        projection_tol=_field(doc, "integrator", "projection_tol", 1e-12),
-        projection_max_iter=_integer(doc, "integrator", "projection_max_iter", 20, lo=1),
-    )
+    """The config of the keys ``doc`` gives; IntegratorConfig holds the defaults."""
+    given = {k: doc[k] for k in ("method", "projection") if k in doc}
+    for key in ("dt", "tolerance", "projection_tol"):
+        if key in doc:
+            given[key] = _field(doc, "integrator", key)
+    if "projection_max_iter" in doc:
+        given["projection_max_iter"] = _integer(doc, "integrator", "projection_max_iter", lo=1)
+    return IntegratorConfig(**given)
 
 
 def _mass_from_doc(doc: Optional[Dict]) -> MassMatrix:
@@ -527,7 +530,10 @@ def scenario_from_document(doc: Dict) -> Scenario:
     cs = _collect(
         problems, "constraint", lambda: _make_constraints(_section(doc, "constraint"), m)
     )
-    emb = _collect(problems, "embedding", lambda: _make_embedding(_section(doc, "embedding")))
+    emb, y_lo, y_hi = _collect(
+        problems, "embedding", lambda: _make_embedding(_section(doc, "embedding")),
+        (None, None, None),
+    )
     if emb is not None and emb.dim != m:
         problems.append(f"embedding ambient dimension {emb.dim} != system dimension {m}")
         emb = None
@@ -552,7 +558,7 @@ def scenario_from_document(doc: Dict) -> Scenario:
     if problems:
         raise ScenarioError(problems)
 
-    sc = Scenario(
+    return Scenario(
         name=doc.get("name", "unnamed"),
         system=system,
         constraints=cs,
@@ -562,18 +568,9 @@ def scenario_from_document(doc: Dict) -> Scenario:
         integrator=integ,
         checks=list(checks),
         document=doc,
+        sample_y_lo=y_lo,
+        sample_y_hi=y_hi,
     )
-    emb_type = (doc.get("embedding") or {}).get("type")
-    if emb_type == "sphere-polar":
-        sc.sample_y_lo = np.array([0.3, -np.pi])
-        sc.sample_y_hi = np.array([np.pi - 0.3, np.pi])
-    elif emb_type == "rotating-line":
-        sc.sample_y_lo = np.array([0.5])
-        sc.sample_y_hi = np.array([2.0])
-    elif emb is not None:
-        sc.sample_y_lo = -np.pi * np.ones(emb.r)
-        sc.sample_y_hi = np.pi * np.ones(emb.r)
-    return sc
 
 
 def parse_scenario(path) -> Scenario:
@@ -645,6 +642,9 @@ def _catalog_documents() -> Dict[str, Dict]:
             "checks": DEFAULT_CHECKS,
         },
     }
+
+
+CATALOG_NAMES = tuple(_catalog_documents())
 
 
 def catalog_scenario(name: str) -> Scenario:

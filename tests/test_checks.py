@@ -389,3 +389,52 @@ def test_covariance_check_fails_on_a_nan_residual(name):
     sc = dataclasses.replace(sc, embedding=dataclasses.replace(sc.embedding, u_yy=nan_yy))
     [entry] = check_covariance(sc, DEFAULT_THRESHOLDS)
     assert np.isnan(entry.value) and not entry.passed
+
+
+def test_first_integral_check_fails_on_a_nan_g(pendulum):
+    # a generator whose value turns NaN at t = 0.5 leaves phi finite and
+    # makes g_norm NaN; the check's maximum of the two carries the NaN, where
+    # Python's max(phi_norm, nan) keeps phi_norm and passes
+    import dataclasses
+
+    from constrained_dynamics.checks import check_first_integral
+
+    cs = pendulum.constraints
+    g = cs.generator
+    late_nan = lambda t, x: g.value(t, x) if t < 0.5 else np.full(1, np.nan)  # noqa: E731
+    cs = dataclasses.replace(cs, generator=dataclasses.replace(g, value=late_nan))
+    sc = dataclasses.replace(pendulum, constraints=cs)
+    traj = integrate_first_kind(sc.system, cs, sc.initial, 1.0, sc.integrator)
+    assert np.isnan(traj.max_diag("g_norm")) and np.isfinite(traj.max_diag("phi_norm"))
+    entry = check_first_integral(sc, traj, DEFAULT_THRESHOLDS)[0]
+    assert entry.name == "first-integral"
+    assert np.isnan(entry.value) and not entry.passed
+
+
+def test_equivalence_check_fails_on_a_nan_sup_velocity(pendulum, monkeypatch):
+    # a finite sup_position does not hide a NaN sup_velocity
+    import dataclasses
+
+    from constrained_dynamics import checks
+
+    match = checks.match_trajectories
+    monkeypatch.setattr(
+        checks, "match_trajectories",
+        lambda *args: dataclasses.replace(match(*args), sup_velocity=np.nan),
+    )
+    entry = check_equivalence(pendulum, DEFAULT_THRESHOLDS, t_end=0.1)[0]
+    assert entry.name == "equivalence"
+    assert np.isnan(entry.value) and not entry.passed
+
+
+def test_energy_check_skips_a_force_without_potential(pendulum):
+    import dataclasses
+
+    from constrained_dynamics import ForceField
+
+    f = pendulum.system.force
+    system = dataclasses.replace(pendulum.system, force=ForceField(dim=f.dim, value=f.value))
+    sc = dataclasses.replace(pendulum, system=system, checks=["energy"])
+    [entry] = check_scenario(sc, t_end=0.1).entries
+    assert entry.name == "energy" and entry.skipped
+    assert entry.note == "skipped: force not declared potential"

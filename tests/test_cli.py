@@ -136,7 +136,8 @@ def test_false_time_independence_exit_code(tmp_path, capsys, monkeypatch, comman
     from constrained_dynamics import catalog_scenario, cli
 
     sc = catalog_scenario("rotating-wire-bead")
-    sc.embedding = dataclasses.replace(sc.embedding, u_t=None, u_tt=None, u_ty=None)
+    emb = dataclasses.replace(sc.embedding, u_t=None, u_tt=None, u_ty=None)
+    sc = dataclasses.replace(sc, embedding=emb)
     monkeypatch.setattr(cli, "_load_scenario", lambda token: sc)
     rc = main([command, "rotating-wire-bead", "--t-end", "0.1", "--out", str(tmp_path)])
     assert rc == 2

@@ -320,11 +320,20 @@ def test_jet_equals_the_phi_jacobians(name):
         assert np.array_equal(drift, phi.d_t(t, x, v) + phi.d_x(t, x, v) @ v)
 
 
-def test_holonomic_set_needs_its_generator(circle_lift):
+def test_holonomic_kind_is_read_off_the_generator(circle_lift):
     import dataclasses
 
-    with pytest.raises(ValueError, match="needs its generator"):
-        dataclasses.replace(circle_lift, generator=None)
+    # the lift is holonomic because it holds g; without g it is the affine
+    # set phi = g_t + g_x v, whose jet reads phi and gives the same values
+    affine = dataclasses.replace(circle_lift, generator=None)
+    assert circle_lift.is_holonomic and not affine.is_holonomic
+    assert affine.affine_A is circle_lift.affine_A
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        t, x, v = float(rng.uniform(0.0, 3.0)), rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+        for got, want in zip(affine.jet(t, x, v), circle_lift.jet(t, x, v)):
+            assert np.array_equal(got, want)
+    assert not ConstraintSet.general(2, circle_lift.phi).is_holonomic
 
 
 def test_scleronomy_is_declared_by_the_catalog(all_scenarios):
@@ -355,3 +364,9 @@ def test_declared_scleronomy_refuses_a_nan_phi_t(pendulum):
     # the property suite refuses it too, at the initial state of its run
     with pytest.raises(ValueError, match=r"^initial state: .* \|phi_t\| = nan > "):
         check_scenario(dataclasses.replace(pendulum, constraints=nan_set))
+
+
+def test_phi_of_the_wrong_dimension_is_refused():
+    phi = knife_edge_constraints().phi  # one output
+    with pytest.raises(ValueError, match="phi output dimension disagrees with n"):
+        ConstraintSet(dim=3, n=2, phi=phi)

@@ -985,3 +985,8 @@ def test_second_kind_refuses_a_non_finite_initial_velocity(name, bad):
             sc.embedding, sys, GeneralizedState(init.t, init.y, w), 0.1, IntegratorConfig(dt=0.01)
         )
     assert calls == []
+
+
+def test_generalized_state_refuses_y_and_w_of_different_lengths():
+    with pytest.raises(ValueError, match="y and w must have equal length"):
+        GeneralizedState(0.0, np.array([0.0, 1.0]), np.array([0.0]))

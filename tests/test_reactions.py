@@ -475,3 +475,21 @@ def test_invariance_report_evaluates_each_map_once_per_state(pendulum):
     assert per_state == {
         "value": 1, "jac_t": 1, "jac_x": 1, "jac_v": 1, "force": 1, "U_z": len(reps),
     }
+
+
+def test_reparametrize_rejects_a_nan_value_at_zero(circle_lift):
+    # NaN <= 1e-10 is false, so a NaN U(t, x, v, 0) is refused as a nonzero one is
+    bad = Reparametrization(
+        n=1,
+        value=lambda t, x, v, z: z + np.nan,
+        jac_z=lambda t, x, v, z: np.eye(1),
+        **_Z_ONLY,
+    )
+    with pytest.raises(ValueError, match=r"U\(t, x, v, 0\) must vanish"):
+        _probe_reparametrization(circle_lift, bad)
+
+
+def test_reparametrize_rejects_a_wrong_output_count(circle_lift):
+    message = "reparametrization output count must equal constraint count"
+    with pytest.raises(ValueError, match=message):
+        _probe_reparametrization(circle_lift, Reparametrization.identity(2))

@@ -64,7 +64,8 @@ def test_pendulum_document_shape(pendulum):
 def test_knife_edge_has_no_embedding(knife_edge):
     assert knife_edge.embedding is None
     assert knife_edge.initial_generalized is None
-    assert knife_edge.constraints.structure == "affine"
+    cs = knife_edge.constraints
+    assert not cs.is_holonomic and cs.affine_A is not None  # affine in v, without a generator
 
 
 def test_round_trip_through_json(tmp_path, pendulum):
@@ -571,3 +572,32 @@ def test_catalog_generator_derivatives_match_central_differences(make, m):
         _close(phi.d_t(t, x, v), t_diff(lambda s: phi(s, x, v), t))
         _close(phi.d_x(t, x, v), y_diff(lambda z: phi(t, z, v), x))
         _close(phi.d_v(t, x, v), y_diff(lambda z: phi(t, x, z), v))
+
+
+@pytest.mark.parametrize(
+    "base, section, value, message",
+    [
+        ("spherical-pendulum", "constraint", {"type": "rotating-line"},
+         "rotating-line constraint needs m = 2"),
+        ("pendulum", "constraint", {"type": "knife-edge"},
+         "knife-edge constraint needs m = 3 (x, y, theta)"),
+        ("pendulum", "embedding", {"type": "torus"}, "unknown embedding type 'torus'"),
+        ("pendulum", "initial", {"y": [0.0, 1.0], "w": [2.0]},
+         "initial y has length 2, chart has r=1"),
+        ("pendulum", "initial", {"y": [0.0], "w": [2.0, 0.0]},
+         "initial w has length 2, chart has r=1"),
+    ],
+)
+def test_malformed_document_refusal_names_its_cause(base, section, value, message):
+    doc = dict(_catalog_documents()[base], **{section: value})
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_document(doc)
+    assert message in err.value.problems
+
+
+def test_sample_states_refuse_a_general_constraint_set(pendulum):
+    # a set without affine_a and affine_A gives no way to solve phi = 0 for v
+    cs = ConstraintSet.general(2, pendulum.constraints.phi)
+    sc = dataclasses.replace(pendulum, constraints=cs, embedding=None)
+    with pytest.raises(ValueError, match="cannot sample on-manifold states for a general"):
+        sc.sample_states(np.random.default_rng(0), 3)

@@ -94,3 +94,20 @@ def test_potential_consistent_with_force():
                 xm[i] -= h
                 grad[i] = (f.potential(t, xp) - f.potential(t, xm)) / (2 * h)
             assert np.abs(-grad - f(t, x, np.zeros(m))).max() < 1e-6
+
+
+def test_check_spd_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match="check_spd expects a square matrix"):
+        check_spd(np.ones((2, 3)))
+
+
+def test_no_point_mass_is_refused():
+    with pytest.raises(ValueError, match="need at least one mass"):
+        build_point_mass_matrix([])
+
+
+def test_force_and_mass_of_different_dimensions_are_refused():
+    from constrained_dynamics import ForceField, MechanicalSystem
+
+    with pytest.raises(ValueError, match="force dimension 3 != mass dimension 2"):
+        MechanicalSystem(mass=MassMatrix(np.eye(2)), force=ForceField.zero(3))
