@@ -7,6 +7,10 @@ Thresholds are the documented defaults; callers may override any of them
 
 from __future__ import annotations
 
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -17,7 +21,7 @@ from .constraints import _fix_signs, _kernel_basis
 from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
 from .reactions import Reparametrization, _stacked_solve, invariance_report
-from .scenarios import Scenario, uniform_rows
+from .scenarios import DEFAULT_CHECKS, Scenario, uniform_rows
 from .smooth import in_state_order
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
@@ -233,9 +237,12 @@ def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]
     """First-kind and second-kind runs agree through the chart, as a sup-norm bound."""
     if sc.embedding is None or sc.initial_generalized is None:
         return _skipped("equivalence", _no_chart(sc))
-    traj_x = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
-    traj_y = integrate_second_kind(
-        sc.embedding, sc.system, sc.initial_generalized, t_end, sc.integrator
+    # the two kinds share nothing until they are matched
+    traj_x, traj_y = _alongside(
+        lambda: integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator),
+        lambda: integrate_second_kind(
+            sc.embedding, sc.system, sc.initial_generalized, t_end, sc.integrator
+        ),
     )
     rep = match_trajectories(traj_x, sc.embedding, traj_y, sc.system.mass)
     value = np.max([rep.sup_position, rep.sup_velocity])
@@ -244,6 +251,91 @@ def check_equivalence(sc: Scenario, thresholds, t_end=10.0) -> List[ReportEntry]
         _entry("chart-inversion", rep.max_inversion_residual, thresholds["equivalence"])
     )
     return entries
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked child can run beside this process: ``os.fork`` exists,
+    the process may run on two CPUs or more, and no other Python thread could
+    hold a lock across the fork.  Asked on every call, so ``taskset -c 0``
+    runs serially."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _send(first: Callable[[], object], wfd: int) -> None:
+    """In a forked child: write first()'s pickled value to ``wfd`` and exit 0
+    if it returned and warned nothing, else exit 1.  It never returns, and
+    ``os._exit`` runs no atexit handler and flushes none of the parent's
+    stdio buffers."""
+    code = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            value = first()
+        if not caught:
+            with open(wfd, "wb") as out:
+                pickle.dump(value, out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+    finally:
+        os._exit(code)
+
+
+def _alongside(first: Callable[[], object], own: Callable[[], object]) -> Tuple:
+    """(first(), own()), and the failure of that serial order: a failure of
+    first() wins, and carries no context from one of own().
+
+    When :func:`_spare_cpu`, first() runs in a forked child while this process
+    runs own().  Only a clean result crosses the pipe: the child exits 0 after
+    sending its pickled value only when first() returned and warned nothing.
+    Otherwise first() runs here after own(), so its errors and warnings are the
+    serial ones.  The child never outlives the call.
+    """
+    child = None
+    if _spare_cpu():
+        rfd, wfd = os.pipe()
+        try:
+            child = os.fork()
+        except OSError:  # no process to spare: the serial order
+            os.close(rfd)
+        else:
+            if child == 0:
+                _send(first, wfd)
+            pipe = open(rfd, "rb")
+        os.close(wfd)
+    try:
+        failure = mine = None
+        try:
+            mine = own()
+        except Exception as exc:
+            failure = exc
+        # collected outside the except block, so a failure of first() has no
+        # __context__ from own()'s
+        crossed = False
+        if child is not None:
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(child, 0)[1]
+            child = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                try:
+                    value, crossed = pickle.loads(payload), True
+                except Exception:  # noqa: BLE001 - no or a bad payload: run first() here
+                    pass
+        if not crossed:
+            value = first()
+        if failure is not None:
+            raise failure
+        return value, mine
+    finally:
+        if child is not None:  # own() was interrupted: stop the child first
+            import signal  # only here, to keep it out of the import time
+
+            os.kill(child, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(child, 0)
 
 
 def _report(sc: Scenario, t_end: float, thresholds, **stamp) -> Tuple[Report, Dict]:
@@ -263,19 +355,26 @@ def check_scenario(
 ) -> Report:
     """Run every check the scenario requests and assemble the report."""
     report, th = _report(sc, t_end, thresholds, projection=sc.integrator.projection)
-    traj = integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator)
-
-    runners: Dict[str, Callable[[], List[ReportEntry]]] = {
-        "first-integral": lambda: check_first_integral(sc, traj, th),
-        "virtual-work": lambda: check_virtual_work(sc, th),
-        "gde-residual": lambda: check_gde(sc, traj, th),
-        "reparametrization": lambda: check_reparametrization(sc, th),
-        "covariance": lambda: check_covariance(sc, th),
-        "energy": lambda: check_energy(sc, traj, th),
+    names = [name for name in DEFAULT_CHECKS if name in sc.checks]
+    # the sampled checks read no trajectory, so they run while the first kind
+    # integrates; of the checks that read it, only check_energy, the last,
+    # can raise, so the serial order's first failure is kept
+    sampled = {
+        "virtual-work": check_virtual_work,
+        "reparametrization": check_reparametrization,
+        "covariance": check_covariance,
     }
-    for name, fn in runners.items():
-        if name in sc.checks:
-            report.entries.extend(fn())
+    on_run = {
+        "first-integral": check_first_integral,
+        "gde-residual": check_gde,
+        "energy": check_energy,
+    }
+    traj, done = _alongside(
+        lambda: integrate_first_kind(sc.system, sc.constraints, sc.initial, t_end, sc.integrator),
+        lambda: {name: sampled[name](sc, th) for name in names if name in sampled},
+    )
+    for name in names:
+        report.entries.extend(done[name] if name in done else on_run[name](sc, traj, th))
     return report
 
 

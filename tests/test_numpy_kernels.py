@@ -1,8 +1,8 @@
 """The engine's numpy Cholesky solve and Hermite resampler against the scipy
-routines they stand in for, a guard that the engine never loads scipy, a
-guard that it factors or solves matrices only where README's regularity
-table says, a guard that it calls no np.dot, and the multiplier and
-second-kind kernels against their written-out formulas.
+routines they stand in for, a guard that the engine never loads scipy nor a
+process pool, a guard that it factors or solves matrices only where README's
+regularity table says, a guard that it calls no np.dot, and the multiplier
+and second-kind kernels against their written-out formulas.
 
 scipy is a test dependency only, so it is imported inside the tests.
 """
@@ -99,17 +99,29 @@ def test_chol_solve_rejects_indefinite_gram():
         _chol_solve(gram, np.ones(2), 0.5)
 
 
-def test_cli_import_loads_no_scipy():
+def _loaded_by_cli_import(*packages: str) -> str:
+    """The printed sorted list of modules of ``packages`` that importing
+    ``constrained_dynamics.cli`` in a fresh interpreter loads."""
     code = (
         "import sys, constrained_dynamics.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # the first kind's child is a raw os.fork: a pool's import would add to
+    # every op's set-up time
+    assert _loaded_by_cli_import("multiprocessing", "concurrent") == "[]"
 
 
 # the functions of README's "Regularity" table that factor or solve
