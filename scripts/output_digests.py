@@ -8,7 +8,8 @@ scenario paths given) the ops run in-process through
 - `simulate` under rk4-fixed and rk45-adaptive, in every projection mode
   the scenario allows (all three on holonomic constraints, `off` otherwise);
 - `check-invariants`;
-- `compare-embeddings`;
+- `compare-embeddings`, and on holonomic constraints also with the
+  first kind projected (`--projection positional+velocity`);
 - `reactions` at the scenario's initial state.
 
 `--dt DT` passes the step to every op that takes one (all but
@@ -56,6 +57,8 @@ def _ops(token: str, t_end: float, dt: Optional[float] = None):
             yield ["simulate", token, *horizon, *flags], True
     yield ["check-invariants", token, *horizon], True
     yield ["compare-embeddings", token, *horizon], True
+    if holonomic:
+        yield ["compare-embeddings", token, *horizon, "--projection", "positional+velocity"], True
     yield ["reactions", token], False
 
 

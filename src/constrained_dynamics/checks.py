@@ -21,7 +21,7 @@ from .constraints import _fix_signs, _kernel_basis
 from .generalized import covariance_residual, integrate_second_kind, match_trajectories
 from .integrate import Trajectory, integrate_first_kind
 from .reactions import Reparametrization, _stacked_solve, invariance_report
-from .scenarios import DEFAULT_CHECKS, Scenario, uniform_rows
+from .scenarios import DEFAULT_CHECKS, SAMPLE_T_HI, Scenario, uniform_rows
 from .smooth import in_state_order
 
 DEFAULT_THRESHOLDS: Dict[str, float] = {
@@ -196,7 +196,7 @@ def check_covariance(sc: Scenario, thresholds, count=200) -> List[ReportEntry]:
     emb = sc.embedding
     r = emb.r
     t, Y, W, A = uniform_rows(
-        np.random.default_rng(23), count, (0.0, sc.sample_t_hi, 1),
+        np.random.default_rng(23), count, (0.0, SAMPLE_T_HI, 1),
         (sc.sample_y_lo, sc.sample_y_hi, r), (-2.0, 2.0, r), (-2.0, 2.0, r),
     )
     emb.require_in_domain(t[:, 0], Y)
@@ -338,14 +338,15 @@ def _alongside(first: Callable[[], object], own: Callable[[], object]) -> Tuple:
             os.waitpid(child, 0)
 
 
-def _report(sc: Scenario, t_end: float, thresholds, **stamp) -> Tuple[Report, Dict]:
-    """An empty report stamped with the run settings (and ``stamp``), and
-    DEFAULT_THRESHOLDS updated with ``thresholds``."""
+def _report(sc: Scenario, t_end: float, thresholds) -> Tuple[Report, Dict]:
+    """An empty report stamped with the run settings, and DEFAULT_THRESHOLDS
+    updated with ``thresholds``."""
     th = dict(DEFAULT_THRESHOLDS)
     th.update(thresholds or {})
     integ = sc.integrator
-    head = {"version": __version__, "t_end": t_end, "method": integ.method, "dt": integ.dt}
-    return Report(scenario=sc.name, stamp={**head, **stamp}), th
+    stamp = {"version": __version__, "t_end": t_end, "method": integ.method, "dt": integ.dt,
+             "projection": integ.projection}
+    return Report(scenario=sc.name, stamp=stamp), th
 
 
 def check_scenario(
@@ -354,7 +355,7 @@ def check_scenario(
     thresholds: Optional[Dict[str, float]] = None,
 ) -> Report:
     """Run every check the scenario requests and assemble the report."""
-    report, th = _report(sc, t_end, thresholds, projection=sc.integrator.projection)
+    report, th = _report(sc, t_end, thresholds)
     names = [name for name in DEFAULT_CHECKS if name in sc.checks]
     # the sampled checks read no trajectory, so they run while the first kind
     # integrates; of the checks that read it, only check_energy, the last,
@@ -381,7 +382,7 @@ def check_scenario(
 def compare_embeddings_report(
     sc: Scenario, t_end: float = 10.0, thresholds: Optional[Dict[str, float]] = None
 ) -> Report:
-    """The first/second-kind equivalence report; its stamp has no projection."""
+    """The first/second-kind equivalence report."""
     report, th = _report(sc, t_end, thresholds)
     report.entries.extend(check_equivalence(sc, th, t_end=t_end))
     return report

@@ -129,14 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, t_end_default=10.0):
+    def common(sp):
         sp.add_argument("scenario", help="catalog name or scenario JSON path")
-        sp.add_argument("--t-end", type=float, default=t_end_default)
+        sp.add_argument("--t-end", type=float, default=10.0)
         sp.add_argument("--dt", type=float, default=None)
         sp.add_argument("--method", choices=METHODS, default=None)
         sp.add_argument("--projection", choices=PROJECTIONS, default=None)
-        sp.add_argument("--tol", action="append", type=_tol, metavar="NAME=VALUE",
-                        help="override a check threshold")
         sp.add_argument("--out", default=None, help="output directory")
 
     sp = sub.add_parser("simulate", help="first-kind trajectory to CSV")
@@ -149,13 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=0.0)
     sp.set_defaults(fn=cmd_reactions)
 
-    sp = sub.add_parser("check-invariants", help="full property suite for a scenario")
-    common(sp)
-    sp.set_defaults(fn=cmd_check_invariants)
-
-    sp = sub.add_parser("compare-embeddings", help="first/second-kind match report")
-    common(sp)
-    sp.set_defaults(fn=cmd_compare_embeddings)
+    for name, about, fn in [
+        ("check-invariants", "full property suite for a scenario", cmd_check_invariants),
+        ("compare-embeddings", "first/second-kind match report", cmd_compare_embeddings),
+    ]:
+        sp = sub.add_parser(name, help=about)
+        common(sp)
+        sp.add_argument("--tol", action="append", type=_tol, metavar="NAME=VALUE",
+                        help="override a check threshold")
+        sp.set_defaults(fn=fn)
 
     return p
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .constraints import SCLERONOMY_TOL, require_regular
-from .integrate import IntegratorConfig, Trajectory, _csv, _march, require_horizon
+from .integrate import IntegratorConfig, Trajectory, _march, require_horizon
 from .smooth import Array, State, in_state_order, shaped
 from .system import ForceField, MassMatrix, MechanicalSystem
 
@@ -342,17 +342,6 @@ class GeneralizedTrajectory:
     def __len__(self) -> int:
         return self.times.size
 
-    def to_csv(self) -> str:
-        r = self.y.shape[1]
-        cols = (
-            ["t"]
-            + [f"y{i+1}" for i in range(r)]
-            + [f"w{i+1}" for i in range(r)]
-            + [f"Q{i+1}" for i in range(r)]
-        )
-        body = np.column_stack([self.times, self.y, self.w, self.Q])
-        return _csv(cols, ",".join(["%.17g"] * (1 + 3 * r)), body)
-
 
 def second_kind_acceleration(
     lag: PullbackLagrangian, f: ForceField, t: float, y: Array, w: Array
@@ -474,18 +463,18 @@ _INVERT_TOL = 1e-12  # |u(t, y) - x|_inf at which chart inversion stops
 
 
 def _chart_invert(
-    emb: Embedding, mass: MassMatrix, t: float, x: Array, y0: Array,
-    r0: Optional[Array] = None, tol: float = _INVERT_TOL, max_iter: int = 20,
+    emb: Embedding, mass: MassMatrix, t: float, x: Array, y0: Array, r0: Optional[Array] = None
 ) -> Tuple[Array, float]:
     """Solve u(t, y) = x by G-weighted Gauss-Newton from y0; returns (y, residual).
 
     ``r0`` is u(t, y0) - x when the caller has it already; the residual
-    returned is |u(t, y) - x|_inf.  Iteration stops once that is <= tol;
+    returned is |u(t, y) - x|_inf.  Iteration stops once that is <= 1e-12;
     when a step no longer lowers the Gauss-Newton objective r^T G r, which
-    happens once x lies off the chart image by more than tol, as a first-kind
+    happens once x lies off the chart image by more than that, as a first-kind
     position does when it drifts off the constraint manifold; or after a
     step below sqrt(eps) relative to y, since the next step, about its
-    square, would be lost in rounding.  The best point found is returned.
+    square, would be lost in rounding; or after 20 steps.  The best point
+    found is returned.
     The Gauss-Newton step is :func:`_metric_solve` on u_y^T G u_y.
     Raises :class:`ChartError` when that metric is degenerate or the residual
     stays above 1e-6.
@@ -494,8 +483,8 @@ def _chart_invert(
     r = emb.value(t, y) - x if r0 is None else r0
     G = mass.G
     obj = None  # r^T G r, formed once a step is needed
-    for _ in range(max_iter):
-        if np.abs(r).max() <= tol:
+    for _ in range(20):
+        if np.abs(r).max() <= _INVERT_TOL:
             break
         if obj is None:
             obj = float(r @ G @ r)
@@ -558,7 +547,7 @@ def match_trajectories(
     traj_x: Trajectory,
     emb: Embedding,
     traj_y: GeneralizedTrajectory,
-    mass: Optional[MassMatrix] = None,
+    mass: MassMatrix,
 ) -> MatchReport:
     """Compare a first-kind run against a second-kind run pushed through the chart.
 
@@ -574,8 +563,6 @@ def match_trajectories(
     NaN in r0 goes to :func:`_chart_invert` too, which raises; a NaN
     velocity difference makes ``sup_velocity`` NaN.
     """
-    if mass is None:
-        mass = MassMatrix(np.eye(emb.dim))
     ty = traj_y.times
     times = traj_x.times
     Ys, Ws = _hermite(ty, traj_y.y, traj_y.w, times)

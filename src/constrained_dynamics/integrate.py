@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -136,13 +136,9 @@ class Trajectory:
         slots = ["%.17g"] * (1 + 3 * m + n) + [
             "" if d is None else "%.17g" for d in diags
         ]
-        return _csv(cols, ",".join(slots), body)
-
-
-def _csv(cols: List[str], template: str, body: Array) -> str:
-    """Header line plus one ``template % row`` line per row of ``body``, by one ``%``."""
-    rows = ((template + "\n") * body.shape[0]) % tuple(body.ravel().tolist())
-    return ",".join(cols) + "\n" + rows
+        # every row formatted by one `%`
+        rows = ((",".join(slots) + "\n") * body.shape[0]) % tuple(body.ravel().tolist())
+        return ",".join(cols) + "\n" + rows
 
 
 def _accel_raw(solve, Ginv: Array, t, x, v) -> Array:

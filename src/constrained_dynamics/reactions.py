@@ -28,7 +28,7 @@ from .constraints import (
     require_regular,
     require_regular_stack,
 )
-from .smooth import Array, State, in_state_order, shaped
+from .smooth import Array, State, shaped
 from .system import MechanicalSystem
 
 
@@ -278,77 +278,44 @@ def invariance_report(
     t: Array,
     X: Array,
     V: Array,
-    on_manifold_tol: float = 1e-10,
 ) -> float:
     """max ||N_phi - N_psi||_inf over the on-manifold states (t[i], X[i],
     V[i]) and the representations psi = U(phi) of every U in ``reps``.
 
     Every U first passes :func:`_probe_reparametrization`.  The reaction is
     representation-independent only on phi = 0, so a state violating
-    ||phi||_inf <= tol is rejected.  Each state evaluates phi, phi_t, phi_x,
-    phi_v and the force once, whatever the number of families, and each
-    family U_z, U_t, U_x and U_v once, in state order.  Then psi's partials
-    follow from phi's by :func:`_chain_rule`, and every reaction comes from
-    one :func:`_stacked_solve`, ordered as a per-state loop solves: by
-    state, and at a state phi before the families, in their order.  So a
-    failing Gram matrix raises for the earliest such solve, and a map that
-    fails raises only after the solves that such a loop finishes before it
-    pass.  A NaN reaction makes the result NaN.
+    ||phi||_inf <= 1e-10 is rejected.  The states go in order.  At each one,
+    phi, the force and phi's partials are evaluated once, and phi's reaction
+    is solved; then each family in turn evaluates U_z, U_t, U_x and U_v,
+    forms psi's partials by :func:`_chain_rule` and solves psi's reaction.
+    Every solve is made by one :func:`_multiplier_solver`, given the jet and
+    the force in hand.  A NaN reaction makes the result NaN.
     """
     for rep in reps:
         _probe_reparametrization(cs, rep)
-    phi, force, Ginv = cs.phi, sys.force, sys.mass.inverse
-    t, V = np.asarray(t, float), np.asarray(V, float)
-    k, n, m, nf = min(t.size, len(X), len(V)), cs.n, cs.dim, len(reps)
-    if k == 0:
-        return 0.0
-    # every state's maps, written in place: f and phi's partials, and U's per
-    # family; zeros, as a failing state's unevaluated maps pass through the
-    # stacked chain rule before its solves are cut to the finished ones
-    f, phi_t = np.zeros((k, m)), np.zeros((k, n))
-    phi_x, phi_v = np.zeros((k, n, m)), np.zeros((k, n, m))
-    U_z, U_t = np.zeros((nf, k, n, n)), np.zeros((nf, k, n))
-    U_x, U_v = np.zeros((nf, k, n, m)), np.zeros((nf, k, n, m))
-
-    def reactions(states, solves=None):
-        """N of the first ``solves`` (all when None) of the solves at the
-        first ``states`` states, in state order and at a state phi's first."""
-        v = V[:states, :, None]
+    phi, force, solve = cs.phi, sys.force, _multiplier_solver(sys, cs)
+    gaps = []
+    for ti, x, v in zip(np.asarray(t, float).tolist(), X, V):
+        z = phi(ti, x, v)
+        resid = float(np.abs(z).max(initial=0.0))
+        if not resid <= 1e-10:
+            raise ValueError(f"state at t={ti} is off-manifold (||phi||={resid:.3e} > 1e-10)")
+        f = force(ti, x, v)
+        phi_t, phi_x, phi_v = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
         # phi's own jet, equal to ConstraintSet.jet's but for the sign of an
         # exact zero where a holonomic or scleronomic set reads it otherwise
-        B, drift = [phi_v[:states]], [phi_t[:states] + (phi_x[:states] @ v)[:, :, 0]]
-        for j in range(nf):
-            Uz = U_z[j, :states]
-            psi_x = _chain_rule(U_x[j, :states], Uz, phi_x[:states])
-            B.append(_chain_rule(U_v[j, :states], Uz, phi_v[:states]))
-            drift.append(_chain_rule(U_t[j, :states], Uz, phi_t[:states]) + (psi_x @ v)[:, :, 0])
-        return _stacked_solve(
-            Ginv, np.stack(B, 1).reshape(-1, n, m)[:solves],
-            np.stack(drift, 1).reshape(-1, n)[:solves], np.repeat(f[:states], 1 + nf, 0)[:solves],
-            np.repeat(t[:states], 1 + nf)[:solves],
-        )[1]
-
-    done = 0  # the solves whose maps are all evaluated, which a per-state loop makes first
-    with in_state_order(lambda: done and reactions(done // (1 + nf) + 1, done)):
-        for i, (ti, x, v) in enumerate(zip(t.tolist(), X, V)):
-            z = phi(ti, x, v)
-            resid = float(np.abs(z).max(initial=0.0))
-            if not resid <= on_manifold_tol:
-                raise ValueError(
-                    f"state at t={ti} is off-manifold (||phi||={resid:.3e} > {on_manifold_tol})"
-                )
-            f[i] = force(ti, x, v)
-            phi_t[i], phi_x[i], phi_v[i] = phi.d_t(ti, x, v), phi.d_x(ti, x, v), phi.d_v(ti, x, v)
-            done += 1
-            for j, rep in enumerate(reps):
-                U_z[j, i], U_t[j, i], U_x[j, i], U_v[j, i] = (
-                    rep.d_z(ti, x, v, z), rep.d_t(ti, x, v, z), rep.d_x(ti, x, v, z),
-                    rep.d_v(ti, x, v, z),
-                )
-                done += 1
-    N = reactions(k).reshape(k, 1 + nf, m)
-    # ndarray.max carries a NaN difference through, so a NaN reaction fails the check
-    return float(np.abs(N[:, 1:] - N[:, :1]).max(initial=0.0))
+        N_phi = solve(ti, x, v, jet=(phi_v, phi_t + phi_x @ v), f=f)[3] @ phi_v
+        for rep in reps:
+            U_z, U_t, U_x, U_v = (
+                rep.d_z(ti, x, v, z), rep.d_t(ti, x, v, z), rep.d_x(ti, x, v, z),
+                rep.d_v(ti, x, v, z),
+            )
+            psi_v = _chain_rule(U_v, U_z, phi_v)
+            drift = _chain_rule(U_t, U_z, phi_t) + _chain_rule(U_x, U_z, phi_x) @ v
+            N_psi = solve(ti, x, v, jet=(psi_v, drift), f=f)[3] @ psi_v
+            gaps.append(np.abs(N_psi - N_phi))
+    # ndarray.max carries a NaN gap through, so a NaN reaction fails the check
+    return float(np.max(gaps, initial=0.0))
 
 
 def virtual_work(res: ReactionResult, basis: VirtualBasis) -> float:

@@ -365,6 +365,9 @@ def _make_embedding(doc: Optional[Dict]) -> Tuple:
 # ---------------------------------------------------------------------------
 # the scenario object
 
+SAMPLE_T_HI = 3.0  # the property checks draw t from [0, SAMPLE_T_HI)
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -378,7 +381,6 @@ class Scenario:
     document: Dict = field(default_factory=dict)
     sample_y_lo: Optional[np.ndarray] = None
     sample_y_hi: Optional[np.ndarray] = None
-    sample_t_hi: float = 3.0
 
     @property
     def dim(self) -> int:
@@ -406,7 +408,7 @@ class Scenario:
         (:class:`RegularityError`), a non-finite state (ValueError).
         """
         m, emb, cs = self.dim, self.embedding, self.constraints
-        span_t = (0.0, self.sample_t_hi, 1)
+        span_t = (0.0, SAMPLE_T_HI, 1)
         if emb is not None:
             t, Y, W = uniform_rows(
                 rng, count, span_t, (self.sample_y_lo, self.sample_y_hi, emb.r), (-2.0, 2.0, emb.r)

@@ -286,9 +286,10 @@ def test_covariance_check_refuses_a_sample_box_outside_the_chart_domain(spherica
 
 
 def test_covariance_check_draws_t_from_the_scenario_span(spherical, monkeypatch):
-    import dataclasses
-
+    # the covariance check draws t from the span the sampled states take,
+    # [0, SAMPLE_T_HI), and covers it
     from constrained_dynamics import checks
+    from constrained_dynamics.scenarios import SAMPLE_T_HI
 
     times = []
 
@@ -297,9 +298,11 @@ def test_covariance_check_draws_t_from_the_scenario_span(spherical, monkeypatch)
         return 0.0
 
     monkeypatch.setattr(checks, "covariance_residual", residual)
-    sc = dataclasses.replace(spherical, sample_t_hi=0.5)
-    assert checks.check_covariance(sc, DEFAULT_THRESHOLDS)[0].passed
-    assert len(times) == 200 and 0.0 <= min(times) and max(times) < 0.5
+    assert checks.check_covariance(spherical, DEFAULT_THRESHOLDS)[0].passed
+    assert len(times) == 200 and 0.0 <= min(times) < 0.1 * SAMPLE_T_HI
+    assert 0.9 * SAMPLE_T_HI < max(times) < SAMPLE_T_HI
+    t, _, _ = spherical.sample_states(np.random.default_rng(0), 200)
+    assert 0.9 * SAMPLE_T_HI < t.max() < SAMPLE_T_HI
 
 
 def _faulty_pendulum(pendulum, force_nan_at, gx_scale):

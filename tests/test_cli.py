@@ -78,6 +78,16 @@ def test_unknown_tol_name_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_simulate_takes_no_tol(tmp_path, capsys):
+    # only the checking commands have thresholds to override
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "pendulum", "--t-end", "0.01", "--tol", "energy=1e-30",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol energy=1e-30" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "pair, says",
     [
@@ -127,6 +137,16 @@ def test_compare_embeddings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[PASS] equivalence" in out
     assert "[PASS] chart-inversion" in out
+
+
+def test_compare_embeddings_stamps_its_projection(tmp_path, capsys):
+    # the first kind of the comparison runs under the projection asked for
+    rc = main(["compare-embeddings", "pendulum", "--t-end", "0.2", "--projection", "positional",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "  projection: positional\n" in capsys.readouterr().out
+    report = json.loads((tmp_path / "pendulum_report.json").read_text(encoding="utf-8"))
+    assert report["stamp"]["projection"] == "positional"
 
 
 @pytest.mark.parametrize("command", ["check-invariants", "compare-embeddings"])

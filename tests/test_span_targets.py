@@ -60,8 +60,9 @@ REACHED_BY = {
         "checks.check_gde", "checks.check_reparametrization", "checks.check_covariance",
         "checks.check_energy", "generalized.covariance_residual", "reactions.invariance_report",
     ),
-    # the checks never call reaction: check_virtual_work and invariance_report
-    # each solve all their states in one reactions._stacked_solve
+    # the checks never call reaction: check_virtual_work solves all its states
+    # in one reactions._stacked_solve, and invariance_report solves each state
+    # with the one reactions._multiplier_solver it builds
     "reactions": ("reactions.reaction",),
 }
 # targets that no CLI op reaches, by design
