@@ -211,9 +211,11 @@ def project_to_manifold(cs: ConstraintSet, Ginv: Array, t, x, v, tol, max_iter, 
     return x, v, r, J, gt
 
 
-def _sample(sys, cs, t, x, v, solve, gen=None) -> tuple:
+def _sample(sys, cs, t, x, v, solve, gen=None, solved=None) -> tuple:
     """(xdd, row) at a point the march accepted, from one call of the run's
-    multiplier solver ``solve`` (:func:`reactions._multiplier_solver`).
+    multiplier solver ``solve`` (:func:`reactions._multiplier_solver`), or
+    from ``solved``, what that solver returned at (t, x, v) without a jet
+    or force given: the sample then calls neither the force nor the solve.
 
     xdd = G^-1 (f^T + N^T) is the next step's first stage; the row is the
     flat float64 record [t, x, v, Lambda, N, xdd, f, phi_v, phi_t + phi_x v,
@@ -232,13 +234,15 @@ def _sample(sys, cs, t, x, v, solve, gen=None) -> tuple:
     pot = sys.force.potential
     V = 0.0 if pot is None else float(pot(t, x))
     if cs is None:
-        f = sys.force(t, x, v)
+        f = sys.force(t, x, v) if solved is None else solved[0]
         xdd = sys.mass.inverse.dot(f)
         N = [0.0] * x.size
         return xdd, np.array([t, *x.tolist(), *v.tolist(), *N, *xdd.tolist(), *f.tolist(), V])
     g, gx, gt = gen or ((cs.generator(t, x) if cs.is_holonomic else _EMPTY), None, None)
-    f = sys.force(t, x, v)
-    _, B, S, lam, _, drift = solve(t, x, v, cs.jet(t, x, v, gx), f)
+    if solved is None:
+        f = sys.force(t, x, v)
+        solved = solve(t, x, v, cs.jet(t, x, v, gx), f)
+    f, B, S, lam, _, drift = solved
     N = lam.dot(S)
     xdd = sys.mass.inverse.dot(f + N)
     if cs.is_holonomic:
@@ -294,31 +298,68 @@ def _check_initial(cs: Optional[ConstraintSet], init: State, tol: float = 1e-8):
             raise OffManifoldError(f"initial g residual {g0:.6g} exceeds {tol}")
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
-_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4): the stage sums y + h (0 + a_1 k_1 + a_2 k_2 + ...) of
+# the tableau's rows written out, each adding its terms left to right; a
+# zero coefficient keeps its term, so that 0.0 * inf is a NaN here too.
+# Stage 7's row is y5's (b_i = a_7i, "first same as last"): y5 + 0.0 k_7
+# has the bits of y5 whenever k_7 is finite.
+def _dp2(y, h, k1):
+    return [yj + h * (0 + 1 / 5 * a1) for yj, a1 in zip(y, k1)]
 
 
-def _combine(y: list, h: float, coeffs, ks) -> list:
-    """y + h (0 + c_1 k_1 + c_2 k_2 + ...) per entry, added in row order: the
-    builtin sum of floats is compensated from Python 3.12 on."""
-    out = []
-    for yj, kj in zip(y, zip(*ks)):
-        acc = 0
-        for c, k in zip(coeffs, kj):
-            acc = acc + c * k
-        out.append(yj + h * acc)
-    return out
+def _dp3(y, h, k1, k2):
+    return [yj + h * (0 + 3 / 40 * a1 + 9 / 40 * a2) for yj, a1, a2 in zip(y, k1, k2)]
+
+
+def _dp4(y, h, k1, k2, k3):
+    return [
+        yj + h * (0 + 44 / 45 * a1 + -56 / 15 * a2 + 32 / 9 * a3)
+        for yj, a1, a2, a3 in zip(y, k1, k2, k3)
+    ]
+
+
+def _dp5(y, h, k1, k2, k3, k4):
+    return [
+        yj + h * (
+            0 + 19372 / 6561 * a1 + -25360 / 2187 * a2 + 64448 / 6561 * a3 + -212 / 729 * a4
+        )
+        for yj, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+    ]
+
+
+def _dp6(y, h, k1, k2, k3, k4, k5):
+    return [
+        yj + h * (
+            0 + 9017 / 3168 * a1 + -355 / 33 * a2 + 46732 / 5247 * a3 + 49 / 176 * a4
+            + -5103 / 18656 * a5
+        )
+        for yj, a1, a2, a3, a4, a5 in zip(y, k1, k2, k3, k4, k5)
+    ]
+
+
+def _dp7(y, h, k1, k2, k3, k4, k5, k6):
+    return [
+        yj + h * (
+            0 + 35 / 384 * a1 + 0.0 * a2 + 500 / 1113 * a3 + 125 / 192 * a4
+            + -2187 / 6784 * a5 + 11 / 84 * a6
+        )
+        for yj, a1, a2, a3, a4, a5, a6 in zip(y, k1, k2, k3, k4, k5, k6)
+    ]
+
+
+def _dp_y4(y, h, k1, k2, k3, k4, k5, k6, k7):
+    """The embedded fourth-order solution y4, against which y5 is tested."""
+    return [
+        yj + h * (
+            0 + 5179 / 57600 * a1 + 0.0 * a2 + 7571 / 16695 * a3 + 393 / 640 * a4
+            + -92097 / 339200 * a5 + 187 / 2100 * a6 + 1 / 40 * a7
+        )
+        for yj, a1, a2, a3, a4, a5, a6, a7 in zip(y, k1, k2, k3, k4, k5, k6, k7)
+    ]
+
+
+# (c_i, stage sum) of stages 2-6; stage 7 is taken at t + h, y5
+_DP_STAGES = ((1 / 5, _dp2), (3 / 10, _dp3), (4 / 5, _dp4), (8 / 9, _dp5), (1.0, _dp6))
 
 
 def _stalled(t: float, h: float) -> RuntimeError:
@@ -333,7 +374,10 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     After every accepted step ``record(t, q, p)`` stores a sample and returns
     ``(q, p, a)``: the state to continue from (a caller may project it) and
     its acceleration, which is the next step's first stage.  RK4 calls
-    ``accel`` 3 times per step, Dormand-Prince 6 times per attempt.
+    ``accel`` 3 times per step, Dormand-Prince 6 times per attempt.  An
+    accepted Dormand-Prince step hands ``record`` the very arrays its stage
+    7 called ``accel`` with, at the same t: stage 7 is taken at y5, so a
+    caller may reuse that evaluation for the sample.
 
     Both methods march y = (q, p) and the slopes k = (p, a) as lists of
     Python floats: on 2m <= 6 entries numpy's dispatch costs more than the
@@ -358,8 +402,11 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
     def rhs(tt, yy):
         return yy[m:] + accel(tt, np.array(yy[:m]), np.array(yy[m:])).tolist()
 
-    def recorded(tt, yy):  # yy itself unless record returns other arrays (a projected step)
-        qq, pp = np.array(yy[:m]), np.array(yy[m:])
+    def recorded(tt, yy, qq=None, pp=None):
+        # record at yy, with its arrays qq, pp when given; go on from yy
+        # itself unless record returns other arrays (a projected step)
+        if qq is None:
+            qq, pp = np.array(yy[:m]), np.array(yy[m:])
         try:
             q2, p2, aa = record(tt, qq, pp)
         except EvaluationError as exc:
@@ -405,19 +452,21 @@ def _march(accel, record, t, q, p, a, t_end, cfg: IntegratorConfig) -> None:
             raise _stalled(t, h)
         ks = [k1]
         try:
-            for i in range(1, 7):
-                ks.append(rhs(t + _DP_C[i] * h, _combine(y, h, _DP_A[i], ks)))
+            for c, stage_sum in _DP_STAGES:
+                ks.append(rhs(t + c * h, stage_sum(y, h, *ks)))
+            y5 = _dp7(y, h, *ks)
+            q5, p5 = np.array(y5[:m]), np.array(y5[m:])
+            ks.append(y5[m:] + accel(t + h, q5, p5).tolist())
         except EvaluationError as exc:
             raise failed(exc, f"Dormand-Prince stage {len(ks) + 1}") from exc
-        y5 = _combine(y, h, _DP_B5, ks)
-        diff = [abs(a5 - a4) for a5, a4 in zip(y5, _combine(y, h, _DP_B4, ks))]
+        diff = [abs(a5 - a4) for a5, a4 in zip(y5, _dp_y4(y, h, *ks))]
         # Python's max, unlike ndarray.max, does not carry a NaN through
         if not all(map(math.isfinite, y5 + diff)):
             msg = f"non-finite y5 or error estimate in the attempt at t={t}, h={h}"
             raise failed(EvaluationError(msg), "the error test")
         err = max(diff) / (tol * (1.0 + max(map(abs, y5))))
         if err <= 1.0:
-            y, k1 = recorded(t + h, y5)
+            y, k1 = recorded(t + h, y5, q5, p5)
             t = t + h
         factor = 0.9 * (err + 1e-16) ** (-0.2)
         h = h * min(5.0, max(0.2, factor))
@@ -441,12 +490,15 @@ def integrate_first_kind(
     stage (:func:`_accel_raw`) and every sample solves with it.
 
     Evaluations per step: RK4 makes 3 right-hand-side evaluations per
-    step and Dormand-Prince 6 per attempt.  Each recorded sample costs one
+    step and Dormand-Prince 6 per attempt.  A recorded sample costs one
     more, and its acceleration is the next step's first stage, so an RK4
-    step costs 4 in all.  On a holonomic set a sample evaluates g, g_x and
-    g_t once each, or, when projected with k Gauss-Newton corrections, g and
-    g_x k + 1 times and g_t once.  Projection without a holonomic
-    ``cs`` is refused with a ValueError.
+    step costs 4 in all.  A Dormand-Prince sample at the state of its
+    step's stage 7, which is y5, reuses that stage's solve, so an
+    unprojected run costs 6 per attempt and 1 for the initial sample; a
+    sample that projection moved solves afresh.  On a holonomic set a
+    sample evaluates g, g_x and g_t once each, or, when projected with k
+    Gauss-Newton corrections, g and g_x k + 1 times and g_t once.
+    Projection without a holonomic ``cs`` is refused with a ValueError.
     """
     require_horizon(init.t, t_end)
     if cfg.projection != "off" and (cs is None or not cs.is_holonomic):
@@ -454,12 +506,23 @@ def integrate_first_kind(
     _check_initial(cs, init)
 
     Ginv, solve = sys.mass.inverse, _multiplier_solver(sys, cs, real)
+    last = None  # (t, x, v, solve(t, x, v)) of the last Dormand-Prince stage
+    stage_solve = solve
+    if cfg.method == "rk45-adaptive":
+
+        def stage_solve(t, x, v):
+            nonlocal last
+            last = t, x, v, solve(t, x, v)
+            return last[3]
+
     # read at run start, so a rebound _accel_raw (a tracer's span) sees every stage
-    accel = functools.partial(_accel_raw, solve, Ginv)
+    accel = functools.partial(_accel_raw, stage_solve, Ginv)
     rows = []
 
     def record(t, x, v, gen=None):
-        xdd, row = _sample(sys, cs, t, x, v, solve, gen)
+        # the march hands an accepted step's stage-7 arrays over unchanged
+        reuse = last is not None and last[0] == t and last[1] is x and last[2] is v
+        xdd, row = _sample(sys, cs, t, x, v, solve, gen, last[3] if reuse else None)
         rows.append(row)
         return x, v, xdd
 

@@ -260,14 +260,12 @@ def _probe_reparametrization(cs: ConstraintSet, rep: Reparametrization) -> None:
 
 def _chain_rule(U_s: Array, U_z: Array, phi_s: Array) -> Array:
     """psi_s = U_s + U_z phi_s: the partial of psi = U(t, x, v, phi(t, x, v))
-    in one slot s of t, x and v, from U's partials U_s and U_z at z = phi
-    and phi's partial phi_s, at one state or for a stack of k states.  In
-    the t slot U_s and phi_s are vectors of n entries, or (k, n) stacks.
-
-    `@` gives a stack's rows the bits of one state's.
+    in one slot s of t, x and v at one state, from U's partials U_s and U_z
+    at z = phi and phi's partial phi_s.  In the t slot U_s and phi_s are
+    vectors of n entries.
     """
-    if phi_s.ndim < U_z.ndim:  # the t slot, taken as one column
-        return U_s + (U_z @ phi_s[..., None])[..., 0]
+    if phi_s.ndim == 1:  # the t slot, taken as one column
+        return U_s + (U_z @ phi_s[:, None])[:, 0]
     return U_s + U_z @ phi_s
 
 

@@ -3,8 +3,9 @@ differences, a random polynomial chart and generator with analytic
 derivatives, the reparametrized constraint set psi = U(phi), a generic
 Lagrangian derivative built from the pieces of 1/2 w^T M2 w + b w + T0,
 the second-kind terms and the trajectory match written out one product and
-one sample at a time, the drift projection written out on its own, and the
-RK4 / Dormand-Prince march on numpy arrays."""
+one sample at a time, the drift projection written out on its own, the
+RK4 / Dormand-Prince march on numpy arrays, and the generic tableau-row sum
+that the engine's Dormand-Prince stage sums write out."""
 
 import numpy as np
 
@@ -246,6 +247,20 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+
+
+def combine(y: list, h: float, coeffs, ks) -> list:
+    """y + h (0 + c_1 k_1 + c_2 k_2 + ...) per entry of the lists y and ks,
+    added in row order, every coefficient's term kept: the engine's
+    Dormand-Prince stage sums must have these bits.  (The builtin sum of
+    floats is compensated from Python 3.12 on.)"""
+    out = []
+    for yj, kj in zip(y, zip(*ks)):
+        acc = 0
+        for c, k in zip(coeffs, kj):
+            acc = acc + c * k
+        out.append(yj + h * acc)
+    return out
 
 
 def _recorded(record, t, y, m: int) -> tuple:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -22,17 +23,13 @@ from constrained_dynamics import (
     reaction,
 )
 from constrained_dynamics.integrate import (
-    _DP_A,
-    _DP_B4,
-    _DP_B5,
-    _DP_C,
     ProjectionError,
     Trajectory,
     _march,
     project_to_manifold,
 )
+from oracles import _DP_A, _DP_B4, _DP_B5, _DP_C, combine, project
 from oracles import march as array_march
-from oracles import project
 
 
 def _free_system(dim=2, force=None):
@@ -536,7 +533,8 @@ def _counting_solvers(monkeypatch, module):
 ], ids=["rk4", "dp45", "projected"])
 def test_one_multiplier_solver_per_run(pendulum, cfg, monkeypatch):
     # every stage and every sample of a run solves with the solver the run
-    # built at its start
+    # built at its start; an unprojected Dormand-Prince sample reuses the
+    # solve of its step's stage 7, so only the initial sample solves
     from constrained_dynamics import integrate
 
     counts = _counting_solvers(monkeypatch, integrate)
@@ -549,7 +547,8 @@ def test_one_multiplier_solver_per_run(pendulum, cfg, monkeypatch):
 
     monkeypatch.setattr(integrate, "_accel_raw", counted)
     traj = integrate_first_kind(pendulum.system, pendulum.constraints, pendulum.initial, 0.2, cfg)
-    assert counts == [1, stages[0] + len(traj)]
+    sample_solves = 1 if cfg.method == "rk45-adaptive" else len(traj)
+    assert counts == [1, stages[0] + sample_solves]
 
 
 def test_one_multiplier_solver_per_check(pendulum):
@@ -858,13 +857,18 @@ def test_stage_reuse_is_bit_identical(name, cfg):
 
 def test_stage_reuse_bit_identical_after_rejected_steps(pendulum):
     # a large first step under the default tolerance is rejected before the
-    # controller settles; the retry starts from the stored acceleration
+    # controller settles; the retry starts from the stored acceleration.
+    # Every sample reuses its own step's stage 7: 6 force calls per attempt
+    # and 1 for the initial sample, so no sample solves afresh, and the
+    # bits show that none took a rejected attempt's stage 7
     cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
     sys, cs, init = pendulum.system, pendulum.constraints, pendulum.initial
-    traj = integrate_first_kind(sys, cs, init, 1.0, cfg)
+    counted, calls = _counting_force(sys)
+    traj = integrate_first_kind(counted, cs, init, 1.0, cfg)
     columns, rejected = _reference_run(sys, cs, init, 1.0, cfg)
     assert rejected >= 1
     _assert_same_run(traj, columns)
+    assert calls[0] == 6 * (len(traj) - 1 + rejected) + 1
 
 
 _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
@@ -921,6 +925,53 @@ def test_list_march_matches_the_array_march_bit_for_bit(method, run, tolerance, 
     log = trace(_march)
     assert log == trace(array_march)
     assert log[-1][1] == pytest.approx(t_end, abs=1e-12)
+
+
+_SUM_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, -1e-200, math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def _stage_sum_inputs(draw):
+    """(y, h, ks): a state y and seven slopes of 2-6 entries each, any entry
+    possibly a signed zero, a tiny value whose products underflow, an
+    infinity or a NaN, and a step h in (0, 1]."""
+    n = draw(st.integers(2, 6))
+
+    def entries():
+        return draw(st.lists(_SUM_ENTRY, min_size=n, max_size=n))
+
+    h = draw(st.one_of(st.sampled_from([1e-200, 1e-12]), st.floats(1e-6, 1.0)))
+    return entries(), h, [entries() for _ in range(7)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(problem=_stage_sum_inputs())
+def test_dormand_prince_stage_sums_match_the_generic_row_sum(problem):
+    # every written-out stage sum, and y4's, against the tableau row summed
+    # term by term, bit for bit, signed zeros included; stage 7's sum is
+    # y5's whenever k7 is finite.  Where two NaNs meet in one addition, the
+    # NaN returned is not fixed by the code: CPython's generic and
+    # specialized float additions return different operands.  So any NaN
+    # equals any NaN here; the march tests only for finiteness.
+    from constrained_dynamics import integrate
+
+    y, h, ks = problem
+
+    def bits(values):
+        a = np.array(values, dtype=float)
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+
+    sums = [integrate._dp2, integrate._dp3, integrate._dp4, integrate._dp5, integrate._dp6,
+            integrate._dp7]
+    for i, stage_sum in enumerate(sums, start=1):
+        assert bits(stage_sum(y, h, *ks[:i])) == bits(combine(y, h, _DP_A[i], ks[:i])), i
+    B4, B5 = _DP_B4.tolist(), _DP_B5.tolist()
+    assert bits(integrate._dp_y4(y, h, *ks)) == bits(combine(y, h, B4, ks))
+    if all(map(math.isfinite, ks[6])):
+        assert bits(integrate._dp7(y, h, *ks[:6])) == bits(combine(y, h, B5, ks))
 
 
 def _blend(cs):
@@ -1070,12 +1121,16 @@ def test_force_evaluations_per_step(pendulum, realization):
 
 
 def test_force_evaluations_per_adaptive_attempt(pendulum):
-    cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5)
-    sys, calls = _counting_force(pendulum.system)
-    traj = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 1.0, cfg)
-    _, rejected = _reference_run(
-        pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg
-    )
-    attempts = len(traj) - 1 + rejected
-    assert rejected >= 1
-    assert calls[0] == 6 * attempts + len(traj)
+    # stages 2-7 per attempt; stage 7 is taken at y5, whose sample reuses
+    # its solve, so an unprojected run calls the force once more, for the
+    # initial sample.  A projected sample moves off y5 and solves afresh.
+    for projection, samples_solved in (("off", False), ("positional+velocity", True)):
+        cfg = IntegratorConfig(method="rk45-adaptive", dt=0.5, projection=projection)
+        sys, calls = _counting_force(pendulum.system)
+        traj = integrate_first_kind(sys, pendulum.constraints, pendulum.initial, 1.0, cfg)
+        _, rejected = _reference_run(
+            pendulum.system, pendulum.constraints, pendulum.initial, 1.0, cfg
+        )
+        attempts = len(traj) - 1 + rejected
+        assert rejected >= 1
+        assert calls[0] == 6 * attempts + (len(traj) if samples_solved else 1), projection

@@ -43,12 +43,7 @@ from constrained_dynamics.generalized import (
     second_kind_acceleration,
 )
 from constrained_dynamics.integrate import _accel_raw
-from constrained_dynamics.reactions import (
-    _chain_rule,
-    _chol_solve,
-    _multiplier_solver,
-    _stacked_solve,
-)
+from constrained_dynamics.reactions import _chol_solve, _multiplier_solver, _stacked_solve
 from constrained_dynamics.scenarios import uniform_rows
 from oracles import lagrange_terms, random_polynomial_chart
 
@@ -343,12 +338,11 @@ def test_multiplier_solver_matches_the_closed_form_on_random_systems(m, n, reali
 
 @st.composite
 def _stacked_problems(draw):
-    """(sys, t, B, drift, F, chain) at k = 1-8 states away from the catalog: a
+    """(sys, t, B, drift, F) at k = 1-8 states away from the catalog: a
     non-diagonal m x m SPD G (m = 2-4), n = 1-2 constraints, and stacks of
-    phi_v, drift and force; ``chain`` holds (U_z, U_t, phi_t, U_x, phi_x)
-    stacks for the chain rule.  Entries are uniform in [-1, 1], or with
-    chance 0.1 each +0.0, -0.0 and +-1e-200, whose products underflow.  The
-    Gram matrix of one state may be zero or NaN."""
+    phi_v, drift and force.  Entries are uniform in [-1, 1], or with chance
+    0.1 each +0.0, -0.0 and +-1e-200, whose products underflow.  The Gram
+    matrix of one state may be zero or NaN."""
     m = draw(st.integers(2, 4))
     n = draw(st.integers(1, min(2, m - 1)))
     k = draw(st.integers(1, 8))
@@ -363,22 +357,21 @@ def _stacked_problems(draw):
     B = mat(k, n, m)
     B[:, range(n), range(n)] += 2.0  # full rank, with the special entries off the diagonal
     drift, F = mat(k, n), 3.0 * mat(k, m)
-    chain = mat(k, n, n), mat(k, n), mat(k, n), mat(k, n, m), mat(k, n, m)
     fault = draw(st.sampled_from([None, 0.0, np.nan]))
     if fault is not None:
         B[draw(st.integers(0, k - 1))] = fault
     t = 0.5 * np.arange(k) + draw(st.floats(-1.0, 1.0))
     sys = MechanicalSystem(MassMatrix(G), ForceField(m, lambda t, x, v: np.zeros(m)))
-    return sys, t, B, drift, F, chain
+    return sys, t, B, drift, F
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(problem=_stacked_problems())
 def test_stacked_solve_has_the_bits_of_the_per_state_solve(problem):
-    # the sampled checks' stacked solve and chain rule against the solve of
-    # _multiplier_solver, given each state's jet and force, and the chain
-    # rule of one state: the same bits, and the same first failure
-    sys, t, B, drift, F, (U_z, U_t, phi_t, U_x, phi_x) = problem
+    # the virtual-work check's stacked solve against the solve of
+    # _multiplier_solver, given each state's jet and force: the same bits,
+    # and the same first failure
+    sys, t, B, drift, F = problem
     k, n, m = B.shape
     phi = SmoothMap(
         dim=n, value=lambda t, x, v: np.zeros(n), jac_t=lambda t, x, v: np.zeros(n),
@@ -405,11 +398,6 @@ def test_stacked_solve_has_the_bits_of_the_per_state_solve(problem):
         # one-row ndarray.dot and +0.0 through `@`; + 0.0 maps -0.0 to +0.0
         # and keeps every other bit
         assert [(row + 0.0).tobytes() for row in N] == [(w[1] + 0.0).tobytes() for w in want]
-    for U_s, phi_s in ((U_t, phi_t), (U_x, phi_x)):
-        got = _chain_rule(U_s, U_z, phi_s)
-        assert [row.tobytes() for row in got] == [
-            _chain_rule(*one).tobytes() for one in zip(U_s, U_z, phi_s)
-        ]
 
 
 @pytest.mark.parametrize("name", ["pendulum", "spherical-pendulum", "knife-edge"])
